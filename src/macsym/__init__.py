@@ -7,8 +7,8 @@ the theory at desk scale.
 """
 
 from .coeff import (FIELD, ONE, Q, QPochProduct, QTSeries, RatQT, T,
-                    emit_ratqt, parse_ratqt, ratqt, ratqt_arith, substitute,
-                    swap_qt, to_series)
+                    emit_ratqt, parse_ratqt, ratqt, substitute, swap_qt,
+                    to_series)
 from .ctengine import (ct, ct_norm_check, delta_expand, integral_constants,
                        integral_rep_P, integral_rep_P_dual, map_G, map_N,
                        map_N_tilde, norm_prime_product, pi_inv_expand,

@@ -2,7 +2,8 @@
 
 Subcommands: expand, norm, skew, kostka, integral, verify.  Exit status is 0
 when every requested check passes, 1 on an identity failure (the first
-counterexample is printed), 2 on usage errors such as malformed partitions.
+counterexample is printed), 2 on usage errors such as malformed partitions
+or a bad --cache-path file.
 """
 
 import argparse
@@ -24,6 +25,16 @@ def _partition_arg(text):
         return parse_partition(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _degree_arg(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"degree must be >= 0, got {value}")
+    return value
 
 
 def _term_list(f):
@@ -239,7 +250,7 @@ def build_parser():
     p.set_defaults(func=cmd_skew)
 
     p = sub.add_parser("kostka", help="Kostka table for a degree")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_degree_arg, required=True)
     p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.set_defaults(func=cmd_kostka)
@@ -270,6 +281,9 @@ def main(argv=None):
             macdonald.load_cache(args.cache_path)
         except FileNotFoundError:
             pass
+        except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
+            print(f"error: bad cache file: {exc}", file=sys.stderr)
+            return 2
     try:
         code = args.func(args)
     except MacsymError as exc:

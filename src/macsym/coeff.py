@@ -16,7 +16,7 @@ from sympy.polys.heuristicgcd import heugcd
 from sympy.polys.polyerrors import HeuristicGCDFailed
 from sympy.polys.rings import PolyElement as _PolyElement
 
-from .errors import NotSeriesExpandable, SpecializationPole
+from .errors import InternalInconsistency, NotSeriesExpandable, SpecializationPole
 
 
 def _gcd_zz_with_fallback(f, g):
@@ -53,22 +53,6 @@ def ratqt(value):
     raise TypeError(f"cannot coerce {value!r} into Q(q,t)")
 
 
-def ratqt_arith(a, b, op):
-    """Field operation on two elements; division by zero raises ZeroDivisionError."""
-    a, b = ratqt(a), ratqt(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise ZeroDivisionError("division by zero in Q(q,t)")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def _eval_poly(poly, q_img, t_img):
     """Evaluate a Z[q,t] polynomial at RatQT images of q and t."""
     qpow, tpow = {0: ONE}, {0: ONE}
@@ -103,6 +87,63 @@ def substitute(r, q_image, t_image):
 def swap_qt(r):
     """The involution q <-> t on Q(q,t)."""
     return substitute(r, T, Q)
+
+
+# ---------------------------------------------------------------------------
+# sparse linear algebra
+# ---------------------------------------------------------------------------
+
+def add_into(out, terms, scale=None):
+    """out += scale * terms, in place, over every key of the dict `terms`.
+
+    A key whose sum cancels is deleted and a zero is never stored, so a
+    sparse map stays free of zero entries.  `scale=None` adds the terms as
+    they are; a zero scale leaves `out` unchanged.  Returns `out`.
+    """
+    if scale is not None and not scale:
+        return out
+    for key, c in terms.items():
+        if scale is not None:
+            c = c * scale
+        prev = out.get(key)
+        v = c if prev is None else prev + c
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+    return out
+
+
+def invert(rows, plist):
+    """Inverse over Q(q,t) of the square matrix {lam: {mu: entry}} indexed by plist.
+
+    Gauss-Jordan elimination with the first nonzero pivot of each column.
+    The inverse comes back in the same sparse row form, zeros dropped; a
+    singular matrix raises InternalInconsistency.
+    """
+    k = len(plist)
+    idx = {lam: i for i, lam in enumerate(plist)}
+    mat = [[ZERO] * k for _ in range(k)]
+    for lam, row in rows.items():
+        for mu, c in row.items():
+            mat[idx[lam]][idx[mu]] = ratqt(c)
+    inv = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if mat[r][col]), None)
+        if piv is None:
+            raise InternalInconsistency("singular matrix")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        c = mat[col][col]
+        mat[col] = [v / c for v in mat[col]]
+        inv[col] = [v / c for v in inv[col]]
+        for r in range(k):
+            if r != col and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
+    return {lam: {mu: c for mu, c in zip(plist, inv[i]) if c}
+            for i, lam in enumerate(plist)}
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +360,10 @@ class QTSeries:
         return f"QTSeries({' + '.join(bits)}; order={self.order})"
 
     def __add__(self, other):
-        assert isinstance(other, QTSeries) and other.order == self.order
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+        if other.order != self.order:
+            raise ValueError(f"series orders differ: {self.order} and {other.order}")
         res = QTSeries(self.order)
-        res.coeffs = out
+        res.coeffs = add_into(dict(self.coeffs), other.coeffs)
         return res
 
     def __neg__(self):
@@ -341,7 +376,8 @@ class QTSeries:
 
     def __mul__(self, other):
         if isinstance(other, QTSeries):
-            assert other.order == self.order
+            if other.order != self.order:
+                raise ValueError(f"series orders differ: {self.order} and {other.order}")
             order = self.order
             out = {}
             for (a1, b1), c1 in self.coeffs.items():
@@ -374,7 +410,8 @@ class QTSeries:
         return min(a + b for a, b in self.coeffs)
 
     def truncate(self, order):
-        assert order <= self.order
+        if order > self.order:
+            raise ValueError(f"cannot truncate order {self.order} up to {order}")
         return QTSeries(order, self.coeffs)
 
     def inverse(self):
@@ -403,7 +440,8 @@ class QTSeries:
         return res
 
     def __pow__(self, k):
-        assert k >= 0
+        if k < 0:
+            raise ValueError("negative powers of a series need inverse()")
         res = QTSeries.one(self.order)
         base = self
         while k:
@@ -475,15 +513,8 @@ class QPochProduct:
 
     def __mul__(self, other):
         if isinstance(other, QPochProduct):
-            merged = dict(self.factors)
-            for key, e in other.factors.items():
-                v = merged.get(key, 0) + e
-                if v:
-                    merged[key] = v
-                else:
-                    del merged[key]
             out = QPochProduct(self.prefactor * other.prefactor)
-            out.factors = merged
+            out.factors = add_into(dict(self.factors), other.factors)
             return out
         return QPochProduct(self.prefactor * ratqt(other), dict(self.factors))
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
-from .coeff import QPochProduct, QTSeries, ratqt, swap_qt, to_series
+from .coeff import QPochProduct, QTSeries, add_into, ratqt, swap_qt, to_series
 from .errors import InternalInconsistency, WindowTooSmall
 from .macdonald import b_coeff, dr_apply, macdonald_pair
 from .pairing import kernel_product, qbinom_coeff
@@ -111,6 +111,7 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
         touch = remain[step]
         nxt = {}
         for e, ce in terms.items():
+            row = {}
             for d, cd in series:
                 c = ce * cd
                 if not c:
@@ -119,20 +120,11 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
                 ei, ej = e[i] + d, e[j] - d
                 fi = touch[i] + slack if touch[i] else 0
                 fj = touch[j] + slack if touch[j] else 0
-                if not (lo - fi <= ei <= hi + fi and lo - fj <= ej <= hi + fj):
-                    continue
-                ne = list(e)
-                ne[i], ne[j] = ei, ej
-                ne = tuple(ne)
-                prev = nxt.get(ne)
-                if prev is None:
-                    nxt[ne] = c
-                else:
-                    v = prev + c
-                    if v:
-                        nxt[ne] = v
-                    else:
-                        del nxt[ne]
+                if lo - fi <= ei <= hi + fi and lo - fj <= ej <= hi + fj:
+                    ne = list(e)
+                    ne[i], ne[j] = ei, ej
+                    row[tuple(ne)] = c
+            add_into(nxt, row)
         terms = nxt
     return {e: c for e, c in terms.items()
             if all(lo <= x <= hi for x in e)}
@@ -162,28 +154,19 @@ class WindowSeries:
         return self.terms.get(e, QTSeries.zero(self.order))
 
     def __mul__(self, other):
-        assert isinstance(other, WindowSeries) and other.nvars == self.nvars
-        assert other.order == self.order
+        if (other.nvars, other.order) != (self.nvars, self.order):
+            raise ValueError("window series differ in variable count or order")
         out = WindowSeries(self.nvars, self.order,
                            min(self.lo, other.lo), max(self.hi, other.hi))
         for e1, c1 in self.terms.items():
+            row = {}
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if not all(out.lo <= x <= out.hi for x in e):
-                    out.truncated = True
-                    continue
-                c = c1 * c2
-                if not c:
-                    continue
-                prev = out.terms.get(e)
-                if prev is None:
-                    out.terms[e] = c
+                if all(out.lo <= x <= out.hi for x in e):
+                    row[e] = c2
                 else:
-                    v = prev + c
-                    if v:
-                        out.terms[e] = v
-                    else:
-                        del out.terms[e]
+                    out.truncated = True
+            add_into(out.terms, row, c1)
         return out
 
     def ct(self, variables=None):
@@ -237,9 +220,7 @@ def pi_inv_expand(nx, ny, d_out, order):
 
     def rec(idx, rem, exps, coeff):
         if idx == len(cells):
-            key = tuple(exps)
-            prev = out.terms.get(key)
-            out.terms[key] = coeff if prev is None else prev + coeff
+            add_into(out.terms, {tuple(exps): coeff})
             return
         i, j = cells[idx]
         rec(idx + 1, rem, exps, coeff)
@@ -251,7 +232,6 @@ def pi_inv_expand(nx, ny, d_out, order):
             exps[nx + j] += m
 
     rec(0, d_out, [0] * (nx + ny), QTSeries.one(order))
-    out.terms = {e: c for e, c in out.terms.items() if c}
     return out
 
 
@@ -263,7 +243,8 @@ def _as_npoly(f, n, order):
     """Coerce SymFunc / NPoly input into an NPoly with series coefficients."""
     if isinstance(f, SymFunc):
         f = evaluate_n(f, n)
-    assert f.n == n
+    if f.n != n:
+        raise ValueError(f"expected a polynomial in {n} variables, got {f.n}")
     out = NPoly(n)
     for e, c in f.terms.items():
         s = c if isinstance(c, QTSeries) else series_of(ratqt(c), order)
@@ -309,7 +290,8 @@ def norm_prime_product(lam, n):
 def ct_norm_check(lam, n, order):
     """Series equality of the constant-term norm against its product form."""
     lam = as_partition(lam)
-    assert len(lam) <= n
+    if len(lam) > n:
+        raise ValueError(f"{lam} has more than n = {n} parts")
     P = macdonald_pair(lam).P
     lhs = scalar_prime(P, P, n, order)
     rhs = norm_prime_product(lam, n).to_series(order)
@@ -339,7 +321,8 @@ def self_adjoint_check(f, g, n, order):
 
 def map_G(s, f):
     """Multiply by (x_1 ... x_r)^s."""
-    assert s >= 1
+    if s < 1:
+        raise ValueError(f"gauge exponent must be >= 1, got {s}")
     out = NPoly(f.n)
     out.terms = {tuple(x + s for x in e): c for e, c in f.terms.items()}
     return out
@@ -361,26 +344,11 @@ def _collect_kernel(wterms, order, kind):
     """Pair windowed integrand terms with kernel stratum products: p-basis output."""
     by_kappa = {}
     for e, c in wterms.items():
-        kappa = as_partition(sorted(e, reverse=True))
-        prev = by_kappa.get(kappa)
-        by_kappa[kappa] = c if prev is None else prev + c
+        add_into(by_kappa, {as_partition(sorted(e, reverse=True)): c})
     out = {}
     for kappa, c in by_kappa.items():
-        if not c:
-            continue
-        for nu, gc in kernel_product(kappa, kind).terms.items():
-            piece = c * series_of(gc, order)
-            if not piece:
-                continue
-            prev = out.get(nu)
-            if prev is None:
-                out[nu] = piece
-            else:
-                v = prev + piece
-                if v:
-                    out[nu] = v
-                else:
-                    del out[nu]
+        add_into(out, {nu: series_of(gc, order)
+                       for nu, gc in kernel_product(kappa, kind).terms.items()}, c)
     return out
 
 
@@ -391,18 +359,18 @@ def _eval_p_series(terms, n, order):
         poly = NPoly.constant(n, 1)
         for part in kappa:
             poly = poly * power_sum_poly(part, n)
-        for e, k in poly.terms.items():
-            piece = c * k
-            prev = out.terms.get(e)
-            if prev is None:
-                out.terms[e] = piece
-            else:
-                v = prev + piece
-                if v:
-                    out.terms[e] = v
-                else:
-                    del out.terms[e]
+        add_into(out.terms, poly.terms, c)
     return out
+
+
+def _kernel_transform(n_to, m_from, f, order, d_out, kind):
+    wterms, d = _windowed_integrand(f, m_from, order)
+    if d_out is not None and d_out < d:
+        raise WindowTooSmall(f"output degree {d} exceeds requested cap {d_out}")
+    out = _collect_kernel(wterms, order, kind)
+    if n_to is None:
+        return SymFunc("p", out)
+    return _eval_p_series(out, n_to, order)
 
 
 def map_N(n_to, m_from, f, order, d_out=None):
@@ -411,24 +379,12 @@ def map_N(n_to, m_from, f, order, d_out=None):
     Returns the p-basis image {partition: series} when n_to is None (the
     projective limit); otherwise evaluates into n_to variables.
     """
-    wterms, d = _windowed_integrand(f, m_from, order)
-    if d_out is not None and d_out < d:
-        raise WindowTooSmall(f"output degree {d} exceeds requested cap {d_out}")
-    out = _collect_kernel(wterms, order, "g")
-    if n_to is None:
-        return SymFunc("p", out)
-    return _eval_p_series(out, n_to, order)
+    return _kernel_transform(n_to, m_from, f, order, d_out, "g")
 
 
 def map_N_tilde(n_to, m_from, f, order, d_out=None):
     """Integral transform against the finite dual kernel prod(1 + x_i/y_j) Delta(y)."""
-    wterms, d = _windowed_integrand(f, m_from, order)
-    if d_out is not None and d_out < d:
-        raise WindowTooSmall(f"output degree {d} exceeds requested cap {d_out}")
-    out = _collect_kernel(wterms, order, "e")
-    if n_to is None:
-        return SymFunc("p", out)
-    return _eval_p_series(out, n_to, order)
+    return _kernel_transform(n_to, m_from, f, order, d_out, "e")
 
 
 @dataclass(frozen=True)
@@ -488,30 +444,28 @@ def _pipeline_inner(lam, order):
     return cur
 
 
-def integral_rep_P(lam, order, d_out=None):
-    """Nested-integral reconstruction of P_lam: p-basis map {partition: series}."""
+def _integral_rep(lam, order, d_out, dual):
     lam = as_partition(lam)
     if d_out is not None and d_out < weight(lam):
         raise WindowTooSmall(f"degree {weight(lam)} exceeds requested cap {d_out}")
     if not lam:
         return SymFunc("p", {(): QTSeries.one(order)})
     inner = _pipeline_inner(lam, order)
-    sym = map_N(None, rectangles(lam)[-1][1], inner, order)
-    scale = integral_constants(lam).c_plus.to_series(order)
+    transform = map_N_tilde if dual else map_N
+    sym = transform(None, rectangles(lam)[-1][1], inner, order)
+    constants = integral_constants(lam)
+    scale = (constants.c_minus if dual else constants.c_plus).to_series(order)
     return SymFunc("p", {nu: c * scale for nu, c in sym.terms.items()})
+
+
+def integral_rep_P(lam, order, d_out=None):
+    """Nested-integral reconstruction of P_lam: p-basis map {partition: series}."""
+    return _integral_rep(lam, order, d_out, dual=False)
 
 
 def integral_rep_P_dual(lam, order, d_out=None):
     """Dual-kernel reconstruction of P_{lam'}(x; t, q): p-basis map."""
-    lam = as_partition(lam)
-    if d_out is not None and d_out < weight(lam):
-        raise WindowTooSmall(f"degree {weight(lam)} exceeds requested cap {d_out}")
-    if not lam:
-        return SymFunc("p", {(): QTSeries.one(order)})
-    inner = _pipeline_inner(lam, order)
-    sym = map_N_tilde(None, rectangles(lam)[-1][1], inner, order)
-    scale = integral_constants(lam).c_minus.to_series(order)
-    return SymFunc("p", {nu: c * scale for nu, c in sym.terms.items()})
+    return _integral_rep(lam, order, d_out, dual=True)
 
 
 def expected_p_series(lam, order, swapped=False):
@@ -572,7 +526,7 @@ def skew_integral_check(lam, mu, order):
     lam, mu = as_partition(lam), as_partition(mu)
     wl, r = f_plus_terms(lam, order)
     wm, rho = f_plus_terms(mu, order)
-    out = {}
+    wterms = {}
     for beta, cb in wm.items():
         col_opts = [list(_compositions(b, r)) for b in beta]
         for cols in iproduct(*col_opts):
@@ -581,30 +535,11 @@ def skew_integral_check(lam, mu, order):
                 for v in col:
                     if v:
                         coeff = coeff * _qbinom_series(v, order)
-            if not coeff:
-                continue
             rows = tuple(sum(col[i] for col in cols) for i in range(r))
-            for alpha, ca in wl.items():
-                a = tuple(x - y for x, y in zip(alpha, rows))
-                if any(x < 0 for x in a):
-                    continue
-                piece = coeff * ca
-                if not piece:
-                    continue
-                kappa = as_partition(sorted(a, reverse=True))
-                for nu, gc in kernel_product(kappa, "g").terms.items():
-                    v = piece * series_of(gc, order)
-                    if not v:
-                        continue
-                    prev = out.get(nu)
-                    if prev is None:
-                        out[nu] = v
-                    else:
-                        w = prev + v
-                        if w:
-                            out[nu] = w
-                        else:
-                            del out[nu]
+            add_into(wterms, {tuple(x - y for x, y in zip(alpha, rows)): ca
+                              for alpha, ca in wl.items()
+                              if all(x >= y for x, y in zip(alpha, rows))}, coeff)
+    out = _collect_kernel(wterms, order, "g")
     from .macdonald import skew_q
     expected = skew_q(lam, mu).scale(1 / b_coeff(lam))
     want = {nu: series_of(c, order) for nu, c in expected.terms.items()}
@@ -622,19 +557,14 @@ def _sign_factor_terms(ell, reverse=False):
     terms = {(0,) * ell: 1}
     for i in range(ell):
         for j in range(i + 1, ell):
-            nxt = {}
+            up, down = (j, i) if reverse else (i, j)
+            shifted = {}
             for e, c in terms.items():
-                nxt[e] = nxt.get(e, 0) + c
                 ne = list(e)
-                if reverse:
-                    ne[j] += 1
-                    ne[i] -= 1
-                else:
-                    ne[i] += 1
-                    ne[j] -= 1
-                ne = tuple(ne)
-                nxt[ne] = nxt.get(ne, 0) - c
-            terms = {e: c for e, c in nxt.items() if c}
+                ne[up] += 1
+                ne[down] -= 1
+                shifted[tuple(ne)] = c
+            terms = add_into(dict(terms), shifted, -1)
     return terms
 
 
@@ -645,56 +575,19 @@ def schur_ct(lam, nx=None, kind="h"):
     dual bases of the Schur family under the deformed scalar products.
     """
     lam = as_partition(lam)
-    ell = len(lam)
-    if ell == 0:
-        out = SymFunc("p", {(): ratqt(1)})
-        return evaluate_n(out, nx) if nx is not None else out
     acc = {}
-    for w, c in _sign_factor_terms(ell).items():
+    for w, c in _sign_factor_terms(len(lam)).items():
         v = tuple(l + x for l, x in zip(lam, w))
-        if any(x < 0 for x in v):
-            continue
-        kappa = as_partition(sorted(v, reverse=True))
-        acc[kappa] = acc.get(kappa, 0) + c
+        if all(x >= 0 for x in v):
+            add_into(acc, {as_partition(sorted(v, reverse=True)): c})
     out = SymFunc("p")
     for kappa, c in acc.items():
-        if not c:
-            continue
-        for nu, gc in kernel_product(kappa, kind).terms.items():
-            prev = out.terms.get(nu, ratqt(0))
-            v = prev + c * gc
-            if v:
-                out.terms[nu] = v
-            else:
-                out.terms.pop(nu, None)
+        add_into(out.terms, kernel_product(kappa, kind).terms, c)
     return evaluate_n(out, nx) if nx is not None else out
 
 
 def schur_ct_dual(lam, nx=None):
     """Dual constant-term formula: (-1)^|lam| with kernel prod(1 - x_i/y_j) gives s_{lam'}."""
-    lam = as_partition(lam)
-    ell = len(lam)
-    if ell == 0:
-        out = SymFunc("p", {(): ratqt(1)})
-        return evaluate_n(out, nx) if nx is not None else out
     # the outer (-1)^|lam| cancels the (-1)^sum(v) from the kernel strata,
     # since every surviving stratum vector v sums to |lam|
-    acc = {}
-    for w, c in _sign_factor_terms(ell).items():
-        v = tuple(l + x for l, x in zip(lam, w))
-        if any(x < 0 for x in v):
-            continue
-        kappa = as_partition(sorted(v, reverse=True))
-        acc[kappa] = acc.get(kappa, 0) + c
-    out = SymFunc("p")
-    for kappa, c in acc.items():
-        if not c:
-            continue
-        for nu, gc in kernel_product(kappa, "e").terms.items():
-            prev = out.terms.get(nu, ratqt(0))
-            v = prev + c * gc
-            if v:
-                out.terms[nu] = v
-            else:
-                out.terms.pop(nu, None)
-    return evaluate_n(out, nx) if nx is not None else out
+    return schur_ct(lam, nx, kind="e")

@@ -11,11 +11,14 @@ symmetrizer sum formula.
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .coeff import Q, T, ratqt
+from sympy.polys.domains import ZZ
+from sympy.polys.rings import ring
+
+from .coeff import Q, T, add_into, ratqt, substitute
 from .macdonald import macdonald_pair
 from .pairing import inner_qt, qbinom_coeff
 from .partitions import as_partition, partitions_of, weight
-from .symfunc import SymFunc, convert, multiply
+from .symfunc import NPoly, SymFunc, _perm_sign, convert, multiply
 
 
 def matrix_element(bra, mult, ket):
@@ -34,9 +37,7 @@ def skew_via_fock(lam, mu):
     p_mu = macdonald_pair(mu).P_p
     for nu in partitions_of(d):
         pair_n = macdonald_pair(nu)
-        c = matrix_element(q_lam, p_mu, pair_n.P_p)
-        if c:
-            out = out + pair_n.Qf.scale(c)
+        add_into(out.terms, pair_n.Qf.terms, matrix_element(q_lam, p_mu, pair_n.P_p))
     return out
 
 
@@ -51,15 +52,10 @@ def p_bar_apply(r, f):
     out = SymFunc("p")
     for nu, c in fp.terms.items():
         m = nu.count(r)
-        if not m:
-            continue
-        rest = list(nu)
-        rest.remove(r)
-        key = as_partition(rest)
-        piece = c * (m * _pbar_factor(r))
-        prev = out.terms.get(key)
-        out.terms[key] = piece if prev is None else prev + piece
-    out.terms = {k: v for k, v in out.terms.items() if v}
+        if m:
+            rest = list(nu)
+            rest.remove(r)
+            add_into(out.terms, {as_partition(rest): c * (m * _pbar_factor(r))})
     return out
 
 
@@ -72,7 +68,7 @@ def skew_via_diffop(lam, mu):
         piece = target
         for part in kappa:
             piece = p_bar_apply(part, piece)
-        cur = cur + piece.scale(u)
+        add_into(cur.terms, piece.terms, u)
     return cur
 
 
@@ -92,9 +88,7 @@ def completeness_check(f):
     for d in fp.degrees():
         for lam in partitions_of(d):
             pair = macdonald_pair(lam)
-            c = inner_qt(pair.Qf, fp)
-            if c:
-                out = out + pair.P_p.scale(c)
+            add_into(out.terms, pair.P_p.terms, inner_qt(pair.Qf, fp))
     return out == fp
 
 
@@ -138,6 +132,14 @@ def _finite_pi_series(beta, deg):
     return out
 
 
+def _monomial_shift(n, i, j, k=1):
+    """Exponent vector of (x_i / x_j)^k in n variables."""
+    e = [0] * n
+    e[i] += k
+    e[j] -= k
+    return tuple(e)
+
+
 def vertex_product_check(beta, n, d):
     """Finite-product collapse of both kernels at t = q^beta, exact in q.
 
@@ -145,7 +147,8 @@ def vertex_product_check(beta, n, d):
     assembles the full interchange kernel over n variables as an exact
     Laurent polynomial and compares against the finite product.
     """
-    assert beta >= 1
+    if beta < 1:
+        raise ValueError(f"beta must be >= 1, got {beta}")
     # per-factor interchange kernel
     finite = _finite_delta_poly(beta, max(d, beta))
     for m in range(max(d, beta) + 1):
@@ -156,144 +159,47 @@ def vertex_product_check(beta, n, d):
     # per-factor positive kernel: kappa_m(q, q^beta) against the geometric side
     pi_side = _finite_pi_series(beta, d)
     for m in range(d + 1):
-        from .coeff import substitute
         lhs = substitute(qbinom_coeff(m), Q, Q ** beta)
         if lhs != pi_side[m]:
             return False
-    # assembled interchange kernel over n variables (finite Laurent both ways)
+    # assembled interchange kernel over n variables (Laurent polynomials in x)
     cm = [_delta_factor_rational(m, beta) for m in range(beta + 1)]
     pair = {}
     for dd in range(-beta, beta + 1):
         s = ratqt(0)
         for k in range(beta - abs(dd) + 1):
             s = s + cm[k + abs(dd)] * cm[k]
-        if s:
-            pair[dd] = s
-    lhs_terms = {(0,) * n: ratqt(1)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            nxt = {}
-            for e, c in lhs_terms.items():
-                for dd, cd in pair.items():
-                    ne = list(e)
-                    ne[i] += dd
-                    ne[j] -= dd
-                    ne = tuple(ne)
-                    v = nxt.get(ne, ratqt(0)) + c * cd
-                    if v:
-                        nxt[ne] = v
-                    else:
-                        nxt.pop(ne, None)
-            lhs_terms = nxt
-    rhs_terms = {(0,) * n: ratqt(1)}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for k in range(beta):
-                nxt = {}
-                for e, c in rhs_terms.items():
-                    v = nxt.get(e, ratqt(0)) + c
-                    if v:
-                        nxt[e] = v
-                    else:
-                        nxt.pop(e, None)
-                    ne = list(e)
-                    ne[i] += 1
-                    ne[j] -= 1
-                    ne = tuple(ne)
-                    v = nxt.get(ne, ratqt(0)) - c * Q ** k
-                    if v:
-                        nxt[ne] = v
-                    else:
-                        nxt.pop(ne, None)
-                rhs_terms = nxt
-    return lhs_terms == rhs_terms
-
-
-def _perm_sign(perm):
-    inv = sum(1 for a, b in combinations(range(len(perm)), 2) if perm[a] > perm[b])
-    return -1 if inv & 1 else 1
-
-
-def _tmul(poly, var_a, var_b):
-    """Multiply {exp: {tpow: int}} terms by (x_a - t x_b)."""
-    out = {}
-    for e, tc in poly.items():
-        for var, tshift, sign in ((var_a, 0, 1), (var_b, 1, -1)):
-            ne = list(e)
-            ne[var] += 1
-            ne = tuple(ne)
-            acc = out.setdefault(ne, {})
-            for tp, c in tc.items():
-                v = acc.get(tp + tshift, 0) + sign * c
-                if v:
-                    acc[tp + tshift] = v
-                else:
-                    acc.pop(tp + tshift, None)
-    return {e: tc for e, tc in out.items() if tc}
+        pair[dd] = s
+    lhs = NPoly.constant(n, ratqt(1))
+    rhs = NPoly.constant(n, ratqt(1))
+    for i, j in combinations(range(n), 2):
+        lhs = lhs * NPoly(n, {_monomial_shift(n, i, j, dd): s for dd, s in pair.items()})
+    for i, j in permutations(range(n), 2):
+        for k in range(beta):
+            rhs = rhs * NPoly(n, {(0,) * n: ratqt(1), _monomial_shift(n, i, j): -Q ** k})
+    return lhs == rhs
 
 
 def symmetrizer_check(n):
     """Symmetrized product sum identity, exact in x and t.
 
     Clearing the Vandermonde turns the sum over permutations into polynomial
-    arithmetic over Z[t]; the right side is prod_{k<=n} (1-t^k)/(1-t) times
-    the Vandermonde.
+    arithmetic in Z[x_1..x_n, t]; the right side is prod_{k<=n} (1-t^k)/(1-t)
+    times the Vandermonde.
     """
-    assert n >= 1
-    zero = (0,) * n
-    lhs = {}
+    if n < 1:
+        raise ValueError(f"variable count must be >= 1, got {n}")
+    R, *gens = ring([f"x{i}" for i in range(n)] + ["t"], ZZ)
+    xs, t = gens[:n], gens[n]
+    lhs = R.zero
     for perm in permutations(range(n)):
-        poly = {zero: {0: _perm_sign(perm)}}
-        for i in range(n):
-            for j in range(i + 1, n):
-                poly = _tmul(poly, perm[i], perm[j])
-        for e, tc in poly.items():
-            acc = lhs.setdefault(e, {})
-            for tp, c in tc.items():
-                v = acc.get(tp, 0) + c
-                if v:
-                    acc[tp] = v
-                else:
-                    acc.pop(tp, None)
-    lhs = {e: tc for e, tc in lhs.items() if tc}
-
-    vandermonde = {zero: {0: 1}}
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = {}
-            for e, tc in vandermonde.items():
-                for var, sign in ((i, 1), (j, -1)):
-                    ne = list(e)
-                    ne[var] += 1
-                    ne = tuple(ne)
-                    acc = out.setdefault(ne, {})
-                    for tp, c in tc.items():
-                        v = acc.get(tp, 0) + sign * c
-                        if v:
-                            acc[tp] = v
-                        else:
-                            acc.pop(tp, None)
-            vandermonde = {e: tc for e, tc in out.items() if tc}
-
-    # prod_{k=1..n} (1 + t + ... + t^(k-1)) as a Z[t] factor
-    tpoly = {0: 1}
+        term = R(_perm_sign(perm))
+        for i, j in combinations(range(n), 2):
+            term *= xs[perm[i]] - t * xs[perm[j]]
+        lhs += term
+    rhs = R.one
+    for i, j in combinations(range(n), 2):
+        rhs *= xs[i] - xs[j]
     for k in range(1, n + 1):
-        nxt = {}
-        for shift in range(k):
-            for tp, c in tpoly.items():
-                nxt[tp + shift] = nxt.get(tp + shift, 0) + c
-        tpoly = nxt
-    rhs = {}
-    for e, tc in vandermonde.items():
-        acc = rhs.setdefault(e, {})
-        for tp, c in tc.items():
-            for tp2, c2 in tpoly.items():
-                v = acc.get(tp + tp2, 0) + c * c2
-                if v:
-                    acc[tp + tp2] = v
-                else:
-                    acc.pop(tp + tp2, None)
-    rhs = {e: tc for e, tc in rhs.items() if tc}
+        rhs *= sum((t ** s for s in range(k)), R.zero)
     return lhs == rhs

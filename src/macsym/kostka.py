@@ -10,7 +10,7 @@ independently, by the nested constant-term formula.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import Q, QTSeries, T, ratqt
+from .coeff import Q, QTSeries, T, add_into, invert, ratqt
 from .errors import InternalInconsistency
 from .macdonald import b_coeff, macdonald_pair
 from .pairing import inner_qt
@@ -48,68 +48,31 @@ def m_function(lam):
     return via_p
 
 
-def _invert_gram(gram, plist):
-    k = len(plist)
-    mat = [[gram[(plist[i], plist[j])] for j in range(k)] for i in range(k)]
-    inv = [[ratqt(1 if i == j else 0) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if mat[r][col]), None)
-        if piv is None:
-            raise InternalInconsistency("singular Gram matrix")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        c = mat[col][col]
-        mat[col] = [v / c for v in mat[col]]
-        inv[col] = [v / c for v in inv[col]]
-        for r in range(k):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    return inv
+def _dual_basis(d, partner, specialize, name):
+    """{lam: S_lam} in the s basis with <S_lam, partner[mu]> = delta, by Gram inversion."""
+    plist = list(partitions_of(d))
+    gram = {a: {b: inner_qt(sym_gen("s", a), partner[b], specialize=specialize)
+                for b in plist} for a in plist}
+    out = {lam: SymFunc("s", row) for lam, row in invert(gram, plist).items()}
+    for a in plist:
+        for b in plist:
+            got = inner_qt(out[a], partner[b], specialize=specialize)
+            if got != (1 if a == b else 0):
+                raise InternalInconsistency(f"{name} duality pairing failed")
+    return out
 
 
 @lru_cache(maxsize=None)
 def dual_schur_t(d):
     """{lam: S_lam(t)} for |lam| = d, each an s-basis SymFunc."""
-    plist = list(partitions_of(d))
-    schur = {lam: sym_gen("s", lam) for lam in plist}
-    gram = {
-        (a, b): inner_qt(schur[a], schur[b], specialize=(0, T))
-        for a in plist for b in plist
-    }
-    inv = _invert_gram(gram, plist)
-    out = {}
-    for i, lam in enumerate(plist):
-        out[lam] = SymFunc("s", {mu: inv[i][j] for j, mu in enumerate(plist) if inv[i][j]})
-    for a in plist:
-        for b in plist:
-            got = inner_qt(out[a], schur[b], specialize=(0, T))
-            if got != (1 if a == b else 0):
-                raise InternalInconsistency("S(t) duality pairing failed")
-    return out
+    schur = {lam: sym_gen("s", lam) for lam in partitions_of(d)}
+    return _dual_basis(d, schur, (0, T), "S(t)")
 
 
 @lru_cache(maxsize=None)
 def dual_schur_qt(d):
     """{lam: S_lam(q,t)}: dual of S(t) under the full (q,t) scalar product."""
-    plist = list(partitions_of(d))
-    st = dual_schur_t(d)
-    schur = {lam: sym_gen("s", lam) for lam in plist}
-    gram = {
-        (a, b): inner_qt(schur[a], st[b])
-        for a in plist for b in plist
-    }
-    inv = _invert_gram(gram, plist)
-    out = {}
-    for i, lam in enumerate(plist):
-        out[lam] = SymFunc("s", {mu: inv[i][j] for j, mu in enumerate(plist) if inv[i][j]})
-    for a in plist:
-        for b in plist:
-            got = inner_qt(out[a], st[b])
-            if got != (1 if a == b else 0):
-                raise InternalInconsistency("S(q,t) duality pairing failed")
-    return out
+    return _dual_basis(d, dual_schur_t(d), None, "S(q,t)")
 
 
 @dataclass(frozen=True)
@@ -136,7 +99,7 @@ def kostka_matrix(d):
             k = inner_qt(sqt[lam], m_mu)
             if k:
                 entries[(lam, mu)] = k
-                recon = recon + convert(st[lam], "p").scale(k)
+            add_into(recon.terms, convert(st[lam], "p").terms, k)
         if recon != m_mu:
             raise InternalInconsistency(f"Kostka reconstruction failed for {mu}")
     return KostkaTable(degree=d, entries=entries)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .coeff import Q, T, RatQT, emit_ratqt, parse_ratqt, ratqt, substitute
+from .coeff import Q, T, RatQT, add_into, emit_ratqt, parse_ratqt, ratqt, substitute
 from .errors import InternalInconsistency
 from .pairing import inner_qt, z_factor
 from .partitions import (as_partition, arm_leg, cells, conjugate, dominates,
@@ -42,9 +42,6 @@ def b_coeff(lam):
         a, l, _, _ = arm_leg(lam, cell)
         val = val * (1 - Q ** a * T ** (l + 1)) / (1 - Q ** (a + 1) * T ** l)
     return val
-
-
-_Z_SPECIALIZATIONS = {"qt": None, "hl": "hl"}
 
 
 @lru_cache(maxsize=None)
@@ -77,19 +74,8 @@ def _orthogonal_family(d, zkey):
             if mu != lam and dominates(lam, mu):
                 mu_m, mu_p, mu_norm = built[mu]
                 c = _inner_pvec(pvec, mu_p, zkey) / mu_norm
-                if c:
-                    for k, v in mu_m.items():
-                        nv = mvec.get(k, ratqt(0)) - c * v
-                        if nv:
-                            mvec[k] = nv
-                        else:
-                            mvec.pop(k, None)
-                    for k, v in mu_p.items():
-                        nv = pvec.get(k, ratqt(0)) - c * v
-                        if nv:
-                            pvec[k] = nv
-                        else:
-                            pvec.pop(k, None)
+                add_into(mvec, mu_m, -c)
+                add_into(pvec, mu_p, -c)
         built[lam] = (mvec, pvec, _inner_pvec(pvec, pvec, zkey))
     return built
 
@@ -193,7 +179,8 @@ def dr_apply(r, f, n):
     The sum over subsets is cleared of denominators and divided exactly by the
     Vandermonde at the end; a nonzero remainder signals a bug.
     """
-    assert 1 <= r <= n and f.n == n
+    if not 1 <= r <= n or f.n != n:
+        raise ValueError(f"D_{r} needs 1 <= r <= n = {n} and a polynomial in n variables")
     qpow = {}
     total = NPoly(n)
     for subset, pref in _dr_prefactors(n, r):
@@ -229,7 +216,8 @@ def dr_eigenvalue(lam, r, n):
 def dr_eigencheck(lam, r, n):
     """Exact check of D_r P_lam = e_r(spectrum) P_lam in n variables."""
     lam = as_partition(lam)
-    assert len(lam) <= n and 1 <= r <= n
+    if len(lam) > n or not 1 <= r <= n:
+        raise ValueError(f"eigen check needs len(lambda) <= n = {n} and 1 <= r <= n")
     P = evaluate_n(macdonald_pair(lam).P, n)
     return dr_apply(r, P, n) == P.scale(dr_eigenvalue(lam, r, n))
 
@@ -270,8 +258,7 @@ def skew_q(lam, mu):
     for nu in partitions_of(d):
         pair_n = macdonald_pair(nu)
         f = pair_l.b * inner_qt(pair_l.P_p, multiply(pmu, pair_n.P_p))
-        if f:
-            out = out + pair_n.Qf.scale(f)
+        add_into(out.terms, pair_n.Qf.terms, f)
     return out
 
 
@@ -334,19 +321,32 @@ def save_cache(path):
 
 
 def load_cache(path):
-    """Install cached pairs; returns the number of records loaded."""
+    """Install cached pairs; returns the number of records loaded.
+
+    Every record is checked as a built pair is: b must equal the arm/leg
+    product and P must be unitriangular.  A malformed file or a record that
+    fails raises ValueError, and then no pair from the file is installed.
+    """
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("format") != CACHE_FORMAT or data.get("version") != CACHE_VERSION:
+    header = (data.get("format"), data.get("version")) if isinstance(data, dict) else None
+    if header != (CACHE_FORMAT, CACHE_VERSION) or not isinstance(data.get("records"), list):
         raise ValueError(f"unrecognized cache file {path}")
-    count = 0
+    loaded = {}
     for rec in data["records"]:
-        lam = as_partition(rec["lambda"])
-        P = SymFunc("m", {as_partition(item["partition"]): parse_ratqt(item["coeff"])
-                          for item in rec["P_in_m"]})
-        b = parse_ratqt(rec["b"])
+        try:
+            lam = as_partition(rec["lambda"])
+            P = SymFunc("m", {as_partition(item["partition"]): parse_ratqt(item["coeff"])
+                              for item in rec["P_in_m"]})
+            b = parse_ratqt(rec["b"])
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed record in cache file {path}: {exc!r}") from exc
+        if b != b_coeff(lam):
+            raise ValueError(f"b of {lam} is not the arm/leg product")
+        if P.terms.get(lam) != 1 or not all(dominates(lam, mu) for mu in P.terms):
+            raise ValueError(f"P of {lam} is not unitriangular")
         P_p = convert(P, "p")
-        _PAIRS[lam] = MacdonaldPair(lam=lam, P=P, P_p=P_p, b=b,
+        loaded[lam] = MacdonaldPair(lam=lam, P=P, P_p=P_p, b=b,
                                     Qf=P_p.scale(b), norm=1 / b)
-        count += 1
-    return count
+    _PAIRS.update(loaded)
+    return len(loaded)

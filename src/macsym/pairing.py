@@ -10,9 +10,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .coeff import Q, T, ratqt, substitute
+from .coeff import Q, T, add_into, ratqt, substitute
 from .partitions import as_partition, partitions_of
-from .symfunc import SymFunc, convert
+from .symfunc import SymFunc, convert, p_product
 
 
 @lru_cache(maxsize=None)
@@ -96,36 +96,34 @@ def _matrices(rows, cols, budget):
     yield from rec(0, budget, [])
 
 
+def _kernel_expand(nx, ny, d, factor):
+    """Bigraded expansion of prod_{i,j} sum_v factor(v) (x_i y_j)^v to total degree d.
+
+    Returns a map (x-exponents, y-exponents) -> RatQT.
+    """
+    out = {}
+    for entries in _matrices(nx, ny, d):
+        coeff = 1  # stays an int while the factors are ints
+        for v in entries:
+            if v:
+                coeff = coeff * factor(v)
+        xexp = tuple(sum(entries[i * ny + j] for j in range(ny)) for i in range(nx))
+        yexp = tuple(sum(entries[i * ny + j] for i in range(nx)) for j in range(ny))
+        add_into(out, {(xexp, yexp): coeff})
+    return {key: ratqt(c) for key, c in out.items()}
+
+
 def cauchy_pi(nx, ny, d):
     """Expansion of prod_{i,j} (t x_i y_j; q)oo / (x_i y_j; q)oo to total degree d.
 
     Returns a bigraded map (x-exponents, y-exponents) -> RatQT.
     """
-    out = {}
-    for entries in _matrices(nx, ny, d):
-        coeff = ratqt(1)
-        for v in entries:
-            if v:
-                coeff = coeff * qbinom_coeff(v)
-        xexp = tuple(sum(entries[i * ny + j] for j in range(ny)) for i in range(nx))
-        yexp = tuple(sum(entries[i * ny + j] for i in range(nx)) for j in range(ny))
-        key = (xexp, yexp)
-        prev = out.get(key)
-        out[key] = coeff if prev is None else prev + coeff
-    return {k: v for k, v in out.items() if v}
+    return _kernel_expand(nx, ny, d, qbinom_coeff)
 
 
 def cauchy_pi_tilde(nx, ny, d):
     """Expansion of the finite dual kernel prod_{i,j} (1 + x_i y_j) to total degree d."""
-    out = {}
-    for entries in _matrices(nx, ny, d):
-        if any(v > 1 for v in entries):
-            continue
-        xexp = tuple(sum(entries[i * ny + j] for j in range(ny)) for i in range(nx))
-        yexp = tuple(sum(entries[i * ny + j] for i in range(nx)) for j in range(ny))
-        key = (xexp, yexp)
-        out[key] = out.get(key, 0) + 1
-    return {k: ratqt(v) for k, v in out.items() if v}
+    return _kernel_expand(nx, ny, d, lambda v: 1 if v == 1 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +168,5 @@ def kernel_product(kappa, kind):
     """Product of kernel strata prod_j kernel_sym(kappa_j), in the p basis."""
     out = SymFunc("p", {(): ratqt(1)})
     for r in kappa:
-        factor = kernel_sym(r, kind)
-        nxt = {}
-        for lam, c1 in out.terms.items():
-            for mu, c2 in factor.terms.items():
-                nu = as_partition(sorted(lam + mu, reverse=True))
-                v = nxt.get(nu)
-                v = c1 * c2 if v is None else v + c1 * c2
-                if v:
-                    nxt[nu] = v
-        out = SymFunc("p")
-        out.terms = nxt
+        out = p_product(out, kernel_sym(r, kind))
     return out

@@ -88,6 +88,8 @@ def partitions_of(n, max_length=None):
     Reversing the output gives a linear extension of dominance order from
     below, which is the traversal order used by Gram-Schmidt.
     """
+    if n < 0:
+        raise ValueError(f"cannot partition a negative number: {n}")
     if n == 0:
         yield ()
         return

@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 
 from sympy.utilities.iterables import multiset_permutations
 
-from .coeff import ratqt
+from .coeff import add_into, invert, ratqt
 from .errors import NotSymmetric, UnstableRange
 from .partitions import as_partition, partitions_of, weight
 
@@ -44,18 +44,14 @@ class NPoly:
     def __eq__(self, other):
         return isinstance(other, NPoly) and self.n == other.n and self.terms == other.terms
 
+    def _check_n(self, other):
+        if other.n != self.n:
+            raise ValueError(f"polynomials in {self.n} and {other.n} variables")
+
     def __add__(self, other):
-        assert self.n == other.n
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            v = c if v is None else v + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+        self._check_n(other)
         res = NPoly(self.n)
-        res.terms = out
+        res.terms = add_into(dict(self.terms), other.terms)
         return res
 
     def __neg__(self):
@@ -68,19 +64,11 @@ class NPoly:
 
     def __mul__(self, other):
         if isinstance(other, NPoly):
-            assert self.n == other.n
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    v = out.get(e)
-                    v = c1 * c2 if v is None else v + c1 * c2
-                    if v:
-                        out[e] = v
-                    else:
-                        del out[e]
+            self._check_n(other)
             res = NPoly(self.n)
-            res.terms = out
+            for e1, c1 in self.terms.items():
+                add_into(res.terms, {tuple(a + b for a, b in zip(e1, e2)): c2
+                                     for e2, c2 in other.terms.items()}, c1)
             return res
         return self.scale(other)
 
@@ -110,7 +98,9 @@ def npoly_divexact(num, den):
     Raises ArithmeticError when the division leaves a remainder; callers treat
     that as an internal inconsistency.
     """
-    assert num.n == den.n and den
+    num._check_n(den)
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
     lead_d = max(den.terms)
     cd = den.terms[lead_d]
     rem = dict(num.terms)
@@ -122,13 +112,8 @@ def npoly_divexact(num, den):
             raise ArithmeticError("nonzero remainder in exact polynomial division")
         c = rem[lead_r] / cd
         quo[e] = c
-        for ed, cdd in den.terms.items():
-            key = tuple(a + b for a, b in zip(e, ed))
-            v = rem.get(key, 0) - c * cdd
-            if v:
-                rem[key] = v
-            else:
-                rem.pop(key, None)
+        add_into(rem, {tuple(a + b for a, b in zip(e, ed)): cdd
+                       for ed, cdd in den.terms.items()}, -c)
     out = NPoly(num.n)
     out.terms = quo
     return out
@@ -201,11 +186,7 @@ def _collect_m(poly):
 
 
 def _perm_sign(perm):
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
+    inv = sum(1 for a, b in combinations(range(len(perm)), 2) if perm[a] > perm[b])
     return -1 if inv & 1 else 1
 
 
@@ -229,9 +210,8 @@ def schur_in_h(lam):
                 parts.append(v)
         if not ok:
             continue
-        mu = as_partition(sorted(parts, reverse=True))
-        out[mu] = out.get(mu, 0) + _perm_sign(sigma)
-    return {mu: c for mu, c in out.items() if c}
+        add_into(out, {as_partition(sorted(parts, reverse=True)): _perm_sign(sigma)})
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -257,38 +237,12 @@ def basis_to_m(basis, d):
         elif basis in _GEN:
             rows[lam] = _gen_expansion_m(basis, lam)
         elif basis == "s":
-            acc = {}
+            rows[lam] = {}
             for mu, c in schur_in_h(lam).items():
-                for nu, c2 in _gen_expansion_m("h", mu).items():
-                    acc[nu] = acc.get(nu, 0) + c * c2
-            rows[lam] = {nu: c for nu, c in acc.items() if c}
+                add_into(rows[lam], _gen_expansion_m("h", mu), c)
         else:
             raise ValueError(f"unknown basis {basis!r}")
     return rows
-
-
-def _invert_rows(rows, plist):
-    """Invert {lam: {mu: coeff}} as a matrix over Q(q,t) by Gaussian elimination."""
-    k = len(plist)
-    idx = {lam: i for i, lam in enumerate(plist)}
-    mat = [[ratqt(0)] * k for _ in range(k)]
-    for lam, row in rows.items():
-        for mu, c in row.items():
-            mat[idx[lam]][idx[mu]] = ratqt(c)
-    inv = [[ratqt(1 if i == j else 0) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if mat[r][col])
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        c = mat[col][col]
-        mat[col] = [v / c for v in mat[col]]
-        inv[col] = [v / c for v in inv[col]]
-        for r in range(k):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    return inv, idx
 
 
 @lru_cache(maxsize=None)
@@ -297,17 +251,7 @@ def m_to_basis(basis, d):
     plist = list(partitions_of(d))
     if basis == "m":
         return {lam: {lam: ratqt(1)} for lam in plist}
-    inv, idx = _invert_rows(basis_to_m(basis, d), plist)
-    out = {}
-    for mu in plist:
-        j = idx[mu]
-        row = {}
-        for lam in plist:
-            c = inv[j][idx[lam]]
-            if c:
-                row[lam] = c
-        out[mu] = row
-    return out
+    return invert(basis_to_m(basis, d), plist)
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +284,10 @@ class SymFunc:
         )
 
     def __add__(self, other):
-        assert self.basis == other.basis
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            v = out.get(lam)
-            v = c if v is None else v + c
-            if v:
-                out[lam] = v
-            else:
-                out.pop(lam, None)
+        if other.basis != self.basis:
+            raise ValueError(f"cannot add the {self.basis} and {other.basis} bases")
         res = SymFunc(self.basis)
-        res.terms = out
+        res.terms = add_into(dict(self.terms), other.terms)
         return res
 
     def __neg__(self):
@@ -412,26 +349,13 @@ def convert(f, to):
         src_rows = basis_to_m(f.basis, d)
         mid = {}
         for lam, c in terms.items():
-            for mu, r in src_rows[lam].items():
-                v = mid.get(mu)
-                v = r * c if v is None else v + r * c
-                if v:
-                    mid[mu] = v
-                else:
-                    del mid[mu]
+            add_into(mid, src_rows[lam], c)
         if to == "m":
-            for mu, c in mid.items():
-                out[mu] = c
+            out.update(mid)
             continue
         dst_rows = m_to_basis(to, d)
         for mu, c in mid.items():
-            for nu, r in dst_rows[mu].items():
-                v = out.get(nu)
-                v = r * c if v is None else v + r * c
-                if v:
-                    out[nu] = v
-                else:
-                    del out[nu]
+            add_into(out, dst_rows[mu], c)
     res = SymFunc(to)
     res.terms = out
     return res
@@ -439,25 +363,22 @@ def convert(f, to):
 
 def multiply(f, g):
     """Product in the ring of symmetric functions, returned in the p basis."""
-    fp, gp = convert(f, "p"), convert(g, "p")
-    out = {}
-    for lam, c1 in fp.terms.items():
-        for mu, c2 in gp.terms.items():
-            nu = as_partition(sorted(lam + mu, reverse=True))
-            v = out.get(nu)
-            v = c1 * c2 if v is None else v + c1 * c2
-            if v:
-                out[nu] = v
-            else:
-                del out[nu]
+    return p_product(convert(f, "p"), convert(g, "p"))
+
+
+def p_product(f, g):
+    """Product of two p-basis elements: p_lam p_mu is p of the merged parts."""
     res = SymFunc("p")
-    res.terms = out
+    for lam, c1 in f.terms.items():
+        add_into(res.terms, {as_partition(sorted(lam + mu, reverse=True)): c2
+                             for mu, c2 in g.terms.items()}, c1)
     return res
 
 
 def evaluate_n(f, n):
     """Project onto n variables; monomials indexed by partitions longer than n vanish."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"variable count must be >= 0, got {n}")
     fm = convert(f, "m")
     out = NPoly(n)
     for lam, c in fm.terms.items():

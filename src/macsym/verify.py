@@ -10,7 +10,7 @@ import time
 from itertools import combinations
 
 from . import ctengine, fock, kostka, macdonald
-from .coeff import swap_qt
+from .coeff import add_into, swap_qt
 from .macdonald import macdonald_pair
 from .pairing import cauchy_pi, cauchy_pi_tilde, inner_qt, omega_qt
 from .partitions import conjugate, partitions_of, weight
@@ -104,14 +104,7 @@ def _bigraded_sum(d, dual=False):
             left = evaluate_n(macdonald_pair(lam).P_p, d)
             right = evaluate_n(macdonald_pair(lam).Qf, d)
         for ea, ca in left.terms.items():
-            for eb, cb in right.terms.items():
-                key = (ea, eb)
-                prev = out.get(key)
-                v = ca * cb if prev is None else prev + ca * cb
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+            add_into(out, {(ea, eb): cb for eb, cb in right.terms.items()}, ca)
     return out
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from macsym.cli import main
+from macsym.cli import build_parser, main
+from macsym.coeff import emit_ratqt
+from macsym.macdonald import b_coeff
 
 
 def test_expand_json(capsys):
@@ -77,6 +79,42 @@ def test_malformed_partition_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--lam", "x,y"])
     assert exc.value.code == 2
+
+
+def test_negative_degree_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["kostka", "--degree", "-1"])
+    assert exc.value.code == 2
+
+
+def _cache_text(records, fmt="macsym-macdonald-cache"):
+    return json.dumps({"format": fmt, "version": 1, "records": records})
+
+
+P2_TERMS = [{"partition": [2], "coeff": "1"},
+            {"partition": [1, 1], "coeff": "(1 - t + q - q*t)/(1 - q*t)"}]
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    _cache_text([], fmt="other"),
+    _cache_text([{"lambda": [2], "b": "1"}]),  # P_in_m missing
+    _cache_text([{"lambda": [2], "b": "1", "P_in_m": P2_TERMS}]),  # wrong b
+    _cache_text([{"lambda": [1, 1], "b": emit_ratqt(b_coeff((1, 1))),
+                  "P_in_m": [{"partition": [2], "coeff": "1"}]}]),  # not unitriangular
+], ids=["malformed-json", "wrong-header", "missing-key", "wrong-b", "not-unitriangular"])
+def test_bad_cache_file_exits_2(tmp_path, capsys, text):
+    cache = tmp_path / "cache.json"
+    cache.write_text(text)
+    assert main(["--cache-path", str(cache), "verify", "--suite", "orthogonality",
+                 "--maxweight", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cache.read_text() == text  # a rejected cache is not overwritten
+
+
+def test_unreadable_cache_path_exits_2(tmp_path, capsys):
+    assert main(["--cache-path", str(tmp_path), "expand", "--lam", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cache_path_round_trip(tmp_path, capsys):

@@ -3,23 +3,34 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from macsym.coeff import (FIELD, ONE, Q, QPochProduct, QTSeries, T,
-                          emit_ratqt, parse_ratqt, ratqt, ratqt_arith,
-                          substitute, swap_qt, to_series)
+from macsym.coeff import (FIELD, ONE, Q, QPochProduct, QTSeries, T, add_into,
+                          emit_ratqt, parse_ratqt, ratqt, substitute, swap_qt,
+                          to_series)
 from macsym.errors import NotSeriesExpandable, SpecializationPole
 
 from oracles import dense_from_qtseries, dense_inv, dense_mul, poch_dense
 
 
 def test_arith_examples():
-    assert ratqt_arith(parse_ratqt("1-t^2"), parse_ratqt("1-t"), "div") == 1 + T
-    assert ratqt_arith(parse_ratqt("(1-q)(1-t)"), parse_ratqt("(1-t)(1-q)"), "div") == 1
-    assert ratqt_arith(parse_ratqt("(1-t)/(1-q)"), parse_ratqt("(1-q)/(1-t)"), "mul") == 1
+    assert parse_ratqt("1-t^2") / parse_ratqt("1-t") == 1 + T
+    assert parse_ratqt("(1-q)(1-t)") / parse_ratqt("(1-t)(1-q)") == 1
+    assert parse_ratqt("(1-t)/(1-q)") * parse_ratqt("(1-q)/(1-t)") == 1
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        ratqt_arith(ONE, FIELD.zero, "div")
+        ONE / FIELD.zero
+
+
+def test_add_into_drops_cancelled_keys():
+    out = {"a": ONE, "b": 2 * Q}
+    assert add_into(out, {"a": -ONE, "c": T}) is out
+    assert out == {"b": 2 * Q, "c": T}  # "a" cancelled to zero and was deleted
+    add_into(out, {"b": Q, "d": ONE}, scale=-2)
+    assert out == {"c": T, "d": -2 * ONE}
+    add_into(out, {"c": ONE, "e": ONE}, scale=FIELD.zero)
+    assert out == {"c": T, "d": -2 * ONE}  # a zero scale stores nothing
+    assert add_into({}, {"z": FIELD.zero}) == {}  # a zero term is never stored
 
 
 def test_to_series_examples():

@@ -50,6 +50,13 @@ def test_partitions_of_order():
     assert list(partitions_of(5, max_length=2)) == [(5,), (4, 1), (3, 2)]
 
 
+def test_partitions_of_negative_raises():
+    # checked on the first item only: a loop over the generator would never end
+    # if the check regressed
+    with pytest.raises(ValueError):
+        next(partitions_of(-1))
+
+
 def test_reverse_lex_refines_dominance():
     for n in range(9):
         order = list(partitions_of(n))
