@@ -2,8 +2,9 @@
 
 Subcommands: expand, norm, skew, kostka, integral, verify.  Exit status is 0
 when every requested check passes, 1 on an identity failure (the first
-counterexample is printed), 2 on usage errors such as malformed partitions
-or a bad --cache-path file.
+counterexample is printed), 2 on usage errors such as malformed partitions,
+a negative number, a norm in fewer variables than parts, or a bad
+--cache-path file.
 """
 
 import argparse
@@ -33,7 +34,7 @@ def _degree_arg(text):
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 0:
-        raise argparse.ArgumentTypeError(f"degree must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -106,8 +107,12 @@ def cmd_expand(args):
 def cmd_norm(args):
     lam = args.lam
     n = args.n if args.n is not None else max(weight(lam), 1)
+    try:
+        prime = ctengine.norm_prime_product(lam, n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     pair = macdonald_pair(lam)
-    prime = ctengine.norm_prime_product(lam, n)
     payload = dict(_header(args))
     payload.update({
         "lambda": list(lam),
@@ -228,13 +233,13 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+        p.add_argument("--order", type=_degree_arg, default=DEFAULT_ORDER)
 
     p = sub.add_parser("expand", help="expand P/Q/M/S bases")
     p.add_argument("--lam", "--lambda", dest="lam", type=_partition_arg, required=True)
     p.add_argument("--what", choices=("P", "Q", "M", "St", "Sqt"), default="P")
     p.add_argument("--basis", choices=("p", "m", "e", "h", "s"), default="m")
-    add_common(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("norm", help="norms: b, <P,P>, and the primed closed form")
@@ -246,13 +251,12 @@ def build_parser():
     p = sub.add_parser("skew", help="skew function by three routes")
     p.add_argument("--lam", "--lambda", dest="lam", type=_partition_arg, required=True)
     p.add_argument("--mu", type=_partition_arg, required=True)
-    add_common(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_skew)
 
     p = sub.add_parser("kostka", help="Kostka table for a degree")
     p.add_argument("--degree", type=_degree_arg, required=True)
     p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.set_defaults(func=cmd_kostka)
 
     p = sub.add_parser("integral", help="nested-integral reproduction of P")
@@ -264,9 +268,9 @@ def build_parser():
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", default="all",
                    choices=sorted(verify.SUITES) + ["all"])
-    p.add_argument("--maxweight", type=int, default=None)
+    p.add_argument("--maxweight", type=_degree_arg, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=_degree_arg, default=None,
                    help="series order; suites pick their own defaults when unset")
     p.set_defaults(func=cmd_verify)
 

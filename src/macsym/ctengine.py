@@ -21,16 +21,15 @@ straight into the power-sum basis.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from math import factorial
 
 from .coeff import QPochProduct, QTSeries, add_into, ratqt, swap_qt, to_series
 from .errors import InternalInconsistency, WindowTooSmall
 from .macdonald import b_coeff, dr_apply, macdonald_pair
-from .pairing import kernel_product, qbinom_coeff
+from .pairing import cauchy_pi, kernel_product
 from .partitions import (add_parts, as_partition, conjugate, rectangles,
                          weight)
-from .symfunc import NPoly, SymFunc, evaluate_n, power_sum_poly
+from .symfunc import NPoly, SymFunc, evaluate_n
 
 
 @lru_cache(maxsize=None)
@@ -205,34 +204,14 @@ def delta_expand(n, order, cap):
     return WindowSeries(n, order, -cap, cap, terms)
 
 
-@lru_cache(maxsize=None)
-def _qbinom_series(m, order):
-    return series_of(qbinom_coeff(m), order)
-
-
 def pi_inv_expand(nx, ny, d_out, order):
     """Pi(x, 1/y) over explicit variable groups: x_1..x_nx then y_1..y_ny.
 
     Strata with total x-degree above d_out are never generated.
     """
-    out = WindowSeries(nx + ny, order, -d_out, d_out)
-    cells = [(i, j) for i in range(nx) for j in range(ny)]
-
-    def rec(idx, rem, exps, coeff):
-        if idx == len(cells):
-            add_into(out.terms, {tuple(exps): coeff})
-            return
-        i, j = cells[idx]
-        rec(idx + 1, rem, exps, coeff)
-        for m in range(1, rem + 1):
-            exps[i] += m
-            exps[nx + j] -= m
-            rec(idx + 1, rem - m, exps, coeff * _qbinom_series(m, order))
-            exps[i] -= m
-            exps[nx + j] += m
-
-    rec(0, d_out, [0] * (nx + ny), QTSeries.one(order))
-    return out
+    terms = {xexp + tuple(-v for v in yexp): series_of(c, order)
+             for (xexp, yexp), c in cauchy_pi(nx, ny, d_out).items()}
+    return WindowSeries(nx + ny, order, -d_out, d_out, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +255,8 @@ def scalar_prime(f, g, n, order):
 def norm_prime_product(lam, n):
     """Closed form of <P_lam, P_lam>'_n as an exact q-Pochhammer product."""
     lam = as_partition(lam)
+    if n < len(lam):
+        raise ValueError(f"{lam} has more than n = {n} parts")
     parts = list(lam) + [0] * (n - len(lam))
     out = QPochProduct()
     for i in range(1, n + 1):
@@ -289,12 +270,9 @@ def norm_prime_product(lam, n):
 
 def ct_norm_check(lam, n, order):
     """Series equality of the constant-term norm against its product form."""
-    lam = as_partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"{lam} has more than n = {n} parts")
+    rhs = norm_prime_product(lam, n).to_series(order)
     P = macdonald_pair(lam).P
     lhs = scalar_prime(P, P, n, order)
-    rhs = norm_prime_product(lam, n).to_series(order)
     return lhs == rhs
 
 
@@ -352,17 +330,6 @@ def _collect_kernel(wterms, order, kind):
     return out
 
 
-def _eval_p_series(terms, n, order):
-    """Evaluate a p-basis map {partition: series} into n variables."""
-    out = NPoly(n)
-    for kappa, c in terms.items():
-        poly = NPoly.constant(n, 1)
-        for part in kappa:
-            poly = poly * power_sum_poly(part, n)
-        add_into(out.terms, poly.terms, c)
-    return out
-
-
 def _kernel_transform(n_to, m_from, f, order, d_out, kind):
     wterms, d = _windowed_integrand(f, m_from, order)
     if d_out is not None and d_out < d:
@@ -370,7 +337,7 @@ def _kernel_transform(n_to, m_from, f, order, d_out, kind):
     out = _collect_kernel(wterms, order, kind)
     if n_to is None:
         return SymFunc("p", out)
-    return _eval_p_series(out, n_to, order)
+    return evaluate_n(SymFunc("p", out), n_to)
 
 
 def map_N(n_to, m_from, f, order, d_out=None):
@@ -504,41 +471,25 @@ def f_plus_terms(lam, order):
     return {e: c * scale for e, c in wterms.items()}, r_n
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def skew_integral_check(lam, mu, order):
     """Nested-integral route to b_lam^(-1) Q_{lam/mu} against the algebraic route.
 
-    The two integrand groups interact through Pi(1/z, 1/w) (enumerated as
-    stratum matrices) while Pi(x, 1/z) collects the output into the p basis.
+    The two integrand groups interact through Pi(1/z, 1/w), read at the
+    margins (z-exponents, w-exponents) of its bigraded expansion, while
+    Pi(x, 1/z) collects the output into the p basis.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     wl, r = f_plus_terms(lam, order)
     wm, rho = f_plus_terms(mu, order)
     wterms = {}
-    for beta, cb in wm.items():
-        col_opts = [list(_compositions(b, r)) for b in beta]
-        for cols in iproduct(*col_opts):
-            coeff = cb
-            for col in cols:
-                for v in col:
-                    if v:
-                        coeff = coeff * _qbinom_series(v, order)
-            rows = tuple(sum(col[i] for col in cols) for i in range(r))
-            add_into(wterms, {tuple(x - y for x, y in zip(alpha, rows)): ca
-                              for alpha, ca in wl.items()
-                              if all(x >= y for x, y in zip(alpha, rows))}, coeff)
+    for (rows, beta), k in cauchy_pi(r, rho, weight(mu)).items():
+        cb = wm.get(beta)
+        if cb is None:
+            continue
+        add_into(wterms, {tuple(x - y for x, y in zip(alpha, rows)): ca
+                          for alpha, ca in wl.items()
+                          if all(x >= y for x, y in zip(alpha, rows))},
+                 cb * series_of(k, order))
     out = _collect_kernel(wterms, order, "g")
     from .macdonald import skew_q
     expected = skew_q(lam, mu).scale(1 / b_coeff(lam))

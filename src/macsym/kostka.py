@@ -10,15 +10,14 @@ independently, by the nested constant-term formula.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import Q, QTSeries, T, add_into, invert, ratqt
+from .coeff import Q, QTSeries, T, add_into, invert, ratqt, substitute
 from .errors import InternalInconsistency
 from .macdonald import b_coeff, macdonald_pair
-from .pairing import inner_qt
+from .pairing import _kernel_expand, inner_qt, qbinom_coeff
 from .partitions import arm_leg, as_partition, cells, partitions_of, weight
 from .symfunc import SymFunc, convert, sym_gen
 
-from .ctengine import (_compositions, _sign_factor_terms, f_plus_terms,
-                       series_of)
+from .ctengine import _sign_factor_terms, f_plus_terms, series_of
 
 
 @lru_cache(maxsize=None)
@@ -37,15 +36,8 @@ def h_factors(lam):
 
 
 def m_function(lam):
-    """M_lam = h_lam P_lam = h'_lam Q_lam; both routes compared."""
-    lam = as_partition(lam)
-    pair = macdonald_pair(lam)
-    h, hp = h_factors(lam)
-    via_p = pair.P_p.scale(h)
-    via_q = pair.Qf.scale(hp)
-    if via_p != via_q:
-        raise InternalInconsistency(f"two routes to M_{lam} disagree")
-    return via_p
+    """M_lam = h_lam P_lam (= h'_lam Q_lam, since h_factors asserts h = h' b_lam)."""
+    return macdonald_pair(lam).P_p.scale(h_factors(lam)[0])
 
 
 def _dual_basis(d, partner, specialize, name):
@@ -112,35 +104,9 @@ def kostka_entry(lam, mu):
 
 
 @lru_cache(maxsize=None)
-def _inv_qpoch_series(m, order):
-    """Coefficient 1/(q;q)_m of the kernel prod 1/(x_i/y_j; q)oo."""
-    out = QTSeries.one(order)
-    for k in range(1, m + 1):
-        out = out * QTSeries(order, {(k * j, 0): 1 for j in range(order // k + 1)})
-    return out
-
-
-def _matrices_row_col(rows, cols):
-    """Nonnegative integer matrices with the given row and column sums."""
-    nr, nc = len(rows), len(cols)
-    if nr == 0:
-        if all(c == 0 for c in cols):
-            yield ()
-        return
-
-    def rec(i, remaining_cols, acc):
-        if i == nr:
-            if all(c == 0 for c in remaining_cols):
-                yield tuple(acc)
-            return
-        for row in _compositions(rows[i], nc):
-            if any(row[j] > remaining_cols[j] for j in range(nc)):
-                continue
-            yield from rec(i + 1,
-                           tuple(remaining_cols[j] - row[j] for j in range(nc)),
-                           acc + [row])
-
-    yield from rec(0, tuple(cols), [])
+def _inv_qpoch(v):
+    """1/(q;q)_v: the Cauchy kernel factor qbinom_coeff(v) at t = 0."""
+    return substitute(qbinom_coeff(v), Q, 0)
 
 
 def kostka_integral_check(lam, mu, order):
@@ -153,19 +119,14 @@ def kostka_integral_check(lam, mu, order):
     wm, rho = f_plus_terms(mu, order)
     ell = len(lam)
     h_mu, _ = h_factors(mu)
+    kernel = _kernel_expand(ell, rho, weight(lam), _inv_qpoch)
     total = QTSeries.zero(order)
     for w, sign in _sign_factor_terms(ell, reverse=True).items():
         rows = tuple(l - x for l, x in zip(lam, w))
-        if any(r < 0 for r in rows):
-            continue
         for beta, cb in wm.items():
-            for matrix in _matrices_row_col(rows, beta):
-                piece = cb * sign
-                for row in matrix:
-                    for v in row:
-                        if v:
-                            piece = piece * _inv_qpoch_series(v, order)
-                total = total + piece
+            k = kernel.get((rows, beta))
+            if k is not None:
+                total = total + cb * sign * series_of(k, order)
     total = total * series_of(h_mu, order)
     expected = series_of(kostka_entry(lam, mu), order)
     return total == expected

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .coeff import Q, T, RatQT, add_into, emit_ratqt, parse_ratqt, ratqt, substitute
 from .errors import InternalInconsistency
-from .pairing import inner_qt, z_factor
+from .pairing import inner_pvec, inner_qt
 from .partitions import (as_partition, arm_leg, cells, conjugate, dominates,
                          partitions_of, weight)
 from .symfunc import (NPoly, SymFunc, convert, evaluate_n, m_to_basis,
@@ -45,25 +45,11 @@ def b_coeff(lam):
 
 
 @lru_cache(maxsize=None)
-def _z_value(lam, zkey):
-    z = z_factor(lam)
-    if zkey == "hl":
-        z = substitute(z, 0, T)
-    return z
+def _orthogonal_family(d, specialize=None):
+    """All orthogonal pairs of degree d: {lam: (m_coeffs, p_coeffs, norm)}.
 
-
-def _inner_pvec(a, b, zkey):
-    total = ratqt(0)
-    for lam, c1 in a.items():
-        c2 = b.get(lam)
-        if c2 is not None:
-            total = total + c1 * c2 * _z_value(lam, zkey)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _orthogonal_family(d, zkey):
-    """All orthogonal pairs of degree d: {lam: (m_coeffs, p_coeffs, norm)}."""
+    `specialize` selects the scalar product as in `pairing.inner_pvec`.
+    """
     order = list(partitions_of(d))[::-1]  # dominance-smallest first
     m2p = m_to_basis("p", d)
     built = {}
@@ -73,10 +59,10 @@ def _orthogonal_family(d, zkey):
         for mu in built:
             if mu != lam and dominates(lam, mu):
                 mu_m, mu_p, mu_norm = built[mu]
-                c = _inner_pvec(pvec, mu_p, zkey) / mu_norm
+                c = inner_pvec(pvec, mu_p, specialize) / mu_norm
                 add_into(mvec, mu_m, -c)
                 add_into(pvec, mu_p, -c)
-        built[lam] = (mvec, pvec, _inner_pvec(pvec, pvec, zkey))
+        built[lam] = (mvec, pvec, inner_pvec(pvec, pvec, specialize))
     return built
 
 
@@ -89,7 +75,7 @@ def macdonald_pair(lam):
     pair = _PAIRS.get(lam)
     if pair is not None:
         return pair
-    family = _orthogonal_family(weight(lam), "qt")
+    family = _orthogonal_family(weight(lam))
     mvec, pvec, norm = family[lam]
     b = b_coeff(lam)
     if b * norm != 1:
@@ -120,7 +106,7 @@ def macdonald_q(lam):
 def hall_littlewood_p(lam):
     """Hall-Littlewood P_lam(t): same construction under the (0,t) scalar product."""
     lam = as_partition(lam)
-    mvec, _, _ = _orthogonal_family(weight(lam), "hl")[lam]
+    mvec, _, _ = _orthogonal_family(weight(lam), (0, T))[lam]
     return SymFunc("m", mvec)
 
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import factorial
 
 from .coeff import Q, T, add_into, ratqt, substitute
-from .partitions import as_partition, partitions_of
+from .partitions import as_partition, compositions, partitions_of
 from .symfunc import SymFunc, convert, p_product
 
 
@@ -36,23 +36,29 @@ def z_plain(lam):
     return out
 
 
-def inner_qt(f, g, specialize=None):
-    """Bilinear extension of <p_lam, p_mu> = delta * z_lam(q,t).
+@lru_cache(maxsize=None)
+def _z_weight(lam, specialize):
+    z = z_factor(lam)
+    return z if specialize is None else substitute(z, *specialize)
+
+
+def inner_pvec(a, b, specialize=None):
+    """<p-basis map a, p-basis map b>: sum over shared lam of a * b * z_lam(q,t).
 
     `specialize` optionally substitutes (q_image, t_image) into the weights,
     e.g. (0, t) gives the Hall-Littlewood scalar product.
     """
-    fp, gp = convert(f, "p"), convert(g, "p")
     total = ratqt(0)
-    for lam, c1 in fp.terms.items():
-        c2 = gp.terms.get(lam)
-        if c2 is None:
-            continue
-        z = z_factor(lam)
-        if specialize is not None:
-            z = substitute(z, *specialize)
-        total = total + c1 * c2 * z
+    for lam, c1 in a.items():
+        c2 = b.get(lam)
+        if c2 is not None:
+            total = total + c1 * c2 * _z_weight(lam, specialize)
     return total
+
+
+def inner_qt(f, g, specialize=None):
+    """Bilinear extension of <p_lam, p_mu> = delta * z_lam(q,t); see inner_pvec."""
+    return inner_pvec(convert(f, "p").terms, convert(g, "p").terms, specialize)
 
 
 @lru_cache(maxsize=None)
@@ -80,36 +86,21 @@ def qbinom_coeff(m):
     return val
 
 
-def _matrices(rows, cols, budget):
-    """Yield (matrix entries as tuple, total) over nonneg rows x cols matrices."""
-    cells = rows * cols
-
-    def rec(i, rem, acc):
-        if i == cells:
-            yield tuple(acc)
-            return
-        for v in range(rem + 1):
-            acc.append(v)
-            yield from rec(i + 1, rem - v, acc)
-            acc.pop()
-
-    yield from rec(0, budget, [])
-
-
 def _kernel_expand(nx, ny, d, factor):
     """Bigraded expansion of prod_{i,j} sum_v factor(v) (x_i y_j)^v to total degree d.
 
     Returns a map (x-exponents, y-exponents) -> RatQT.
     """
     out = {}
-    for entries in _matrices(nx, ny, d):
-        coeff = 1  # stays an int while the factors are ints
-        for v in entries:
-            if v:
-                coeff = coeff * factor(v)
-        xexp = tuple(sum(entries[i * ny + j] for j in range(ny)) for i in range(nx))
-        yexp = tuple(sum(entries[i * ny + j] for i in range(nx)) for j in range(ny))
-        add_into(out, {(xexp, yexp): coeff})
+    for total in range(d + 1):
+        for entries in compositions(total, nx * ny):
+            coeff = 1  # stays an int while the factors are ints
+            for v in entries:
+                if v:
+                    coeff = coeff * factor(v)
+            xexp = tuple(sum(entries[i * ny + j] for j in range(ny)) for i in range(nx))
+            yexp = tuple(sum(entries[i * ny + j] for i in range(nx)) for j in range(ny))
+            add_into(out, {(xexp, yexp): coeff})
     return {key: ratqt(c) for key, c in out.items()}
 
 

@@ -112,6 +112,25 @@ def partitions_of(n, max_length=None):
             rem -= nxt
 
 
+def compositions(total, parts):
+    """Yield the weak compositions of total into `parts` nonnegative parts.
+
+    Lexicographic order: (0, ..., 0, total) first, (total, 0, ..., 0) last.
+    """
+    if total < 0:
+        raise ValueError(f"cannot compose a negative number: {total}")
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def rectangles(lam):
     """Decompose lam uniquely into stacked rectangles (s_a^{r_a}).
 

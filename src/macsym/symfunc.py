@@ -13,7 +13,7 @@ from sympy.utilities.iterables import multiset_permutations
 
 from .coeff import add_into, invert, ratqt
 from .errors import NotSymmetric, UnstableRange
-from .partitions import as_partition, partitions_of, weight
+from .partitions import as_partition, compositions, partitions_of, weight
 
 BASES = ("p", "m", "e", "h", "s")
 
@@ -145,19 +145,7 @@ def elementary_poly(r, n):
 
 
 def complete_poly(r, n):
-    terms = {}
-
-    def rec(i, rem, acc):
-        if i == n - 1:
-            terms[tuple(acc + [rem])] = 1
-            return
-        for v in range(rem + 1):
-            rec(i + 1, rem - v, acc + [v])
-
-    if n == 0:
-        return NPoly(0, {(): 1} if r == 0 else None)
-    rec(0, r, [])
-    return NPoly(n, terms)
+    return NPoly(n, {e: 1 for e in compositions(r, n)})
 
 
 _GEN = {"p": power_sum_poly, "e": elementary_poly, "h": complete_poly}

@@ -82,9 +82,23 @@ def test_malformed_partition_exits_2():
 
 
 def test_negative_degree_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["kostka", "--degree", "-1"])
-    assert exc.value.code == 2
+    for argv in (["kostka", "--degree", "-1"],
+                 ["verify", "--maxweight", "-1"],
+                 ["verify", "--order", "-1"],
+                 ["integral", "--lam", "1", "--order", "-1"],
+                 ["norm", "--lam", "1", "--order", "-1"],
+                 ["expand", "--lam", "1", "--order", "6"]):  # no --order there
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_norm_fewer_variables_than_parts_exits_2(capsys):
+    for n in ("1", "-1"):
+        assert main(["norm", "--lam", "2,1", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
 
 def _cache_text(records, fmt="macsym-macdonald-cache"):

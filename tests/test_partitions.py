@@ -1,11 +1,14 @@
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
 from macsym.errors import CellOutOfDiagram, EmptyPartition
-from macsym.partitions import (arm_leg, as_partition, cells, conjugate,
-                               dominance_cmp, dominates, format_partition,
-                               parse_partition, partial_stacks, partitions_of,
-                               rectangles, stack_blocks, weight)
+from macsym.partitions import (arm_leg, as_partition, cells, compositions,
+                               conjugate, dominance_cmp, dominates,
+                               format_partition, parse_partition,
+                               partial_stacks, partitions_of, rectangles,
+                               stack_blocks, weight)
 
 
 def test_dominance_examples():
@@ -55,6 +58,21 @@ def test_partitions_of_negative_raises():
     # if the check regressed
     with pytest.raises(ValueError):
         next(partitions_of(-1))
+
+
+def test_compositions_count_and_sums():
+    for total in range(5):
+        for parts in range(1, 5):
+            got = list(compositions(total, parts))
+            assert len(got) == len(set(got)) == comb(total + parts - 1, parts - 1)
+            assert all(len(c) == parts and sum(c) == total and min(c) >= 0
+                       for c in got)
+            assert got == sorted(got)
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(3, 0)) == []
+    assert list(compositions(0, 3)) == [(0, 0, 0)]
+    with pytest.raises(ValueError):
+        next(compositions(-1, 2))
 
 
 def test_reverse_lex_refines_dominance():

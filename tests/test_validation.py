@@ -5,7 +5,7 @@ The checks must hold under ``python -O`` too, so none may be an ``assert``.
 
 import pytest
 
-from macsym.ctengine import ct_norm_check, map_G
+from macsym.ctengine import ct_norm_check, map_G, norm_prime_product
 from macsym.fock import symmetrizer_check, vertex_product_check
 from macsym.macdonald import dr_apply
 from macsym.symfunc import NPoly, evaluate_n, sym_gen
@@ -18,8 +18,10 @@ from macsym.symfunc import NPoly, evaluate_n, sym_gen
     lambda: symmetrizer_check(0),
     lambda: evaluate_n(sym_gen("m", (1,)), -1),
     lambda: ct_norm_check((1, 1), 1, 2),
+    lambda: norm_prime_product((2, 1), 1),
 ], ids=["dr_apply-r", "map_G-s", "vertex_product_check-beta",
-        "symmetrizer_check-n", "evaluate_n-n", "ct_norm_check-length"])
+        "symmetrizer_check-n", "evaluate_n-n", "ct_norm_check-length",
+        "norm_prime_product-n"])
 def test_out_of_range_argument_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
