@@ -312,16 +312,21 @@ class QTSeries:
     """Element of Q[[q,t]] truncated past total degree `order`.
 
     Coefficients are exact (int or Fraction); keys are (q-exp, t-exp) pairs
-    with entry sum at most `order`.  Zero coefficients are never stored.
+    of nonnegative entries with sum at most `order`.  Zero coefficients are
+    never stored.
     """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs=None):
+        if order < 0:
+            raise ValueError(f"series order must be >= 0, got {order}")
         self.order = order
         self.coeffs = {}
         if coeffs:
             for e, c in coeffs.items():
+                if e[0] < 0 or e[1] < 0:
+                    raise ValueError(f"series exponent {e} is negative")
                 if c and e[0] + e[1] <= order:
                     self.coeffs[e] = c
 
@@ -379,20 +384,19 @@ class QTSeries:
             if other.order != self.order:
                 raise ValueError(f"series orders differ: {self.order} and {other.order}")
             order = self.order
+            # (a, b) -> a*(order+1) + b adds without carry while a + b <= order;
+            # the right terms go by total degree, so each row stops at its room
+            n1 = order + 1
+            right = sorted((a + b, a * n1 + b, c) for (a, b), c in other.coeffs.items())
             out = {}
             for (a1, b1), c1 in self.coeffs.items():
-                room = order - a1 - b1
-                for (a2, b2), c2 in other.coeffs.items():
-                    if a2 + b2 > room:
-                        continue
-                    e = (a1 + a2, b1 + b2)
-                    v = out.get(e, 0) + c1 * c2
-                    if v:
-                        out[e] = v
-                    else:
-                        del out[e]
+                room, k1 = order - a1 - b1, a1 * n1 + b1
+                for s2, k2, c2 in right:
+                    if s2 > room:
+                        break
+                    out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
             res = QTSeries(order)
-            res.coeffs = out
+            res.coeffs = {divmod(k, n1): c for k, c in out.items() if c}
             return res
         # scalar (int / Fraction)
         if not other:

@@ -10,7 +10,10 @@ expands factorwise with coefficients c_m = prod_{k<m}(t - q^k)/(q;q)_m, whose
 (q,t)-adic valuation is m - 1.  Grouping the two factors of each unordered
 variable pair gives a Laurent series in y_i/y_j whose degree-d coefficient has
 valuation at least |d| - 1, so a total (q,t)-order cutoff M needs pair degrees
-only up to M + 1: truncation is exact, never approximate.
+only up to M + 1: truncation is exact, never approximate.  Q[[q,t]] has no zero
+divisors, so val(a*b) = val(a) + val(b) whenever that sum is at most M, and the
+truncated product is 0 otherwise: the engine decides from valuations alone
+which products it keeps, and forms only those.
 
 The positive kernels never need their own variables: the coefficient of
 y^(-a) in Pi(x, 1/y) is the product of single-variable strata g_{a_j}(x)
@@ -91,13 +94,15 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
 
     Keeps exactly the terms that can still reach the final window
     {lo <= e_j <= hi for all j}; the admissible future movement of each
-    exponent is bounded through the remaining valuation budget.
+    exponent is bounded through the remaining valuation budget.  That budget
+    is order - val(ce) - val(cd) = order - val(ce * cd) by valuation
+    additivity, so a pair is pruned before its product is formed.
     """
     for e in seeds:
         if sum(e) != total:
             raise WindowTooSmall(f"seed exponent {e} has total {sum(e)} != {total}")
     pairs = [(i, j) for i in range(nvars) for j in range(i + 1, nvars)]
-    series = sorted(delta_pair_series(order).items())
+    series = [(d, cd, cd.valuation()) for d, cd in sorted(delta_pair_series(order).items())]
     remain = []
     cnt = [0] * nvars
     for i, j in reversed(pairs):
@@ -110,19 +115,19 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
         touch = remain[step]
         nxt = {}
         for e, ce in terms.items():
+            ve = ce.valuation()
             row = {}
-            for d, cd in series:
-                c = ce * cd
-                if not c:
+            for d, cd, vd in series:
+                slack = order - ve - vd
+                if slack < 0:
                     continue
-                slack = order - c.valuation()
                 ei, ej = e[i] + d, e[j] - d
                 fi = touch[i] + slack if touch[i] else 0
                 fj = touch[j] + slack if touch[j] else 0
                 if lo - fi <= ei <= hi + fi and lo - fj <= ej <= hi + fj:
                     ne = list(e)
                     ne[i], ne[j] = ei, ej
-                    row[tuple(ne)] = c
+                    row[tuple(ne)] = ce * cd
             add_into(nxt, row)
         terms = nxt
     return {e: c for e, c in terms.items()
@@ -396,19 +401,23 @@ def integral_constants(lam):
     )
 
 
-def _pipeline_inner(lam, order):
-    """The nested transform through the last gauge factor: an NPoly over r_N variables."""
-    blocks = rectangles(lam)
-    cur = None
-    prev_r = None
-    for s, r in blocks:
+@lru_cache(maxsize=None)
+def _outer_integrand(lam, order):
+    """Windowed outer-level terms of the nested transform of lam, and r_N.
+
+    Runs the transform through the last gauge factor, an NPoly over r_N
+    variables, and multiplies Delta onto it.  Both kernels of the integral
+    representation and F+_lam read this one expansion: do not mutate it.
+    """
+    cur = prev_r = None
+    for s, r in rectangles(lam):
         if cur is None:
             cur = NPoly.constant(r, QTSeries.one(order))
         else:
             cur = map_N(r, prev_r, cur, order)
         cur = map_G(s, cur)
         prev_r = r
-    return cur
+    return _windowed_integrand(cur, prev_r, order)[0], prev_r
 
 
 def _integral_rep(lam, order, d_out, dual):
@@ -417,12 +426,10 @@ def _integral_rep(lam, order, d_out, dual):
         raise WindowTooSmall(f"degree {weight(lam)} exceeds requested cap {d_out}")
     if not lam:
         return SymFunc("p", {(): QTSeries.one(order)})
-    inner = _pipeline_inner(lam, order)
-    transform = map_N_tilde if dual else map_N
-    sym = transform(None, rectangles(lam)[-1][1], inner, order)
+    out = _collect_kernel(_outer_integrand(lam, order)[0], order, "e" if dual else "g")
     constants = integral_constants(lam)
     scale = (constants.c_minus if dual else constants.c_plus).to_series(order)
-    return SymFunc("p", {nu: c * scale for nu, c in sym.terms.items()})
+    return SymFunc("p", {nu: c * scale for nu, c in out.items()})
 
 
 def integral_rep_P(lam, order, d_out=None):
@@ -436,10 +443,10 @@ def integral_rep_P_dual(lam, order, d_out=None):
 
 
 def expected_p_series(lam, order, swapped=False):
-    """P_lam (or P_lam with q,t swapped) in the p basis, coefficients as series."""
+    """P_lam (or P_lam with q,t swapped) in the p basis, as its nonzero truncated series."""
     pair = macdonald_pair(lam)
     src = pair.P_p if not swapped else pair.P_p.map_coeffs(swap_qt)
-    return {nu: series_of(c, order) for nu, c in src.terms.items()}
+    return {nu: s for nu, c in src.terms.items() if (s := series_of(c, order))}
 
 
 def integral_rep_check(lam, order):
@@ -464,9 +471,7 @@ def f_plus_terms(lam, order):
     lam = as_partition(lam)
     if not lam:
         return {(): QTSeries.one(order)}, 0
-    inner = _pipeline_inner(lam, order)
-    r_n = rectangles(lam)[-1][1]
-    wterms, _ = _windowed_integrand(inner, r_n, order)
+    wterms, r_n = _outer_integrand(lam, order)
     scale = integral_constants(lam).c_plus.to_series(order)
     return {e: c * scale for e, c in wterms.items()}, r_n
 

@@ -125,6 +125,32 @@ def delta_two_var_oracle(order, umax):
     return {d: arr for d, arr in terms.items() if abs(d) <= umax}
 
 
+def delta_unpruned(seeds, nvars, pair_series, order, lo, hi):
+    """Seed Laurent terms times every pair factor of Delta, windowed only at the end.
+
+    seeds and pair_series ({d: coefficient of (y_i/y_j)^d}) hold QTSeries;
+    each pair factor is multiplied out in full on dense arrays, with no
+    valuation or window bound on the way, and only the final terms are
+    restricted to {lo <= e_j <= hi}.  Returns {exponent: dense array}.
+    """
+    zero = dense_zero(order)
+    pair = {d: dense_from_qtseries(c) for d, c in pair_series.items()}
+    terms = {e: dense_from_qtseries(c) for e, c in seeds.items()}
+    for i in range(nvars):
+        for j in range(i + 1, nvars):
+            out = {}
+            for e, arr in terms.items():
+                for d, parr in pair.items():
+                    ne = list(e)
+                    ne[i] += d
+                    ne[j] -= d
+                    key = tuple(ne)
+                    piece = dense_mul(arr, parr)
+                    out[key] = dense_add(out[key], piece) if key in out else piece
+            terms = {e: arr for e, arr in out.items() if arr != zero}
+    return {e: arr for e, arr in terms.items() if all(lo <= x <= hi for x in e)}
+
+
 def schur_bialternant(lam, n):
     """s_lam in n variables via the ratio of alternants: dict exponent -> int."""
     assert n >= len(lam)

@@ -65,6 +65,13 @@ def test_integral_command(capsys):
     assert data["status"] == "pass"
 
 
+@pytest.mark.parametrize("extra", [[], ["--dual"]], ids=["plain", "dual"])
+def test_integral_order_zero_passes(capsys, extra):
+    # P_(2,1) has a p-coefficient that truncates to zero at order 0
+    assert main(["integral", "--lam", "2,1", "--order", "0", "--format", "json"] + extra) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
 def test_verify_suite(capsys):
     assert main(["verify", "--suite", "duality", "--maxweight", "3",
                  "--format", "json"]) == 0

@@ -134,6 +134,34 @@ def test_series_truncation_discards_overflow():
     assert not prod
 
 
+@st.composite
+def sparse_series(draw, order):
+    """A sparse QTSeries with int or Fraction coefficients, part of it cancelled."""
+    key = st.integers(0, order).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(0, order - a)))
+    coeff = st.one_of(small_ints, st.fractions(-3, 3, max_denominator=4))
+    terms = draw(st.dictionaries(key, coeff, max_size=6))
+    s = QTSeries(order, terms)
+    # subtract some of its own terms: keys that cancel to zero must vanish
+    cancel = draw(st.sets(st.sampled_from(sorted(terms)))) if terms else set()
+    return s - QTSeries(order, {e: terms[e] for e in cancel})
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(sparse_series(n), sparse_series(n))))
+def test_series_product_against_dense_oracle(operands):
+    a, b = operands
+    prod = a * b
+    assert all(prod.coeffs.values())  # no zero is stored
+    assert all(x >= 0 and y >= 0 and x + y <= a.order for x, y in prod.coeffs)
+    want = dense_mul(dense_from_qtseries(a), dense_from_qtseries(b))
+    assert dense_from_qtseries(prod) == want
+    assert dense_from_qtseries(b * a) == want
+    # a binomial and its conjugate cancel the middle term: (1 + q)(1 - q) = 1 - q^2
+    one_q = QTSeries(a.order, {(0, 0): 1, (1, 0): 1})
+    assert one_q * QTSeries(a.order, {(0, 0): 1, (1, 0): -1}) == \
+        QTSeries(a.order, {(0, 0): 1, (2, 0): -1})
+
+
 def test_qpoch_product_against_dense_oracle():
     # (t;q)oo (qt;q)oo / ((t^2;q)oo (q;q)oo) at order 4
     prod = (QPochProduct.poch(0, 1) * QPochProduct.poch(1, 1)

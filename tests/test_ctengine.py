@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from macsym.coeff import QPochProduct, QTSeries, parse_ratqt, ratqt, to_series
-from macsym.ctengine import (WindowSeries,
+from macsym.ctengine import (WindowSeries, _accumulate_delta,
                              ct_norm_check, delta_expand, delta_factor_coeffs,
                              delta_pair_series, expected_p_series,
                              f_plus_terms, integral_constants, integral_rep_P,
@@ -19,7 +19,7 @@ from macsym.partitions import conjugate, partitions_of
 from macsym.symfunc import NPoly, convert, evaluate_n, sym_gen
 
 from oracles import (dense_from_qtseries, dense_inv, dense_mul, dense_zero,
-                     delta_two_var_oracle, poch_dense)
+                     delta_two_var_oracle, delta_unpruned, poch_dense)
 
 
 def test_delta_coefficient_valuations():
@@ -47,6 +47,42 @@ def test_delta_two_variables_against_brute_force():
         for d in range(-3, 4):
             lhs = dense_from_qtseries(got.get((d, -d), QTSeries.zero(order)))
             assert lhs == want.get(d, dense_zero(order)), (order, d)
+
+
+def _delta_cases():
+    """(nvars, order, seeds, lo, hi) for the prune test.
+
+    Symmetric windows on the vacuum, and homogeneous seeds of degree d on
+    [0, d], one of them with a coefficient of positive valuation.
+    """
+    for n, orders in ((3, range(4)), (4, range(3))):
+        for order in orders:
+            one = QTSeries.one(order)
+            for c in range(3):
+                yield n, order, {(0,) * n: one}, -c, c
+            t_minus_q = QTSeries(order, {(0, 1): 1, (1, 0): -1})
+            mono = ((2, 1, 0), (1, 1, 1)) if n == 3 else ((2, 1, 0, 0), (1, 1, 1, 0))
+            for e in mono:
+                yield n, order, {e: one}, 0, sum(e)
+            yield n, order, {mono[0]: t_minus_q, mono[1]: one + one}, 0, 3
+
+
+def test_delta_prune_against_unpruned_product():
+    for n, order, seeds, lo, hi in _delta_cases():
+        total = sum(next(iter(seeds)))
+        got = _accumulate_delta(seeds, n, order, lo, hi, total)
+        want = delta_unpruned(seeds, n, delta_pair_series(order), order, lo, hi)
+        assert {e: dense_from_qtseries(c) for e, c in got.items()} == want, \
+            (n, order, seeds, lo, hi)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_integral_reps_at_low_orders(order):
+    # a coefficient of P_lam that truncates to zero must not read as a mismatch
+    for d in range(5):
+        for lam in partitions_of(d):
+            assert integral_rep_check(lam, order), lam
+            assert integral_rep_dual_check(lam, order), lam
 
 
 def test_delta_low_order_values():

@@ -5,6 +5,7 @@ The checks must hold under ``python -O`` too, so none may be an ``assert``.
 
 import pytest
 
+from macsym.coeff import QTSeries
 from macsym.ctengine import ct_norm_check, map_G, norm_prime_product
 from macsym.fock import symmetrizer_check, vertex_product_check
 from macsym.macdonald import dr_apply
@@ -19,9 +20,13 @@ from macsym.symfunc import NPoly, evaluate_n, sym_gen
     lambda: evaluate_n(sym_gen("m", (1,)), -1),
     lambda: ct_norm_check((1, 1), 1, 2),
     lambda: norm_prime_product((2, 1), 1),
+    lambda: QTSeries(-1),
+    lambda: QTSeries(3, {(-1, 0): 1}),
+    lambda: QTSeries(3, {(0, -2): 0}),
 ], ids=["dr_apply-r", "map_G-s", "vertex_product_check-beta",
         "symmetrizer_check-n", "evaluate_n-n", "ct_norm_check-length",
-        "norm_prime_product-n"])
+        "norm_prime_product-n", "QTSeries-order", "QTSeries-q-exponent",
+        "QTSeries-t-exponent"])
 def test_out_of_range_argument_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
