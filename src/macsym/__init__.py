@@ -9,11 +9,11 @@ the theory at desk scale.
 from .coeff import (FIELD, ONE, Q, QPochProduct, QTSeries, RatQT, T,
                     emit_ratqt, parse_ratqt, ratqt, substitute, swap_qt,
                     to_series)
-from .ctengine import (ct, ct_norm_check, delta_expand, integral_constants,
+from .ctengine import (ct_norm_check, delta_expand, integral_constants,
                        integral_rep_P, integral_rep_P_dual, map_G, map_N,
-                       map_N_tilde, norm_prime_product, pi_inv_expand,
-                       scalar_prime, schur_ct, schur_ct_dual,
-                       self_adjoint_check, skew_integral_check)
+                       map_N_tilde, norm_prime_product, scalar_prime,
+                       schur_ct, schur_ct_dual, self_adjoint_check,
+                       skew_integral_check)
 from .fock import (completeness_check, matrix_element, p_bar_apply,
                    skew_via_diffop, skew_via_fock, symmetrizer_check,
                    vertex_product_check)

@@ -3,8 +3,9 @@
 Subcommands: expand, norm, skew, kostka, integral, verify.  Exit status is 0
 when every requested check passes, 1 on an identity failure (the first
 counterexample is printed), 2 on usage errors such as malformed partitions,
-a negative number, a norm in fewer variables than parts, or a bad
---cache-path file.
+a negative number, a norm in fewer variables than parts, or a --cache-path
+file that cannot be read or written, and 3 on an internal inconsistency
+(two routes that must agree did not: a bug in macsym, not a counterexample).
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 
 from . import ctengine, kostka, macdonald, verify
 from .coeff import emit_ratqt
-from .errors import MacsymError
+from .errors import InternalInconsistency, MacsymError
 from .macdonald import macdonald_pair
 from .partitions import format_partition, parse_partition, partitions_of, weight
 from .symfunc import convert
@@ -290,11 +291,19 @@ def main(argv=None):
             return 2
     try:
         code = args.func(args)
+    except InternalInconsistency as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return 3
     except MacsymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.cache_path:
-        macdonald.save_cache(args.cache_path)
+        try:
+            macdonald.save_cache(args.cache_path)
+        except OSError as exc:
+            print(f"error: cannot write cache file: {args.cache_path}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     return code
 
 

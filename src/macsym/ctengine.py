@@ -3,7 +3,8 @@
 Every integral in scope is the coefficient-extraction functional: integrating
 a Laurent object against prod dy_j/(2 pi i y_j) keeps exactly the terms with
 zero exponent in each y_j.  The engine therefore works with Laurent terms
-whose coefficients are truncated (q,t)-series.
+held in plain {exponent tuple: series} dicts, whose values are truncated
+(q,t)-series.
 
 The interchange kernel Delta(y) = prod_{i != j} (y_i/y_j; q)oo/(t y_i/y_j; q)oo
 expands factorwise with coefficients c_m = prod_{k<m}(t - q^k)/(q;q)_m, whose
@@ -30,8 +31,7 @@ from .coeff import QPochProduct, QTSeries, add_into, ratqt, swap_qt, to_series
 from .errors import InternalInconsistency, WindowTooSmall
 from .macdonald import b_coeff, dr_apply, macdonald_pair
 from .pairing import cauchy_pi, kernel_product
-from .partitions import (add_parts, as_partition, conjugate, rectangles,
-                         weight)
+from .partitions import as_partition, conjugate, partial_stacks, rectangles, weight
 from .symfunc import NPoly, SymFunc, evaluate_n
 
 
@@ -134,89 +134,13 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
             if all(lo <= x <= hi for x in e)}
 
 
-class WindowSeries:
-    """Laurent terms over a declared exponent window with series coefficients."""
-
-    __slots__ = ("nvars", "order", "lo", "hi", "terms", "truncated")
-
-    def __init__(self, nvars, order, lo, hi, terms=None):
-        self.nvars = nvars
-        self.order = order
-        self.lo = lo
-        self.hi = hi
-        self.truncated = False
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[e] = c
-
-    def coefficient(self, exponents):
-        e = tuple(exponents)
-        if not all(self.lo <= x <= self.hi for x in e):
-            raise WindowTooSmall(f"exponent {e} outside window [{self.lo}, {self.hi}]")
-        return self.terms.get(e, QTSeries.zero(self.order))
-
-    def __mul__(self, other):
-        if (other.nvars, other.order) != (self.nvars, self.order):
-            raise ValueError("window series differ in variable count or order")
-        out = WindowSeries(self.nvars, self.order,
-                           min(self.lo, other.lo), max(self.hi, other.hi))
-        for e1, c1 in self.terms.items():
-            row = {}
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if all(out.lo <= x <= out.hi for x in e):
-                    row[e] = c2
-                else:
-                    out.truncated = True
-            add_into(out.terms, row, c1)
-        return out
-
-    def ct(self, variables=None):
-        """Constant term in the listed variables (all by default).
-
-        Integrating over every variable yields a plain series; otherwise the
-        surviving terms keep their exponents in the remaining variables.
-        """
-        if variables is None:
-            variables = range(self.nvars)
-        variables = sorted(set(variables))
-        if len(variables) == self.nvars:
-            return self.terms.get((0,) * self.nvars, QTSeries.zero(self.order))
-        keep = [v for v in range(self.nvars) if v not in variables]
-        out = WindowSeries(len(keep), self.order, self.lo, self.hi)
-        for e, c in self.terms.items():
-            if all(e[v] == 0 for v in variables):
-                out.terms[tuple(e[v] for v in keep)] = c
-        return out
-
-    def __repr__(self):
-        return (f"WindowSeries(nvars={self.nvars}, order={self.order}, "
-                f"window=[{self.lo},{self.hi}], {len(self.terms)} terms)")
-
-
-def ct(series, variables=None):
-    """Constant-term functional on a WindowSeries; all variables by default."""
-    return series.ct(variables)
-
-
 @lru_cache(maxsize=None)
 def delta_expand(n, order, cap):
-    """Delta(y;q,t) over n variables as a WindowSeries on {|e_j| <= cap, sum e = 0}."""
-    seeds = {(0,) * n: QTSeries.one(order)}
-    terms = _accumulate_delta(seeds, n, order, -cap, cap, 0)
-    return WindowSeries(n, order, -cap, cap, terms)
+    """Delta(y;q,t) over n variables: {exponent: series} on {|e_j| <= cap, sum e = 0}.
 
-
-def pi_inv_expand(nx, ny, d_out, order):
-    """Pi(x, 1/y) over explicit variable groups: x_1..x_nx then y_1..y_ny.
-
-    Strata with total x-degree above d_out are never generated.
+    The cached dict is shared: do not mutate it.
     """
-    terms = {xexp + tuple(-v for v in yexp): series_of(c, order)
-             for (xexp, yexp), c in cauchy_pi(nx, ny, d_out).items()}
-    return WindowSeries(nx + ny, order, -d_out, d_out, terms)
+    return _accumulate_delta({(0,) * n: QTSeries.one(order)}, n, order, -cap, cap, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +171,7 @@ def scalar_prime(f, g, n, order):
     if not fp or not gp:
         return QTSeries.zero(order)
     cap = max(fp.degree(), gp.degree())
-    moments = delta_expand(n, order, cap).terms
+    moments = delta_expand(n, order, cap)
     total = QTSeries.zero(order)
     for alpha, ca in fp.terms.items():
         for beta, cb in gp.terms.items():
@@ -315,12 +239,12 @@ def _windowed_integrand(f, m, order):
     """Terms of Delta(y) f(y) that can meet positive-kernel strata: e >= 0, sum = deg f."""
     fp = _as_npoly(f, m, order)
     if not fp:
-        return {}, 0
+        return {}
     degs = {sum(e) for e in fp.terms}
     if len(degs) != 1:
         raise WindowTooSmall("integrand must be homogeneous")
     d = degs.pop()
-    return _accumulate_delta(fp.terms, m, order, 0, d, d), d
+    return _accumulate_delta(fp.terms, m, order, 0, d, d)
 
 
 def _collect_kernel(wterms, order, kind):
@@ -335,28 +259,25 @@ def _collect_kernel(wterms, order, kind):
     return out
 
 
-def _kernel_transform(n_to, m_from, f, order, d_out, kind):
-    wterms, d = _windowed_integrand(f, m_from, order)
-    if d_out is not None and d_out < d:
-        raise WindowTooSmall(f"output degree {d} exceeds requested cap {d_out}")
-    out = _collect_kernel(wterms, order, kind)
+def _kernel_transform(n_to, m_from, f, order, kind):
+    out = _collect_kernel(_windowed_integrand(f, m_from, order), order, kind)
     if n_to is None:
         return SymFunc("p", out)
     return evaluate_n(SymFunc("p", out), n_to)
 
 
-def map_N(n_to, m_from, f, order, d_out=None):
+def map_N(n_to, m_from, f, order):
     """Integral transform against Pi(x, 1/y) Delta(y): m_from variables in.
 
     Returns the p-basis image {partition: series} when n_to is None (the
     projective limit); otherwise evaluates into n_to variables.
     """
-    return _kernel_transform(n_to, m_from, f, order, d_out, "g")
+    return _kernel_transform(n_to, m_from, f, order, "g")
 
 
-def map_N_tilde(n_to, m_from, f, order, d_out=None):
+def map_N_tilde(n_to, m_from, f, order):
     """Integral transform against the finite dual kernel prod(1 + x_i/y_j) Delta(y)."""
-    return _kernel_transform(n_to, m_from, f, order, d_out, "e")
+    return _kernel_transform(n_to, m_from, f, order, "e")
 
 
 @dataclass(frozen=True)
@@ -372,7 +293,6 @@ class IntegralConstants:
     c_plus: QPochProduct
     c_minus: QPochProduct
     block_norms: tuple
-    block_prime_norms: tuple
     uses_ct_conjecture: bool
 
 
@@ -381,14 +301,10 @@ def integral_constants(lam):
     blocks = rectangles(lam) if lam else []
     c_plus = QPochProduct()
     norms = []
-    primes = []
-    stack = ()
-    for s, r in blocks:
-        stack = add_parts(stack, (s,) * r)
+    for (_, r), stack in zip(blocks, partial_stacks(blocks)):
         norm = 1 / b_coeff(stack)
         prime = norm_prime_product(stack, r)
         norms.append(norm)
-        primes.append(prime)
         c_plus = c_plus * QPochProduct(Fraction(1, factorial(r))) * norm / prime
     total_norm = 1 / b_coeff(lam) if lam else ratqt(1)
     return IntegralConstants(
@@ -396,7 +312,6 @@ def integral_constants(lam):
         c_plus=c_plus,
         c_minus=c_plus / total_norm,
         block_norms=tuple(norms),
-        block_prime_norms=tuple(primes),
         uses_ct_conjecture=any(r >= 2 for _, r in blocks),
     )
 
@@ -417,13 +332,11 @@ def _outer_integrand(lam, order):
             cur = map_N(r, prev_r, cur, order)
         cur = map_G(s, cur)
         prev_r = r
-    return _windowed_integrand(cur, prev_r, order)[0], prev_r
+    return _windowed_integrand(cur, prev_r, order), prev_r
 
 
-def _integral_rep(lam, order, d_out, dual):
+def _integral_rep(lam, order, dual):
     lam = as_partition(lam)
-    if d_out is not None and d_out < weight(lam):
-        raise WindowTooSmall(f"degree {weight(lam)} exceeds requested cap {d_out}")
     if not lam:
         return SymFunc("p", {(): QTSeries.one(order)})
     out = _collect_kernel(_outer_integrand(lam, order)[0], order, "e" if dual else "g")
@@ -432,14 +345,14 @@ def _integral_rep(lam, order, d_out, dual):
     return SymFunc("p", {nu: c * scale for nu, c in out.items()})
 
 
-def integral_rep_P(lam, order, d_out=None):
+def integral_rep_P(lam, order):
     """Nested-integral reconstruction of P_lam: p-basis map {partition: series}."""
-    return _integral_rep(lam, order, d_out, dual=False)
+    return _integral_rep(lam, order, dual=False)
 
 
-def integral_rep_P_dual(lam, order, d_out=None):
+def integral_rep_P_dual(lam, order):
     """Dual-kernel reconstruction of P_{lam'}(x; t, q): p-basis map."""
-    return _integral_rep(lam, order, d_out, dual=True)
+    return _integral_rep(lam, order, dual=True)
 
 
 def expected_p_series(lam, order, swapped=False):
@@ -524,7 +437,7 @@ def _sign_factor_terms(ell, reverse=False):
     return terms
 
 
-def schur_ct(lam, nx=None, kind="h"):
+def schur_ct(lam, kind="h"):
     """Constant-term formula with kernel strata of the given kind.
 
     kind 'h' reproduces the Schur function s_lam; 'hl' and 'qinv' give the
@@ -539,11 +452,11 @@ def schur_ct(lam, nx=None, kind="h"):
     out = SymFunc("p")
     for kappa, c in acc.items():
         add_into(out.terms, kernel_product(kappa, kind).terms, c)
-    return evaluate_n(out, nx) if nx is not None else out
+    return out
 
 
-def schur_ct_dual(lam, nx=None):
+def schur_ct_dual(lam):
     """Dual constant-term formula: (-1)^|lam| with kernel prod(1 - x_i/y_j) gives s_{lam'}."""
     # the outer (-1)^|lam| cancels the (-1)^sum(v) from the kernel strata,
     # since every surviving stratum vector v sums to |lam|
-    return schur_ct(lam, nx, kind="e")
+    return schur_ct(lam, kind="e")

@@ -8,6 +8,7 @@ product and are cross-checked against the scalar product on every build.
 """
 
 import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -289,7 +290,11 @@ CACHE_VERSION = 1
 
 
 def save_cache(path):
-    """Persist every memoized pair as JSON: one record per partition."""
+    """Persist every memoized pair as JSON: one record per partition.
+
+    Writes a temporary file beside path and renames it over path, so an
+    interrupted save leaves the previous file (or none), never a truncated one.
+    """
     records = []
     for lam in sorted(_PAIRS, key=lambda l: (weight(l), l)):
         pair = _PAIRS[lam]
@@ -301,9 +306,16 @@ def save_cache(path):
                 for mu, c in sorted(pair.P.terms.items())
             ],
         })
-    with open(path, "w") as fh:
-        json.dump({"format": CACHE_FORMAT, "version": CACHE_VERSION,
-                   "records": records}, fh, indent=1)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            json.dump({"format": CACHE_FORMAT, "version": CACHE_VERSION,
+                       "records": records}, fh, indent=1)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_cache(path):

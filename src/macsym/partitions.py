@@ -173,7 +173,7 @@ def parse_partition(text):
     body = text.strip().strip("()[]").strip()
     if not body or body == "0":
         return ()
-    return as_partition(int(p) for p in body.split(","))
+    return as_partition([int(p) for p in body.split(",")])
 
 
 def format_partition(lam):

@@ -160,10 +160,6 @@ def orbit_exponents(lam, n):
     return tuple(tuple(e) for e in multiset_permutations(padded))
 
 
-def monomial_poly(lam, n):
-    return NPoly(n, {e: 1 for e in orbit_exponents(lam, n)})
-
-
 def _collect_m(poly):
     """Collect a symmetric polynomial into monomial-basis coefficients (trusted input)."""
     out = {}
@@ -309,14 +305,6 @@ class SymFunc:
     def __repr__(self):
         bits = [f"{c!r}*{self.basis}{lam}" for lam, c in sorted(self.terms.items())]
         return " + ".join(bits) if bits else "0"
-
-
-def sym_zero(basis="p"):
-    return SymFunc(basis)
-
-
-def sym_one(basis="p"):
-    return SymFunc(basis, {(): ratqt(1)})
 
 
 def sym_gen(basis, lam, coeff=1):

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from macsym import cli
 from macsym.cli import build_parser, main
 from macsym.coeff import emit_ratqt
+from macsym.errors import InternalInconsistency, NotSeriesExpandable
 from macsym.macdonald import b_coeff
 
 
@@ -135,6 +137,25 @@ def test_bad_cache_file_exits_2(tmp_path, capsys, text):
 
 def test_unreadable_cache_path_exits_2(tmp_path, capsys):
     assert main(["--cache-path", str(tmp_path), "expand", "--lam", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_cache_path_exits_2(tmp_path, capsys):
+    cache = tmp_path / "missing" / "c.json"
+    assert main(["--cache-path", str(cache), "expand", "--lam", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write cache file: "), err
+    assert not cache.parent.exists()
+
+
+@pytest.mark.parametrize("error, code", [(InternalInconsistency, 3),
+                                         (NotSeriesExpandable, 1)])
+def test_macsym_error_exit_codes(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_expand", fail)
+    assert main(["expand", "--lam", "1"]) == code
     assert capsys.readouterr().err.startswith("error: ")
 
 

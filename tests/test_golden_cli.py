@@ -7,6 +7,7 @@ an intended change, run the example and write its stdout (for verify, the
 form that `_normalize` returns) to the golden file.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from macsym.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
 EXAMPLES = {
     "expand": ["expand", "--lam", "2,1", "--basis", "m", "--format", "json"],
@@ -41,3 +43,14 @@ def test_readme_example_output(name, capsys):
     assert main(EXAMPLES[name]) == 0
     got = _normalize(name, capsys.readouterr().out)
     assert got == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_verify_all_matches_benchmark_digest(capsys):
+    # the benchmark's verify-sweep gate: all 13 suites at --maxweight 3
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    assert main(list(worker.VERIFY_ARGV)) == 0
+    records = json.loads(capsys.readouterr().out)["checks"]
+    assert len(records) == worker.VERIFY_CHECKS
+    assert worker.verify_digest(records) == worker.VERIFY_DIGEST

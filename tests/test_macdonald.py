@@ -153,6 +153,24 @@ def test_cache_round_trip(tmp_path):
     assert load_cache(path) == count
 
 
+def test_interrupted_cache_save_keeps_previous_file(tmp_path, monkeypatch):
+    import macsym.macdonald as mac
+    macdonald_pair((1,))
+    path = tmp_path / "pairs.json"
+    save_cache(path)
+    before = path.read_text()
+
+    def dump_then_fail(obj, fh, **kw):
+        fh.write('{"format": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(mac.json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        save_cache(path)
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.json"]
+
+
 def test_cache_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "other", "version": 9, "records": []}')

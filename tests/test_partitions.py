@@ -138,7 +138,10 @@ def test_parse_format():
     assert parse_partition("") == ()
     assert parse_partition("[2, 1]") == (2, 1)
     assert format_partition((3, 1)) == "(3,1)"
-    with pytest.raises(ValueError):
+    # the message names the parsed parts
+    with pytest.raises(ValueError, match=r"not weakly decreasing in \[1, 2\]$"):
         parse_partition("1,2")
+    with pytest.raises(ValueError, match=r"negative part in \[2, -1\]$"):
+        parse_partition("2,-1")
     with pytest.raises(ValueError):
         as_partition((1, -1))
