@@ -21,11 +21,10 @@ from .kostka import (dual_schur_qt, dual_schur_t, h_factors,
                      kostka_integral_check, kostka_matrix, m_function)
 from .macdonald import (MacdonaldPair, b_coeff, dr_apply, dr_commute_check,
                         dr_eigencheck, dr_eigenvalue, hall_littlewood_p,
-                        load_cache, macdonald_p, macdonald_pair, macdonald_q,
-                        save_cache, skew_p, skew_q, specialize_check,
-                        structure_f)
-from .pairing import (cauchy_pi, cauchy_pi_tilde, inner_qt, kernel_sym,
-                      omega_qt, z_factor)
+                        load_cache, macdonald_pair, save_cache, skew_p, skew_q,
+                        specialize_check, structure_f)
+from .pairing import (cauchy_pi, cauchy_pi_tilde, inner_qt, kernel_coeff,
+                      kernel_sym, omega_qt, z_factor)
 from .partitions import (arm_leg, as_partition, conjugate, dominance_cmp,
                          dominates, parse_partition, partitions_of,
                          rectangles, stack_blocks, weight)

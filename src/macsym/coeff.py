@@ -150,6 +150,11 @@ def invert(rows, plist):
 # parsing / printing
 # ---------------------------------------------------------------------------
 
+# Largest |exponent| parse_ratqt accepts, on q or t only: emit_ratqt writes at most
+# 21 up to weight 6, and a short unbounded power could take minutes and gigabytes.
+MAX_EXPONENT = 100
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -227,17 +232,20 @@ class _Parser:
                 return total
 
     def factor(self):
+        start = self.pos
         base = self.atom()
         kind, val = self.peek()
         if (kind, val) == ("op", "^"):
+            if self.pos != start + 1 or self.tokens[start][0] != "sym":
+                raise ValueError("only q or t may carry an exponent")
             self.take()
             kind, val = self.take()
             sign = 1
             if (kind, val) == ("op", "-"):
                 sign = -1
                 kind, val = self.take()
-            if kind != "int":
-                raise ValueError("exponent must be an integer")
+            if kind != "int" or val > MAX_EXPONENT:
+                raise ValueError(f"exponent must be an integer of size at most {MAX_EXPONENT}")
             return base ** (sign * val)
         return base
 
@@ -259,7 +267,7 @@ class _Parser:
 
 
 def parse_ratqt(text):
-    """Parse expressions like "(1 - t + q*t)/(1 - q)" into Q(q,t)."""
+    """Parse "(1 - t + q*t)/(1 - q)" into Q(q,t); only q and t take an exponent."""
     parser = _Parser(_tokenize(text))
     result = parser.expr()
     if parser.pos != len(parser.tokens):
@@ -412,11 +420,6 @@ class QTSeries:
         if not self.coeffs:
             return None
         return min(a + b for a, b in self.coeffs)
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError(f"cannot truncate order {self.order} up to {order}")
-        return QTSeries(order, self.coeffs)
 
     def inverse(self):
         """Multiplicative inverse; requires a nonzero constant term."""

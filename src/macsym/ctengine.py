@@ -29,9 +29,10 @@ from math import factorial
 
 from .coeff import QPochProduct, QTSeries, add_into, ratqt, swap_qt, to_series
 from .errors import InternalInconsistency, WindowTooSmall
-from .macdonald import b_coeff, dr_apply, macdonald_pair
-from .pairing import cauchy_pi, kernel_product
-from .partitions import as_partition, conjugate, partial_stacks, rectangles, weight
+from .macdonald import b_coeff, dr_apply, macdonald_pair, skew_q
+from .pairing import kernel_coeff, kernel_product, qbinom_coeff
+from .partitions import (as_partition, compositions, conjugate, partial_stacks,
+                         rectangles, weight)
 from .symfunc import NPoly, SymFunc, evaluate_n
 
 
@@ -392,27 +393,23 @@ def f_plus_terms(lam, order):
 def skew_integral_check(lam, mu, order):
     """Nested-integral route to b_lam^(-1) Q_{lam/mu} against the algebraic route.
 
-    The two integrand groups interact through Pi(1/z, 1/w), read at the
-    margins (z-exponents, w-exponents) of its bigraded expansion, while
+    The two integrand groups interact through Pi(1/z, 1/w), whose coefficient
+    is read at the margins (z-exponents, w-exponents) by kernel_coeff, while
     Pi(x, 1/z) collects the output into the p basis.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     wl, r = f_plus_terms(lam, order)
     wm, rho = f_plus_terms(mu, order)
     wterms = {}
-    for (rows, beta), k in cauchy_pi(r, rho, weight(mu)).items():
-        cb = wm.get(beta)
-        if cb is None:
-            continue
-        add_into(wterms, {tuple(x - y for x, y in zip(alpha, rows)): ca
-                          for alpha, ca in wl.items()
-                          if all(x >= y for x, y in zip(alpha, rows))},
-                 cb * series_of(k, order))
+    for rows in compositions(weight(mu), r):
+        shifted = {tuple(x - y for x, y in zip(alpha, rows)): ca for alpha, ca in wl.items()
+                   if all(x >= y for x, y in zip(alpha, rows))}
+        for beta, cb in wm.items():
+            if k := kernel_coeff(rows, beta, qbinom_coeff):
+                add_into(wterms, shifted, cb * series_of(k, order))
     out = _collect_kernel(wterms, order, "g")
-    from .macdonald import skew_q
     expected = skew_q(lam, mu).scale(1 / b_coeff(lam))
-    want = {nu: series_of(c, order) for nu, c in expected.terms.items()}
-    want = {nu: c for nu, c in want.items() if c}
+    want = {nu: s for nu, c in expected.terms.items() if (s := series_of(c, order))}
     return out == want
 
 

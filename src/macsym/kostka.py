@@ -13,7 +13,7 @@ from functools import lru_cache
 from .coeff import Q, QTSeries, T, add_into, invert, ratqt, substitute
 from .errors import InternalInconsistency
 from .macdonald import b_coeff, macdonald_pair
-from .pairing import _kernel_expand, inner_qt, qbinom_coeff
+from .pairing import inner_qt, kernel_coeff, qbinom_coeff
 from .partitions import arm_leg, as_partition, cells, partitions_of, weight
 from .symfunc import SymFunc, convert, sym_gen
 
@@ -119,13 +119,11 @@ def kostka_integral_check(lam, mu, order):
     wm, rho = f_plus_terms(mu, order)
     ell = len(lam)
     h_mu, _ = h_factors(mu)
-    kernel = _kernel_expand(ell, rho, weight(lam), _inv_qpoch)
     total = QTSeries.zero(order)
     for w, sign in _sign_factor_terms(ell, reverse=True).items():
         rows = tuple(l - x for l, x in zip(lam, w))
         for beta, cb in wm.items():
-            k = kernel.get((rows, beta))
-            if k is not None:
+            if k := kernel_coeff(rows, beta, _inv_qpoch):
                 total = total + cb * sign * series_of(k, order)
     total = total * series_of(h_mu, order)
     expected = series_of(kostka_entry(lam, mu), order)

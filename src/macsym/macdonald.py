@@ -94,16 +94,6 @@ def macdonald_pair(lam):
     return pair
 
 
-def macdonald_p(lam):
-    """P_lam in the monomial basis."""
-    return macdonald_pair(lam).P
-
-
-def macdonald_q(lam):
-    """Q_lam = b_lam P_lam in the power-sum basis."""
-    return macdonald_pair(lam).Qf
-
-
 def hall_littlewood_p(lam):
     """Hall-Littlewood P_lam(t): same construction under the (0,t) scalar product."""
     lam = as_partition(lam)

@@ -8,9 +8,9 @@ coefficient stays an exact rational function.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
-from .coeff import Q, T, add_into, ratqt, substitute
+from .coeff import Q, T, ratqt, substitute
 from .partitions import as_partition, compositions, partitions_of
 from .symfunc import SymFunc, convert, p_product
 
@@ -18,11 +18,8 @@ from .symfunc import SymFunc, convert, p_product
 @lru_cache(maxsize=None)
 def z_factor(lam):
     """z_lam(q,t): the squared norm of p_lam under the (q,t) scalar product."""
-    lam = as_partition(lam)
-    val = ratqt(1)
-    for r, m in Counter(lam).items():
-        val = val * (r ** m * factorial(m))
-    for part in lam:
+    val = ratqt(z_plain(lam))
+    for part in as_partition(lam):
         val = val * (1 - Q ** part) / (1 - T ** part)
     return val
 
@@ -86,35 +83,55 @@ def qbinom_coeff(m):
     return val
 
 
-def _kernel_expand(nx, ny, d, factor):
-    """Bigraded expansion of prod_{i,j} sum_v factor(v) (x_i y_j)^v to total degree d.
+def dual_factor(v):
+    """Coefficient of (xy)^v in one dual kernel factor 1 + xy."""
+    return 1 if v == 1 else 0
 
-    Returns a map (x-exponents, y-exponents) -> RatQT.
+
+def kernel_coeff(rows, cols, factor):
+    """Coefficient of x^rows y^cols in prod_{i,j} sum_v factor(v) (x_i y_j)^v.
+
+    It sums prod factor(entry) over the nonnegative integer matrices with row
+    sums `rows` and column sums `cols`: 0 for a negative margin or unequal sums.
     """
-    out = {}
-    for total in range(d + 1):
-        for entries in compositions(total, nx * ny):
-            coeff = 1  # stays an int while the factors are ints
-            for v in entries:
-                if v:
-                    coeff = coeff * factor(v)
-            xexp = tuple(sum(entries[i * ny + j] for j in range(ny)) for i in range(nx))
-            yexp = tuple(sum(entries[i * ny + j] for i in range(nx)) for j in range(ny))
-            add_into(out, {(xexp, yexp): coeff})
-    return {key: ratqt(c) for key, c in out.items()}
+    if min(rows + cols, default=0) < 0 or sum(rows) != sum(cols):
+        return ratqt(0)
+    return ratqt(_margin_coeff(_margins(rows), _margins(cols), factor))
+
+
+def _margins(margins):
+    return tuple(sorted(filter(None, margins), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _margin_coeff(rows, cols, factor):
+    """kernel_coeff at sorted nonzero margins (the kernel is symmetric in x and in y)."""
+    if not rows:
+        return 1
+    total = 0  # stays an int while the factors are ints
+    for first in compositions(rows[0], len(cols)):
+        if all(v <= c for v, c in zip(first, cols)):
+            rest = _margins(c - v for c, v in zip(cols, first))
+            coeff = prod(factor(v) for v in first if v)
+            total = total + coeff * _margin_coeff(rows[1:], rest, factor)
+    return total
+
+
+def _kernel_table(nx, ny, d, factor):
+    """The nonzero kernel_coeff up to total degree d, keyed (x-exponents, y-exponents)."""
+    return {(rows, cols): c for total in range(d + 1) for rows in compositions(total, nx)
+            for cols in compositions(total, ny) if (c := kernel_coeff(rows, cols, factor))}
 
 
 def cauchy_pi(nx, ny, d):
-    """Expansion of prod_{i,j} (t x_i y_j; q)oo / (x_i y_j; q)oo to total degree d.
-
-    Returns a bigraded map (x-exponents, y-exponents) -> RatQT.
-    """
-    return _kernel_expand(nx, ny, d, qbinom_coeff)
+    """Expansion of prod_{i,j} (t x_i y_j; q)oo / (x_i y_j; q)oo to total degree d,
+    as a bigraded map (x-exponents, y-exponents) -> RatQT."""
+    return _kernel_table(nx, ny, d, qbinom_coeff)
 
 
 def cauchy_pi_tilde(nx, ny, d):
     """Expansion of the finite dual kernel prod_{i,j} (1 + x_i y_j) to total degree d."""
-    return _kernel_expand(nx, ny, d, lambda v: 1 if v == 1 else 0)
+    return _kernel_table(nx, ny, d, dual_factor)
 
 
 # ---------------------------------------------------------------------------

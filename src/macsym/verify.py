@@ -11,10 +11,11 @@ from itertools import combinations
 
 from . import ctengine, fock, kostka, macdonald
 from .coeff import add_into, swap_qt
+from .errors import InternalInconsistency
 from .macdonald import macdonald_pair
-from .pairing import cauchy_pi, cauchy_pi_tilde, inner_qt, omega_qt
+from .pairing import dual_factor, inner_qt, kernel_coeff, omega_qt, qbinom_coeff
 from .partitions import conjugate, partitions_of, weight
-from .symfunc import evaluate_n, sym_gen
+from .symfunc import convert, evaluate_n, sym_gen
 
 REPORT_VERSION = "v1"
 
@@ -93,36 +94,31 @@ def suite_duality(maxweight=5, **_):
     return _timed(checks)
 
 
-def _bigraded_sum(d, dual=False):
+def _cauchy_products(d, dual):
+    """{(lam, mu): coefficient of x^lam y^mu} in sum_nu P_nu(x) Q_nu(y), |nu| = d,
+    or in the dual sum_nu P_nu(x) P_nu'(y; t, q), both read from P in the m basis."""
     out = {}
-    for lam in partitions_of(d):
-        if dual:
-            left = evaluate_n(macdonald_pair(lam).P_p, d)
-            right = evaluate_n(
-                macdonald_pair(conjugate(lam)).P_p.map_coeffs(swap_qt), d)
-        else:
-            left = evaluate_n(macdonald_pair(lam).P_p, d)
-            right = evaluate_n(macdonald_pair(lam).Qf, d)
-        for ea, ca in left.terms.items():
-            add_into(out, {(ea, eb): cb for eb, cb in right.terms.items()}, ca)
+    for nu in partitions_of(d):
+        pair = macdonald_pair(nu)
+        right = (macdonald_pair(conjugate(nu)).P.map_coeffs(swap_qt) if dual
+                 else pair.P.scale(pair.b))
+        for lam, c in pair.P.terms.items():
+            add_into(out, {(lam, mu): r for mu, r in right.terms.items()}, c)
     return out
 
 
 def suite_cauchy(maxdegree=4, **_):
+    """Both Cauchy identities at partition keys: each side is symmetric in x and in y."""
     checks = []
     for d in range(maxdegree + 1):
-        def chk(d=d):
-            kernel = {k: v for k, v in cauchy_pi(d, d, d).items()
-                      if sum(k[0]) == d}
-            return _record("cauchy-kernel", {"degree": d},
-                           kernel == _bigraded_sum(d))
-        checks.append(chk)
-        def chk2(d=d):
-            kernel = {k: v for k, v in cauchy_pi_tilde(d, d, d).items()
-                      if sum(k[0]) == d}
-            return _record("dual-cauchy-kernel", {"degree": d},
-                           kernel == _bigraded_sum(d, dual=True))
-        checks.append(chk2)
+        for identity, factor, dual in (("cauchy-kernel", qbinom_coeff, False),
+                                       ("dual-cauchy-kernel", dual_factor, True)):
+            def chk(d=d, identity=identity, factor=factor, dual=dual):
+                plist = list(partitions_of(d))
+                kernel = {(lam, mu): c for lam in plist for mu in plist
+                          if (c := kernel_coeff(lam, mu, factor))}
+                return _record(identity, {"degree": d}, kernel == _cauchy_products(d, dual))
+            checks.append(chk)
     return _timed(checks)
 
 
@@ -204,7 +200,6 @@ def suite_skew_integral(order=5, **_):
 
 
 def suite_schur_ct(maxweight=4, **_):
-    from .symfunc import convert
     checks = []
     for lam in _all_partitions(maxweight):
         def chk(lam=lam):
@@ -222,7 +217,6 @@ def suite_schur_ct(maxweight=4, **_):
 
 def suite_kostka(maxdegree=3, order=5, integral_degree=2, **_):
     checks = []
-    from .errors import InternalInconsistency
     for d in range(1, maxdegree + 1):
         def chk(d=d):
             try:

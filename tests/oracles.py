@@ -2,11 +2,15 @@
 
 Everything here is deliberately written against a different representation
 (dense triangular arrays of Fractions indexed [q-power][t-power]) than the
-package's sparse series type, so the two can check each other.
+package's sparse series type, so the two can check each other.  The kernel
+oracle enumerates whole matrices where the package recurses on sorted margins.
 """
 
 from fractions import Fraction
 from itertools import permutations
+
+from macsym.coeff import ratqt
+from macsym.partitions import compositions
 
 
 def dense_zero(order):
@@ -149,6 +153,26 @@ def delta_unpruned(seeds, nvars, pair_series, order, lo, hi):
                     out[key] = dense_add(out[key], piece) if key in out else piece
             terms = {e: arr for e, arr in out.items() if arr != zero}
     return {e: arr for e, arr in terms.items() if all(lo <= x <= hi for x in e)}
+
+
+def kernel_matrices(nx, ny, d, factor):
+    """prod_{i,j} sum_v factor(v) (x_i y_j)^v to total degree d, matrix by matrix.
+
+    Enumerates every nx-by-ny matrix of nonnegative entries with total at
+    most d and adds prod factor(entry) at its margins.  Returns the nonzero
+    coefficients as {(x-exponents, y-exponents): RatQT}.
+    """
+    out = {}
+    for total in range(d + 1):
+        for entries in compositions(total, nx * ny):
+            coeff = 1
+            for v in entries:
+                if v:
+                    coeff = coeff * factor(v)
+            xexp = tuple(sum(entries[i * ny + j] for j in range(ny)) for i in range(nx))
+            yexp = tuple(sum(entries[i * ny + j] for i in range(nx)) for j in range(ny))
+            out[(xexp, yexp)] = out.get((xexp, yexp), 0) + coeff
+    return {key: ratqt(c) for key, c in out.items() if c}
 
 
 def schur_bialternant(lam, n):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from macsym import cli
+from macsym import cli, verify
 from macsym.cli import build_parser, main
 from macsym.coeff import emit_ratqt
 from macsym.errors import InternalInconsistency, NotSeriesExpandable
@@ -84,6 +84,32 @@ def test_verify_suite(capsys):
             "max_order_checked", "wall_time"} <= set(data["checks"][0])
 
 
+def test_verify_cauchy_default_degree(capsys):
+    # degree 4 by default; the kernel side is read at partition margins
+    assert main(["verify", "--suite", "cauchy", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(r["identity"], r["parameters"]["degree"]) for r in checks] == [
+        (name, d) for d in range(5) for name in ("cauchy-kernel", "dual-cauchy-kernel")]
+    assert all(r["status"] == "pass" for r in checks)
+
+
+def test_verify_cauchy_detects_a_wrong_coefficient(monkeypatch):
+    products = verify._cauchy_products
+
+    def perturbed(d, dual):
+        out = dict(products(d, dual))
+        if d == 3 and not dual:
+            key = ((2, 1), (2, 1))
+            out[key] = out[key] + 1
+        return out
+
+    monkeypatch.setattr(verify, "_cauchy_products", perturbed)
+    status = {(r["identity"], r["parameters"]["degree"]): r["status"]
+              for r in verify.suite_cauchy(maxdegree=3)}
+    assert status.pop(("cauchy-kernel", 3)) == "fail"
+    assert set(status.values()) == {"pass"}
+
+
 def test_malformed_partition_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--lam", "x,y"])
@@ -125,7 +151,11 @@ P2_TERMS = [{"partition": [2], "coeff": "1"},
     _cache_text([{"lambda": [2], "b": "1", "P_in_m": P2_TERMS}]),  # wrong b
     _cache_text([{"lambda": [1, 1], "b": emit_ratqt(b_coeff((1, 1))),
                   "P_in_m": [{"partition": [2], "coeff": "1"}]}]),  # not unitriangular
-], ids=["malformed-json", "wrong-header", "missing-key", "wrong-b", "not-unitriangular"])
+    _cache_text([{"lambda": [2], "b": "(1+q+t)^1200", "P_in_m": P2_TERMS}]),
+    _cache_text([{"lambda": [2], "b": "1", "P_in_m": [
+        {"partition": [2], "coeff": "(1-q^1000*t^1000)/(1-q^999*t^999)"}]}]),
+], ids=["malformed-json", "wrong-header", "missing-key", "wrong-b", "not-unitriangular",
+        "power-of-a-sum", "huge-exponent"])
 def test_bad_cache_file_exits_2(tmp_path, capsys, text):
     cache = tmp_path / "cache.json"
     cache.write_text(text)

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from macsym.coeff import (FIELD, ONE, Q, QPochProduct, QTSeries, T, add_into,
-                          emit_ratqt, parse_ratqt, ratqt, substitute, swap_qt,
-                          to_series)
+from macsym.coeff import (FIELD, MAX_EXPONENT, ONE, Q, QPochProduct, QTSeries, RatQT,
+                          T, add_into, emit_ratqt, parse_ratqt, ratqt, substitute,
+                          swap_qt, to_series)
 from macsym.errors import NotSeriesExpandable, SpecializationPole
 
 from oracles import dense_from_qtseries, dense_inv, dense_mul, poch_dense
@@ -118,6 +118,32 @@ def test_parse_emit_round_trip():
         val = parse_ratqt(text)
         assert parse_ratqt(emit_ratqt(val)) == val
     assert emit_ratqt(parse_ratqt("(1-t)/(1-q)")) == "(1 - t)/(1 - q)"
+
+
+@pytest.mark.parametrize("text", [
+    "(1+q+t)^1200",  # a power of a sum: 12 bytes, about 1 GB to expand
+    "(1-q^1000*t^1000)/(1-q^999*t^999)",  # a gcd that does not finish in minutes
+    f"q^{MAX_EXPONENT + 1}", f"t^-{MAX_EXPONENT + 1}", "2^3", "(q)^2", "-(t)^2",
+])
+def test_parse_rejects_unbounded_powers(text):
+    with pytest.raises(ValueError):
+        parse_ratqt(text)
+
+
+def test_parse_accepts_exponents_up_to_the_bound():
+    assert parse_ratqt(f"q^{MAX_EXPONENT}*t**-{MAX_EXPONENT}") == \
+        Q ** MAX_EXPONENT / T ** MAX_EXPONENT
+    assert parse_ratqt("-q^2") == -Q ** 2
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789qt+-*/^() ", max_size=20))
+def test_parse_ratqt_fuzz(text):
+    try:
+        value = parse_ratqt(text)
+    except (ValueError, ZeroDivisionError):
+        return
+    assert isinstance(value, RatQT)
 
 
 def test_series_inverse_against_dense_oracle():

@@ -1,10 +1,14 @@
 import random
 
 from macsym.coeff import Q, T, parse_ratqt, ratqt, swap_qt
-from macsym.pairing import (cauchy_pi, cauchy_pi_tilde, inner_qt, kernel_sym,
-                            omega_qt, qbinom_coeff, z_factor, z_plain)
-from macsym.partitions import partitions_of
+from macsym.kostka import _inv_qpoch
+from macsym.pairing import (cauchy_pi, cauchy_pi_tilde, dual_factor, inner_qt,
+                            kernel_coeff, kernel_sym, omega_qt, qbinom_coeff,
+                            z_factor, z_plain)
+from macsym.partitions import compositions, partitions_of
 from macsym.symfunc import SymFunc, convert, multiply, sym_gen
+
+from oracles import kernel_matrices
 
 
 def test_z_factor_examples():
@@ -71,6 +75,27 @@ def test_cauchy_pi_tilde_examples():
     assert ((2,), (2,)) not in kernel  # each factor is at most linear
     kernel = cauchy_pi_tilde(2, 2, 4)
     assert kernel[((1, 1), (1, 1))] == 2
+
+
+def test_kernel_coefficients_against_matrix_enumeration():
+    for nx in range(4):
+        for ny in range(4):
+            for d in range(4):
+                assert cauchy_pi(nx, ny, d) == kernel_matrices(nx, ny, d, qbinom_coeff)
+                assert cauchy_pi_tilde(nx, ny, d) == kernel_matrices(nx, ny, d, dual_factor)
+                want = kernel_matrices(nx, ny, d, _inv_qpoch)
+                for total in range(d + 1):
+                    for rows in compositions(total, nx):
+                        for cols in compositions(total, ny):
+                            got = kernel_coeff(rows, cols, _inv_qpoch)
+                            assert got == want.get((rows, cols), 0), (rows, cols)
+
+
+def test_kernel_coeff_vanishes_off_the_margins():
+    assert kernel_coeff((2, -1), (1, 0), qbinom_coeff) == 0
+    assert kernel_coeff((1,), (2, -1), dual_factor) == 0
+    assert kernel_coeff((2, 1), (2,), qbinom_coeff) == 0
+    assert kernel_coeff((1, 1), (1, 1, 1), dual_factor) == 0
 
 
 def test_qbinom_telescopes_at_beta_one():
