@@ -3,9 +3,10 @@
 Subcommands: expand, norm, skew, kostka, integral, verify.  Exit status is 0
 when every requested check passes, 1 on an identity failure (the first
 counterexample is printed), 2 on usage errors such as malformed partitions,
-a negative number, a norm in fewer variables than parts, or a --cache-path
-file that cannot be read or written, and 3 on an internal inconsistency
-(two routes that must agree did not: a bug in macsym, not a counterexample).
+a partition of weight above MAX_WEIGHT, a negative number, a norm in fewer
+variables than parts, or a --cache-path file that cannot be read or written,
+and 3 on an internal inconsistency (two routes that must agree did not: a
+bug in macsym, not a counterexample).
 """
 
 import argparse
@@ -20,13 +21,21 @@ from .partitions import format_partition, parse_partition, partitions_of, weight
 from .symfunc import convert
 
 DEFAULT_ORDER = 6
+# Largest weight of a --lam or --mu partition: the largest weight whose whole
+# P/Q family builds in about 25 s on a 2-vCPU VM (weight 8: 7-9 s, weight 9:
+# about 28 s).  Larger weights exit 2 before any build; library calls are unbounded.
+MAX_WEIGHT = 8
 
 
 def _partition_arg(text):
     try:
-        return parse_partition(text)
+        lam = parse_partition(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if weight(lam) > MAX_WEIGHT:
+        raise argparse.ArgumentTypeError(
+            f"partition weight {weight(lam)} is above the limit {MAX_WEIGHT}")
+    return lam
 
 
 def _degree_arg(text):

@@ -12,24 +12,8 @@ from functools import lru_cache
 
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import field as _field
-from sympy.polys.heuristicgcd import heugcd
-from sympy.polys.polyerrors import HeuristicGCDFailed
-from sympy.polys.rings import PolyElement as _PolyElement
 
 from .errors import InternalInconsistency, NotSeriesExpandable, SpecializationPole
-
-
-def _gcd_zz_with_fallback(f, g):
-    # sympy's heuristic gcd over Z can give up on the rational functions that
-    # appear from weight 6 on; fall back to the deterministic PRS route so
-    # every reduction is guaranteed to complete
-    try:
-        return heugcd(f, g)
-    except HeuristicGCDFailed:
-        return f.ring.dmp_inner_gcd(f, g)
-
-
-_PolyElement._gcd_ZZ = _gcd_zz_with_fallback
 
 FIELD, Q, T = _field("q,t", ZZ)
 RING = FIELD.ring

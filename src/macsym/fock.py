@@ -11,14 +11,11 @@ symmetrizer sum formula.
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from sympy.polys.domains import ZZ
-from sympy.polys.rings import ring
-
 from .coeff import Q, T, add_into, ratqt, substitute
-from .macdonald import macdonald_pair
+from .macdonald import hall_littlewood_symmetrizer, macdonald_pair
 from .pairing import inner_qt, qbinom_coeff
 from .partitions import as_partition, partitions_of, weight
-from .symfunc import NPoly, SymFunc, _perm_sign, convert, multiply
+from .symfunc import NPoly, SymFunc, convert, multiply
 
 
 def matrix_element(bra, mult, ket):
@@ -185,21 +182,10 @@ def symmetrizer_check(n):
 
     Clearing the Vandermonde turns the sum over permutations into polynomial
     arithmetic in Z[x_1..x_n, t]; the right side is prod_{k<=n} (1-t^k)/(1-t)
-    times the Vandermonde.
+    times the Vandermonde.  This is the lam = () case of the symmetrizer that
+    builds Hall-Littlewood P, whose P_() is 1.
     """
     if n < 1:
         raise ValueError(f"variable count must be >= 1, got {n}")
-    R, *gens = ring([f"x{i}" for i in range(n)] + ["t"], ZZ)
-    xs, t = gens[:n], gens[n]
-    lhs = R.zero
-    for perm in permutations(range(n)):
-        term = R(_perm_sign(perm))
-        for i, j in combinations(range(n), 2):
-            term *= xs[perm[i]] - t * xs[perm[j]]
-        lhs += term
-    rhs = R.one
-    for i, j in combinations(range(n), 2):
-        rhs *= xs[i] - xs[j]
-    for k in range(1, n + 1):
-        rhs *= sum((t ** s for s in range(k)), R.zero)
+    lhs, rhs = hall_littlewood_symmetrizer((), n)
     return lhs == rhs

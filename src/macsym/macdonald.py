@@ -1,25 +1,40 @@
 """Construction of the Macdonald basis and the operators attached to it.
 
-P_lam is built degree by degree: traverse the partitions of d in a linear
-extension of dominance (reverse-lex, bottom up) and orthogonalize m_lam
-against the already-built family, projecting only onto strictly dominated
-indices.  The leading coefficient stays 1, norms come out of the arm/leg
-product and are cross-checked against the scalar product on every build.
+P_lam comes from the zero mode E = [phi(z)]_0 of the paper's vertex operator
+phi(z) = exp(sum_n (1-t^-n)/n p_n z^n) exp(-sum_n (1-q^n) d/dp_n z^-n).  On
+degree d, t^d E has a matrix over Z[q,t] in the monomial basis that is
+triangular in dominance, with the distinct eigenvalues eps_lam on its
+diagonal.  The integral form J_lam = c_lam P_lam (Macdonald VI.8) has
+coefficients in Z[q,t], so its eigenvector equation is solved down the
+dominance order by exact ring division: no gcd until each coefficient is
+reduced into Q(q,t) once.  A cache file is checked against the same
+equation when it is loaded.  Hall-Littlewood P is built independently, by
+symmetrization (Macdonald III (2.2)).
 """
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
+from math import comb
 
-from .coeff import Q, T, RatQT, add_into, emit_ratqt, parse_ratqt, ratqt, substitute
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.rings import ring
+
+from .coeff import (FIELD, Q, RING, T, RatQT, add_into, emit_ratqt, parse_ratqt,
+                    ratqt, substitute)
 from .errors import InternalInconsistency
-from .pairing import inner_pvec, inner_qt
+from .pairing import inner_qt, z_plain
 from .partitions import (as_partition, arm_leg, cells, conjugate, dominates,
                          partitions_of, weight)
-from .symfunc import (NPoly, SymFunc, convert, evaluate_n, m_to_basis,
-                      multiply, npoly_divexact, sym_gen)
+from .symfunc import (NPoly, SymFunc, _perm_sign, basis_to_m, convert, evaluate_n,
+                      m_to_basis, multiply, npoly_divexact, sym_gen)
+
+# Q[q,t]: the zero mode in the power-sum basis has rational constants
+_QRING = RING.clone(domain=QQ)
+_q, _t = RING.gens
 
 
 @dataclass(frozen=True)
@@ -35,36 +50,145 @@ class MacdonaldPair:
 
 
 @lru_cache(maxsize=None)
-def b_coeff(lam):
-    """Arm/leg product for b_lam = 1 / <P_lam, P_lam>."""
-    lam = as_partition(lam)
-    val = ratqt(1)
+def _arm_leg_products(lam):
+    """(c_lam, c'_lam) = prod over cells (1 - q^a t^(l+1)), (1 - q^(a+1) t^l) in Z[q,t]."""
+    c = c_prime = RING.one
     for cell in cells(lam):
         a, l, _, _ = arm_leg(lam, cell)
-        val = val * (1 - Q ** a * T ** (l + 1)) / (1 - Q ** (a + 1) * T ** l)
-    return val
+        c *= 1 - _q ** a * _t ** (l + 1)
+        c_prime *= 1 - _q ** (a + 1) * _t ** l
+    return c, c_prime
 
 
 @lru_cache(maxsize=None)
-def _orthogonal_family(d, specialize=None):
-    """All orthogonal pairs of degree d: {lam: (m_coeffs, p_coeffs, norm)}.
+def b_coeff(lam):
+    """Arm/leg product for b_lam = 1 / <P_lam, P_lam>: c_lam / c'_lam."""
+    return FIELD.new(*_arm_leg_products(as_partition(lam)))
 
-    `specialize` selects the scalar product as in `pairing.inner_pvec`.
+
+def _eigenvalue(lam, d):
+    """eps_lam = t^d + (t-1) sum_i (q^lam_i - 1) t^(d-i), the eigenvalue of t^d E."""
+    return _t ** d + (_t - 1) * sum(((_q ** part - 1) * _t ** (d - i)
+                                     for i, part in enumerate(lam, 1)), RING.zero)
+
+
+def _zero_mode_p(kappa, d):
+    """t^d E p_kappa in the power-sum basis, as {rho: element of Q[q,t]}.
+
+    The translation part sends p_r to p_r - (1-q^r) z^-r; a removed sub-multiset
+    S of kappa pairs with g_|S| = sum_{|mu|=|S|} z_mu^-1 prod (1 - t^-mu_i) p_mu.
     """
-    order = list(partitions_of(d))[::-1]  # dominance-smallest first
-    m2p = m_to_basis("p", d)
-    built = {}
-    for lam in order:
-        mvec = {lam: ratqt(1)}
-        pvec = dict(m2p[lam])
-        for mu in built:
-            if mu != lam and dominates(lam, mu):
-                mu_m, mu_p, mu_norm = built[mu]
-                c = inner_pvec(pvec, mu_p, specialize) / mu_norm
-                add_into(mvec, mu_m, -c)
-                add_into(pvec, mu_p, -c)
-        built[lam] = (mvec, pvec, inner_pvec(pvec, pvec, specialize))
-    return built
+    q, t = _QRING.gens
+    mult = Counter(kappa)
+    out = {}
+    for removed in product(*(range(m + 1) for m in mult.values())):
+        coeff, s, rest = _QRING.one, 0, []
+        for (part, m), k in zip(mult.items(), removed):
+            coeff *= comb(m, k) * (q ** part - 1) ** k
+            s += part * k
+            rest += [part] * (m - k)
+        for mu in partitions_of(s):
+            c = coeff * t ** (d - s) * QQ(1, z_plain(mu))
+            for part in mu:
+                c *= t ** part - 1
+            add_into(out, {as_partition(sorted(rest + list(mu), reverse=True)): c})
+    return out
+
+
+def _qq(c):
+    """A constant of Q(q,t), such as an entry of m_to_basis("p", d), in QQ."""
+    return QQ(int(c.numer.LC), int(c.denom.LC))
+
+
+@lru_cache(maxsize=None)
+def zero_mode(d):
+    """t^d E on degree d in the monomial basis: rows {nu: {mu: element of Z[q,t]}}.
+
+    E m_nu = sum_mu row[nu][mu] m_mu.  The matrix must be over Z[q,t], triangular
+    in dominance and with diagonal eps_nu; anything else raises InternalInconsistency.
+    """
+    p2m = basis_to_m("p", d)
+    image_m = {}
+    for kappa in partitions_of(d):
+        row = {}
+        for rho, c in _zero_mode_p(kappa, d).items():
+            add_into(row, p2m[rho], c)
+        image_m[kappa] = row
+    rows = {}
+    for nu, m2p_row in m_to_basis("p", d).items():
+        row = {}
+        for kappa, c in m2p_row.items():
+            add_into(row, image_m[kappa], _qq(c))
+        rows[nu] = {}
+        for mu, c in row.items():
+            den, num = c.clear_denoms()
+            if den != 1:
+                raise InternalInconsistency(
+                    f"zero-mode entry ({nu}, {mu}) is not in Z[q,t]: {c}")
+            if not dominates(nu, mu):
+                raise InternalInconsistency(f"zero mode is not triangular at ({nu}, {mu})")
+            rows[nu][mu] = num.set_ring(RING)
+        if rows[nu].get(nu) != _eigenvalue(nu, d):
+            raise InternalInconsistency(f"zero-mode diagonal at {nu} is not eps_{nu}")
+    return rows
+
+
+def _zero_mode_image(rows, numer, mu):
+    """Coefficient of m_mu in t^d E applied to sum_nu numer[nu] m_nu."""
+    return sum((n * rows[nu][mu] for nu, n in numer.items() if mu in rows[nu]), RING.zero)
+
+
+def _integral_form(lam):
+    """J_lam = c_lam P_lam in the monomial basis, {mu: element of Z[q,t]}.
+
+    Solves t^d E J = eps_lam J from N_lam = c_lam down the dominance order: each
+    N_mu is an exact quotient by eps_lam - eps_mu, and a remainder raises
+    InternalInconsistency.
+    """
+    d = weight(lam)
+    rows = zero_mode(d)
+    eps = rows[lam][lam]
+    numer = {lam: _arm_leg_products(lam)[0]}
+    for mu in partitions_of(d):
+        if mu == lam or not dominates(lam, mu):
+            continue
+        total = _zero_mode_image(rows, numer, mu)
+        if total:
+            quo, rem = divmod(total, eps - rows[mu][mu])
+            if rem:
+                raise InternalInconsistency(
+                    f"J_{lam} coefficient at m_{mu} is not an exact quotient")
+            numer[mu] = quo
+    return numer
+
+
+def _pair_from_integral_form(lam, numer):
+    """The pair from J_lam: P = J / c_lam, P_p = J_p / c_lam, Qf = J_p / c'_lam.
+
+    J_p is J in the power-sum basis over Q[q,t]; since b_lam = c_lam / c'_lam,
+    Q_lam = b_lam P_lam = J / c'_lam.  Each coefficient is reduced once.
+    """
+    c, c_prime = _arm_leg_products(lam)
+    m2p = m_to_basis("p", weight(lam))
+    numer_p = {}
+    for mu, n in numer.items():
+        n = n.set_ring(_QRING)
+        add_into(numer_p, {kappa: n * _qq(v) for kappa, v in m2p[mu].items()})
+    cleared = {kappa: v.clear_denoms() for kappa, v in numer_p.items()}
+
+    def reduce(den):
+        return {kappa: FIELD.new(v.set_ring(RING), den * k)
+                for kappa, (k, v) in cleared.items()}
+
+    b = b_coeff(lam)
+    return MacdonaldPair(
+        lam=lam,
+        P=SymFunc("m", {mu: FIELD.new(n, c) for mu, n in numer.items()}),
+        P_p=SymFunc("p", reduce(c)),
+        b=b,
+        Qf=SymFunc("p", reduce(c_prime)),
+        norm=1 / b,
+    )
 
 
 _PAIRS = {}
@@ -74,31 +198,56 @@ def macdonald_pair(lam):
     """The Macdonald pair for lam, memoized per session."""
     lam = as_partition(lam)
     pair = _PAIRS.get(lam)
-    if pair is not None:
-        return pair
-    family = _orthogonal_family(weight(lam))
-    mvec, pvec, norm = family[lam]
-    b = b_coeff(lam)
-    if b * norm != 1:
-        raise InternalInconsistency(
-            f"arm/leg norm and Gram-Schmidt norm disagree for {lam}")
-    pair = MacdonaldPair(
-        lam=lam,
-        P=SymFunc("m", mvec),
-        P_p=SymFunc("p", pvec),
-        b=b,
-        Qf=SymFunc("p", pvec).scale(b),
-        norm=norm,
-    )
-    _PAIRS[lam] = pair
+    if pair is None:
+        pair = _PAIRS[lam] = _pair_from_integral_form(lam, _integral_form(lam))
     return pair
 
 
+def hall_littlewood_symmetrizer(lam, n):
+    """(A, D) in Z[x_1..x_n, t] with P_lam(x_1..x_n; t) = A / D (Macdonald III (2.2)).
+
+    A = sum_w sign(w) w(x^lam prod_{i<j} (x_i - t x_j)) over S_n is the
+    symmetrizer with the Vandermonde cleared; D = v_lam(t) prod_{i<j} (x_i - x_j),
+    where v_lam(t) = prod_i prod_{j<=m_i} (1-t^j)/(1-t) over the multiplicities
+    m_i of the parts of lam padded with zeros to length n.
+    """
+    R, *gens = ring([f"x{i}" for i in range(n)] + ["t"], ZZ)
+    xs, t = gens[:n], gens[n]
+    seed = R.one
+    for x, part in zip(xs, lam):
+        seed *= x ** part
+    for i, j in combinations(range(n), 2):
+        seed *= xs[i] - t * xs[j]
+    terms = {}
+    for perm in permutations(range(n)):
+        sign = _perm_sign(perm)
+        source = sorted(range(n), key=perm.__getitem__) + [n]  # x_i -> x_perm[i]
+        for mono, c in seed.items():
+            key = tuple(map(mono.__getitem__, source))
+            terms[key] = terms.get(key, 0) + sign * c
+    den = R.one
+    for i, j in combinations(range(n), 2):
+        den *= xs[i] - xs[j]
+    for m in Counter(lam + (0,) * (n - len(lam))).values():
+        for k in range(1, m + 1):
+            den *= sum((t ** s for s in range(k)), R.zero)
+    return R.from_dict({key: c for key, c in terms.items() if c}), den
+
+
 def hall_littlewood_p(lam):
-    """Hall-Littlewood P_lam(t): same construction under the (0,t) scalar product."""
+    """Hall-Littlewood P_lam(t) in the m basis, by symmetrization in |lam| variables."""
     lam = as_partition(lam)
-    mvec, _, _ = _orthogonal_family(weight(lam), (0, T))[lam]
-    return SymFunc("m", mvec)
+    n = weight(lam)
+    quo, rem = divmod(*hall_littlewood_symmetrizer(lam, n))
+    if rem:
+        raise InternalInconsistency(f"symmetrizer of {lam} is not divisible by "
+                                    "the Vandermonde and v_lam(t)")
+    coeffs = {}
+    for mono, c in quo.items():
+        x = mono[:n]
+        if all(x[i] >= x[i + 1] for i in range(n - 1)):
+            coeffs.setdefault(as_partition(x), {})[(0, mono[n])] = c
+    return SymFunc("m", {mu: FIELD(RING.from_dict(c)) for mu, c in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +460,12 @@ def save_cache(path):
 def load_cache(path):
     """Install cached pairs; returns the number of records loaded.
 
-    Every record is checked as a built pair is: b must equal the arm/leg
-    product and P must be unitriangular.  A malformed file or a record that
-    fails raises ValueError, and then no pair from the file is installed.
+    Every record is checked against the construction: b must equal the arm/leg
+    product, P must be unitriangular, J = c_lam P must have coefficients in
+    Z[q,t], and J must satisfy the eigenfunction equation t^d E J = eps_lam J.
+    The pair is then rebuilt from J as a built pair is.  A malformed file or
+    a record that fails raises ValueError, and then no pair from the file is
+    installed.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -324,17 +476,27 @@ def load_cache(path):
     for rec in data["records"]:
         try:
             lam = as_partition(rec["lambda"])
-            P = SymFunc("m", {as_partition(item["partition"]): parse_ratqt(item["coeff"])
-                              for item in rec["P_in_m"]})
+            P = {as_partition(item["partition"]): parse_ratqt(item["coeff"])
+                 for item in rec["P_in_m"]}
             b = parse_ratqt(rec["b"])
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed record in cache file {path}: {exc!r}") from exc
         if b != b_coeff(lam):
             raise ValueError(f"b of {lam} is not the arm/leg product")
-        if P.terms.get(lam) != 1 or not all(dominates(lam, mu) for mu in P.terms):
+        if P.get(lam) != 1 or not all(dominates(lam, mu) for mu in P):
             raise ValueError(f"P of {lam} is not unitriangular")
-        P_p = convert(P, "p")
-        loaded[lam] = MacdonaldPair(lam=lam, P=P, P_p=P_p, b=b,
-                                    Qf=P_p.scale(b), norm=1 / b)
+        c = _arm_leg_products(lam)[0]
+        numer = {}
+        for mu, v in P.items():
+            numer[mu], rem = divmod(c * v.numer, v.denom)
+            if rem:
+                raise ValueError(f"c_lam P of {lam} is not a polynomial at m_{mu}")
+        rows = zero_mode(weight(lam))
+        eps = rows[lam][lam]
+        for mu in rows:
+            if _zero_mode_image(rows, numer, mu) != eps * numer.get(mu, RING.zero):
+                raise ValueError(f"P of {lam} is not an eigenfunction of the zero mode "
+                                 f"(at m_{mu})")
+        loaded[lam] = _pair_from_integral_form(lam, numer)
     _PAIRS.update(loaded)
     return len(loaded)

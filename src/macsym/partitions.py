@@ -85,8 +85,8 @@ def add_parts(lam, mu):
 def partitions_of(n, max_length=None):
     """Yield the partitions of n in reverse-lexicographic order: (n) first, (1^n) last.
 
-    Reversing the output gives a linear extension of dominance order from
-    below, which is the traversal order used by Gram-Schmidt.
+    The output runs down a linear extension of dominance order, the order in
+    which the zero-mode recursion solves for the coefficients of J_lam.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative number: {n}")

@@ -3,14 +3,18 @@
 Everything here is deliberately written against a different representation
 (dense triangular arrays of Fractions indexed [q-power][t-power]) than the
 package's sparse series type, so the two can check each other.  The kernel
-oracle enumerates whole matrices where the package recurses on sorted margins.
+oracle enumerates whole matrices where the package recurses on sorted margins,
+and the Macdonald oracle orthogonalizes in Q(q,t) where the package solves the
+zero-mode eigenvector equation over Z[q,t].
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from macsym.coeff import ratqt
-from macsym.partitions import compositions
+from macsym.coeff import add_into, ratqt
+from macsym.pairing import inner_pvec
+from macsym.partitions import compositions, dominates, partitions_of
+from macsym.symfunc import m_to_basis
 
 
 def dense_zero(order):
@@ -218,3 +222,26 @@ def schur_bialternant(lam, n):
             else:
                 num.pop(key, None)
     return quo
+
+
+def gram_schmidt(d, specialize=None):
+    """Orthogonal family of degree d by Gram-Schmidt: {lam: (m_coeffs, p_coeffs, norm)}.
+
+    Traverses the partitions of d dominance-smallest first and orthogonalizes
+    m_lam against the strictly dominated members already built, under the
+    (q,t) scalar product or the one `specialize` selects as in
+    `pairing.inner_pvec` ((0, t) gives Hall-Littlewood).  The leading
+    coefficient stays 1; norm is <P_lam, P_lam> under that product.
+    """
+    m2p = m_to_basis("p", d)
+    built = {}
+    for lam in list(partitions_of(d))[::-1]:
+        mvec = {lam: ratqt(1)}
+        pvec = dict(m2p[lam])
+        for mu, (mu_m, mu_p, mu_norm) in built.items():
+            if dominates(lam, mu):
+                c = inner_pvec(pvec, mu_p, specialize) / mu_norm
+                add_into(mvec, mu_m, -c)
+                add_into(pvec, mu_p, -c)
+        built[lam] = (mvec, pvec, inner_pvec(pvec, pvec, specialize))
+    return built

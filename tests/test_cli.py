@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -6,7 +7,7 @@ from macsym import cli, verify
 from macsym.cli import build_parser, main
 from macsym.coeff import emit_ratqt
 from macsym.errors import InternalInconsistency, NotSeriesExpandable
-from macsym.macdonald import b_coeff
+from macsym.macdonald import b_coeff, macdonald_pair
 
 
 def test_expand_json(capsys):
@@ -116,6 +117,18 @@ def test_malformed_partition_exits_2():
     assert exc.value.code == 2
 
 
+def test_partition_weight_above_the_limit_exits_2(capsys):
+    start = time.perf_counter()
+    for argv in (["expand", "--lam", "40"], ["skew", "--lam", "2", "--mu", "40"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "above the limit" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
+    limit = ",".join("1" * cli.MAX_WEIGHT)
+    assert build_parser().parse_args(["expand", "--lam", limit]).lam == (1,) * cli.MAX_WEIGHT
+
+
 def test_negative_degree_exits_2():
     for argv in (["kostka", "--degree", "-1"],
                  ["verify", "--maxweight", "-1"],
@@ -144,24 +157,39 @@ P2_TERMS = [{"partition": [2], "coeff": "1"},
             {"partition": [1, 1], "coeff": "(1 - t + q - q*t)/(1 - q*t)"}]
 
 
-@pytest.mark.parametrize("text", [
-    "{not json",
-    _cache_text([], fmt="other"),
-    _cache_text([{"lambda": [2], "b": "1"}]),  # P_in_m missing
-    _cache_text([{"lambda": [2], "b": "1", "P_in_m": P2_TERMS}]),  # wrong b
-    _cache_text([{"lambda": [1, 1], "b": emit_ratqt(b_coeff((1, 1))),
-                  "P_in_m": [{"partition": [2], "coeff": "1"}]}]),  # not unitriangular
-    _cache_text([{"lambda": [2], "b": "(1+q+t)^1200", "P_in_m": P2_TERMS}]),
-    _cache_text([{"lambda": [2], "b": "1", "P_in_m": [
-        {"partition": [2], "coeff": "(1-q^1000*t^1000)/(1-q^999*t^999)"}]}]),
+def _p21_terms(shift_111):
+    """P_(2,1) as cache terms, with shift_111 added to its m_(1,1,1) coefficient."""
+    P = macdonald_pair((2, 1)).P
+    return [{"partition": list(mu),
+             "coeff": emit_ratqt(c + shift_111 if mu == (1, 1, 1) else c)}
+            for mu, c in sorted(P.terms.items())]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "bad cache file"),
+    (_cache_text([], fmt="other"), "unrecognized cache file"),
+    (_cache_text([{"lambda": [2], "b": "1"}]), "malformed record"),  # P_in_m missing
+    (_cache_text([{"lambda": [2], "b": "1", "P_in_m": P2_TERMS}]), "arm/leg"),  # wrong b
+    (_cache_text([{"lambda": [1, 1], "b": emit_ratqt(b_coeff((1, 1))),
+                   "P_in_m": [{"partition": [2], "coeff": "1"}]}]), "not unitriangular"),
+    (_cache_text([{"lambda": [2], "b": "(1+q+t)^1200", "P_in_m": P2_TERMS}]), "exponent"),
+    (_cache_text([{"lambda": [2], "b": "1", "P_in_m": [
+        {"partition": [2], "coeff": "(1-q^1000*t^1000)/(1-q^999*t^999)"}]}]), "exponent"),
+    # unitriangular with the right b, but not the Macdonald polynomial
+    (_cache_text([{"lambda": [2, 1], "b": emit_ratqt(b_coeff((2, 1))),
+                   "P_in_m": _p21_terms(1)}]), "eigenfunction"),
+    (_cache_text([{"lambda": [2], "b": emit_ratqt(b_coeff((2,))), "P_in_m": [
+        {"partition": [2], "coeff": "1"}, {"partition": [1, 1], "coeff": "1/(1-q)"}]}]),
+     "not a polynomial"),
 ], ids=["malformed-json", "wrong-header", "missing-key", "wrong-b", "not-unitriangular",
-        "power-of-a-sum", "huge-exponent"])
-def test_bad_cache_file_exits_2(tmp_path, capsys, text):
+        "power-of-a-sum", "huge-exponent", "not-an-eigenfunction", "c-times-P-not-polynomial"])
+def test_bad_cache_file_exits_2(tmp_path, capsys, text, message):
     cache = tmp_path / "cache.json"
     cache.write_text(text)
     assert main(["--cache-path", str(cache), "verify", "--suite", "orthogonality",
                  "--maxweight", "2"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
     assert cache.read_text() == text  # a rejected cache is not overwritten
 
 

@@ -1,6 +1,8 @@
 import pytest
 
+import macsym.macdonald as mac
 from macsym.coeff import Q, T, parse_ratqt, ratqt, swap_qt
+from macsym.errors import InternalInconsistency
 from macsym.macdonald import (SPECIALIZE_CASES, b_coeff, dr_apply,
                               dr_commute_check, dr_eigencheck, dr_eigenvalue,
                               hall_littlewood_p, load_cache, macdonald_pair,
@@ -9,6 +11,8 @@ from macsym.macdonald import (SPECIALIZE_CASES, b_coeff, dr_apply,
 from macsym.pairing import inner_qt, omega_qt
 from macsym.partitions import conjugate, partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, evaluate_n, multiply, sym_gen
+
+from oracles import gram_schmidt
 
 
 def test_p_examples():
@@ -33,6 +37,40 @@ def test_unitriangularity():
             assert P.terms[lam] == 1
             for mu in P.terms:
                 assert dominates(lam, mu)
+
+
+def test_constructor_matches_gram_schmidt():
+    for d in range(6):
+        for lam, (mvec, pvec, norm) in gram_schmidt(d).items():
+            pair = macdonald_pair(lam)
+            assert pair.P == SymFunc("m", mvec), lam
+            assert pair.P_p == SymFunc("p", pvec), lam
+            assert pair.norm == norm, lam
+            assert pair.b == 1 / norm, lam
+            assert pair.Qf == SymFunc("p", pvec).scale(1 / norm), lam
+
+
+def test_zero_mode_is_triangular_with_eigenvalue_diagonal():
+    from macsym.coeff import RING
+    from macsym.partitions import dominates
+    q, t = RING.gens
+    for d in range(6):
+        rows = mac.zero_mode(d)
+        for nu, row in rows.items():
+            assert all(dominates(nu, mu) for mu in row)
+            eps = t ** d + (t - 1) * sum(((q ** part - 1) * t ** (d - i)
+                                          for i, part in enumerate(nu, 1)), RING.zero)
+            assert row[nu] == eps
+
+
+def test_perturbed_zero_mode_raises(monkeypatch):
+    rows = {nu: dict(row) for nu, row in mac.zero_mode(3).items()}
+    rows[(2, 1)][(1, 1, 1)] += 1
+    monkeypatch.setattr(mac, "zero_mode", lambda d: rows)
+    monkeypatch.setattr(mac, "_PAIRS", {})
+    with pytest.raises(InternalInconsistency, match="exact quotient"):
+        macdonald_pair((2, 1))
+    assert mac._PAIRS == {}
 
 
 def test_orthogonality_small():
@@ -135,6 +173,12 @@ def test_hall_littlewood_reference():
     P = hall_littlewood_p((2, 1))
     spec = P.map_coeffs(lambda c: substitute(c, T, T))  # identity; stays exact
     assert spec.terms[(2, 1)] == 1
+
+
+def test_hall_littlewood_matches_gram_schmidt():
+    for d in range(6):
+        for lam, (mvec, _, _) in gram_schmidt(d, (0, T)).items():
+            assert hall_littlewood_p(lam) == SymFunc("m", mvec), lam
 
 
 def test_cache_round_trip(tmp_path):
