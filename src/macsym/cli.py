@@ -3,8 +3,9 @@
 Subcommands: expand, norm, skew, kostka, integral, verify.  Exit status is 0
 when every requested check passes, 1 on an identity failure (the first
 counterexample is printed), 2 on usage errors such as malformed partitions,
-a partition of weight above MAX_WEIGHT, a negative number, a norm in fewer
-variables than parts, or a --cache-path file that cannot be read or written,
+a partition, --degree or --maxweight above MAX_WEIGHT, a negative number, a
+norm in fewer variables than parts, or a --cache-path file that cannot be
+read, written or trusted (a record of weight above MAX_WEIGHT included),
 and 3 on an internal inconsistency (two routes that must agree did not: a
 bug in macsym, not a counterexample).
 """
@@ -17,14 +18,11 @@ from . import ctengine, kostka, macdonald, verify
 from .coeff import emit_ratqt
 from .errors import InternalInconsistency, MacsymError
 from .macdonald import macdonald_pair
-from .partitions import format_partition, parse_partition, partitions_of, weight
+from .partitions import (MAX_WEIGHT, format_partition, parse_partition, partitions_of,
+                         weight)
 from .symfunc import convert
 
 DEFAULT_ORDER = 6
-# Largest weight of a --lam or --mu partition: the largest weight whose whole
-# P/Q family builds in about 25 s on a 2-vCPU VM (weight 8: 7-9 s, weight 9:
-# about 28 s).  Larger weights exit 2 before any build; library calls are unbounded.
-MAX_WEIGHT = 8
 
 
 def _partition_arg(text):
@@ -45,6 +43,13 @@ def _degree_arg(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _weight_arg(text):
+    value = _degree_arg(text)
+    if value > MAX_WEIGHT:
+        raise argparse.ArgumentTypeError(f"weight {value} is above the limit {MAX_WEIGHT}")
     return value
 
 
@@ -265,7 +270,7 @@ def build_parser():
     p.set_defaults(func=cmd_skew)
 
     p = sub.add_parser("kostka", help="Kostka table for a degree")
-    p.add_argument("--degree", type=_degree_arg, required=True)
+    p.add_argument("--degree", type=_weight_arg, required=True)
     p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     p.set_defaults(func=cmd_kostka)
 
@@ -278,7 +283,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", default="all",
                    choices=sorted(verify.SUITES) + ["all"])
-    p.add_argument("--maxweight", type=_degree_arg, default=None)
+    p.add_argument("--maxweight", type=_weight_arg, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--order", type=_degree_arg, default=None,
                    help="series order; suites pick their own defaults when unset")

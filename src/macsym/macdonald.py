@@ -27,8 +27,8 @@ from .coeff import (FIELD, Q, RING, T, RatQT, add_into, emit_ratqt, parse_ratqt,
                     ratqt, substitute)
 from .errors import InternalInconsistency
 from .pairing import inner_qt, z_plain
-from .partitions import (as_partition, arm_leg, cells, conjugate, dominates,
-                         partitions_of, weight)
+from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
+                         dominates, partitions_of, weight)
 from .symfunc import (NPoly, SymFunc, _perm_sign, basis_to_m, convert, evaluate_n,
                       m_to_basis, multiply, npoly_divexact, sym_gen)
 
@@ -254,21 +254,24 @@ def hall_littlewood_p(lam):
 # shift operators
 # ---------------------------------------------------------------------------
 
+def _unit(n, i):
+    e = [0] * n
+    e[i] = 1
+    return tuple(e)
+
+
 @lru_cache(maxsize=None)
 def _vandermonde(n):
-    out = NPoly.constant(n, ratqt(1))
-    for u in range(n):
-        for v in range(u + 1, n):
-            eu, ev = [0] * n, [0] * n
-            eu[u] = 1
-            ev[v] = 1
-            out = out * NPoly(n, {tuple(eu): ratqt(1), tuple(ev): ratqt(-1)})
+    """prod_{u<v} (x_u - x_v) over Z[q,t]; its lex-leading coefficient is 1."""
+    out = NPoly.constant(n, RING.one)
+    for u, v in combinations(range(n), 2):
+        out = out * NPoly(n, {_unit(n, u): RING.one, _unit(n, v): -RING.one})
     return out
 
 
 @lru_cache(maxsize=None)
 def _dr_prefactors(n, r):
-    """Per-subset numerators of D_r with the Vandermonde denominator cleared.
+    """Per-subset numerators of D_r over Z[q,t], with the Vandermonde denominator cleared.
 
     For each r-subset I this is  sign * prod_{i in I, j not in I} (t x_i - x_j)
     * prod_{u<v not split by I} (x_u - x_v),  so that summing prefactor * f(q x_I)
@@ -277,81 +280,102 @@ def _dr_prefactors(n, r):
     out = []
     for subset in combinations(range(n), r):
         inside = set(subset)
-        poly = NPoly.constant(n, ratqt(1))
+        poly = NPoly.constant(n, RING.one)
         sign = 1
-        for u in range(n):
-            for v in range(u + 1, n):
-                eu, ev = [0] * n, [0] * n
-                eu[u] = 1
-                ev[v] = 1
-                eu, ev = tuple(eu), tuple(ev)
-                u_in, v_in = u in inside, v in inside
-                if u_in and not v_in:
-                    poly = poly * NPoly(n, {eu: T, ev: ratqt(-1)})
-                elif v_in and not u_in:
-                    poly = poly * NPoly(n, {ev: T, eu: ratqt(-1)})
-                    sign = -sign
-                else:
-                    poly = poly * NPoly(n, {eu: ratqt(1), ev: ratqt(-1)})
-        if sign < 0:
-            poly = poly.scale(ratqt(-1))
-        out.append((subset, poly))
+        for u, v in combinations(range(n), 2):
+            eu, ev = _unit(n, u), _unit(n, v)
+            u_in, v_in = u in inside, v in inside
+            if u_in and not v_in:
+                poly = poly * NPoly(n, {eu: _t, ev: -RING.one})
+            elif v_in and not u_in:
+                poly = poly * NPoly(n, {ev: _t, eu: -RING.one})
+                sign = -sign
+            else:
+                poly = poly * NPoly(n, {eu: RING.one, ev: -RING.one})
+        out.append((subset, poly if sign > 0 else -poly))
     return out
 
 
-def dr_apply(r, f, n):
-    """Apply the r-th Macdonald shift operator to a polynomial in n variables.
+def _dr_apply_ring(r, F, n):
+    """D_r on a polynomial F in n variables with coefficients in Z[q,t].
 
-    The sum over subsets is cleared of denominators and divided exactly by the
-    Vandermonde at the end; a nonzero remainder signals a bug.
+    The sum over r-subsets I of prefactor_I * F(q x_I) is divided exactly by
+    the Vandermonde; a remainder raises InternalInconsistency.
     """
-    if not 1 <= r <= n or f.n != n:
-        raise ValueError(f"D_{r} needs 1 <= r <= n = {n} and a polynomial in n variables")
-    qpow = {}
-    total = NPoly(n)
+    total = {}
     for subset, pref in _dr_prefactors(n, r):
         shifted = NPoly(n)
-        for e, c in f.terms.items():
-            k = sum(e[i] for i in subset)
-            if k not in qpow:
-                qpow[k] = Q ** k
-            shifted.terms[e] = c * qpow[k]
-        total = total + pref * shifted
-    total = total.scale(T ** (r * (r - 1) // 2))
+        for e, c in F.terms.items():
+            shifted.terms[e] = c.mul_monom((sum(e[i] for i in subset), 0))
+        add_into(total, (pref * shifted).terms)
+    out = NPoly(n, total).scale(_t ** (r * (r - 1) // 2))
     try:
-        return npoly_divexact(total, _vandermonde(n)) if n > 1 else total
+        return npoly_divexact(out, _vandermonde(n)) if n > 1 else out
     except ArithmeticError as exc:
         raise InternalInconsistency("shift-operator sum is not divisible "
                                     "by the Vandermonde") from exc
 
 
+def _check_dr_args(r, f, n):
+    if not 1 <= r <= n or f.n != n:
+        raise ValueError(f"D_{r} needs 1 <= r <= n = {n} and a polynomial in n variables")
+
+
+def _cleared(terms):
+    """(den, {key: element of Z[q,t]}) with terms[key] = cleared[key] / den."""
+    coeffs = {key: ratqt(c) for key, c in terms.items()}
+    den = RING.one
+    for d in {c.denom for c in coeffs.values()}:
+        den = den.lcm(d)
+    return den, {key: c.numer * den.exquo(c.denom) for key, c in coeffs.items()}
+
+
+def dr_apply(r, f, n):
+    """Apply the r-th Macdonald shift operator to f, a polynomial in n variables over Q(q,t).
+
+    f is cleared to Z[q,t] over one common denominator, the operator runs in
+    the ring, and each output coefficient is reduced into Q(q,t) once.
+    """
+    _check_dr_args(r, f, n)
+    den, F = _cleared(f.terms)
+    out = _dr_apply_ring(r, NPoly(n, F), n)
+    return NPoly(n, {e: FIELD.new(c, den) for e, c in out.terms.items()})
+
+
 def dr_eigenvalue(lam, r, n):
     """e_r of the spectrum (t^(n-1) q^lam_1, ..., t^0 q^lam_n)."""
     lam = as_partition(lam)
-    vals = [T ** (n - i) * Q ** (lam[i - 1] if i <= len(lam) else 0)
+    vals = [_t ** (n - i) * _q ** (lam[i - 1] if i <= len(lam) else 0)
             for i in range(1, n + 1)]
-    total = ratqt(0)
+    total = RING.zero
     for subset in combinations(vals, r):
-        prod = ratqt(1)
+        prod = RING.one
         for v in subset:
-            prod = prod * v
-        total = total + prod
-    return total
+            prod *= v
+        total += prod
+    return FIELD(total)
 
 
 def dr_eigencheck(lam, r, n):
-    """Exact check of D_r P_lam = e_r(spectrum) P_lam in n variables."""
+    """Exact check of D_r P_lam = e_r(spectrum) P_lam in n variables.
+
+    The session's P_lam in n variables is cleared to J over Z[q,t], and
+    D_r J = e_r J is checked in the ring.
+    """
     lam = as_partition(lam)
     if len(lam) > n or not 1 <= r <= n:
         raise ValueError(f"eigen check needs len(lambda) <= n = {n} and 1 <= r <= n")
-    P = evaluate_n(macdonald_pair(lam).P, n)
-    return dr_apply(r, P, n) == P.scale(dr_eigenvalue(lam, r, n))
+    J = NPoly(n, _cleared(evaluate_n(macdonald_pair(lam).P, n).terms)[1])
+    return _dr_apply_ring(r, J, n) == J.scale(dr_eigenvalue(lam, r, n).numer)
 
 
 def dr_commute_check(r, s, f, n):
-    """[D_r, D_s] f = 0, exactly."""
-    a = dr_apply(r, dr_apply(s, f, n), n)
-    b = dr_apply(s, dr_apply(r, f, n), n)
+    """[D_r, D_s] f = 0, exactly, on f cleared to Z[q,t]."""
+    _check_dr_args(r, f, n)
+    _check_dr_args(s, f, n)
+    F = NPoly(n, _cleared(f.terms)[1])
+    a = _dr_apply_ring(r, _dr_apply_ring(s, F, n), n)
+    b = _dr_apply_ring(s, _dr_apply_ring(r, F, n), n)
     return a == b
 
 
@@ -460,9 +484,11 @@ def save_cache(path):
 def load_cache(path):
     """Install cached pairs; returns the number of records loaded.
 
-    Every record is checked against the construction: b must equal the arm/leg
-    product, P must be unitriangular, J = c_lam P must have coefficients in
-    Z[q,t], and J must satisfy the eigenfunction equation t^d E J = eps_lam J.
+    A record of weight above MAX_WEIGHT is rejected before any table is built.
+    Every other record is checked against the construction: b must equal the
+    arm/leg product, P must be unitriangular, J = c_lam P must have
+    coefficients in Z[q,t], and J must satisfy the eigenfunction equation
+    t^d E J = eps_lam J.
     The pair is then rebuilt from J as a built pair is.  A malformed file or
     a record that fails raises ValueError, and then no pair from the file is
     installed.
@@ -481,6 +507,9 @@ def load_cache(path):
             b = parse_ratqt(rec["b"])
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed record in cache file {path}: {exc!r}") from exc
+        if weight(lam) > MAX_WEIGHT:
+            raise ValueError(f"record {lam} has weight {weight(lam)}, above the limit "
+                             f"{MAX_WEIGHT}")
         if b != b_coeff(lam):
             raise ValueError(f"b of {lam} is not the arm/leg product")
         if P.get(lam) != 1 or not all(dominates(lam, mu) for mu in P):

@@ -6,6 +6,11 @@ empty partition.  Cells are indexed 1-based as (row, column).
 
 from .errors import CellOutOfDiagram, EmptyPartition
 
+# Largest weight the CLI and the cache loader accept: the largest weight whose
+# whole P/Q family builds in about 25 s on a 2-vCPU VM (weight 8: 7-9 s, weight
+# 9: about 28 s).  Library calls are unbounded.
+MAX_WEIGHT = 8
+
 
 def as_partition(seq):
     """Validate and normalize an iterable into a partition tuple (zeros stripped)."""

@@ -9,6 +9,7 @@ multiplication and for every scalar product in the package.
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.utilities.iterables import multiset_permutations
 
 from .coeff import add_into, invert, ratqt
@@ -95,8 +96,9 @@ class NPoly:
 def npoly_divexact(num, den):
     """Exact division of multivariate polynomials (lex term order).
 
-    Raises ArithmeticError when the division leaves a remainder; callers treat
-    that as an internal inconsistency.
+    Coefficients may lie in Q(q,t) or in Z[q,t].  Raises ArithmeticError when
+    the division leaves a remainder, or when a Z[q,t] coefficient does not
+    divide; callers treat that as an internal inconsistency.
     """
     num._check_n(den)
     if not den:
@@ -110,7 +112,10 @@ def npoly_divexact(num, den):
         e = tuple(a - b for a, b in zip(lead_r, lead_d))
         if any(x < 0 for x in e):
             raise ArithmeticError("nonzero remainder in exact polynomial division")
-        c = rem[lead_r] / cd
+        try:
+            c = rem[lead_r] / cd
+        except ExactQuotientFailed as exc:  # ring coefficients that do not divide
+            raise ArithmeticError("nonzero remainder in exact polynomial division") from exc
         quo[e] = c
         add_into(rem, {tuple(a + b for a, b in zip(e, ed)): cdd
                        for ed, cdd in den.terms.items()}, -c)

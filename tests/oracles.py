@@ -4,17 +4,18 @@ Everything here is deliberately written against a different representation
 (dense triangular arrays of Fractions indexed [q-power][t-power]) than the
 package's sparse series type, so the two can check each other.  The kernel
 oracle enumerates whole matrices where the package recurses on sorted margins,
-and the Macdonald oracle orthogonalizes in Q(q,t) where the package solves the
-zero-mode eigenvector equation over Z[q,t].
+the Macdonald oracle orthogonalizes in Q(q,t) where the package solves the
+zero-mode eigenvector equation over Z[q,t], and the shift-operator oracle does
+every coefficient operation in Q(q,t) where the package works in Z[q,t].
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
-from macsym.coeff import add_into, ratqt
+from macsym.coeff import Q, T, add_into, ratqt
 from macsym.pairing import inner_pvec
 from macsym.partitions import compositions, dominates, partitions_of
-from macsym.symfunc import m_to_basis
+from macsym.symfunc import NPoly, m_to_basis, npoly_divexact
 
 
 def dense_zero(order):
@@ -245,3 +246,38 @@ def gram_schmidt(d, specialize=None):
                 add_into(pvec, mu_p, -c)
         built[lam] = (mvec, pvec, inner_pvec(pvec, pvec, specialize))
     return built
+
+
+def _field_linear(n, u, cu, v, cv):
+    """cu x_u + cv x_v as an NPoly over Q(q,t)."""
+    eu, ev = [0] * n, [0] * n
+    eu[u] = 1
+    ev[v] = 1
+    return NPoly(n, {tuple(eu): ratqt(cu), tuple(ev): ratqt(cv)})
+
+
+def dr_apply_field(r, f, n):
+    """D_r f with every coefficient operation in Q(q,t): the reference shift operator.
+
+    Sums sign_I * prod_{i in I, j not in I} (t x_i - x_j) * prod_{u<v not split
+    by I} (x_u - x_v) * f(q x_I) over r-subsets I, scales by t^(r(r-1)/2) and
+    divides by the Vandermonde prod_{u<v} (x_u - x_v).
+    """
+    vandermonde = NPoly.constant(n, ratqt(1))
+    for u, v in combinations(range(n), 2):
+        vandermonde = vandermonde * _field_linear(n, u, 1, v, -1)
+    total = NPoly(n)
+    for subset in combinations(range(n), r):
+        pref = NPoly.constant(n, ratqt(1))
+        for u, v in combinations(range(n), 2):
+            if u in subset and v not in subset:
+                pref = pref * _field_linear(n, u, T, v, -1)
+            elif v in subset and u not in subset:
+                pref = pref * _field_linear(n, v, T, u, -1).scale(ratqt(-1))
+            else:
+                pref = pref * _field_linear(n, u, 1, v, -1)
+        shifted = NPoly(n, {e: ratqt(c) * Q ** sum(e[i] for i in subset)
+                            for e, c in f.terms.items()})
+        total = total + pref * shifted
+    total = total.scale(T ** (r * (r - 1) // 2))
+    return npoly_divexact(total, vandermonde) if n > 1 else total

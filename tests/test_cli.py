@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from macsym import cli, verify
 from macsym.cli import build_parser, main
@@ -129,6 +132,35 @@ def test_partition_weight_above_the_limit_exits_2(capsys):
     assert build_parser().parse_args(["expand", "--lam", limit]).lam == (1,) * cli.MAX_WEIGHT
 
 
+def test_degree_and_maxweight_above_the_limit_exit_2(capsys):
+    start = time.perf_counter()
+    for argv in (["kostka", "--degree", "12"],
+                 ["verify", "--suite", "orthogonality", "--maxweight", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "above the limit" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
+    limit = str(cli.MAX_WEIGHT)
+    assert build_parser().parse_args(["kostka", "--degree", limit]).degree == cli.MAX_WEIGHT
+    args = build_parser().parse_args(["verify", "--maxweight", limit])
+    assert args.maxweight == cli.MAX_WEIGHT
+
+
+def test_broken_shift_operator_exits_3(monkeypatch, capsys):
+    # a divisor whose lead coefficient 1 + q divides nothing in the sum
+    from macsym import macdonald
+    from macsym.coeff import RING
+    from macsym.symfunc import NPoly
+    q, t = RING.gens
+    monkeypatch.setattr(macdonald, "_vandermonde",
+                        lambda n: NPoly(n, {(1,) + (0,) * (n - 1): 1 + q,
+                                            (0, 1) + (0,) * (n - 2): -RING.one}))
+    assert main(["verify", "--suite", "eigen", "--maxweight", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal inconsistency: "), err
+
+
 def test_negative_degree_exits_2():
     for argv in (["kostka", "--degree", "-1"],
                  ["verify", "--maxweight", "-1"],
@@ -181,13 +213,19 @@ def _p21_terms(shift_111):
     (_cache_text([{"lambda": [2], "b": emit_ratqt(b_coeff((2,))), "P_in_m": [
         {"partition": [2], "coeff": "1"}, {"partition": [1, 1], "coeff": "1/(1-q)"}]}]),
      "not a polynomial"),
+    # passes the b and unitriangularity checks; the weight-12 tables would take hours
+    (_cache_text([{"lambda": [12], "b": emit_ratqt(b_coeff((12,))),
+                   "P_in_m": [{"partition": [12], "coeff": "1"}]}]), "above the limit"),
 ], ids=["malformed-json", "wrong-header", "missing-key", "wrong-b", "not-unitriangular",
-        "power-of-a-sum", "huge-exponent", "not-an-eigenfunction", "c-times-P-not-polynomial"])
+        "power-of-a-sum", "huge-exponent", "not-an-eigenfunction", "c-times-P-not-polynomial",
+        "weight-above-the-limit"])
 def test_bad_cache_file_exits_2(tmp_path, capsys, text, message):
     cache = tmp_path / "cache.json"
     cache.write_text(text)
+    start = time.perf_counter()
     assert main(["--cache-path", str(cache), "verify", "--suite", "orthogonality",
                  "--maxweight", "2"]) == 2
+    assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert cache.read_text() == text  # a rejected cache is not overwritten
@@ -225,3 +263,21 @@ def test_cache_path_round_trip(tmp_path, capsys):
     data = json.loads(cache.read_text())
     assert any(rec["lambda"] == [2, 1] for rec in data["records"])
     assert main(["--cache-path", str(cache), "expand", "--lam", "2,1"]) == 0
+
+
+ARGV_WORDS = ["expand", "norm", "skew", "kostka", "integral", "verify", "--lam", "--mu",
+              "--degree", "--maxweight", "--order", "--n", "--suite", "--format",
+              "--what", "--basis", "--dual", "--cache-path", "--help", "-h", "all",
+              "eigen", "json", "tsv", "P", "p", "0", "1", "2,1", "-1", "8", "9", "12",
+              "1,2", "x", "", "3,3,3", "1e3"]
+
+
+@given(st.lists(st.sampled_from(ARGV_WORDS) | st.integers(-20, 20).map(str), max_size=6))
+def test_fuzzed_argv_parses_or_exits_0_or_2(argv):
+    # parse only: no command runs
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2), (argv, exc.code)

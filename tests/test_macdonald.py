@@ -12,7 +12,7 @@ from macsym.pairing import inner_qt, omega_qt
 from macsym.partitions import conjugate, partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, evaluate_n, multiply, sym_gen
 
-from oracles import gram_schmidt
+from oracles import dr_apply_field, gram_schmidt
 
 
 def test_p_examples():
@@ -96,6 +96,33 @@ def test_dr_examples():
     assert dr_eigencheck((1,), 1, 2)
     assert dr_eigenvalue((1,), 1, 2) == T * Q + 1
     assert dr_eigencheck((2, 1), 2, 3)
+
+
+def test_dr_apply_matches_field_oracle():
+    inputs = [sym_gen("m", mu) for d in range(4) for mu in partitions_of(d)]
+    inputs += [macdonald_pair(lam).P for d in range(4) for lam in partitions_of(d)]
+    for n in (1, 2, 3):
+        for f in inputs:
+            F = evaluate_n(f, n)
+            for r in range(1, n + 1):
+                assert dr_apply(r, F, n) == dr_apply_field(r, F, n), (f, r, n)
+
+
+def test_dr_eigencheck_fails_for_a_wrong_eigenvalue(monkeypatch):
+    eigenvalue = mac.dr_eigenvalue
+    monkeypatch.setattr(mac, "dr_eigenvalue", lambda *a: eigenvalue(*a) + 1)
+    for lam, r, n in (((1,), 1, 2), ((2, 1), 2, 3), ((), 1, 1)):
+        assert not dr_eigencheck(lam, r, n), (lam, r, n)
+
+
+def test_perturbed_dr_prefactor_raises(monkeypatch):
+    prefactors = list(mac._dr_prefactors(3, 1))
+    subset, pref = prefactors[0]
+    e = max(pref.terms)
+    prefactors[0] = (subset, NPoly(3, {**pref.terms, e: pref.terms[e] + 1}))
+    monkeypatch.setattr(mac, "_dr_prefactors", lambda n, r: prefactors)
+    with pytest.raises(InternalInconsistency, match="not divisible"):
+        dr_apply(1, evaluate_n(sym_gen("m", (2, 1)), 3), 3)
 
 
 def test_dr_eigenvalue_full_subset():

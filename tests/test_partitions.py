@@ -145,3 +145,12 @@ def test_parse_format():
         parse_partition("2,-1")
     with pytest.raises(ValueError):
         as_partition((1, -1))
+
+
+@given(st.text(alphabet="0123456789,()[] -+_x.", max_size=20) | st.text(max_size=12))
+def test_fuzzed_parse_partition_returns_a_partition_or_raises_value_error(text):
+    try:
+        lam = parse_partition(text)
+    except ValueError:
+        return
+    assert as_partition(lam) == lam

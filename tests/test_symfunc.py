@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from macsym.coeff import ratqt
+from macsym.coeff import RING, ratqt
 from macsym.errors import NotSymmetric, UnstableRange
 from macsym.partitions import partitions_of
 from macsym.symfunc import (NPoly, SymFunc, convert, evaluate_n, from_poly,
@@ -110,6 +110,15 @@ def test_npoly_divexact():
     with pytest.raises(ArithmeticError):
         npoly_divexact(NPoly(2, {(1, 0): ratqt(1)}),
                        NPoly(2, {(0, 1): ratqt(1)}))
+
+
+def test_npoly_divexact_ring_coefficient_that_does_not_divide():
+    # sympy's ExactQuotientFailed is not an ArithmeticError; it must not escape
+    q, t = RING.gens
+    with pytest.raises(ArithmeticError):
+        npoly_divexact(NPoly(1, {(1,): q}), NPoly(1, {(1,): 1 + q}))
+    assert npoly_divexact(NPoly(1, {(1,): q + q * q}),
+                          NPoly(1, {(1,): 1 + q})).terms == {(0,): q}
 
 
 def test_inhomogeneous_conversion():
