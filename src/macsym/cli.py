@@ -3,11 +3,12 @@
 Subcommands: expand, norm, skew, kostka, integral, verify.  Exit status is 0
 when every requested check passes, 1 on an identity failure (the first
 counterexample is printed), 2 on usage errors such as malformed partitions,
-a partition, --degree or --maxweight above MAX_WEIGHT, a negative number, a
-norm in fewer variables than parts, or a --cache-path file that cannot be
-read, written or trusted (a record of weight above MAX_WEIGHT included),
-and 3 on an internal inconsistency (two routes that must agree did not: a
-bug in macsym, not a counterexample).
+a partition, --degree or --maxweight above MAX_WEIGHT, an integral partition
+above MAX_INTEGRAL_WEIGHT, --order above MAX_ORDER, norm --n above MAX_N, a
+negative number, a norm in fewer variables than parts, or a --cache-path
+file that cannot be read, written or trusted (a record of weight above
+MAX_WEIGHT included), and 3 on an internal inconsistency (two routes that
+must agree did not: a bug in macsym, not a counterexample).
 """
 
 import argparse
@@ -23,6 +24,14 @@ from .partitions import (MAX_WEIGHT, format_partition, parse_partition, partitio
 from .symfunc import convert
 
 DEFAULT_ORDER = 6
+# Ceilings picked, as MAX_WEIGHT was, from the largest inputs whose worst case
+# runs within about 10 s on a 2-vCPU VM.  An integral of weight w runs the
+# Delta kernel over up to w variables: (1^5) at order 10 takes about 9.5 s,
+# (1^6) at order 6 about 20 s, and weight 7 in five parts over 40 s at the
+# default order.  norm --lam 8 --n 200 --order 10 takes about 7 s.
+MAX_ORDER = 10
+MAX_INTEGRAL_WEIGHT = 5
+MAX_N = 200
 
 
 def _partition_arg(text):
@@ -30,27 +39,46 @@ def _partition_arg(text):
         lam = parse_partition(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if weight(lam) > MAX_WEIGHT:
-        raise argparse.ArgumentTypeError(
-            f"partition weight {weight(lam)} is above the limit {MAX_WEIGHT}")
+    _bounded(weight(lam), MAX_WEIGHT, "partition weight")
     return lam
 
 
-def _degree_arg(text):
+def _int_arg(text):
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _degree_arg(text):
+    value = _int_arg(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
-def _weight_arg(text):
-    value = _degree_arg(text)
-    if value > MAX_WEIGHT:
-        raise argparse.ArgumentTypeError(f"weight {value} is above the limit {MAX_WEIGHT}")
+def _integral_partition_arg(text):
+    lam = _partition_arg(text)
+    _bounded(weight(lam), MAX_INTEGRAL_WEIGHT, "integral partition weight")
+    return lam
+
+
+def _bounded(value, limit, what):
+    if value > limit:
+        raise argparse.ArgumentTypeError(f"{what} {value} is above the limit {limit}")
     return value
+
+
+def _order_arg(text):
+    return _bounded(_degree_arg(text), MAX_ORDER, "order")
+
+
+def _n_arg(text):
+    return _bounded(_int_arg(text), MAX_N, "n")
+
+
+def _weight_arg(text):
+    return _bounded(_degree_arg(text), MAX_WEIGHT, "weight")
 
 
 def _term_list(f):
@@ -230,8 +258,11 @@ def cmd_verify(args):
     _emit(args, payload)
     if failures:
         first = failures[0]
-        print(f"counterexample: {first['identity']} {first['parameters']}",
-              file=sys.stderr)
+        line = f"counterexample: {first['identity']} {first['parameters']}"
+        if detail := first.get("detail"):
+            at = f" at {detail['key']}" if "key" in detail else ""
+            line += f"; first difference{at}: got {detail['got']}, want {detail['want']}"
+        print(line, file=sys.stderr)
         return 1
     return 0
 
@@ -248,7 +279,7 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--order", type=_degree_arg, default=DEFAULT_ORDER)
+        p.add_argument("--order", type=_order_arg, default=DEFAULT_ORDER)
 
     p = sub.add_parser("expand", help="expand P/Q/M/S bases")
     p.add_argument("--lam", "--lambda", dest="lam", type=_partition_arg, required=True)
@@ -259,7 +290,7 @@ def build_parser():
 
     p = sub.add_parser("norm", help="norms: b, <P,P>, and the primed closed form")
     p.add_argument("--lam", "--lambda", dest="lam", type=_partition_arg, required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_n_arg, default=None)
     add_common(p)
     p.set_defaults(func=cmd_norm)
 
@@ -275,7 +306,8 @@ def build_parser():
     p.set_defaults(func=cmd_kostka)
 
     p = sub.add_parser("integral", help="nested-integral reproduction of P")
-    p.add_argument("--lam", "--lambda", dest="lam", type=_partition_arg, required=True)
+    p.add_argument("--lam", "--lambda", dest="lam", type=_integral_partition_arg,
+                   required=True)
     p.add_argument("--dual", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_integral)
@@ -285,7 +317,7 @@ def build_parser():
                    choices=sorted(verify.SUITES) + ["all"])
     p.add_argument("--maxweight", type=_weight_arg, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--order", type=_degree_arg, default=None,
+    p.add_argument("--order", type=_order_arg, default=None,
                    help="series order; suites pick their own defaults when unset")
     p.set_defaults(func=cmd_verify)
 

@@ -16,6 +16,13 @@ divisors, so val(a*b) = val(a) + val(b) whenever that sum is at most M, and the
 truncated product is 0 otherwise: the engine decides from valuations alone
 which products it keeps, and forms only those.
 
+Inside the Delta kernel a coefficient q^a t^b sits at the integer key
+(a+b)(M+1) + a.  As 0 <= a <= a+b, keys add without carry: the key of a
+product is the sum of the keys while its total degree is at most M, and
+that sum reaches (M+1)^2 exactly when the degree exceeds M, so one integer
+comparison decides truncation and products sum in place in one list per
+target exponent.
+
 The positive kernels never need their own variables: the coefficient of
 y^(-a) in Pi(x, 1/y) is the product of single-variable strata g_{a_j}(x)
 (and e_{a_j} for the finite dual kernel), so integral transforms collect
@@ -90,6 +97,11 @@ def delta_pair_series(order):
     return out
 
 
+def _packed(s, width):
+    """A series as its (key, coefficient) list, key (a+b)*width + a, ascending."""
+    return sorted(((a + b) * width + a, c) for (a, b), c in s.coeffs.items())
+
+
 def _accumulate_delta(seeds, nvars, order, lo, hi, total):
     """Multiply Delta(y_1..y_nvars) onto seed Laurent terms, windowed.
 
@@ -98,12 +110,25 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
     exponent is bounded through the remaining valuation budget.  That budget
     is order - val(ce) - val(cd) = order - val(ce * cd) by valuation
     additivity, so a pair is pruned before its product is formed.
+
+    One fused kernel: with W = order + 1, q^a t^b is packed deg-major as the
+    key (a+b)*W + a.  Since a <= a+b, the key of a product of two terms is
+    the sum of their keys, with no carry while the total degree is at most
+    the order, and the product survives truncation exactly when that sum is
+    below W*W.  So each pair factor is packed and sorted once, every target
+    exponent of a pair step owns one list accumulator of W*W slots, and each
+    left term's products stop at its room W*W - key.  Between steps a term
+    is its ascending sparse list, whose valuation is first_key // W; series
+    are built only for the terms in the final window.
     """
     for e in seeds:
         if sum(e) != total:
             raise WindowTooSmall(f"seed exponent {e} has total {sum(e)} != {total}")
+    width = order + 1
+    size = width * width
     pairs = [(i, j) for i in range(nvars) for j in range(i + 1, nvars)]
-    series = [(d, cd, cd.valuation()) for d, cd in sorted(delta_pair_series(order).items())]
+    series = [(d, cd.valuation(), _packed(cd, width))
+              for d, cd in sorted(delta_pair_series(order).items())]
     remain = []
     cnt = [0] * nvars
     for i, j in reversed(pairs):
@@ -111,14 +136,18 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
         cnt[i] += 1
         cnt[j] += 1
     remain.reverse()
-    terms = {e: c for e, c in seeds.items() if c}
+    terms = {}
+    for e, c in seeds.items():
+        if c.order != order:
+            raise ValueError(f"seed series order {c.order} != {order}")
+        if c:
+            terms[e] = _packed(c, width)
     for step, (i, j) in enumerate(pairs):
         touch = remain[step]
-        nxt = {}
-        for e, ce in terms.items():
-            ve = ce.valuation()
-            row = {}
-            for d, cd, vd in series:
+        accs = {}
+        for e, left in terms.items():
+            ve = left[0][0] // width
+            for d, vd, right in series:
                 slack = order - ve - vd
                 if slack < 0:
                     continue
@@ -128,11 +157,28 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
                 if lo - fi <= ei <= hi + fi and lo - fj <= ej <= hi + fj:
                     ne = list(e)
                     ne[i], ne[j] = ei, ej
-                    row[tuple(ne)] = ce * cd
-            add_into(nxt, row)
-        terms = nxt
-    return {e: c for e, c in terms.items()
-            if all(lo <= x <= hi for x in e)}
+                    ne = tuple(ne)
+                    acc = accs.get(ne)
+                    if acc is None:
+                        acc = accs[ne] = [0] * size
+                    for k1, c1 in left:
+                        room = size - k1
+                        for k2, c2 in right:
+                            if k2 >= room:
+                                break
+                            acc[k1 + k2] += c1 * c2
+        terms = {}
+        for e, acc in accs.items():
+            if nz := [(k, c) for k, c in enumerate(acc) if c]:
+                terms[e] = nz
+    out = {}
+    for e, nz in terms.items():
+        if all(lo <= x <= hi for x in e):
+            s = out[e] = QTSeries(order)
+            for k, c in nz:
+                deg, a = divmod(k, width)
+                s.coeffs[(a, deg - a)] = c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -198,11 +244,16 @@ def norm_prime_product(lam, n):
     return out
 
 
-def ct_norm_check(lam, n, order):
-    """Series equality of the constant-term norm against its product form."""
+def ct_norm_sides(lam, n, order):
+    """(<P_lam, P_lam>'_n by the constant term, its product form), as series."""
     rhs = norm_prime_product(lam, n).to_series(order)
     P = macdonald_pair(lam).P
-    lhs = scalar_prime(P, P, n, order)
+    return scalar_prime(P, P, n, order), rhs
+
+
+def ct_norm_check(lam, n, order):
+    """Series equality of the constant-term norm against its product form."""
+    lhs, rhs = ct_norm_sides(lam, n, order)
     return lhs == rhs
 
 
@@ -363,14 +414,22 @@ def expected_p_series(lam, order, swapped=False):
     return {nu: s for nu, c in src.terms.items() if (s := series_of(c, order))}
 
 
+def integral_rep_sides(lam, order, dual=False):
+    """(nested-integral p-basis series of P_lam or of its dual, the expected ones)."""
+    if dual:
+        return (integral_rep_P_dual(lam, order).terms,
+                expected_p_series(conjugate(lam), order, swapped=True))
+    return integral_rep_P(lam, order).terms, expected_p_series(lam, order)
+
+
 def integral_rep_check(lam, order):
-    got = integral_rep_P(lam, order)
-    return got.terms == expected_p_series(lam, order)
+    got, want = integral_rep_sides(lam, order)
+    return got == want
 
 
 def integral_rep_dual_check(lam, order):
-    got = integral_rep_P_dual(lam, order)
-    return got.terms == expected_p_series(conjugate(lam), order, swapped=True)
+    got, want = integral_rep_sides(lam, order, dual=True)
+    return got == want
 
 
 # ---------------------------------------------------------------------------

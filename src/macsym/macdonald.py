@@ -369,13 +369,23 @@ def dr_eigencheck(lam, r, n):
     return _dr_apply_ring(r, J, n) == J.scale(dr_eigenvalue(lam, r, n).numer)
 
 
+@lru_cache(maxsize=None)
+def _dr_first_stage(r, terms, n):
+    """D_r F for F given by its frozenset of (exponent, Z[q,t] coefficient) items.
+
+    Memoized so that the commutator checks of one f share each D_r f: do not
+    mutate the result.
+    """
+    return _dr_apply_ring(r, NPoly(n, dict(terms)), n)
+
+
 def dr_commute_check(r, s, f, n):
     """[D_r, D_s] f = 0, exactly, on f cleared to Z[q,t]."""
     _check_dr_args(r, f, n)
     _check_dr_args(s, f, n)
-    F = NPoly(n, _cleared(f.terms)[1])
-    a = _dr_apply_ring(r, _dr_apply_ring(s, F, n), n)
-    b = _dr_apply_ring(s, _dr_apply_ring(r, F, n), n)
+    F = frozenset(_cleared(f.terms)[1].items())
+    a = _dr_apply_ring(r, _dr_first_stage(s, F, n), n)
+    b = _dr_apply_ring(s, _dr_first_stage(r, F, n), n)
     return a == b
 
 

@@ -2,15 +2,17 @@
 
 Each check yields a record {identity, parameters, order, status,
 max_order_checked, wall_time}; `order`/`max_order_checked` are null for exact
-(non-truncated) checks.  Reports are deterministic apart from the timing
-field: cases are generated in reverse-lex partition order.
+(non-truncated) checks.  A failing record of a check that compares two sides
+also carries `detail`: the first key at which they differ, with both values.
+Reports are deterministic apart from the timing field: cases are generated in
+reverse-lex partition order.
 """
 
 import time
 from itertools import combinations
 
 from . import ctengine, fock, kostka, macdonald
-from .coeff import add_into, swap_qt
+from .coeff import QTSeries, add_into, emit_ratqt, swap_qt
 from .errors import InternalInconsistency
 from .macdonald import macdonald_pair
 from .pairing import dual_factor, inner_qt, kernel_coeff, omega_qt, qbinom_coeff
@@ -29,6 +31,39 @@ def _record(identity, parameters, passed, order=None):
         "max_order_checked": order,
         "wall_time": None,
     }
+
+
+def _render(c):
+    return repr(c) if isinstance(c, QTSeries) else emit_ratqt(c)
+
+
+def first_difference(got, want):
+    """{key, got, want} at the first key where two sides differ, values rendered.
+
+    Sides are scalars, series, sparse maps, or SymFunc/NPoly; a key missing on
+    one side reads as 0 there.  None when the sides agree.
+    """
+    if got == want:
+        return None
+    if isinstance(got, QTSeries) and isinstance(want, QTSeries):
+        got, want = got.coeffs, want.coeffs
+    got, want = (getattr(x, "terms", x) for x in (got, want))
+    if not (isinstance(got, dict) and isinstance(want, dict)):
+        return {"got": _render(got), "want": _render(want)}
+    keys = [k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0)]
+    if not keys:  # equal maps on unequal carriers, e.g. two bases
+        return {"got": repr(got), "want": repr(want)}
+    key = min(keys)
+    return {"key": repr(key), "got": _render(got.get(key, 0)),
+            "want": _render(want.get(key, 0))}
+
+
+def _compared(identity, parameters, got, want, order=None):
+    """A record of the check got == want, with the first difference when it fails."""
+    rec = _record(identity, parameters, got == want, order)
+    if rec["status"] == "fail":
+        rec["detail"] = first_difference(got, want)
+    return rec
 
 
 def _timed(records):
@@ -54,8 +89,8 @@ def suite_orthogonality(maxweight=5, **_):
             def chk(lam=lam, mu=mu):
                 got = inner_qt(macdonald_pair(lam).P_p, macdonald_pair(mu).P_p)
                 want = macdonald_pair(lam).norm if lam == mu else 0
-                return _record("orthogonality-norm", {"lambda": lam, "mu": mu},
-                               got == want)
+                return _compared("orthogonality-norm", {"lambda": lam, "mu": mu},
+                                 got, want)
             checks.append(chk)
     return _timed(checks)
 
@@ -89,7 +124,7 @@ def suite_duality(maxweight=5, **_):
         def chk(lam=lam):
             lhs = omega_qt(macdonald_pair(lam).P_p)
             rhs = macdonald_pair(conjugate(lam)).Qf.map_coeffs(swap_qt)
-            return _record("omega-duality", {"lambda": lam}, lhs == rhs)
+            return _compared("omega-duality", {"lambda": lam}, lhs, rhs)
         checks.append(chk)
     return _timed(checks)
 
@@ -117,7 +152,7 @@ def suite_cauchy(maxdegree=4, **_):
                 plist = list(partitions_of(d))
                 kernel = {(lam, mu): c for lam in plist for mu in plist
                           if (c := kernel_coeff(lam, mu, factor))}
-                return _record(identity, {"degree": d}, kernel == _cauchy_products(d, dual))
+                return _compared(identity, {"degree": d}, kernel, _cauchy_products(d, dual))
             checks.append(chk)
     return _timed(checks)
 
@@ -138,8 +173,8 @@ def suite_ct_conjecture(maxweight=3, maxn=3, order=6, **_):
     for n in range(1, maxn + 1):
         for lam in _all_partitions(maxweight, max_length=n):
             def chk(lam=lam, n=n):
-                return _record("constant-term-norm", {"lambda": lam, "n": n},
-                               ctengine.ct_norm_check(lam, n, order), order)
+                return _compared("constant-term-norm", {"lambda": lam, "n": n},
+                                 *ctengine.ct_norm_sides(lam, n, order), order)
             checks.append(chk)
     return _timed(checks)
 
@@ -162,14 +197,11 @@ def suite_self_adjoint(maxdegree=3, order=4, **_):
 def suite_integral_reps(maxweight=4, order=6, **_):
     checks = []
     for lam in _all_partitions(maxweight):
-        def chk(lam=lam):
-            return _record("integral-rep", {"lambda": lam},
-                           ctengine.integral_rep_check(lam, order), order)
-        checks.append(chk)
-        def chk2(lam=lam):
-            return _record("integral-rep-dual", {"lambda": lam},
-                           ctengine.integral_rep_dual_check(lam, order), order)
-        checks.append(chk2)
+        for identity, dual in (("integral-rep", False), ("integral-rep-dual", True)):
+            def chk(lam=lam, identity=identity, dual=dual):
+                return _compared(identity, {"lambda": lam},
+                                 *ctengine.integral_rep_sides(lam, order, dual), order)
+            checks.append(chk)
     return _timed(checks)
 
 
@@ -182,8 +214,8 @@ def suite_skew_routes(maxweight=4, **_):
                     a = macdonald.skew_q(lam, mu)
                     b = fock.skew_via_fock(lam, mu)
                     c = fock.skew_via_diffop(lam, mu)
-                    return _record("skew-three-routes",
-                                   {"lambda": lam, "mu": mu}, a == b == c)
+                    return _compared("skew-three-routes", {"lambda": lam, "mu": mu},
+                                     b if b != a else c, a)
                 checks.append(chk)
     return _timed(checks)
 
@@ -203,14 +235,14 @@ def suite_schur_ct(maxweight=4, **_):
     checks = []
     for lam in _all_partitions(maxweight):
         def chk(lam=lam):
-            got = convert(ctengine.schur_ct(lam), "m")
-            return _record("schur-ct", {"lambda": lam},
-                           got == convert(sym_gen("s", lam), "m"))
+            return _compared("schur-ct", {"lambda": lam},
+                             convert(ctengine.schur_ct(lam), "m"),
+                             convert(sym_gen("s", lam), "m"))
         checks.append(chk)
         def chk2(lam=lam):
-            got = convert(ctengine.schur_ct_dual(lam), "m")
-            return _record("schur-ct-dual", {"lambda": lam},
-                           got == convert(sym_gen("s", conjugate(lam)), "m"))
+            return _compared("schur-ct-dual", {"lambda": lam},
+                             convert(ctengine.schur_ct_dual(lam), "m"),
+                             convert(sym_gen("s", conjugate(lam)), "m"))
         checks.append(chk2)
     return _timed(checks)
 

@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 
 from macsym import cli, verify
 from macsym.cli import build_parser, main
-from macsym.coeff import emit_ratqt
+from macsym.coeff import QTSeries, emit_ratqt, ratqt, swap_qt
 from macsym.errors import InternalInconsistency, NotSeriesExpandable
 from macsym.macdonald import b_coeff, macdonald_pair
+from macsym.partitions import conjugate
 
 
 def test_expand_json(capsys):
@@ -114,6 +115,45 @@ def test_verify_cauchy_detects_a_wrong_coefficient(monkeypatch):
     assert set(status.values()) == {"pass"}
 
 
+def test_failing_record_reports_its_first_difference(monkeypatch, capsys):
+    omega = verify.omega_qt
+
+    def perturbed(f):
+        out = omega(f)
+        if (2,) in out.terms:
+            out.terms[(2,)] = out.terms[(2,)] + 1
+        return out
+
+    monkeypatch.setattr(verify, "omega_qt", perturbed)
+    assert main(["verify", "--suite", "duality", "--maxweight", "2", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    checks = json.loads(captured.out)["checks"]
+    failed = [r for r in checks if r["status"] == "fail"]
+    assert [r["parameters"]["lambda"] for r in failed] == [[2], [1, 1]]
+    for rec in failed:
+        lam = tuple(rec["parameters"]["lambda"])
+        want = macdonald_pair(conjugate(lam)).Qf.map_coeffs(swap_qt).terms[(2,)]
+        assert rec["detail"] == {"key": "(2,)", "got": emit_ratqt(want + 1),
+                                 "want": emit_ratqt(want)}
+    # passing records keep exactly the v1 fields
+    assert all(set(r) == {"identity", "parameters", "order", "status",
+                          "max_order_checked", "wall_time"}
+               for r in checks if r["status"] == "pass")
+    detail = failed[0]["detail"]
+    assert captured.err == (f"counterexample: omega-duality {{'lambda': (2,)}}; first difference "
+                            f"at (2,): got {detail['got']}, want {detail['want']}\n")
+
+
+def test_first_difference_of_scalars_series_and_maps():
+    assert verify.first_difference({(1,): 2}, {(1,): 2}) is None
+    assert verify.first_difference(ratqt(1), 0) == {"got": "1", "want": "0"}
+    assert verify.first_difference(QTSeries(2, {(0, 1): 3}), QTSeries(2, {(1, 0): 3})) == \
+        {"key": "(0, 1)", "got": "3", "want": "0"}
+    got = {(1,): QTSeries.one(2), (2,): QTSeries.one(2)}
+    assert verify.first_difference(got, {(2,): QTSeries.one(2)}) == \
+        {"key": "(1,)", "got": "QTSeries(1; order=2)", "want": "0"}
+
+
 def test_malformed_partition_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--lam", "x,y"])
@@ -145,6 +185,37 @@ def test_degree_and_maxweight_above_the_limit_exit_2(capsys):
     assert build_parser().parse_args(["kostka", "--degree", limit]).degree == cli.MAX_WEIGHT
     args = build_parser().parse_args(["verify", "--maxweight", limit])
     assert args.maxweight == cli.MAX_WEIGHT
+
+
+@pytest.mark.parametrize("argv", [
+    ["integral", "--lam", "1,1,1,1", "--order", "30"],
+    ["norm", "--lam", "1", "--n", "8", "--order", "400"],
+    ["verify", "--suite", "integral-reps", "--order", "11"],
+    ["norm", "--lam", "1", "--n", "300"],
+    ["integral", "--lam", "1,1,1,1,1,1", "--order", "6"],
+    ["integral", "--lam", "1,1,1,1,1,1,1,1", "--order", "2"],
+], ids=["integral-order", "norm-order", "verify-order", "norm-n", "integral-weight-6",
+        "integral-weight-8"])
+def test_order_n_and_integral_weight_above_the_limit_exit_2(capsys, argv):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "above the limit" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
+
+
+def test_order_n_and_integral_weight_at_the_limit_parse():
+    parse = build_parser().parse_args
+    lam = ",".join("1" * cli.MAX_INTEGRAL_WEIGHT)
+    args = parse(["integral", "--lam", lam, "--order", str(cli.MAX_ORDER)])
+    assert (args.lam, args.order) == ((1,) * cli.MAX_INTEGRAL_WEIGHT, cli.MAX_ORDER)
+    args = parse(["norm", "--lam", "1", "--n", str(cli.MAX_N), "--order", str(cli.MAX_ORDER)])
+    assert (args.n, args.order) == (cli.MAX_N, cli.MAX_ORDER)
+    assert parse(["verify", "--order", str(cli.MAX_ORDER)]).order == cli.MAX_ORDER
+    # the defaults stay inside the ceilings
+    assert parse(["integral", "--lam", "2,1"]).order == cli.DEFAULT_ORDER <= cli.MAX_ORDER
+    assert parse(["norm", "--lam", "2"]).n is None
 
 
 def test_broken_shift_operator_exits_3(monkeypatch, capsys):

@@ -53,7 +53,9 @@ def _delta_cases():
     """(nvars, order, seeds, lo, hi) for the prune test.
 
     Symmetric windows on the vacuum, and homogeneous seeds of degree d on
-    [0, d], one of them with a coefficient of positive valuation.
+    [0, d]: one with a coefficient of positive valuation, and one each with a
+    Fraction, a negative, a beyond-64-bit coefficient, and a coefficient at
+    the order boundary (valuation = order, a single surviving degree).
     """
     for n, orders in ((3, range(4)), (4, range(3))):
         for order in orders:
@@ -65,6 +67,11 @@ def _delta_cases():
             for e in mono:
                 yield n, order, {e: one}, 0, sum(e)
             yield n, order, {mono[0]: t_minus_q, mono[1]: one + one}, 0, 3
+            for coeffs in ({(0, 0): Fraction(2, 3), (0, 1): Fraction(-1, 7)},
+                           {(0, 0): -3, (1, 0): 2},
+                           {(0, 0): 2 ** 70 + 1, (0, 1): -(2 ** 65)},
+                           {(order, 0): 1, (0, order): -1}):
+                yield n, order, {mono[0]: QTSeries(order, coeffs), mono[1]: one}, 0, 3
 
 
 def test_delta_prune_against_unpruned_product():
@@ -74,6 +81,15 @@ def test_delta_prune_against_unpruned_product():
         want = delta_unpruned(seeds, n, delta_pair_series(order), order, lo, hi)
         assert {e: dense_from_qtseries(c) for e, c in got.items()} == want, \
             (n, order, seeds, lo, hi)
+
+
+def test_delta_windows_nest():
+    # a wider window holds the narrower one's terms unchanged
+    for c in range(3):
+        narrow = delta_expand(4, 3, c)
+        wide = delta_expand(4, 3, c + 1)
+        assert narrow == {e: s for e, s in wide.items() if max(map(abs, e)) <= c}, c
+        assert len(wide) > len(narrow)
 
 
 @pytest.mark.parametrize("order", [0, 1])

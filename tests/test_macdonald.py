@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 import macsym.macdonald as mac
@@ -135,6 +137,21 @@ def test_dr_commute_spot():
     f = evaluate_n(sym_gen("m", (2, 1)), 3)
     assert dr_commute_check(1, 2, f, 3)
     assert dr_commute_check(2, 3, f, 3)
+
+
+def test_dr_commute_applies_each_first_stage_once():
+    # the six pairs (r, s) at n = 4 need D_r f for r = 1..4, each once
+    f = evaluate_n(sym_gen("m", (2, 1)), 4)
+    mac._dr_first_stage.cache_clear()
+    for r, s in combinations(range(1, 5), 2):
+        assert dr_commute_check(r, s, f, 4), (r, s)
+    info = mac._dr_first_stage.cache_info()
+    assert (info.misses, info.hits) == (4, 8)
+    # the first stage is D_r itself
+    F = NPoly(4, mac._cleared(f.terms)[1])
+    key = frozenset(F.terms.items())
+    for r in range(1, 5):
+        assert mac._dr_first_stage(r, key, 4) == mac._dr_apply_ring(r, F, 4)
 
 
 def test_structure_constants_examples():
