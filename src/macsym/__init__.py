@@ -32,3 +32,25 @@ from .symfunc import (NPoly, SymFunc, convert, evaluate_n, from_poly,
                       multiply, sym_gen)
 
 __version__ = "0.1.0"
+
+# every memo cache macsym defines, named module.function; collected at import,
+# before any caller can rebind a module attribute
+_CACHES = {f"{mod.__name__.split('.', 1)[1]}.{name}": fn
+           for mod in (coeff, ctengine, fock, kostka, macdonald, pairing, partitions,
+                       symfunc)
+           for name, fn in vars(mod).items()
+           if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__}
+
+
+def cache_sizes():
+    """{module.function: entries held} for every memo cache, plus macdonald._PAIRS."""
+    out = {name: fn.cache_info().currsize for name, fn in _CACHES.items()}
+    out["macdonald._PAIRS"] = len(macdonald._PAIRS)
+    return out
+
+
+def clear_caches():
+    """Empty every memo cache and the table of constructed pairs."""
+    for fn in _CACHES.values():
+        fn.cache_clear()
+    macdonald._PAIRS.clear()

@@ -8,7 +8,9 @@ above MAX_INTEGRAL_WEIGHT, --order above MAX_ORDER, norm --n above MAX_N, a
 negative number, a norm in fewer variables than parts, or a --cache-path
 file that cannot be read, written or trusted (a record of weight above
 MAX_WEIGHT included), and 3 on an internal inconsistency (two routes that
-must agree did not: a bug in macsym, not a counterexample).
+must agree did not: a bug in macsym, not a counterexample).  verify runs the
+integral-reps suite up to weight MAX_INTEGRAL_WEIGHT at most, whatever
+--maxweight is.
 """
 
 import argparse
@@ -19,18 +21,16 @@ from . import ctengine, kostka, macdonald, verify
 from .coeff import emit_ratqt
 from .errors import InternalInconsistency, MacsymError
 from .macdonald import macdonald_pair
-from .partitions import (MAX_WEIGHT, format_partition, parse_partition, partitions_of,
-                         weight)
+from .partitions import (MAX_INTEGRAL_WEIGHT, MAX_WEIGHT, format_partition,
+                         parse_partition, partitions_of, weight)
 from .symfunc import convert
 
 DEFAULT_ORDER = 6
-# Ceilings picked, as MAX_WEIGHT was, from the largest inputs whose worst case
-# runs within about 10 s on a 2-vCPU VM.  An integral of weight w runs the
-# Delta kernel over up to w variables: (1^5) at order 10 takes about 9.5 s,
-# (1^6) at order 6 about 20 s, and weight 7 in five parts over 40 s at the
-# default order.  norm --lam 8 --n 200 --order 10 takes about 7 s.
+# Ceilings picked, as MAX_WEIGHT and MAX_INTEGRAL_WEIGHT were, from the
+# largest inputs whose worst case runs within about 10 s on a 2-vCPU VM:
+# (1^5) at order 10 takes about 4.5 s, and norm --lam 8 --n 200 --order 10
+# about 7 s.
 MAX_ORDER = 10
-MAX_INTEGRAL_WEIGHT = 5
 MAX_N = 200
 
 

@@ -16,12 +16,15 @@ divisors, so val(a*b) = val(a) + val(b) whenever that sum is at most M, and the
 truncated product is 0 otherwise: the engine decides from valuations alone
 which products it keeps, and forms only those.
 
-Inside the Delta kernel a coefficient q^a t^b sits at the integer key
-(a+b)(M+1) + a.  As 0 <= a <= a+b, keys add without carry: the key of a
-product is the sum of the keys while its total degree is at most M, and
-that sum reaches (M+1)^2 exactly when the degree exceeds M, so one integer
-comparison decides truncation and products sum in place in one list per
-target exponent.
+Inside the Delta kernel each Laurent term is one Python integer (Kronecker
+substitution): q^a t^b sits in slot (a+b)(M+1) + a of B bits, as a balanced
+digit.  As 0 <= a <= a+b, slot keys add without carry: the slot of a product
+is the sum of the slots while its total degree is at most M, and that sum
+reaches (M+1)^2 exactly when the degree exceeds M, so the truncated product
+of two terms is their integer product reduced mod 2^(B (M+1)^2) into the
+signed range.  Rational seeds are cleared to one integer denominator first,
+and B comes from a coefficientwise majorant of what the pair steps can make
+of the seeds, so no slot overflows (see _accumulate_delta).
 
 The positive kernels never need their own variables: the coefficient of
 y^(-a) in Pi(x, 1/y) is the product of single-variable strata g_{a_j}(x)
@@ -32,7 +35,7 @@ straight into the power-sum basis.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .coeff import QPochProduct, QTSeries, add_into, ratqt, swap_qt, to_series
 from .errors import InternalInconsistency, WindowTooSmall
@@ -97,9 +100,33 @@ def delta_pair_series(order):
     return out
 
 
-def _packed(s, width):
-    """A series as its (key, coefficient) list, key (a+b)*width + a, ascending."""
-    return sorted(((a + b) * width + a, c) for (a, b), c in s.coeffs.items())
+@lru_cache(maxsize=None)
+def _pair_majorant(order, steps):
+    """Dense slot list of G^steps, G = sum_d |F_d| coefficientwise, truncated.
+
+    Slot (a+b)(order+1) + a holds the q^a t^b coefficient.  G majorizes every
+    pair factor, so G^steps bounds what `steps` pair steps make of a unit seed.
+    """
+    width = order + 1
+    size = width * width
+    g = [0] * size
+    for cd in delta_pair_series(order).values():
+        for (a, b), c in cd.coeffs.items():
+            g[(a + b) * width + a] += abs(c)
+    out = [1] + [0] * (size - 1)
+    for _ in range(steps):
+        out = _slot_product(out, g, size)
+    return tuple(out)
+
+
+def _slot_product(x, y, size):
+    """Truncated product of two dense slot lists: slots at or past `size` dropped."""
+    out = [0] * size
+    for k1, c1 in enumerate(x):
+        if c1:
+            for k2 in range(size - k1):
+                out[k1 + k2] += c1 * y[k2]
+    return out
 
 
 def _accumulate_delta(seeds, nvars, order, lo, hi, total):
@@ -111,15 +138,36 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
     is order - val(ce) - val(cd) = order - val(ce * cd) by valuation
     additivity, so a pair is pruned before its product is formed.
 
-    One fused kernel: with W = order + 1, q^a t^b is packed deg-major as the
-    key (a+b)*W + a.  Since a <= a+b, the key of a product of two terms is
-    the sum of their keys, with no carry while the total degree is at most
-    the order, and the product survives truncation exactly when that sum is
-    below W*W.  So each pair factor is packed and sorted once, every target
-    exponent of a pair step owns one list accumulator of W*W slots, and each
-    left term's products stop at its room W*W - key.  Between steps a term
-    is its ascending sparse list, whose valuation is first_key // W; series
-    are built only for the terms in the final window.
+    Each Laurent term is one Python integer.  With W = order + 1, q^a t^b
+    sits in slot k = (a+b)*W + a of B bits, so a coefficient c contributes
+    c * 2^(B*k).  Slots are balanced digits: a slot value v with
+    -2^(B-1) <= v < 2^(B-1) is read back from the low B bits r as r, or as
+    r - 2^B when r >= 2^(B-1), and the next slot is read from the rest.
+
+    Seeds.  Rational seed coefficients are cleared to one integer
+    denominator D, the lcm of their denominators; the pair factors F_d are
+    integral, so every term stays integral and each output coefficient is
+    divided by D once.
+
+    Width.  Let G = sum_d |F_d| coefficientwise.  A target of a pair step
+    takes at most one product from each d, so if every term is majorized by
+    a series S, every term after the step is majorized by S*G.  Hence every
+    slot of every term is at most the same slot of seed_bound * G^steps,
+    seed_bound being the coefficientwise maximum of the cleared seeds, and
+    B is one bit more than that bound's bit length (36 bits at n = 4,
+    order 8, against 82 for the plain L1 bound).
+
+    Truncation.  As 0 <= a <= a+b, slot keys add without carry while the
+    total degree is at most the order, and a key sum reaches W*W exactly
+    when the degree exceeds it.  So the integer product of two terms holds
+    the truncated product in its slots below W*W and only dropped terms
+    above.  A pair step shifts each operand down by its lowest nonzero slot
+    (its valuation), cuts both to the W*W - k_left - k_right slots that can
+    survive, multiplies, and adds the product shifted back into its target.
+    The cuts and the dropped slots only change the target by multiples of
+    2^(B*W*W); the truncated sum has |value| < 2^(B*W*W - 1) by the width
+    bound, so reducing mod 2^(B*W*W) into the signed range recovers it
+    exactly.  Series are built only for the terms in the final window.
     """
     for e in seeds:
         if sum(e) != total:
@@ -127,8 +175,6 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
     width = order + 1
     size = width * width
     pairs = [(i, j) for i in range(nvars) for j in range(i + 1, nvars)]
-    series = [(d, cd.valuation(), _packed(cd, width))
-              for d, cd in sorted(delta_pair_series(order).items())]
     remain = []
     cnt = [0] * nvars
     for i, j in reversed(pairs):
@@ -136,19 +182,45 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
         cnt[i] += 1
         cnt[j] += 1
     remain.reverse()
-    terms = {}
+    live = {}
     for e, c in seeds.items():
         if c.order != order:
             raise ValueError(f"seed series order {c.order} != {order}")
         if c:
-            terms[e] = _packed(c, width)
+            live[e] = c.coeffs
+    den = lcm(1, *(c.denominator for s in live.values() for c in s.values()))
+    seed_bound = [0] * size
+    cleared = {}
+    for e, s in live.items():
+        slots = cleared[e] = {}
+        for (a, b), c in s.items():
+            k = (a + b) * width + a
+            v = slots[k] = c.numerator * (den // c.denominator)
+            seed_bound[k] = max(seed_bound[k], abs(v))
+    bits = max(_slot_product(seed_bound, _pair_majorant(order, len(pairs)),
+                             size)).bit_length() + 1
+    masks = [(1 << (bits * m)) - 1 for m in range(size + 1)]
+    half = 1 << (bits * size - 1)
+
+    def shifted(slots):
+        """(valuation slot, the term shifted down by it) of a packed term."""
+        v = ((slots & -slots).bit_length() - 1) // bits
+        return v, slots >> (bits * v)
+
+    def packed(slots):
+        return shifted(sum(c << (bits * k) for k, c in slots.items()))
+
+    terms = {e: packed(slots) for e, slots in cleared.items()}
+    series = [(d, *packed({(a + b) * width + a: c for (a, b), c in cd.coeffs.items()}))
+              for d, cd in sorted(delta_pair_series(order).items())]
     for step, (i, j) in enumerate(pairs):
         touch = remain[step]
         accs = {}
-        for e, left in terms.items():
-            ve = left[0][0] // width
-            for d, vd, right in series:
-                slack = order - ve - vd
+        for e, (kl, left) in terms.items():
+            ve = kl // width
+            shared = {}  # F_d = F_-d, so one product can serve both targets
+            for d, kr, right in series:
+                slack = order - ve - kr // width
                 if slack < 0:
                     continue
                 ei, ej = e[i] + d, e[j] - d
@@ -158,26 +230,32 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
                     ne = list(e)
                     ne[i], ne[j] = ei, ej
                     ne = tuple(ne)
-                    acc = accs.get(ne)
-                    if acc is None:
-                        acc = accs[ne] = [0] * size
-                    for k1, c1 in left:
-                        room = size - k1
-                        for k2, c2 in right:
-                            if k2 >= room:
-                                break
-                            acc[k1 + k2] += c1 * c2
+                    p = shared.pop(-d, None)
+                    if p is None:
+                        mask = masks[size - kl - kr]
+                        p = shared[d] = ((left & mask) * (right & mask)) << (bits * (kl + kr))
+                    accs[ne] = accs.get(ne, 0) + p
         terms = {}
         for e, acc in accs.items():
-            if nz := [(k, c) for k, c in enumerate(acc) if c]:
-                terms[e] = nz
+            if acc := ((acc + half) & masks[size]) - half:
+                terms[e] = shifted(acc)
     out = {}
-    for e, nz in terms.items():
-        if all(lo <= x <= hi for x in e):
+    digit, top = masks[1], 1 << (bits - 1)
+    for e, (k, x) in terms.items():
+        if all(lo <= y <= hi for y in e):
             s = out[e] = QTSeries(order)
-            for k, c in nz:
-                deg, a = divmod(k, width)
-                s.coeffs[(a, deg - a)] = c
+            while x and k < size:
+                c = x & digit
+                if c >= top:
+                    c -= 1 << bits
+                x = (x - c) >> bits
+                if c:
+                    deg, a = divmod(k, width)
+                    q, r = divmod(c, den)
+                    s.coeffs[(a, deg - a)] = Fraction(c, den) if r else q
+                k += 1
+            if x:
+                raise InternalInconsistency(f"Delta kernel term {e} overflows its slots")
     return out
 
 
@@ -449,8 +527,8 @@ def f_plus_terms(lam, order):
     return {e: c * scale for e, c in wterms.items()}, r_n
 
 
-def skew_integral_check(lam, mu, order):
-    """Nested-integral route to b_lam^(-1) Q_{lam/mu} against the algebraic route.
+def skew_integral_sides(lam, mu, order):
+    """(nested-integral route to b_lam^(-1) Q_{lam/mu}, the algebraic route), as series.
 
     The two integrand groups interact through Pi(1/z, 1/w), whose coefficient
     is read at the margins (z-exponents, w-exponents) by kernel_coeff, while
@@ -468,8 +546,12 @@ def skew_integral_check(lam, mu, order):
                 add_into(wterms, shifted, cb * series_of(k, order))
     out = _collect_kernel(wterms, order, "g")
     expected = skew_q(lam, mu).scale(1 / b_coeff(lam))
-    want = {nu: s for nu, c in expected.terms.items() if (s := series_of(c, order))}
-    return out == want
+    return out, {nu: s for nu, c in expected.terms.items() if (s := series_of(c, order))}
+
+
+def skew_integral_check(lam, mu, order):
+    got, want = skew_integral_sides(lam, mu, order)
+    return got == want
 
 
 # ---------------------------------------------------------------------------

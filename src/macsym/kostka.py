@@ -109,8 +109,8 @@ def _inv_qpoch(v):
     return substitute(qbinom_coeff(v), Q, 0)
 
 
-def kostka_integral_check(lam, mu, order):
-    """Constant-term route to K[lam,mu] against the pairing route, at the order.
+def kostka_integral_sides(lam, mu, order):
+    """(constant-term route to K[lam,mu], the pairing route), as series at the order.
 
     The x-side carries x^(-lam) and the sign factor; the kernel
     prod 1/(x_i/y_j; q)oo couples it to the windowed integrand of mu.
@@ -125,6 +125,9 @@ def kostka_integral_check(lam, mu, order):
         for beta, cb in wm.items():
             if k := kernel_coeff(rows, beta, _inv_qpoch):
                 total = total + cb * sign * series_of(k, order)
-    total = total * series_of(h_mu, order)
-    expected = series_of(kostka_entry(lam, mu), order)
-    return total == expected
+    return total * series_of(h_mu, order), series_of(kostka_entry(lam, mu), order)
+
+
+def kostka_integral_check(lam, mu, order):
+    got, want = kostka_integral_sides(lam, mu, order)
+    return got == want

@@ -10,6 +10,10 @@ from .errors import CellOutOfDiagram, EmptyPartition
 # whole P/Q family builds in about 25 s on a 2-vCPU VM (weight 8: 7-9 s, weight
 # 9: about 28 s).  Library calls are unbounded.
 MAX_WEIGHT = 8
+# Largest weight of an integral representation the CLI and `verify` run: an
+# integral of weight w runs the Delta kernel over up to w variables, and
+# (1^6) at order 6 takes about 8 s, (1^5) at order 10 about 4.5 s.
+MAX_INTEGRAL_WEIGHT = 5
 
 
 def as_partition(seq):

@@ -16,7 +16,7 @@ from .coeff import QTSeries, add_into, emit_ratqt, swap_qt
 from .errors import InternalInconsistency
 from .macdonald import macdonald_pair
 from .pairing import dual_factor, inner_qt, kernel_coeff, omega_qt, qbinom_coeff
-from .partitions import conjugate, partitions_of, weight
+from .partitions import MAX_INTEGRAL_WEIGHT, conjugate, partitions_of, weight
 from .symfunc import convert, evaluate_n, sym_gen
 
 REPORT_VERSION = "v1"
@@ -196,7 +196,7 @@ def suite_self_adjoint(maxdegree=3, order=4, **_):
 
 def suite_integral_reps(maxweight=4, order=6, **_):
     checks = []
-    for lam in _all_partitions(maxweight):
+    for lam in _all_partitions(min(maxweight, MAX_INTEGRAL_WEIGHT)):
         for identity, dual in (("integral-rep", False), ("integral-rep-dual", True)):
             def chk(lam=lam, identity=identity, dual=dual):
                 return _compared(identity, {"lambda": lam},
@@ -225,8 +225,8 @@ def suite_skew_integral(order=5, **_):
     checks = []
     for lam, mu in cases:
         def chk(lam=lam, mu=mu):
-            return _record("skew-integral", {"lambda": lam, "mu": mu},
-                           ctengine.skew_integral_check(lam, mu, order), order)
+            return _compared("skew-integral", {"lambda": lam, "mu": mu},
+                             *ctengine.skew_integral_sides(lam, mu, order), order)
         checks.append(chk)
     return _timed(checks)
 
@@ -261,9 +261,8 @@ def suite_kostka(maxdegree=3, order=5, integral_degree=2, **_):
     for lam in partitions_of(integral_degree):
         for mu in partitions_of(integral_degree):
             def chk2(lam=lam, mu=mu):
-                return _record("kostka-integral", {"lambda": lam, "mu": mu},
-                               kostka.kostka_integral_check(lam, mu, order),
-                               order)
+                return _compared("kostka-integral", {"lambda": lam, "mu": mu},
+                                 *kostka.kostka_integral_sides(lam, mu, order), order)
             checks.append(chk2)
     return _timed(checks)
 

@@ -144,6 +144,51 @@ def test_failing_record_reports_its_first_difference(monkeypatch, capsys):
                             f"at (2,): got {detail['got']}, want {detail['want']}\n")
 
 
+def test_verify_integral_reps_stop_at_the_integral_ceiling(monkeypatch, capsys):
+    seen = []
+
+    def stub(lam, order, dual=False):
+        seen.append(lam)
+        return {}, {}
+
+    monkeypatch.setattr(verify.ctengine, "integral_rep_sides", stub)
+    assert main(["verify", "--suite", "integral-reps", "--maxweight", "6",
+                 "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    weights = {sum(r["parameters"]["lambda"]) for r in checks}
+    assert weights == set(range(cli.MAX_INTEGRAL_WEIGHT + 1)) == {sum(lam) for lam in seen}
+    assert cli.MAX_INTEGRAL_WEIGHT == 5
+
+
+@pytest.mark.parametrize("suite, module, sides", [
+    ("skew-integral", "ctengine", "skew_integral_sides"),
+    ("kostka", "kostka", "kostka_integral_sides"),
+])
+def test_integral_checks_report_their_first_difference(monkeypatch, suite, module, sides):
+    # a wrong nested-integral side fails the record and names the coefficient
+    mod = getattr(verify, module)
+    original = getattr(mod, sides)
+
+    def perturbed(lam, mu, order):
+        got, want = original(lam, mu, order)
+        if isinstance(got, dict):
+            got = {nu: s * 2 for nu, s in got.items()}
+        else:
+            got = got * 2
+        return got, want
+
+    passing = verify.run_suite(suite)
+    monkeypatch.setattr(mod, sides, perturbed)
+    records = verify.run_suite(suite)
+    integral = [r for r in records if r["identity"] != "kostka-reconstruction"]
+    assert integral and all(r["status"] == "fail" for r in integral)
+    for rec in integral:
+        assert set(rec["detail"]) <= {"key", "got", "want"}
+        assert rec["detail"]["got"] != rec["detail"]["want"]
+    # the passing run carries exactly the v1 fields
+    assert all(r["status"] == "pass" and "detail" not in r for r in passing)
+
+
 def test_first_difference_of_scalars_series_and_maps():
     assert verify.first_difference({(1,): 2}, {(1,): 2}) is None
     assert verify.first_difference(ratqt(1), 0) == {"got": "1", "want": "0"}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -54,9 +55,16 @@ def _delta_cases():
 
     Symmetric windows on the vacuum, and homogeneous seeds of degree d on
     [0, d]: one with a coefficient of positive valuation, and one each with a
-    Fraction, a negative, a beyond-64-bit coefficient, and a coefficient at
-    the order boundary (valuation = order, a single surviving degree).
+    Fraction, a negative, a beyond-64-bit coefficient, a coefficient at the
+    order boundary (valuation = order, a single surviving degree), terms
+    that all lie at degree order, and Fractions whose common denominator
+    exceeds 2**64.  A single variable carries a coefficient of +-2**64 as
+    it is, so the slot width there is exactly the one its majorant allows.
     """
+    big = 2 ** 64
+    for order in range(4):
+        for coeffs in ({(0, 0): big}, {(0, 0): -big}, {(0, 0): big, (order, 0): -big}):
+            yield 1, order, {(0,): QTSeries(order, coeffs)}, 0, 0
     for n, orders in ((3, range(4)), (4, range(3))):
         for order in orders:
             one = QTSeries.one(order)
@@ -70,7 +78,10 @@ def _delta_cases():
             for coeffs in ({(0, 0): Fraction(2, 3), (0, 1): Fraction(-1, 7)},
                            {(0, 0): -3, (1, 0): 2},
                            {(0, 0): 2 ** 70 + 1, (0, 1): -(2 ** 65)},
-                           {(order, 0): 1, (0, order): -1}):
+                           {(order, 0): 1, (0, order): -1},
+                           {(a, order - a): a - 2 for a in range(order + 1)},
+                           {(0, 0): Fraction(1, 2 ** 40 + 1), (1, 0): Fraction(-3, 3 ** 30),
+                            (0, 1): Fraction(5, 7 ** 10)}):
                 yield n, order, {mono[0]: QTSeries(order, coeffs), mono[1]: one}, 0, 3
 
 
@@ -81,6 +92,12 @@ def test_delta_prune_against_unpruned_product():
         want = delta_unpruned(seeds, n, delta_pair_series(order), order, lo, hi)
         assert {e: dense_from_qtseries(c) for e, c in got.items()} == want, \
             (n, order, seeds, lo, hi)
+
+
+def test_delta_fraction_seeds_exceed_64_bit_denominator():
+    dens = {c.denominator for _, _, seeds, _, _ in _delta_cases()
+            for s in seeds.values() for c in s.coeffs.values()}
+    assert lcm(*dens) > 2 ** 64
 
 
 def test_delta_windows_nest():
@@ -243,6 +260,14 @@ def test_integral_rep_small():
     out = integral_rep_P((), 4)
     assert out.terms == {(): QTSeries.one(4)}
     assert integral_rep_check((2, 1), 6)
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 1, 1), (3, 1, 1)])
+def test_integral_reps_of_two_level_shapes(lam):
+    # a 1-variable level feeds the seeds of the outer Delta kernel: over 4
+    # variables for (2,1,1,1), and as Fraction coefficients for (3,1,1)
+    assert integral_rep_check(lam, 4)
+    assert integral_rep_dual_check(lam, 4)
 
 
 def test_integral_rep_dual_small():
