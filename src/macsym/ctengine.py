@@ -102,7 +102,7 @@ def delta_pair_series(order):
 
 @lru_cache(maxsize=None)
 def _pair_majorant(order, steps):
-    """Dense slot list of G^steps, G = sum_d |F_d| coefficientwise, truncated.
+    """G^steps truncated at the order, G = sum_d |F_d| coefficientwise, as dense slots.
 
     Slot (a+b)(order+1) + a holds the q^a t^b coefficient.  G majorizes every
     pair factor, so G^steps bounds what `steps` pair steps make of a unit seed.

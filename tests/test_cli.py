@@ -185,7 +185,7 @@ def test_integral_checks_report_their_first_difference(monkeypatch, suite, modul
     for rec in integral:
         assert set(rec["detail"]) <= {"key", "got", "want"}
         assert rec["detail"]["got"] != rec["detail"]["want"]
-    # the passing run carries exactly the v1 fields
+    # a passing record carries no detail
     assert all(r["status"] == "pass" and "detail" not in r for r in passing)
 
 

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -92,12 +91,6 @@ def test_delta_prune_against_unpruned_product():
         want = delta_unpruned(seeds, n, delta_pair_series(order), order, lo, hi)
         assert {e: dense_from_qtseries(c) for e, c in got.items()} == want, \
             (n, order, seeds, lo, hi)
-
-
-def test_delta_fraction_seeds_exceed_64_bit_denominator():
-    dens = {c.denominator for _, _, seeds, _, _ in _delta_cases()
-            for s in seeds.values() for c in s.coeffs.values()}
-    assert lcm(*dens) > 2 ** 64
 
 
 def test_delta_windows_nest():
