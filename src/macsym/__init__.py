@@ -14,9 +14,8 @@ from .ctengine import (ct_norm_check, delta_expand, integral_constants,
                        map_N_tilde, norm_prime_product, scalar_prime,
                        schur_ct, schur_ct_dual, self_adjoint_check,
                        skew_integral_check)
-from .fock import (completeness_check, matrix_element, p_bar_apply,
-                   skew_via_diffop, skew_via_fock, symmetrizer_check,
-                   vertex_product_check)
+from .fock import (completeness_check, p_bar_apply, skew_via_diffop,
+                   skew_via_fock, symmetrizer_check, vertex_product_check)
 from .kostka import (dual_schur_qt, dual_schur_t, h_factors,
                      kostka_integral_check, kostka_matrix, m_function)
 from .macdonald import (MacdonaldPair, b_coeff, dr_apply, dr_commute_check,

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from . import ctengine, kostka, macdonald, verify
+from . import ctengine, fock, kostka, macdonald, verify
 from .coeff import emit_ratqt
 from .errors import InternalInconsistency, MacsymError
 from .macdonald import macdonald_pair
@@ -115,6 +115,14 @@ def _emit_text(payload, indent=0):
         print(f"{pad}{payload}")
 
 
+def _counterexample(what, detail):
+    """The stderr line of a failed check, with its first difference when known."""
+    if detail:
+        at = f" at {detail['key']}" if "key" in detail else ""
+        what += f"; first difference{at}: got {detail['got']}, want {detail['want']}"
+    print(f"counterexample: {what}", file=sys.stderr)
+
+
 def _header(args):
     return {
         "report": verify.REPORT_VERSION,
@@ -169,7 +177,6 @@ def cmd_norm(args):
 
 
 def cmd_skew(args):
-    from . import fock
     lam, mu = args.lam, args.mu
     a = macdonald.skew_q(lam, mu)
     b = fock.skew_via_fock(lam, mu)
@@ -184,8 +191,9 @@ def cmd_skew(args):
     })
     _emit(args, payload)
     if not agree:
-        print(f"counterexample: routes disagree for lambda={format_partition(lam)} "
-              f"mu={format_partition(mu)}", file=sys.stderr)
+        _counterexample(f"routes disagree for lambda={format_partition(lam)} "
+                        f"mu={format_partition(mu)}",
+                        verify.first_difference(b if b != a else c, a))
         return 1
     return 0
 
@@ -217,27 +225,21 @@ def cmd_kostka(args):
 
 
 def cmd_integral(args):
-    lam = args.lam
-    if args.dual:
-        ok = ctengine.integral_rep_dual_check(lam, args.order)
-        got = ctengine.integral_rep_P_dual(lam, args.order)
-        identity = "integral-rep-dual"
-    else:
-        ok = ctengine.integral_rep_check(lam, args.order)
-        got = ctengine.integral_rep_P(lam, args.order)
-        identity = "integral-rep"
+    got, want = ctengine.integral_rep_sides(args.lam, args.order, args.dual)
+    identity = "integral-rep-dual" if args.dual else "integral-rep"
+    ok = got == want
     payload = dict(_header(args))
     payload.update({
         "identity": identity,
-        "lambda": list(lam),
+        "lambda": list(args.lam),
         "order": args.order,
         "status": "pass" if ok else "fail",
-        "series_in_p": {str(k): repr(v) for k, v in sorted(got.terms.items())},
+        "series_in_p": {str(k): repr(v) for k, v in sorted(got.items())},
     })
     _emit(args, payload)
     if not ok:
-        print(f"counterexample: {identity} fails for lambda="
-              f"{format_partition(lam)} at order {args.order}", file=sys.stderr)
+        _counterexample(f"{identity} fails for lambda={format_partition(args.lam)} "
+                        f"at order {args.order}", verify.first_difference(got, want))
         return 1
     return 0
 
@@ -258,11 +260,7 @@ def cmd_verify(args):
     _emit(args, payload)
     if failures:
         first = failures[0]
-        line = f"counterexample: {first['identity']} {first['parameters']}"
-        if detail := first.get("detail"):
-            at = f" at {detail['key']}" if "key" in detail else ""
-            line += f"; first difference{at}: got {detail['got']}, want {detail['want']}"
-        print(line, file=sys.stderr)
+        _counterexample(f"{first['identity']} {first['parameters']}", first.get("detail"))
         return 1
     return 0
 

@@ -1,11 +1,11 @@
 """Boson-Fock adapter and the scalar reductions of the vertex-operator picture.
 
-The Fock space is identified with the ring of symmetric functions itself, so
-matrix elements reduce to (q,t) scalar products; no oscillator algebra is
-materialized.  The module carries three independent routes to the skew
-functions, plus two scalar identities extracted from the vertex-operator
-construction: the finite-product collapse of the kernels at t = q^beta and the
-symmetrizer sum formula.
+The Fock space is the ring of symmetric functions itself; no oscillator algebra
+is materialized.  Two skew routes share nothing with the scalar products of
+`macdonald.skew_q`: the translation coproduct p_r -> p_r(x) + p_r(y) of the
+half vertex operator, and P_mu acting in the lowered power sums.  Two scalar
+identities come from the vertex-operator construction: the finite-product
+collapse of the kernels at t = q^beta and the symmetrizer sum formula.
 """
 
 from functools import lru_cache
@@ -14,28 +14,39 @@ from itertools import combinations, permutations
 from .coeff import Q, T, add_into, ratqt, substitute
 from .macdonald import hall_littlewood_symmetrizer, macdonald_pair
 from .pairing import inner_qt, qbinom_coeff
-from .partitions import as_partition, partitions_of, weight
-from .symfunc import NPoly, SymFunc, convert, multiply
-
-
-def matrix_element(bra, mult, ket):
-    """<bra | mult^ | ket> = <bra, mult * ket> under the (q,t) scalar product."""
-    return inner_qt(bra, multiply(mult, ket))
+from .partitions import as_partition, dominates, partitions_of, weight
+from .symfunc import NPoly, SymFunc, basis_to_m, convert, multiply
 
 
 def skew_via_fock(lam, mu):
-    """Skew function through vacuum matrix elements: coefficientwise pairing."""
+    """Q_{lam/mu} from the translation coproduct p_r -> p_r(x) + p_r(y) of Q_lam.
+
+    Q_lam(x, y) = sum_mu Q_{lam/mu}(x) b_mu P_mu(y) (Macdonald VI (7.9')); P_mu(y) is
+    peeled off the y-parts in the m basis down dominance, as P is unitriangular in m.
+    """
     lam, mu = as_partition(lam), as_partition(mu)
-    d = weight(lam) - weight(mu)
-    out = SymFunc("p")
-    if d < 0:
-        return out
-    q_lam = macdonald_pair(lam).Qf
-    p_mu = macdonald_pair(mu).P_p
-    for nu in partitions_of(d):
-        pair_n = macdonald_pair(nu)
-        add_into(out.terms, pair_n.Qf.terms, matrix_element(q_lam, p_mu, pair_n.P_p))
-    return out
+    if (k := weight(mu)) > weight(lam):
+        return SymFunc("p")
+    to_m, rest = basis_to_m("p", k), {}  # rest: {nu: {x-partition: coeff of m_nu(y)}}
+    for kappa, c in macdonald_pair(lam).Qf.terms.items():
+        splits = {((), ()): 1}  # {(x-parts, y-parts): multiplicity}
+        for part in kappa:
+            nxt = {}
+            for (x, y), n in splits.items():
+                for key in ((x + (part,), y), (x, y + (part,))):
+                    if weight(key[1]) <= k:
+                        nxt[key] = nxt.get(key, 0) + n
+            splits = nxt
+        for (x, y), n in splits.items():
+            for nu, v in to_m[y].items() if weight(y) == k else ():
+                add_into(rest.setdefault(nu, {}), {x: c}, n * v)
+    for nu in partitions_of(k):
+        a = dict(rest.get(nu, {}))  # the coefficient of P_nu(y), once larger P are off
+        if nu == mu:
+            return SymFunc("p", a).scale(macdonald_pair(mu).norm)
+        if a and dominates(nu, mu):  # a != 0 only for nu inside lam
+            for rho, v in macdonald_pair(nu).P.terms.items():
+                add_into(rest.setdefault(rho, {}), a, -v)
 
 
 @lru_cache(maxsize=None)

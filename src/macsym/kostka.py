@@ -10,11 +10,11 @@ independently, by the nested constant-term formula.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import Q, QTSeries, T, add_into, invert, ratqt, substitute
+from .coeff import FIELD, Q, QTSeries, T, add_into, invert, ratqt, substitute
 from .errors import InternalInconsistency
-from .macdonald import b_coeff, macdonald_pair
+from .macdonald import _arm_leg_products, macdonald_pair
 from .pairing import inner_qt, kernel_coeff, qbinom_coeff
-from .partitions import arm_leg, as_partition, cells, partitions_of, weight
+from .partitions import as_partition, partitions_of, weight
 from .symfunc import SymFunc, convert, sym_gen
 
 from .ctengine import _sign_factor_terms, f_plus_terms, series_of
@@ -22,21 +22,12 @@ from .ctengine import _sign_factor_terms, f_plus_terms, series_of
 
 @lru_cache(maxsize=None)
 def h_factors(lam):
-    """The two arm/leg hook products (h, h'); b_lam = h/h' is asserted."""
-    lam = as_partition(lam)
-    h = ratqt(1)
-    hp = ratqt(1)
-    for cell in cells(lam):
-        a, l, _, _ = arm_leg(lam, cell)
-        h = h * (1 - Q ** a * T ** (l + 1))
-        hp = hp * (1 - Q ** (a + 1) * T ** l)
-    if hp * b_coeff(lam) != h:
-        raise InternalInconsistency(f"hook products disagree with b for {lam}")
-    return h, hp
+    """The two arm/leg hook products (h, h') = (c_lam, c'_lam), so b_lam = h/h'."""
+    return tuple(map(FIELD, _arm_leg_products(as_partition(lam))))
 
 
 def m_function(lam):
-    """M_lam = h_lam P_lam (= h'_lam Q_lam, since h_factors asserts h = h' b_lam)."""
+    """M_lam = h_lam P_lam (= h'_lam Q_lam, since b_lam = h/h')."""
     return macdonald_pair(lam).P_p.scale(h_factors(lam)[0])
 
 

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from macsym import cli, verify
+from macsym import cli, ctengine, fock, macdonald, verify
 from macsym.cli import build_parser, main
 from macsym.coeff import QTSeries, emit_ratqt, ratqt, swap_qt
 from macsym.errors import InternalInconsistency, NotSeriesExpandable
@@ -51,6 +51,20 @@ def test_skew_command(capsys):
         {"partition": [1], "coeff": "(1 - t)/(1 - q)"}]
 
 
+@pytest.mark.parametrize("route", ["skew_via_fock", "skew_via_diffop"])
+def test_skew_counterexample_reports_its_first_difference(monkeypatch, capsys, route):
+    # a wrong route fails the command, and stderr names the first differing coefficient
+    original = getattr(fock, route)
+    monkeypatch.setattr(fock, route, lambda lam, mu: original(lam, mu).scale(2))
+    assert main(["skew", "--lam", "2", "--mu", "1", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["routes_agree"] is False
+    want = macdonald.skew_q((2,), (1,)).terms[(1,)]
+    assert captured.err == ("counterexample: routes disagree for lambda=(2) mu=(1); first "
+                            f"difference at (1,): got {emit_ratqt(2 * want)}, "
+                            f"want {emit_ratqt(want)}\n")
+
+
 def test_kostka_json(capsys):
     assert main(["kostka", "--degree", "2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -77,6 +91,28 @@ def test_integral_order_zero_passes(capsys, extra):
     # P_(2,1) has a p-coefficient that truncates to zero at order 0
     assert main(["integral", "--lam", "2,1", "--order", "0", "--format", "json"] + extra) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+def test_integral_counterexample_reports_its_first_difference(monkeypatch, capsys, dual):
+    # a wrong integral side fails the command, and stderr names the first differing series
+    sides = ctengine.integral_rep_sides
+
+    def wrong(lam, order, dual=False):
+        got, want = sides(lam, order, dual)
+        return {nu: s * 2 for nu, s in got.items()}, want
+
+    monkeypatch.setattr(ctengine, "integral_rep_sides", wrong)
+    argv = ["integral", "--lam", "2", "--order", "3", "--format", "json"]
+    assert main(argv + ["--dual"] * dual) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "fail"
+    detail = verify.first_difference(*wrong((2,), 3, dual))
+    identity = "integral-rep-dual" if dual else "integral-rep"
+    assert captured.err == (f"counterexample: {identity} fails for lambda=(2) at order 3; "
+                            f"first difference at {detail['key']}: got {detail['got']}, "
+                            f"want {detail['want']}\n")
+    assert detail["got"] != detail["want"]
 
 
 def test_verify_suite(capsys):

@@ -1,35 +1,16 @@
 import random
 
-from macsym.coeff import Q, T, parse_ratqt, ratqt
-from macsym.fock import (commutator_contract, completeness_check,
-                         matrix_element, p_bar_apply, skew_via_diffop,
-                         skew_via_fock, symmetrizer_check,
+import pytest
+
+import macsym
+from macsym import fock, macdonald, pairing, symfunc
+from macsym.coeff import Q, T, ratqt
+from macsym.fock import (commutator_contract, completeness_check, p_bar_apply,
+                         skew_via_diffop, skew_via_fock, symmetrizer_check,
                          vertex_product_check)
-from macsym.macdonald import macdonald_pair, skew_q, structure_f
-from macsym.partitions import partitions_of
+from macsym.macdonald import macdonald_pair, skew_q
+from macsym.partitions import partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, sym_gen
-
-
-def test_pairing_contract_random():
-    # the bra-ket pairing through the ring identification is the scalar product
-    from macsym.pairing import inner_qt
-    rng = random.Random(4)
-    one = sym_gen("p", ())
-    for _ in range(6):
-        d = rng.randint(1, 5)
-        f = SymFunc("p", {lam: ratqt(rng.randint(-3, 3)) for lam in partitions_of(d)})
-        g = SymFunc("p", {lam: ratqt(rng.randint(-3, 3)) for lam in partitions_of(d)})
-        assert matrix_element(f, one, g) == inner_qt(f, g)
-
-
-def test_matrix_element_examples():
-    p1, one = sym_gen("p", (1,)), sym_gen("p", ())
-    assert matrix_element(p1, one, p1) == parse_ratqt("(1-q)/(1-t)")
-    f = structure_f((1,), (1,))
-    got = matrix_element(macdonald_pair((2,)).Qf,
-                         macdonald_pair((1,)).P_p,
-                         macdonald_pair((1,)).P_p)
-    assert got == f[(2,)]
 
 
 def test_skew_route_examples():
@@ -47,6 +28,37 @@ def test_three_routes_small():
                 for mu in partitions_of(dm):
                     a = skew_q(lam, mu)
                     assert a == skew_via_fock(lam, mu) == skew_via_diffop(lam, mu)
+
+
+def test_fock_route_uses_no_scalar_product(monkeypatch):
+    # the translation route stands alone: no pairing, no product, no skew_q
+    pairs = [(lam, mu) for d in range(4) for lam in partitions_of(d)
+             for dm in range(d + 1) for mu in partitions_of(dm)]
+    want = {pair: skew_q(*pair) for pair in pairs}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Fock route reached a scalar-product helper")
+
+    for mod in (fock, macdonald, pairing):
+        monkeypatch.setattr(mod, "inner_qt", forbidden)
+    for mod in (fock, macdonald, symfunc):
+        monkeypatch.setattr(mod, "multiply", forbidden)
+    monkeypatch.setattr(macdonald, "skew_q", forbidden)
+    for pair in pairs:
+        assert skew_via_fock(*pair) == want[pair]
+
+
+@pytest.mark.parametrize("lam, mu", [((3, 2), (2, 1)), ((2, 2, 1), (1, 1)),
+                                     ((1, 1, 1, 1, 1), (1, 1)), ((3, 1, 1), (2,)),
+                                     ((4, 1), (3,))])
+def test_fock_route_weight_five(lam, mu):
+    assert skew_via_fock(lam, mu) == skew_q(lam, mu)
+
+
+def test_fock_route_above_lambda_is_zero():
+    macsym.clear_caches()
+    assert skew_via_fock((2,), (2, 1)) == SymFunc("p")
+    assert not [lam for lam in macdonald._PAIRS if weight(lam) == 3]
 
 
 def test_p_bar_is_scaled_derivative():
