@@ -3,14 +3,15 @@
 Subcommands: expand, norm, skew, kostka, integral, verify.  Exit status is 0
 when every requested check passes, 1 on an identity failure (the first
 counterexample is printed), 2 on usage errors such as malformed partitions,
-a partition, --degree or --maxweight above MAX_WEIGHT, an integral partition
-above MAX_INTEGRAL_WEIGHT, --order above MAX_ORDER, norm --n above MAX_N, a
-negative number, a norm in fewer variables than parts, or a --cache-path
-file that cannot be read, written or trusted (a record of weight above
-MAX_WEIGHT included), and 3 on an internal inconsistency (two routes that
-must agree did not: a bug in macsym, not a counterexample).  verify runs the
-integral-reps suite up to weight MAX_INTEGRAL_WEIGHT at most, whatever
---maxweight is.
+a partition or --maxweight above MAX_WEIGHT, kostka --degree above
+MAX_KOSTKA_DEGREE, an integral partition above MAX_INTEGRAL_WEIGHT, --order
+above MAX_ORDER, norm --n above MAX_N, a negative number, a norm in fewer
+variables than parts, or a --cache-path file that cannot be read, written or
+trusted (a record of weight above MAX_WEIGHT included), and 3 on an internal
+inconsistency (two routes that must agree did not: a bug in macsym, not a
+counterexample).  verify runs the integral-reps suite up to weight
+MAX_INTEGRAL_WEIGHT and the kostka suite up to degree MAX_KOSTKA_DEGREE at
+most, whatever --maxweight is.
 """
 
 import argparse
@@ -21,8 +22,8 @@ from . import ctengine, fock, kostka, macdonald, verify
 from .coeff import emit_ratqt
 from .errors import InternalInconsistency, MacsymError
 from .macdonald import macdonald_pair
-from .partitions import (MAX_INTEGRAL_WEIGHT, MAX_WEIGHT, format_partition,
-                         parse_partition, partitions_of, weight)
+from .partitions import (MAX_INTEGRAL_WEIGHT, MAX_KOSTKA_DEGREE, MAX_WEIGHT,
+                         format_partition, parse_partition, partitions_of, weight)
 from .symfunc import convert
 
 DEFAULT_ORDER = 6
@@ -79,6 +80,10 @@ def _n_arg(text):
 
 def _weight_arg(text):
     return _bounded(_degree_arg(text), MAX_WEIGHT, "weight")
+
+
+def _kostka_degree_arg(text):
+    return _bounded(_degree_arg(text), MAX_KOSTKA_DEGREE, "degree")
 
 
 def _term_list(f):
@@ -248,7 +253,6 @@ def cmd_verify(args):
     params = {}
     if args.maxweight is not None:
         params["maxweight"] = args.maxweight
-        params["maxdegree"] = args.maxweight
     if args.order is not None:
         params["order"] = args.order
     records = verify.run_suite(args.suite, **params)
@@ -299,7 +303,7 @@ def build_parser():
     p.set_defaults(func=cmd_skew)
 
     p = sub.add_parser("kostka", help="Kostka table for a degree")
-    p.add_argument("--degree", type=_weight_arg, required=True)
+    p.add_argument("--degree", type=_kostka_degree_arg, required=True)
     p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     p.set_defaults(func=cmd_kostka)
 

@@ -1,19 +1,20 @@
 """Dual Schur bases, the M_lam family, and the (q,t)-Kostka matrix.
 
 S_lam(t) is the dual of the Schur basis under the Hall-Littlewood scalar
-product, S_lam(q,t) the dual of S_lam(t) under the full (q,t) product; both
-are produced per degree by Gram-matrix inversion.  Kostka entries are the
-pairings K[lam,mu] = <S_lam(q,t), M_mu>, cross-checked by reconstruction and,
-independently, by the nested constant-term formula.
+product, S_lam(q,t) the dual of S_lam(t) under the full (q,t) product; both are
+their plethystic closed forms s_lam[X(1-t)] and s_lam[X/(1-q)] (Macdonald
+III.4, VI.8).  Kostka entries are the pairings K[lam,mu] = <S_lam(q,t), M_mu>,
+cross-checked by reconstruction and, independently, by the nested
+constant-term formula.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import FIELD, Q, QTSeries, T, add_into, invert, ratqt, substitute
+from .coeff import FIELD, Q, QTSeries, add_into, ratqt, substitute
 from .errors import InternalInconsistency
 from .macdonald import _arm_leg_products, macdonald_pair
-from .pairing import inner_qt, kernel_coeff, qbinom_coeff
+from .pairing import inner_qt, kernel_coeff, plethysm, qbinom_coeff
 from .partitions import as_partition, partitions_of, weight
 from .symfunc import SymFunc, convert, sym_gen
 
@@ -31,31 +32,16 @@ def m_function(lam):
     return macdonald_pair(lam).P_p.scale(h_factors(lam)[0])
 
 
-def _dual_basis(d, partner, specialize, name):
-    """{lam: S_lam} in the s basis with <S_lam, partner[mu]> = delta, by Gram inversion."""
-    plist = list(partitions_of(d))
-    gram = {a: {b: inner_qt(sym_gen("s", a), partner[b], specialize=specialize)
-                for b in plist} for a in plist}
-    out = {lam: SymFunc("s", row) for lam, row in invert(gram, plist).items()}
-    for a in plist:
-        for b in plist:
-            got = inner_qt(out[a], partner[b], specialize=specialize)
-            if got != (1 if a == b else 0):
-                raise InternalInconsistency(f"{name} duality pairing failed")
-    return out
-
-
 @lru_cache(maxsize=None)
 def dual_schur_t(d):
-    """{lam: S_lam(t)} for |lam| = d, each an s-basis SymFunc."""
-    schur = {lam: sym_gen("s", lam) for lam in partitions_of(d)}
-    return _dual_basis(d, schur, (0, T), "S(t)")
+    """{lam: S_lam(t) = s_lam[X(1-t)]} for |lam| = d, each an s-basis SymFunc."""
+    return {lam: convert(plethysm(sym_gen("s", lam), "hl"), "s") for lam in partitions_of(d)}
 
 
 @lru_cache(maxsize=None)
 def dual_schur_qt(d):
-    """{lam: S_lam(q,t)}: dual of S(t) under the full (q,t) scalar product."""
-    return _dual_basis(d, dual_schur_t(d), None, "S(q,t)")
+    """{lam: S_lam(q,t) = s_lam[X/(1-q)]}: dual of S(t) under the (q,t) scalar product."""
+    return {lam: convert(plethysm(sym_gen("s", lam), "qinv"), "s") for lam in partitions_of(d)}
 
 
 @dataclass(frozen=True)
@@ -70,10 +56,11 @@ class KostkaTable:
 
 @lru_cache(maxsize=None)
 def kostka_matrix(d):
-    """K[lam,mu] = <S_lam(q,t), M_mu>; reconstruction of M_mu is asserted."""
+    """K[lam,mu] = <S_lam(q,t), M_mu>; reconstruction of M_mu is asserted, which
+    holds for every mu only if S(q,t) and S(t) are dual: it checks that too."""
     plist = list(partitions_of(d))
-    sqt = dual_schur_qt(d)
-    st = dual_schur_t(d)
+    sqt = {lam: plethysm(sym_gen("s", lam), "qinv") for lam in plist}  # in the p basis
+    st = {lam: plethysm(sym_gen("s", lam), "hl") for lam in plist}
     entries = {}
     for mu in plist:
         m_mu = m_function(mu)
@@ -82,7 +69,7 @@ def kostka_matrix(d):
             k = inner_qt(sqt[lam], m_mu)
             if k:
                 entries[(lam, mu)] = k
-            add_into(recon.terms, convert(st[lam], "p").terms, k)
+            add_into(recon.terms, st[lam].terms, k)
         if recon != m_mu:
             raise InternalInconsistency(f"Kostka reconstruction failed for {mu}")
     return KostkaTable(degree=d, entries=entries)

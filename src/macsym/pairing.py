@@ -1,4 +1,4 @@
-"""The (q,t) scalar product, the omega automorphism, and the Cauchy kernels.
+"""The (q,t) scalar product, the plethystic maps p_r -> w(r) p_r, and the Cauchy kernels.
 
 The scalar product is diagonal on power sums with weight z_lam(q,t); both
 Cauchy kernels expand factorwise by the q-binomial theorem, so every
@@ -58,20 +58,9 @@ def inner_qt(f, g, specialize=None):
     return inner_pvec(convert(f, "p").terms, convert(g, "p").terms, specialize)
 
 
-@lru_cache(maxsize=None)
-def _omega_part(r):
-    return ratqt(-1) ** (r - 1) * (1 - Q ** r) / (1 - T ** r)
-
-
 def omega_qt(f):
     """The automorphism sending p_r to (-1)^(r-1) (1-q^r)/(1-t^r) p_r."""
-    fp = convert(f, "p")
-    out = SymFunc("p")
-    for lam, c in fp.terms.items():
-        for part in lam:
-            c = c * _omega_part(part)
-        out.terms[lam] = c
-    return out
+    return plethysm(f, "omega")
 
 
 @lru_cache(maxsize=None)
@@ -135,17 +124,18 @@ def cauchy_pi_tilde(nx, ny, d):
 
 
 # ---------------------------------------------------------------------------
-# single-variable kernel strata
+# plethystic weights
 # ---------------------------------------------------------------------------
 #
-# Each two-variable kernel K(x; y) used by the constant-term engine factors
-# over y-variables, with the coefficient of y^r a symmetric function of x:
+# plethysm(f, kind) sends each p_r to w(r) p_r.  kernel_sym(r, kind), the image
+# of h_r, is the y^r coefficient of a kernel K(x; y) that factors over y:
 #
-#   'g'    : Cauchy kernel           weight (1-t^r)/(1-q^r)  -> Macdonald g_r
-#   'e'    : dual kernel prod(1+xy)  weight (-1)^(r-1)       -> elementary e_r
-#   'h'    : prod 1/(1-xy)           weight 1                -> complete h_r
-#   'hl'   : Hall-Littlewood dual    weight (1-t^r)
-#   'qinv' : Schur-(q,t)-dual        weight 1/(1-q^r)
+#   'g'      (1-t^r)/(1-q^r)              Cauchy kernel: Macdonald g_r
+#   'e'      (-1)^(r-1)                   dual kernel prod(1+xy): e_r
+#   'h'      1                            prod 1/(1-xy): h_r
+#   'hl'     1-t^r                        X -> X(1-t): S_lam(t) = s_lam[X(1-t)]
+#   'qinv'   1/(1-q^r)                    X -> X/(1-q): S_lam(q,t) = s_lam[X/(1-q)]
+#   'omega'  (-1)^(r-1)(1-q^r)/(1-t^r)    omega_qt
 
 _KERNEL_WEIGHTS = {
     "g": lambda r: (1 - T ** r) / (1 - Q ** r),
@@ -153,22 +143,30 @@ _KERNEL_WEIGHTS = {
     "h": lambda r: ratqt(1),
     "hl": lambda r: ratqt(1) - T ** r,
     "qinv": lambda r: 1 / (ratqt(1) - Q ** r),
+    "omega": lambda r: ratqt(-1) ** (r - 1) * (1 - Q ** r) / (1 - T ** r),
 }
+
+
+@lru_cache(maxsize=None)
+def _weight(r, kind):
+    return _KERNEL_WEIGHTS[kind](r)
+
+
+def plethysm(f, kind):
+    """f with each p_lam scaled by the product of the weights w(part) of `kind`."""
+    out = SymFunc("p")
+    for lam, c in convert(f, "p").terms.items():
+        for part in lam:
+            c = c * _weight(part, kind)
+        out.terms[lam] = c
+    return out
 
 
 @lru_cache(maxsize=None)
 def kernel_sym(r, kind):
     """Degree-r stratum of a kernel as a p-basis symmetric function of x."""
-    wfn = _KERNEL_WEIGHTS[kind]
-    out = SymFunc("p")
-    for mu in partitions_of(r):
-        c = ratqt(Fraction(1, z_plain(mu)))
-        for part in mu:
-            c = c * wfn(part)
-        out.terms[mu] = c
-    if r == 0:
-        out.terms[()] = ratqt(1)
-    return out
+    h_r = {mu: ratqt(Fraction(1, z_plain(mu))) for mu in partitions_of(r)}
+    return plethysm(SymFunc("p", h_r), kind)
 
 
 @lru_cache(maxsize=None)

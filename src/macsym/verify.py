@@ -16,7 +16,8 @@ from .coeff import QTSeries, add_into, emit_ratqt, swap_qt
 from .errors import InternalInconsistency
 from .macdonald import macdonald_pair
 from .pairing import dual_factor, inner_qt, kernel_coeff, omega_qt, qbinom_coeff
-from .partitions import MAX_INTEGRAL_WEIGHT, conjugate, partitions_of, weight
+from .partitions import (MAX_INTEGRAL_WEIGHT, MAX_KOSTKA_DEGREE, conjugate,
+                         partitions_of, weight)
 from .symfunc import convert, evaluate_n, sym_gen
 
 REPORT_VERSION = "v1"
@@ -142,10 +143,10 @@ def _cauchy_products(d, dual):
     return out
 
 
-def suite_cauchy(maxdegree=4, **_):
+def suite_cauchy(maxweight=4, **_):
     """Both Cauchy identities at partition keys: each side is symmetric in x and in y."""
     checks = []
-    for d in range(maxdegree + 1):
+    for d in range(maxweight + 1):
         for identity, factor, dual in (("cauchy-kernel", qbinom_coeff, False),
                                        ("dual-cauchy-kernel", dual_factor, True)):
             def chk(d=d, identity=identity, factor=factor, dual=dual):
@@ -168,9 +169,9 @@ def suite_specializations(maxweight=4, **_):
     return _timed(checks)
 
 
-def suite_ct_conjecture(maxweight=3, maxn=3, order=6, **_):
+def suite_ct_conjecture(maxweight=3, order=6, **_):
     checks = []
-    for n in range(1, maxn + 1):
+    for n in range(1, 4):
         for lam in _all_partitions(maxweight, max_length=n):
             def chk(lam=lam, n=n):
                 return _compared("constant-term-norm", {"lambda": lam, "n": n},
@@ -179,10 +180,10 @@ def suite_ct_conjecture(maxweight=3, maxn=3, order=6, **_):
     return _timed(checks)
 
 
-def suite_self_adjoint(maxdegree=3, order=4, **_):
+def suite_self_adjoint(maxweight=3, order=4, **_):
     checks = []
     for n in (2, 3):
-        fams = list(_all_partitions(maxdegree, max_length=n))
+        fams = list(_all_partitions(maxweight, max_length=n))
         for mu in fams:
             for nu in fams:
                 def chk(mu=mu, nu=nu, n=n):
@@ -247,9 +248,9 @@ def suite_schur_ct(maxweight=4, **_):
     return _timed(checks)
 
 
-def suite_kostka(maxdegree=3, order=5, integral_degree=2, **_):
+def suite_kostka(maxweight=3, order=5, **_):
     checks = []
-    for d in range(1, maxdegree + 1):
+    for d in range(1, min(maxweight, MAX_KOSTKA_DEGREE) + 1):
         def chk(d=d):
             try:
                 kostka.kostka_matrix(d)  # reconstruction asserted inside
@@ -258,8 +259,8 @@ def suite_kostka(maxdegree=3, order=5, integral_degree=2, **_):
                 ok = False
             return _record("kostka-reconstruction", {"degree": d}, ok)
         checks.append(chk)
-    for lam in partitions_of(integral_degree):
-        for mu in partitions_of(integral_degree):
+    for lam in partitions_of(2):
+        for mu in partitions_of(2):
             def chk2(lam=lam, mu=mu):
                 return _compared("kostka-integral", {"lambda": lam, "mu": mu},
                                  *kostka.kostka_integral_sides(lam, mu, order), order)
@@ -267,16 +268,16 @@ def suite_kostka(maxdegree=3, order=5, integral_degree=2, **_):
     return _timed(checks)
 
 
-def suite_vertex_identities(maxbeta=3, maxn=3, maxdegree=3, sym_n=5, **_):
+def suite_vertex_identities(maxweight=3, **_):
     checks = []
-    for beta in range(1, maxbeta + 1):
-        for n in range(2, maxn + 1):
+    for beta in range(1, 4):
+        for n in range(2, 4):
             def chk(beta=beta, n=n):
                 return _record("kernel-product-collapse",
-                               {"beta": beta, "n": n, "degree": maxdegree},
-                               fock.vertex_product_check(beta, n, maxdegree))
+                               {"beta": beta, "n": n, "degree": maxweight},
+                               fock.vertex_product_check(beta, n, maxweight))
             checks.append(chk)
-    for n in range(1, sym_n + 1):
+    for n in range(1, 6):
         def chk2(n=n):
             return _record("symmetrizer-sum", {"n": n},
                            fock.symmetrizer_check(n))

@@ -5,17 +5,19 @@ Everything here is deliberately written against a different representation
 package's sparse series type, so the two can check each other.  The kernel
 oracle enumerates whole matrices where the package recurses on sorted margins,
 the Macdonald oracle orthogonalizes in Q(q,t) where the package solves the
-zero-mode eigenvector equation over Z[q,t], and the shift-operator oracle does
-every coefficient operation in Q(q,t) where the package works in Z[q,t].
+zero-mode eigenvector equation over Z[q,t], the shift-operator oracle does
+every coefficient operation in Q(q,t) where the package works in Z[q,t], and
+the dual Schur oracle inverts Gram matrices where the package reads the
+plethystic closed forms.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from macsym.coeff import Q, T, add_into, ratqt
-from macsym.pairing import inner_pvec
+from macsym.coeff import Q, T, add_into, invert, ratqt
+from macsym.pairing import inner_pvec, inner_qt
 from macsym.partitions import compositions, dominates, partitions_of
-from macsym.symfunc import NPoly, m_to_basis, npoly_divexact
+from macsym.symfunc import NPoly, SymFunc, m_to_basis, npoly_divexact, sym_gen
 
 
 def dense_zero(order):
@@ -246,6 +248,26 @@ def gram_schmidt(d, specialize=None):
                 add_into(pvec, mu_p, -c)
         built[lam] = (mvec, pvec, inner_pvec(pvec, pvec, specialize))
     return built
+
+
+def _dual_by_gram(d, partner, specialize):
+    """{lam: S_lam} in the s basis with <S_lam, partner[mu]> = delta, by Gram inversion."""
+    plist = list(partitions_of(d))
+    gram = {a: {b: inner_qt(sym_gen("s", a), partner[b], specialize=specialize)
+                for b in plist} for a in plist}
+    out = {lam: SymFunc("s", row) for lam, row in invert(gram, plist).items()}
+    for a in plist:
+        for b in plist:
+            if inner_qt(out[a], partner[b], specialize=specialize) != (1 if a == b else 0):
+                raise AssertionError(f"duality pairing failed at {a}, {b}")
+    return out
+
+
+def dual_schur_by_gram(d):
+    """(S(t), S(q,t)) of degree d: S(t) dual to s under the Hall-Littlewood
+    product, S(q,t) dual to S(t) under the (q,t) product, each solved for."""
+    st = _dual_by_gram(d, {lam: sym_gen("s", lam) for lam in partitions_of(d)}, (0, T))
+    return st, _dual_by_gram(d, st, None)
 
 
 def _field_linear(n, u, cu, v, cv):

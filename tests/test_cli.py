@@ -146,7 +146,7 @@ def test_verify_cauchy_detects_a_wrong_coefficient(monkeypatch):
 
     monkeypatch.setattr(verify, "_cauchy_products", perturbed)
     status = {(r["identity"], r["parameters"]["degree"]): r["status"]
-              for r in verify.suite_cauchy(maxdegree=3)}
+              for r in verify.suite_cauchy(maxweight=3)}
     assert status.pop(("cauchy-kernel", 3)) == "fail"
     assert set(status.values()) == {"pass"}
 
@@ -194,6 +194,18 @@ def test_verify_integral_reps_stop_at_the_integral_ceiling(monkeypatch, capsys):
     weights = {sum(r["parameters"]["lambda"]) for r in checks}
     assert weights == set(range(cli.MAX_INTEGRAL_WEIGHT + 1)) == {sum(lam) for lam in seen}
     assert cli.MAX_INTEGRAL_WEIGHT == 5
+
+
+def test_verify_kostka_stops_at_the_kostka_ceiling(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(verify.kostka, "kostka_matrix", seen.append)
+    monkeypatch.setattr(verify.kostka, "kostka_integral_sides", lambda lam, mu, order: (0, 0))
+    assert main(["verify", "--suite", "kostka", "--maxweight", str(cli.MAX_WEIGHT),
+                 "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    degrees = [r["parameters"]["degree"] for r in checks
+               if r["identity"] == "kostka-reconstruction"]
+    assert degrees == seen == list(range(1, cli.MAX_KOSTKA_DEGREE + 1))
 
 
 @pytest.mark.parametrize("suite, module, sides", [
@@ -256,15 +268,16 @@ def test_partition_weight_above_the_limit_exits_2(capsys):
 def test_degree_and_maxweight_above_the_limit_exit_2(capsys):
     start = time.perf_counter()
     for argv in (["kostka", "--degree", "12"],
+                 ["kostka", "--degree", str(cli.MAX_KOSTKA_DEGREE + 1)],
                  ["verify", "--suite", "orthogonality", "--maxweight", "9"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         assert "above the limit" in capsys.readouterr().err
     assert time.perf_counter() - start < 1
-    limit = str(cli.MAX_WEIGHT)
-    assert build_parser().parse_args(["kostka", "--degree", limit]).degree == cli.MAX_WEIGHT
-    args = build_parser().parse_args(["verify", "--maxweight", limit])
+    args = build_parser().parse_args(["kostka", "--degree", str(cli.MAX_KOSTKA_DEGREE)])
+    assert args.degree == cli.MAX_KOSTKA_DEGREE == 6
+    args = build_parser().parse_args(["verify", "--maxweight", str(cli.MAX_WEIGHT)])
     assert args.maxweight == cli.MAX_WEIGHT
 
 

@@ -1,4 +1,8 @@
+import pytest
+
+from macsym import kostka, pairing
 from macsym.coeff import Q, T, parse_ratqt, ratqt, substitute
+from macsym.errors import InternalInconsistency
 from macsym.kostka import (KostkaTable, dual_schur_qt, dual_schur_t,
                            h_factors, kostka_entry, kostka_integral_check,
                            kostka_matrix, m_function)
@@ -6,6 +10,8 @@ from macsym.macdonald import b_coeff, macdonald_pair
 from macsym.pairing import inner_qt
 from macsym.partitions import conjugate, partitions_of
 from macsym.symfunc import convert, sym_gen
+
+from oracles import dual_schur_by_gram
 
 
 def test_h_factor_examples():
@@ -149,3 +155,40 @@ def test_dual_bases_against_constant_term_route():
         for lam in partitions_of(d):
             assert convert(schur_ct(lam, kind="hl"), "p") == convert(st[lam], "p")
             assert convert(schur_ct(lam, kind="qinv"), "p") == convert(sqt[lam], "p")
+
+
+def test_dual_bases_equal_gram_inversion():
+    for d in range(5):
+        st, sqt = dual_schur_by_gram(d)
+        assert dual_schur_t(d) == st
+        assert dual_schur_qt(d) == sqt
+
+
+def test_dual_bases_use_no_scalar_product(monkeypatch):
+    want = {d: (dual_schur_t(d), dual_schur_qt(d)) for d in range(5)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed forms called inner_qt")
+    monkeypatch.setattr(kostka, "inner_qt", refuse)
+    monkeypatch.setattr(pairing, "inner_qt", refuse)
+    dual_schur_t.cache_clear()
+    dual_schur_qt.cache_clear()
+    assert {d: (dual_schur_t(d), dual_schur_qt(d)) for d in range(5)} == want
+
+
+def test_kostka_matrix_equals_pairing_on_gram_bases():
+    _, sqt = dual_schur_by_gram(4)
+    plist = list(partitions_of(4))
+    want = {(lam, mu): k for mu in plist for lam in plist
+            if (k := inner_qt(sqt[lam], m_function(mu)))}
+    assert kostka_matrix(4).entries == want
+
+
+def test_kostka_reconstruction_checks_the_duality(monkeypatch):
+    # with s_lam in place of S_lam(t) the bases are not dual, and M_mu is not rebuilt
+    real = kostka.plethysm
+    monkeypatch.setattr(kostka, "plethysm",
+                        lambda f, kind: real(f, "h" if kind == "hl" else kind))
+    kostka_matrix.cache_clear()
+    with pytest.raises(InternalInconsistency, match="reconstruction"):
+        kostka_matrix(2)
