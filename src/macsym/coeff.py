@@ -4,11 +4,15 @@ Rational functions are carried by sympy's sparse fraction field over Z[q,t],
 which keeps numerator and denominator coprime, content-free and
 sign-normalized after every operation.  Truncated series live in
 Q[[q,t]] / (total degree > M) and are plain dictionaries mapping
-(q-exponent, t-exponent) to exact rational coefficients.
+(q-exponent, t-exponent) to exact rational coefficients.  A series product
+clears each operand to integers over one denominator, the lcm of its
+coefficients' denominators, multiplies Python ints, and divides each output
+coefficient once (`clear_denominators` / `divide_back`).
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import field as _field
@@ -69,8 +73,18 @@ def substitute(r, q_image, t_image):
 
 
 def swap_qt(r):
-    """The involution q <-> t on Q(q,t)."""
-    return substitute(r, T, Q)
+    """The involution q <-> t on Q(q,t).
+
+    q <-> t is a ring automorphism of Z[q,t], so it keeps a canonical pair
+    coprime and content-free: the exponents of numerator and denominator are
+    swapped, and both are negated when the new denominator's leading
+    coefficient is negative.  No gcd and no field arithmetic.
+    """
+    r = ratqt(r)
+    numer, denom = r.numer, r.denom
+    sign = -1 if denom[max(denom, key=lambda e: (e[1], e[0]))] < 0 else 1
+    return FIELD.raw_new(numer.new({(b, a): sign * c for (a, b), c in numer.items()}),
+                         denom.new({(b, a): sign * c for (a, b), c in denom.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +142,32 @@ def invert(rows, plist):
                 inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
     return {lam: {mu: c for mu, c in zip(plist, inv[i]) if c}
             for i, lam in enumerate(plist)}
+
+
+def clear_denominators(coeffs):
+    """(D, {key: c * D}) for a dict of exact int/Fraction values.
+
+    D is the lcm of the values' denominators, so every c * D is an int.  An
+    all-int dict comes back as itself with D = 1.
+    """
+    if all(type(c) is int for c in coeffs.values()):
+        return 1, coeffs
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+
+
+def divide_back(coeffs, den):
+    """{key: c / D} of a dict of ints, an int where D divides c, else a Fraction.
+
+    With D = 1 the dict itself comes back.
+    """
+    if den == 1:
+        return coeffs
+    out = {}
+    for k, c in coeffs.items():
+        q, r = divmod(c, den)
+        out[k] = Fraction(c, den) if r else q
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +345,9 @@ class QTSeries:
 
     Coefficients are exact (int or Fraction); keys are (q-exp, t-exp) pairs
     of nonnegative entries with sum at most `order`.  Zero coefficients are
-    never stored.
+    never stored.  A product of two series clears each to integers over one
+    denominator, multiplies ints, and divides each output coefficient once,
+    so an integral coefficient comes back as an int.
     """
 
     __slots__ = ("order", "coeffs")
@@ -376,19 +418,22 @@ class QTSeries:
             if other.order != self.order:
                 raise ValueError(f"series orders differ: {self.order} and {other.order}")
             order = self.order
+            den_l, left = clear_denominators(self.coeffs)
+            den_r, right = clear_denominators(other.coeffs)
             # (a, b) -> a*(order+1) + b adds without carry while a + b <= order;
             # the right terms go by total degree, so each row stops at its room
             n1 = order + 1
-            right = sorted((a + b, a * n1 + b, c) for (a, b), c in other.coeffs.items())
+            right = sorted((a + b, a * n1 + b, c) for (a, b), c in right.items())
             out = {}
-            for (a1, b1), c1 in self.coeffs.items():
+            for (a1, b1), c1 in left.items():
                 room, k1 = order - a1 - b1, a1 * n1 + b1
                 for s2, k2, c2 in right:
                     if s2 > room:
                         break
                     out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
             res = QTSeries(order)
-            res.coeffs = {divmod(k, n1): c for k, c in out.items() if c}
+            res.coeffs = divide_back({divmod(k, n1): c for k, c in out.items() if c},
+                                     den_l * den_r)
             return res
         # scalar (int / Fraction)
         if not other:

@@ -35,9 +35,10 @@ straight into the power-sum basis.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
-from .coeff import QPochProduct, QTSeries, add_into, ratqt, swap_qt, to_series
+from .coeff import (QPochProduct, QTSeries, add_into, clear_denominators, divide_back,
+                    ratqt, swap_qt, to_series)
 from .errors import InternalInconsistency, WindowTooSmall
 from .macdonald import b_coeff, dr_apply, macdonald_pair, skew_q
 from .pairing import kernel_coeff, kernel_product, qbinom_coeff
@@ -147,7 +148,7 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
     Seeds.  Rational seed coefficients are cleared to one integer
     denominator D, the lcm of their denominators; the pair factors F_d are
     integral, so every term stays integral and each output coefficient is
-    divided by D once.
+    divided by D once (coeff.clear_denominators, coeff.divide_back).
 
     Width.  Let G = sum_d |F_d| coefficientwise.  A target of a pair step
     takes at most one product from each d, so if every term is majorized by
@@ -182,21 +183,18 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
         cnt[i] += 1
         cnt[j] += 1
     remain.reverse()
-    live = {}
+    flat = {}
     for e, c in seeds.items():
         if c.order != order:
             raise ValueError(f"seed series order {c.order} != {order}")
-        if c:
-            live[e] = c.coeffs
-    den = lcm(1, *(c.denominator for s in live.values() for c in s.values()))
+        for (a, b), v in c.coeffs.items():
+            flat[e, (a + b) * width + a] = v
+    den, flat = clear_denominators(flat)
     seed_bound = [0] * size
     cleared = {}
-    for e, s in live.items():
-        slots = cleared[e] = {}
-        for (a, b), c in s.items():
-            k = (a + b) * width + a
-            v = slots[k] = c.numerator * (den // c.denominator)
-            seed_bound[k] = max(seed_bound[k], abs(v))
+    for (e, k), v in flat.items():
+        cleared.setdefault(e, {})[k] = v
+        seed_bound[k] = max(seed_bound[k], abs(v))
     bits = max(_slot_product(seed_bound, _pair_majorant(order, len(pairs)),
                              size)).bit_length() + 1
     masks = [(1 << (bits * m)) - 1 for m in range(size + 1)]
@@ -243,7 +241,7 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
     digit, top = masks[1], 1 << (bits - 1)
     for e, (k, x) in terms.items():
         if all(lo <= y <= hi for y in e):
-            s = out[e] = QTSeries(order)
+            coeffs = {}
             while x and k < size:
                 c = x & digit
                 if c >= top:
@@ -251,11 +249,12 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
                 x = (x - c) >> bits
                 if c:
                     deg, a = divmod(k, width)
-                    q, r = divmod(c, den)
-                    s.coeffs[(a, deg - a)] = Fraction(c, den) if r else q
+                    coeffs[(a, deg - a)] = c
                 k += 1
             if x:
                 raise InternalInconsistency(f"Delta kernel term {e} overflows its slots")
+            s = out[e] = QTSeries(order)
+            s.coeffs = divide_back(coeffs, den)
     return out
 
 
@@ -286,23 +285,54 @@ def _as_npoly(f, n, order):
     return out
 
 
+def _orbits(terms):
+    """{sorted exponent: [exponents of its S_n-orbit that carry a term]}."""
+    out = {}
+    for e in terms:
+        out.setdefault(tuple(sorted(e)), []).append(e)
+    return out
+
+
+def _series_sum(order, terms):
+    out = QTSeries(order)
+    for s in terms:
+        add_into(out.coeffs, s.coeffs)
+    return out
+
+
 def scalar_prime(f, g, n, order):
     """(1/n!) * constant term of f(1/x) g(x) Delta(x), truncated at the order.
 
+    `g` must be symmetric (ValueError otherwise); `f` may be any polynomial.
     Zero when the degrees differ (the integrand then has no constant term).
+    Delta and g are symmetric, so every alpha in one S_n-orbit pairs with g
+    as the orbit's sorted representative does.  So f's coefficients are
+    summed per orbit, the Delta moments M(rep - beta) are summed per orbit
+    of beta (g is constant there), and each pair of orbits costs one
+    product, plus one per orbit of f to finish.
     """
     fp = _as_npoly(f, n, order)
     gp = _as_npoly(g, n, order)
+    # adjacent transpositions generate S_n
+    for beta, cb in gp.terms.items():
+        for i in range(n - 1):
+            if gp.terms.get(beta[:i] + (beta[i + 1], beta[i]) + beta[i + 2:]) != cb:
+                raise ValueError("scalar_prime needs a symmetric second argument")
+    g_orbits = _orbits(gp.terms)
     if not fp or not gp:
         return QTSeries.zero(order)
     cap = max(fp.degree(), gp.degree())
     moments = delta_expand(n, order, cap)
     total = QTSeries.zero(order)
-    for alpha, ca in fp.terms.items():
-        for beta, cb in gp.terms.items():
-            mom = moments.get(tuple(a - b for a, b in zip(alpha, beta)))
-            if mom is not None:
-                total = total + ca * cb * mom
+    for rep, alphas in _orbits(fp.terms).items():
+        inner = QTSeries.zero(order)
+        for brep, betas in g_orbits.items():
+            diffs = (tuple(a - b for a, b in zip(rep, beta)) for beta in betas)
+            msum = _series_sum(order, (moments[d] for d in diffs if d in moments))
+            if msum:
+                inner = inner + gp.terms[brep] * msum
+        if inner:
+            total = total + _series_sum(order, (fp.terms[a] for a in alphas)) * inner
     return total * Fraction(1, factorial(n))
 
 
@@ -341,14 +371,19 @@ def scalar_prime_orthogonality(lam, mu, n, order):
     return not lhs
 
 
-def self_adjoint_check(f, g, n, order):
-    """<D_1 f, g>' = <f, D_1 g>' to the working order."""
+def self_adjoint_sides(f, g, n, order):
+    """(<D_1 f, g>'_n, <f, D_1 g>'_n) as series, for symmetric f and g."""
     if isinstance(f, SymFunc):
         f = evaluate_n(f, n)
     if isinstance(g, SymFunc):
         g = evaluate_n(g, n)
-    lhs = scalar_prime(dr_apply(1, f, n), g, n, order)
-    rhs = scalar_prime(f, dr_apply(1, g, n), n, order)
+    return (scalar_prime(dr_apply(1, f, n), g, n, order),
+            scalar_prime(f, dr_apply(1, g, n), n, order))
+
+
+def self_adjoint_check(f, g, n, order):
+    """<D_1 f, g>' = <f, D_1 g>' to the working order."""
+    lhs, rhs = self_adjoint_sides(f, g, n, order)
     return lhs == rhs
 
 
@@ -427,7 +462,15 @@ class IntegralConstants:
 
 
 def integral_constants(lam):
-    lam = as_partition(lam)
+    """The IntegralConstants of lam (a partition, tuple or list), cached per partition.
+
+    The cached result is shared: do not mutate it.
+    """
+    return _integral_constants(as_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _integral_constants(lam):
     blocks = rectangles(lam) if lam else []
     c_plus = QPochProduct()
     norms = []

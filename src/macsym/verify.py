@@ -187,10 +187,10 @@ def suite_self_adjoint(maxweight=3, order=4, **_):
         for mu in fams:
             for nu in fams:
                 def chk(mu=mu, nu=nu, n=n):
-                    ok = ctengine.self_adjoint_check(
-                        sym_gen("m", mu), sym_gen("m", nu), n, order)
-                    return _record("self-adjointness",
-                                   {"f": mu, "g": nu, "n": n}, ok, order)
+                    return _compared("self-adjointness", {"f": mu, "g": nu, "n": n},
+                                     *ctengine.self_adjoint_sides(
+                                         sym_gen("m", mu), sym_gen("m", nu), n, order),
+                                     order)
                 checks.append(chk)
     return _timed(checks)
 

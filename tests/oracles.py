@@ -6,15 +6,19 @@ package's sparse series type, so the two can check each other.  The kernel
 oracle enumerates whole matrices where the package recurses on sorted margins,
 the Macdonald oracle orthogonalizes in Q(q,t) where the package solves the
 zero-mode eigenvector equation over Z[q,t], the shift-operator oracle does
-every coefficient operation in Q(q,t) where the package works in Z[q,t], and
-the dual Schur oracle inverts Gram matrices where the package reads the
-plethystic closed forms.
+every coefficient operation in Q(q,t) where the package works in Z[q,t], the
+dual Schur oracle inverts Gram matrices where the package reads the
+plethystic closed forms, the series product multiplies Fractions where the
+package clears both operands to integers, and the pairwise scalar product
+pairs every two monomials where the package pairs S_n-orbits.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
-from macsym.coeff import Q, T, add_into, invert, ratqt
+from macsym.coeff import Q, QTSeries, T, add_into, invert, ratqt
+from macsym.ctengine import _as_npoly, delta_expand
 from macsym.pairing import inner_pvec, inner_qt
 from macsym.partitions import compositions, dominates, partitions_of
 from macsym.symfunc import NPoly, SymFunc, m_to_basis, npoly_divexact, sym_gen
@@ -303,3 +307,40 @@ def dr_apply_field(r, f, n):
         total = total + pref * shifted
     total = total.scale(T ** (r * (r - 1) // 2))
     return npoly_divexact(total, vandermonde) if n > 1 else total
+
+
+def series_mul_fraction(a, b):
+    """a * b on the coefficients as they are (int or Fraction): the reference product.
+
+    (a, b) -> a*(order+1) + b adds without carry while a + b <= order; the
+    right terms go by total degree, so each row stops at its room.
+    """
+    order = a.order
+    n1 = order + 1
+    right = sorted((x + y, x * n1 + y, c) for (x, y), c in b.coeffs.items())
+    out = {}
+    for (a1, b1), c1 in a.coeffs.items():
+        room, k1 = order - a1 - b1, a1 * n1 + b1
+        for s2, k2, c2 in right:
+            if s2 > room:
+                break
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    res = QTSeries(order)
+    res.coeffs = {divmod(k, n1): c for k, c in out.items() if c}
+    return res
+
+
+def scalar_prime_pairwise(f, g, n, order):
+    """(1/n!) CT f(1/x) g(x) Delta(x), pairing every monomial of f with every one of g."""
+    fp = _as_npoly(f, n, order)
+    gp = _as_npoly(g, n, order)
+    if not fp or not gp:
+        return QTSeries.zero(order)
+    moments = delta_expand(n, order, max(fp.degree(), gp.degree()))
+    total = QTSeries.zero(order)
+    for alpha, ca in fp.terms.items():
+        for beta, cb in gp.terms.items():
+            mom = moments.get(tuple(a - b for a, b in zip(alpha, beta)))
+            if mom is not None:
+                total = total + series_mul_fraction(series_mul_fraction(ca, cb), mom)
+    return total * Fraction(1, factorial(n))

@@ -237,6 +237,31 @@ def test_integral_checks_report_their_first_difference(monkeypatch, suite, modul
     assert all(r["status"] == "pass" and "detail" not in r for r in passing)
 
 
+def test_self_adjointness_failure_reports_its_first_difference(monkeypatch):
+    # D_1 doubled on the left side of every record only: a same-degree pair
+    # with a nonzero pairing then fails and names its first coefficient
+    original = ctengine.dr_apply
+    calls = []
+
+    def lopsided(r, f, n):
+        calls.append(f)
+        out = original(r, f, n)
+        return out.scale(ratqt(2)) if len(calls) % 2 else out
+
+    passing = verify.run_suite("self-adjoint")
+    monkeypatch.setattr(ctengine, "dr_apply", lopsided)
+    records = verify.run_suite("self-adjoint")
+    assert [r["parameters"] for r in records] == [r["parameters"] for r in passing]
+    failed = [r for r in records if r["status"] == "fail"]
+    assert failed and all(sum(r["parameters"]["f"]) == sum(r["parameters"]["g"])
+                          for r in failed)
+    for rec in failed:
+        detail = rec["detail"]
+        assert set(detail) == {"key", "got", "want"} and detail["got"] != detail["want"]
+    assert all("detail" not in r for r in records if r["status"] == "pass")
+    assert all(r["status"] == "pass" and "detail" not in r for r in passing)
+
+
 def test_first_difference_of_scalars_series_and_maps():
     assert verify.first_difference({(1,): 2}, {(1,): 2}) is None
     assert verify.first_difference(ratqt(1), 0) == {"got": "1", "want": "0"}

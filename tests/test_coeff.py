@@ -3,12 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macsym.coeff import (FIELD, MAX_EXPONENT, ONE, Q, QPochProduct, QTSeries, RatQT,
-                          T, add_into, emit_ratqt, parse_ratqt, ratqt, substitute,
-                          swap_qt, to_series)
-from macsym.errors import NotSeriesExpandable, SpecializationPole
+from sympy.polys.rings import PolyElement
 
-from oracles import dense_from_qtseries, dense_inv, dense_mul, poch_dense
+from macsym.coeff import (FIELD, MAX_EXPONENT, ONE, Q, QPochProduct, QTSeries, RatQT,
+                          T, add_into, clear_denominators, divide_back, emit_ratqt,
+                          parse_ratqt, ratqt, substitute, swap_qt, to_series)
+from macsym.errors import NotSeriesExpandable, SpecializationPole
+from macsym.macdonald import macdonald_pair
+from macsym.partitions import partitions_of
+
+from oracles import (dense_from_qtseries, dense_inv, dense_mul, poch_dense,
+                     series_mul_fraction)
 
 
 def test_arith_examples():
@@ -60,6 +65,51 @@ def test_substitute_fraction_images():
 def test_swap_qt_involution():
     x = parse_ratqt("(1+q)(1-t)/(1-q*t^2)")
     assert swap_qt(swap_qt(x)) == x
+
+
+def _assert_swap_matches_substitute(r):
+    got = swap_qt(r)
+    assert got == substitute(r, T, Q)
+    canonical = FIELD.new(got.numer, got.denom)
+    assert (got.numer, got.denom) == (canonical.numer, canonical.denom)
+    back = swap_qt(got)
+    assert (back.numer, back.denom) == (r.numer, r.denom)
+
+
+def test_swap_qt_equals_substitute_on_the_macdonald_tables():
+    for d in range(6):
+        for lam in partitions_of(d):
+            pair = macdonald_pair(lam)
+            for table in (pair.P, pair.P_p, pair.Qf):
+                for c in table.terms.values():
+                    _assert_swap_matches_substitute(c)
+            _assert_swap_matches_substitute(pair.b)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="0123456789qt+-*/^() ", max_size=20))
+def test_swap_qt_equals_substitute_on_fuzzed_input(text):
+    try:
+        value = parse_ratqt(text)
+    except (ValueError, ZeroDivisionError):
+        return
+    _assert_swap_matches_substitute(value)
+
+
+def test_swap_qt_makes_no_field_arithmetic_call(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("field arithmetic in swap_qt")
+
+    x = parse_ratqt("(3 - q^2*t)/(2*t - 5*q^3 + q*t^4)")
+    want = substitute(x, T, Q)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__", "new"):
+        monkeypatch.setattr(RatQT, name, forbidden)
+    for name in ("cancel", "gcd", "cofactors"):
+        monkeypatch.setattr(PolyElement, name, forbidden)
+    got = swap_qt(x)
+    monkeypatch.undo()
+    assert got == want
 
 
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -161,11 +211,12 @@ def test_series_truncation_discards_overflow():
 
 
 @st.composite
-def sparse_series(draw, order):
-    """A sparse QTSeries with int or Fraction coefficients, part of it cancelled."""
+def sparse_series(draw, order, fractions=True):
+    """A sparse QTSeries with int (or int and Fraction) coefficients, part of it cancelled."""
     key = st.integers(0, order).flatmap(
         lambda a: st.tuples(st.just(a), st.integers(0, order - a)))
-    coeff = st.one_of(small_ints, st.fractions(-3, 3, max_denominator=4))
+    coeff = (st.one_of(small_ints, st.fractions(-3, 3, max_denominator=4)) if fractions
+             else small_ints)
     terms = draw(st.dictionaries(key, coeff, max_size=6))
     s = QTSeries(order, terms)
     # subtract some of its own terms: keys that cancel to zero must vanish
@@ -186,6 +237,33 @@ def test_series_product_against_dense_oracle(operands):
     one_q = QTSeries(a.order, {(0, 0): 1, (1, 0): 1})
     assert one_q * QTSeries(a.order, {(0, 0): 1, (1, 0): -1}) == \
         QTSeries(a.order, {(0, 0): 1, (2, 0): -1})
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    sparse_series(n, fractions=False), sparse_series(n))), st.booleans())
+def test_series_product_against_fraction_oracle(operands, swap):
+    ints, mixed = operands
+    a, b = (mixed, ints) if swap else (ints, mixed)
+    prod = a * b
+    assert prod == series_mul_fraction(a, b)
+    # an integral coefficient comes back as an int, any other as a Fraction
+    for c in prod.coeffs.values():
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+    square = ints * ints
+    assert square == series_mul_fraction(ints, ints)
+    assert all(type(c) is int for c in square.coeffs.values())
+
+
+def test_clear_denominators_round_trip():
+    ints = {(0, 0): 3, (1, 0): -2}
+    assert clear_denominators(ints) == (1, ints)
+    assert clear_denominators(ints)[1] is ints  # an all-int dict is not copied
+    mixed = {(0, 0): Fraction(1, 6), (0, 1): -3, (2, 0): Fraction(-3, 4), (1, 1): Fraction(5)}
+    den, cleared = clear_denominators(mixed)
+    assert den == 12 and cleared == {(0, 0): 2, (0, 1): -36, (2, 0): -9, (1, 1): 60}
+    assert all(type(c) is int for c in cleared.values())
+    back = divide_back(cleared, den)
+    assert back == mixed and type(back[(1, 1)]) is int and type(back[(0, 0)]) is Fraction
 
 
 def test_qpoch_product_against_dense_oracle():

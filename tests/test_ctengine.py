@@ -14,12 +14,13 @@ from macsym.ctengine import (_accumulate_delta, ct_norm_check, delta_expand,
                              schur_ct_dual, self_adjoint_check,
                              skew_integral_check)
 from macsym.errors import WindowTooSmall
-from macsym.macdonald import b_coeff, macdonald_pair
+from macsym.macdonald import b_coeff, dr_apply, macdonald_pair
 from macsym.partitions import conjugate, partitions_of
 from macsym.symfunc import NPoly, convert, evaluate_n, sym_gen
 
 from oracles import (dense_from_qtseries, dense_inv, dense_mul, dense_zero,
-                     delta_two_var_oracle, delta_unpruned, poch_dense)
+                     delta_two_var_oracle, delta_unpruned, poch_dense,
+                     scalar_prime_pairwise)
 
 
 def test_delta_coefficient_valuations():
@@ -149,6 +150,51 @@ def test_scalar_prime_empty_against_poch_oracle():
     assert got == want
 
 
+def test_scalar_prime_against_pairwise_oracle_on_the_ct_norm_cases():
+    for n in range(1, 5):
+        for d in range(4):
+            for lam in partitions_of(d, max_length=n):
+                P = macdonald_pair(lam).P
+                assert scalar_prime(P, P, n, 6) == scalar_prime_pairwise(P, P, n, 6)
+
+
+def test_scalar_prime_against_pairwise_oracle_on_a_nonsymmetric_f():
+    f = NPoly(3, {(2, 1, 0): ratqt(1), (0, 1, 2): parse_ratqt("q/(1-t)"),
+                  (1, 1, 1): ratqt(-3), (3, 0, 0): parse_ratqt("1+t")})
+    for mu in ((3,), (2, 1), (1, 1, 1)):
+        g = evaluate_n(macdonald_pair(mu).P, 3)
+        got = scalar_prime(f, g, 3, 5)
+        assert got == scalar_prime_pairwise(f, g, 3, 5)
+    assert got  # the pairing with P_(1,1,1) is nonzero
+
+
+def test_scalar_prime_against_pairwise_oracle_on_the_self_adjointness_pairs():
+    for n in (2, 3):
+        fams = [evaluate_n(sym_gen("m", lam), n)
+                for d in range(4) for lam in partitions_of(d, max_length=n)]
+        for f in fams:
+            df = dr_apply(1, f, n)
+            for g in fams:
+                assert scalar_prime(df, g, n, 4) == scalar_prime_pairwise(df, g, n, 4)
+                dg = dr_apply(1, g, n)
+                assert scalar_prime(f, dg, n, 4) == scalar_prime_pairwise(f, dg, n, 4)
+
+
+@pytest.mark.parametrize("terms", [
+    {(2, 0): 1},                           # x_1^2: its orbit lacks x_2^2
+    {(0, 2): 1},                           # x_2^2, the sorted representative alone
+    {(2, 0): 1, (0, 2): 2},                # unequal coefficients on one orbit
+    {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): parse_ratqt("q")},
+])
+def test_scalar_prime_rejects_a_nonsymmetric_g(terms):
+    n = len(next(iter(terms)))
+    g = NPoly(n, {e: ratqt(c) for e, c in terms.items()})
+    with pytest.raises(ValueError):
+        scalar_prime(sym_gen("m", (2,)), g, n, 4)
+    with pytest.raises(ValueError):
+        scalar_prime(NPoly(n), g, n, 4)  # checked even when f is zero
+
+
 def test_ct_norm_examples():
     assert ct_norm_check((), 1, 4)
     assert ct_norm_check((1,), 2, 4)
@@ -235,6 +281,12 @@ def test_integral_constants_examples():
     assert len(c22.block_norms) == 1
     # primed norm of a single variable block is 1
     assert norm_prime_product((2,), 1).to_series(4) == QTSeries.one(4)
+
+
+def test_integral_constants_takes_a_list_and_is_cached():
+    c = integral_constants([2, 1])
+    assert c == integral_constants((2, 1))
+    assert c is integral_constants((2, 1)) and c.lam == (2, 1)
 
 
 def test_integral_constants_minus_relation():
