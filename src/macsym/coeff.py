@@ -1,8 +1,12 @@
 """Exact coefficient arithmetic: the field Q(q,t) and truncated (q,t) power series.
 
-Rational functions are carried by sympy's sparse fraction field over Z[q,t],
-which keeps numerator and denominator coprime, content-free and
-sign-normalized after every operation.  Truncated series live in
+Rational functions are carried by sympy's sparse fraction field over Z[q,t]:
+each element is a canonical pair, numerator and denominator coprime,
+content-free and sign-normalized, and each field operation pays a gcd to
+keep it so.  A linear combination therefore does not add term by term in
+the field: `clear_ratqt` clears its terms to Z[q,t] over one common
+denominator, the sum runs in the ring, and `reduce_ratqt` reduces each
+output once.  Truncated series live in
 Q[[q,t]] / (total degree > M) and are plain dictionaries mapping
 (q-exponent, t-exponent) to exact rational coefficients.  A series product
 clears each operand to integers over one denominator, the lcm of its
@@ -142,6 +146,36 @@ def invert(rows, plist):
                 inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
     return {lam: {mu: c for mu, c in zip(plist, inv[i]) if c}
             for i, lam in enumerate(plist)}
+
+
+def clear_ratqt(terms):
+    """(den, {key: element of Z[q,t]}) with terms[key] = nums[key] / den.
+
+    The values (RatQT, int or Fraction) are coerced into Q(q,t); den is the
+    lcm of their denominators, and a denominator that already divides the
+    running lcm costs one exact division and no gcd.  The empty map clears to
+    (1, {}).  `reduce_ratqt` takes the pair back.
+    """
+    coeffs = {key: ratqt(c) for key, c in terms.items()}
+    den, cofactor = RING.one, {}
+    for c in coeffs.values():
+        d = c.denom
+        if d not in cofactor:
+            cofactor[d] = None
+            if den.rem(d):
+                den = den.lcm(d)
+    for d in cofactor:
+        cofactor[d] = den.exquo(d)
+    return den, {key: c.numer * cofactor[c.denom] for key, c in coeffs.items()}
+
+
+def reduce_ratqt(nums, den):
+    """{key: nums[key] / den} in Q(q,t) for a map of Z[q,t] numerators; zeros dropped.
+
+    One reduction (`FIELD.new`, which returns the canonical pair) per nonzero
+    value.
+    """
+    return {key: FIELD.new(n, den) for key, n in nums.items() if n}
 
 
 def clear_denominators(coeffs):
@@ -526,6 +560,17 @@ def _poch_series(a, b, order):
     return out
 
 
+@lru_cache(maxsize=None)
+def _poch_series_inverse(a, b, order):
+    """1 / (q^a t^b; q)_infinity as a QTSeries, shared by every negative exponent."""
+    return _poch_series(a, b, order).inverse()
+
+
+def _times(x, y):
+    """x * y in Q(q,t), with no field operation when either factor is ONE."""
+    return y if x == ONE else x if y == ONE else x * y
+
+
 class QPochProduct:
     """prefactor * prod over (a,b) of (q^a t^b; q)_infinity ^ e(a,b), held exactly.
 
@@ -549,16 +594,16 @@ class QPochProduct:
 
     def __mul__(self, other):
         if isinstance(other, QPochProduct):
-            out = QPochProduct(self.prefactor * other.prefactor)
+            out = QPochProduct(_times(self.prefactor, other.prefactor))
             out.factors = add_into(dict(self.factors), other.factors)
             return out
-        return QPochProduct(self.prefactor * ratqt(other), dict(self.factors))
+        return QPochProduct(_times(self.prefactor, ratqt(other)), dict(self.factors))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, QPochProduct):
-            inv = QPochProduct(ONE / other.prefactor,
+            inv = QPochProduct(ONE if other.prefactor == ONE else ONE / other.prefactor,
                                {key: -e for key, e in other.factors.items()})
             return self * inv
         return QPochProduct(self.prefactor / ratqt(other), dict(self.factors))
@@ -566,9 +611,7 @@ class QPochProduct:
     def to_series(self, order):
         out = to_series(self.prefactor, order)
         for (a, b), e in self.factors.items():
-            base = _poch_series(a, b, order)
-            if e < 0:
-                base = base.inverse()
+            base = (_poch_series if e > 0 else _poch_series_inverse)(a, b, order)
             out = out * base ** abs(e)
         return out
 

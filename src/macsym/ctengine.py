@@ -37,8 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .coeff import (QPochProduct, QTSeries, add_into, clear_denominators, divide_back,
-                    ratqt, swap_qt, to_series)
+from .coeff import (ONE, RING, QPochProduct, QTSeries, add_into, clear_denominators,
+                    divide_back, ratqt, reduce_ratqt, swap_qt, to_series)
 from .errors import InternalInconsistency, WindowTooSmall
 from .macdonald import b_coeff, dr_apply, macdonald_pair, skew_q
 from .pairing import kernel_coeff, kernel_product, qbinom_coeff
@@ -472,18 +472,22 @@ def integral_constants(lam):
 @lru_cache(maxsize=None)
 def _integral_constants(lam):
     blocks = rectangles(lam) if lam else []
-    c_plus = QPochProduct()
+    primes = QPochProduct()
     norms = []
+    num = den = RING.one  # the prefactor of c_plus, prod over blocks of norm / r!
     for (_, r), stack in zip(blocks, partial_stacks(blocks)):
         norm = 1 / b_coeff(stack)
-        prime = norm_prime_product(stack, r)
         norms.append(norm)
-        c_plus = c_plus * QPochProduct(Fraction(1, factorial(r))) * norm / prime
-    total_norm = 1 / b_coeff(lam) if lam else ratqt(1)
+        num, den = num * norm.numer, den * norm.denom * factorial(r)
+        primes = primes * norm_prime_product(stack, r)
+    # one reduction per constant; c_minus = c_plus / <P_lam, P_lam> = c_plus b_lam
+    b = b_coeff(lam) if lam else ONE
+    c_plus = reduce_ratqt({(): num}, den)[()]
+    c_minus = reduce_ratqt({(): num * b.numer}, den * b.denom)[()]
     return IntegralConstants(
         lam=lam,
-        c_plus=c_plus,
-        c_minus=c_plus / total_norm,
+        c_plus=QPochProduct(c_plus) / primes,
+        c_minus=QPochProduct(c_minus) / primes,
         block_norms=tuple(norms),
         uses_ct_conjecture=any(r >= 2 for _, r in blocks),
     )

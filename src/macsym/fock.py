@@ -8,14 +8,16 @@ identities come from the vertex-operator construction: the finite-product
 collapse of the kernels at t = q^beta and the symmetrizer sum formula.
 """
 
-from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 
-from .coeff import Q, T, add_into, ratqt, substitute
+from .coeff import FIELD, RING, Q, add_into, clear_ratqt, ratqt, reduce_ratqt, substitute
 from .macdonald import hall_littlewood_symmetrizer, macdonald_pair
 from .pairing import inner_qt, qbinom_coeff
 from .partitions import as_partition, dominates, partitions_of, weight
 from .symfunc import NPoly, SymFunc, basis_to_m, convert, multiply
+
+_q, _t = RING.gens
 
 
 def skew_via_fock(lam, mu):
@@ -23,12 +25,16 @@ def skew_via_fock(lam, mu):
 
     Q_lam(x, y) = sum_mu Q_{lam/mu}(x) b_mu P_mu(y) (Macdonald VI (7.9')); P_mu(y) is
     peeled off the y-parts in the m basis down dominance, as P is unitriangular in m.
+    Only the y-parts m_nu with nu dominating mu can reach the coefficient of P_mu.
+    Q_lam is cleared to Z[q,t] once, the peeling runs over one running
+    denominator, and each output coefficient is reduced once.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     if (k := weight(mu)) > weight(lam):
         return SymFunc("p")
-    to_m, rest = basis_to_m("p", k), {}  # rest: {nu: {x-partition: coeff of m_nu(y)}}
-    for kappa, c in macdonald_pair(lam).Qf.terms.items():
+    den, Qf = clear_ratqt(macdonald_pair(lam).Qf.terms)
+    to_m, rest = basis_to_m("p", k), {}  # rest: {nu: {x-partition: numerator of m_nu(y)}}
+    for kappa, c in Qf.items():
         splits = {((), ()): 1}  # {(x-parts, y-parts): multiplicity}
         for part in kappa:
             nxt = {}
@@ -39,45 +45,72 @@ def skew_via_fock(lam, mu):
             splits = nxt
         for (x, y), n in splits.items():
             for nu, v in to_m[y].items() if weight(y) == k else ():
-                add_into(rest.setdefault(nu, {}), {x: c}, n * v)
+                if dominates(nu, mu):
+                    add_into(rest.setdefault(nu, {}), {x: c}, n * v)
     for nu in partitions_of(k):
-        a = dict(rest.get(nu, {}))  # the coefficient of P_nu(y), once larger P are off
-        if nu == mu:
-            return SymFunc("p", a).scale(macdonald_pair(mu).norm)
-        if a and dominates(nu, mu):  # a != 0 only for nu inside lam
-            for rho, v in macdonald_pair(nu).P.terms.items():
-                add_into(rest.setdefault(rho, {}), a, -v)
+        a = rest.pop(nu, {})  # the coefficient of P_nu(y), once larger P are off
+        if nu == mu:  # Q_{lam/mu} = a / b_mu
+            b = macdonald_pair(mu).b
+            return SymFunc("p", reduce_ratqt({x: v * b.denom for x, v in a.items()},
+                                             den * b.numer))
+        if a:  # only for nu inside lam and dominating mu
+            den_p, P = clear_ratqt(macdonald_pair(nu).P.terms)
+            if den_p != 1:
+                for row in rest.values():
+                    for x in row:
+                        row[x] *= den_p
+                den *= den_p
+            for rho, v in P.items():
+                if rho != nu and dominates(rho, mu):
+                    add_into(rest.setdefault(rho, {}), a, -v)
 
 
-@lru_cache(maxsize=None)
-def _pbar_factor(r):
-    return r * (1 - Q ** r) / (1 - T ** r)
+def _lower(r, nums):
+    """r (1-q^r) d/dp_r on p-basis numerators over Z[q,t]: p_bar_r times 1 - t^r."""
+    factor = r * (1 - _q ** r)
+    out = {}
+    for nu, c in nums.items():
+        if m := nu.count(r):
+            rest = list(nu)
+            rest.remove(r)
+            out[as_partition(rest)] = c * (m * factor)
+    return out
 
 
 def p_bar_apply(r, f):
     """The lowering operator r (1-q^r)/(1-t^r) d/dp_r on a p-basis element."""
-    fp = convert(f, "p")
+    den, nums = clear_ratqt(convert(f, "p").terms)
     out = SymFunc("p")
-    for nu, c in fp.terms.items():
-        m = nu.count(r)
-        if m:
-            rest = list(nu)
-            rest.remove(r)
-            add_into(out.terms, {as_partition(rest): c * (m * _pbar_factor(r))})
+    out.terms = reduce_ratqt(_lower(r, nums), den * (1 - _t ** r))
     return out
 
 
 def skew_via_diffop(lam, mu):
-    """Skew function by letting P_mu act in the lowered power sums on Q_lam."""
+    """Skew function by letting P_mu act in the lowered power sums on Q_lam.
+
+    p_kappa of P_mu acts as the lowering operators of the parts of kappa: their
+    factors r (1-q^r) act on the numerators of Q_lam, cleared to Z[q,t] once,
+    and prod (1-t^r) joins the coefficient of p_kappa.  The sum over kappa is
+    reduced once per output coefficient.
+    """
     lam, mu = as_partition(lam), as_partition(mu)
-    cur = SymFunc("p")
-    target = macdonald_pair(lam).Qf
+    den, target = clear_ratqt(macdonald_pair(lam).Qf.terms)
+    pieces, weights = {}, {}
     for kappa, u in macdonald_pair(mu).P_p.terms.items():
-        piece = target
+        piece, lowering = target, RING.one
         for part in kappa:
-            piece = p_bar_apply(part, piece)
-        add_into(cur.terms, piece.terms, u)
-    return cur
+            piece = _lower(part, piece)
+            lowering *= 1 - _t ** part
+        if piece:
+            pieces[kappa] = piece
+            weights[kappa] = FIELD.new(u.numer, u.denom * lowering)
+    den_w, weights = clear_ratqt(weights)
+    total = {}
+    for kappa, piece in pieces.items():
+        add_into(total, piece, weights[kappa])
+    out = SymFunc("p")
+    out.terms = reduce_ratqt(total, den * den_w)
+    return out
 
 
 def commutator_contract(r, s, f):
@@ -85,7 +118,7 @@ def commutator_contract(r, s, f):
     fp = convert(f, "p")
     p_s = SymFunc("p", {(s,): ratqt(1)})
     lhs = p_bar_apply(r, multiply(p_s, fp)) - multiply(p_s, p_bar_apply(r, fp))
-    rhs = fp.scale(_pbar_factor(r)) if r == s else SymFunc("p")
+    rhs = fp.scale(FIELD.new(r * (1 - _q ** r), 1 - _t ** r)) if r == s else SymFunc("p")
     return lhs == rhs
 
 
@@ -148,6 +181,13 @@ def _monomial_shift(n, i, j, k=1):
     return tuple(e)
 
 
+def _vertex_pair_series(beta):
+    """{d: coefficient of (x_i/x_j)^d} in the interchange kernel of one pair at t = q^beta."""
+    cm = [_delta_factor_rational(m, beta) for m in range(beta + 1)]
+    return {dd: sum((cm[k + abs(dd)] * cm[k] for k in range(beta - abs(dd) + 1)), ratqt(0))
+            for dd in range(-beta, beta + 1)}
+
+
 def vertex_product_check(beta, n, d):
     """Finite-product collapse of both kernels at t = q^beta, exact in q.
 
@@ -170,21 +210,17 @@ def vertex_product_check(beta, n, d):
         lhs = substitute(qbinom_coeff(m), Q, Q ** beta)
         if lhs != pi_side[m]:
             return False
-    # assembled interchange kernel over n variables (Laurent polynomials in x)
-    cm = [_delta_factor_rational(m, beta) for m in range(beta + 1)]
-    pair = {}
-    for dd in range(-beta, beta + 1):
-        s = ratqt(0)
-        for k in range(beta - abs(dd) + 1):
-            s = s + cm[k + abs(dd)] * cm[k]
-        pair[dd] = s
-    lhs = NPoly.constant(n, ratqt(1))
-    rhs = NPoly.constant(n, ratqt(1))
+    # assembled interchange kernel over n variables (Laurent polynomials in x),
+    # compared over Z[q]: the pair series cleared to one denominator D, the
+    # finite product times D^(number of pairs)
+    den, pair = clear_ratqt(_vertex_pair_series(beta))
+    lhs = NPoly.constant(n, RING.one)
+    rhs = NPoly.constant(n, den ** comb(n, 2))
     for i, j in combinations(range(n), 2):
         lhs = lhs * NPoly(n, {_monomial_shift(n, i, j, dd): s for dd, s in pair.items()})
     for i, j in permutations(range(n), 2):
         for k in range(beta):
-            rhs = rhs * NPoly(n, {(0,) * n: ratqt(1), _monomial_shift(n, i, j): -Q ** k})
+            rhs = rhs * NPoly(n, {(0,) * n: RING.one, _monomial_shift(n, i, j): -_q ** k})
     return lhs == rhs
 
 

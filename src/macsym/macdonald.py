@@ -23,8 +23,8 @@ from math import comb
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import ring
 
-from .coeff import (FIELD, Q, RING, T, RatQT, add_into, emit_ratqt, parse_ratqt,
-                    ratqt, substitute)
+from .coeff import (FIELD, Q, RING, T, RatQT, add_into, clear_ratqt, emit_ratqt,
+                    parse_ratqt, ratqt, reduce_ratqt, substitute)
 from .errors import InternalInconsistency
 from .pairing import inner_qt, z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
@@ -321,15 +321,6 @@ def _check_dr_args(r, f, n):
         raise ValueError(f"D_{r} needs 1 <= r <= n = {n} and a polynomial in n variables")
 
 
-def _cleared(terms):
-    """(den, {key: element of Z[q,t]}) with terms[key] = cleared[key] / den."""
-    coeffs = {key: ratqt(c) for key, c in terms.items()}
-    den = RING.one
-    for d in {c.denom for c in coeffs.values()}:
-        den = den.lcm(d)
-    return den, {key: c.numer * den.exquo(c.denom) for key, c in coeffs.items()}
-
-
 def dr_apply(r, f, n):
     """Apply the r-th Macdonald shift operator to f, a polynomial in n variables over Q(q,t).
 
@@ -337,9 +328,8 @@ def dr_apply(r, f, n):
     the ring, and each output coefficient is reduced into Q(q,t) once.
     """
     _check_dr_args(r, f, n)
-    den, F = _cleared(f.terms)
-    out = _dr_apply_ring(r, NPoly(n, F), n)
-    return NPoly(n, {e: FIELD.new(c, den) for e, c in out.terms.items()})
+    den, F = clear_ratqt(f.terms)
+    return NPoly(n, reduce_ratqt(_dr_apply_ring(r, NPoly(n, F), n).terms, den))
 
 
 def dr_eigenvalue(lam, r, n):
@@ -365,7 +355,7 @@ def dr_eigencheck(lam, r, n):
     lam = as_partition(lam)
     if len(lam) > n or not 1 <= r <= n:
         raise ValueError(f"eigen check needs len(lambda) <= n = {n} and 1 <= r <= n")
-    J = NPoly(n, _cleared(evaluate_n(macdonald_pair(lam).P, n).terms)[1])
+    J = NPoly(n, clear_ratqt(evaluate_n(macdonald_pair(lam).P, n).terms)[1])
     return _dr_apply_ring(r, J, n) == J.scale(dr_eigenvalue(lam, r, n).numer)
 
 
@@ -383,7 +373,7 @@ def dr_commute_check(r, s, f, n):
     """[D_r, D_s] f = 0, exactly, on f cleared to Z[q,t]."""
     _check_dr_args(r, f, n)
     _check_dr_args(s, f, n)
-    F = frozenset(_cleared(f.terms)[1].items())
+    F = frozenset(clear_ratqt(f.terms)[1].items())
     a = _dr_apply_ring(r, _dr_first_stage(s, F, n), n)
     b = _dr_apply_ring(s, _dr_first_stage(r, F, n), n)
     return a == b
@@ -415,10 +405,21 @@ def skew_q(lam, mu):
         return out
     pair_l = macdonald_pair(lam)
     pmu = macdonald_pair(mu).P_p
+    f, Qf = {}, {}  # f^lam_{mu,nu} / b_lam, and Q_nu keyed (nu, kappa), where f != 0
     for nu in partitions_of(d):
         pair_n = macdonald_pair(nu)
-        f = pair_l.b * inner_qt(pair_l.P_p, multiply(pmu, pair_n.P_p))
-        add_into(out.terms, pair_n.Qf.terms, f)
+        if c := inner_qt(pair_l.P_p, multiply(pmu, pair_n.P_p)):
+            f[nu] = c
+            Qf.update(((nu, kappa), v) for kappa, v in pair_n.Qf.terms.items())
+    # sum_nu f_nu Q_nu over Z[q,t]: each side cleared once, each output reduced once
+    den_f, f = clear_ratqt(f)
+    den_q, Qf = clear_ratqt(Qf)
+    b = pair_l.b
+    total = {}
+    for (nu, kappa), v in Qf.items():
+        total[kappa] = total.get(kappa, RING.zero) + f[nu] * v
+    out.terms = reduce_ratqt({kappa: v * b.numer for kappa, v in total.items()},
+                             den_f * den_q * b.denom)
     return out
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .coeff import Q, T, ratqt, substitute
+from .coeff import RING, ZERO, Q, T, clear_ratqt, ratqt, reduce_ratqt, substitute
 from .partitions import as_partition, compositions, partitions_of
 from .symfunc import SymFunc, convert, p_product
 
@@ -34,23 +34,28 @@ def z_plain(lam):
 
 
 @lru_cache(maxsize=None)
-def _z_weight(lam, specialize):
-    z = z_factor(lam)
-    return z if specialize is None else substitute(z, *specialize)
+def _z_weights_cleared(keys, specialize):
+    """clear_ratqt of the weights z_lam(q,t) (substituted per `specialize`) of the keys."""
+    z = {lam: z_factor(lam) for lam in keys}
+    return clear_ratqt(z if specialize is None else
+                       {lam: substitute(w, *specialize) for lam, w in z.items()})
 
 
 def inner_pvec(a, b, specialize=None):
     """<p-basis map a, p-basis map b>: sum over shared lam of a * b * z_lam(q,t).
 
+    a, b and the weights of the shared keys are each cleared to Z[q,t] once,
+    and the sum is reduced once.
+
     `specialize` optionally substitutes (q_image, t_image) into the weights,
     e.g. (0, t) gives the Hall-Littlewood scalar product.
     """
-    total = ratqt(0)
-    for lam, c1 in a.items():
-        c2 = b.get(lam)
-        if c2 is not None:
-            total = total + c1 * c2 * _z_weight(lam, specialize)
-    return total
+    shared = [lam for lam in a if lam in b]
+    den_a, num_a = clear_ratqt({lam: a[lam] for lam in shared})
+    den_b, num_b = clear_ratqt({lam: b[lam] for lam in shared})
+    den_z, num_z = _z_weights_cleared(tuple(sorted(shared)), specialize)
+    total = sum((num_a[lam] * num_b[lam] * num_z[lam] for lam in shared), RING.zero)
+    return reduce_ratqt({(): total}, den_a * den_b * den_z).get((), ZERO)
 
 
 def inner_qt(f, g, specialize=None):

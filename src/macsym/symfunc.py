@@ -6,13 +6,15 @@ matrices, cached after first use.  The power-sum basis is the pivot for
 multiplication and for every scalar product in the package.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.utilities.iterables import multiset_permutations
 
-from .coeff import add_into, invert, ratqt
+from .coeff import (QTSeries, add_into, clear_denominators, clear_ratqt, invert, ratqt,
+                    reduce_ratqt)
 from .errors import NotSymmetric, UnstableRange
 from .partitions import as_partition, compositions, partitions_of, weight
 
@@ -243,6 +245,18 @@ def m_to_basis(basis, d):
     return invert(basis_to_m(basis, d), plist)
 
 
+@lru_cache(maxsize=None)
+def _m_to_basis_cleared(basis, d):
+    """(D, {mu: {lam: int}}): the rational rows of m_to_basis(basis, d) times one integer D."""
+    rows = m_to_basis(basis, d)
+    den, flat = clear_denominators({(mu, lam): Fraction(int(c.numer.LC), int(c.denom.LC))
+                                    for mu, row in rows.items() for lam, c in row.items()})
+    out = {mu: {} for mu in rows}
+    for (mu, lam), c in flat.items():
+        out[mu][lam] = c
+    return den, out
+
+
 # ---------------------------------------------------------------------------
 # the SymFunc container
 # ---------------------------------------------------------------------------
@@ -317,28 +331,37 @@ def sym_gen(basis, lam, coeff=1):
 
 
 def convert(f, to):
-    """Rewrite f in the target basis; exact, degree by degree."""
+    """Rewrite f in the target basis; exact, degree by degree.
+
+    Over Q(q,t), f is cleared to Z[q,t] over one denominator, the integer
+    transition rows act on the numerators, and each output coefficient is
+    reduced once.  A map of series coefficients converts to the m basis only.
+    """
     if to not in BASES:
         raise ValueError(f"unknown basis {to!r}")
     if f.basis == to:
         return SymFunc(to, dict(f.terms))
-    out = {}
+    series = any(isinstance(c, QTSeries) for c in f.terms.values())
+    if series and to != "m":
+        raise ValueError(f"series coefficients convert to the m basis only, not {to!r}")
+    den, nums = (None, f.terms) if series else clear_ratqt(f.terms)
     by_degree = {}
-    for lam, c in f.terms.items():
+    for lam, c in nums.items():
         by_degree.setdefault(weight(lam), {})[lam] = c
+    res = SymFunc(to)
     for d, terms in by_degree.items():
         src_rows = basis_to_m(f.basis, d)
         mid = {}
         for lam, c in terms.items():
             add_into(mid, src_rows[lam], c)
         if to == "m":
-            out.update(mid)
+            res.terms.update(mid if series else reduce_ratqt(mid, den))
             continue
-        dst_rows = m_to_basis(to, d)
+        row_den, dst_rows = _m_to_basis_cleared(to, d)
+        out = {}
         for mu, c in mid.items():
             add_into(out, dst_rows[mu], c)
-    res = SymFunc(to)
-    res.terms = out
+        res.terms.update(reduce_ratqt(out, den * row_den))
     return res
 
 
@@ -348,11 +371,18 @@ def multiply(f, g):
 
 
 def p_product(f, g):
-    """Product of two p-basis elements: p_lam p_mu is p of the merged parts."""
+    """Product of two p-basis elements: p_lam p_mu is p of the merged parts.
+
+    Both factors are cleared to Z[q,t] once and each output is reduced once.
+    """
+    den_f, nums_f = clear_ratqt(f.terms)
+    den_g, nums_g = clear_ratqt(g.terms)
+    out = {}
+    for lam, c1 in nums_f.items():
+        add_into(out, {as_partition(sorted(lam + mu, reverse=True)): c2
+                       for mu, c2 in nums_g.items()}, c1)
     res = SymFunc("p")
-    for lam, c1 in f.terms.items():
-        add_into(res.terms, {as_partition(sorted(lam + mu, reverse=True)): c2
-                             for mu, c2 in g.terms.items()}, c1)
+    res.terms = reduce_ratqt(out, den_f * den_g)
     return res
 
 

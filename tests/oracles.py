@@ -10,18 +10,24 @@ every coefficient operation in Q(q,t) where the package works in Z[q,t], the
 dual Schur oracle inverts Gram matrices where the package reads the
 plethystic closed forms, the series product multiplies Fractions where the
 package clears both operands to integers, and the pairwise scalar product
-pairs every two monomials where the package pairs S_n-orbits.
+pairs every two monomials where the package pairs S_n-orbits.  The
+term-by-term bodies below (scalar product, p-product, basis change, the three
+skew routes) add and multiply one reduced Q(q,t) element at a time where the
+package clears each linear combination to Z[q,t] once and reduces each output
+once.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from macsym.coeff import Q, QTSeries, T, add_into, invert, ratqt
+from macsym.coeff import Q, QTSeries, T, add_into, invert, ratqt, substitute
 from macsym.ctengine import _as_npoly, delta_expand
-from macsym.pairing import inner_pvec, inner_qt
-from macsym.partitions import compositions, dominates, partitions_of
-from macsym.symfunc import NPoly, SymFunc, m_to_basis, npoly_divexact, sym_gen
+from macsym.macdonald import macdonald_pair
+from macsym.pairing import inner_pvec, inner_qt, z_factor
+from macsym.partitions import as_partition, compositions, dominates, partitions_of, weight
+from macsym.symfunc import (NPoly, SymFunc, basis_to_m, m_to_basis, npoly_divexact,
+                            sym_gen)
 
 
 def dense_zero(order):
@@ -344,3 +350,129 @@ def scalar_prime_pairwise(f, g, n, order):
             if mom is not None:
                 total = total + series_mul_fraction(series_mul_fraction(ca, cb), mom)
     return total * Fraction(1, factorial(n))
+
+
+# ---------------------------------------------------------------------------
+# term-by-term Q(q,t) linear combinations
+# ---------------------------------------------------------------------------
+
+def inner_pvec_termwise(a, b, specialize=None):
+    """sum over shared lam of a * b * z_lam(q,t), one reduced field operation at a time."""
+    total = ratqt(0)
+    for lam, c1 in a.items():
+        c2 = b.get(lam)
+        if c2 is not None:
+            z = z_factor(lam)
+            if specialize is not None:
+                z = substitute(z, *specialize)
+            total = total + c1 * c2 * z
+    return total
+
+
+def inner_qt_termwise(f, g, specialize=None):
+    return inner_pvec_termwise(convert_termwise(f, "p").terms,
+                               convert_termwise(g, "p").terms, specialize)
+
+
+def p_product_termwise(f, g):
+    """p_lam p_mu = p of the merged parts, summed one field product at a time."""
+    res = SymFunc("p")
+    for lam, c1 in f.terms.items():
+        add_into(res.terms, {as_partition(sorted(lam + mu, reverse=True)): c2
+                             for mu, c2 in g.terms.items()}, c1)
+    return res
+
+
+def multiply_termwise(f, g):
+    return p_product_termwise(convert_termwise(f, "p"), convert_termwise(g, "p"))
+
+
+def convert_termwise(f, to):
+    """f in the basis `to` through the m basis, one field operation per term."""
+    if f.basis == to:
+        return SymFunc(to, dict(f.terms))
+    out = {}
+    by_degree = {}
+    for lam, c in f.terms.items():
+        by_degree.setdefault(weight(lam), {})[lam] = c
+    for d, terms in by_degree.items():
+        mid = {}
+        for lam, c in terms.items():
+            add_into(mid, basis_to_m(f.basis, d)[lam], c)
+        if to == "m":
+            out.update(mid)
+            continue
+        for mu, c in mid.items():
+            add_into(out, m_to_basis(to, d)[mu], c)
+    res = SymFunc(to)
+    res.terms = out
+    return res
+
+
+def skew_q_termwise(lam, mu):
+    """Q_{lam/mu} = sum_nu b_lam <P_lam, P_mu P_nu> Q_nu, term by term in Q(q,t)."""
+    lam, mu = as_partition(lam), as_partition(mu)
+    out = SymFunc("p")
+    if weight(mu) > weight(lam):
+        return out
+    pair_l = macdonald_pair(lam)
+    for nu in partitions_of(weight(lam) - weight(mu)):
+        pair_n = macdonald_pair(nu)
+        f = pair_l.b * inner_qt_termwise(
+            pair_l.P_p, multiply_termwise(macdonald_pair(mu).P_p, pair_n.P_p))
+        add_into(out.terms, pair_n.Qf.terms, f)
+    return out
+
+
+def skew_via_fock_termwise(lam, mu):
+    """The translation-coproduct route with every coefficient in Q(q,t).
+
+    Splits each p_kappa of Q_lam into x- and y-parts, takes the y-parts to the
+    m basis and peels P_nu(y) off down the whole dominance order.
+    """
+    lam, mu = as_partition(lam), as_partition(mu)
+    if (k := weight(mu)) > weight(lam):
+        return SymFunc("p")
+    to_m, rest = basis_to_m("p", k), {}
+    for kappa, c in macdonald_pair(lam).Qf.terms.items():
+        splits = {((), ()): 1}
+        for part in kappa:
+            nxt = {}
+            for (x, y), n in splits.items():
+                for key in ((x + (part,), y), (x, y + (part,))):
+                    if weight(key[1]) <= k:
+                        nxt[key] = nxt.get(key, 0) + n
+            splits = nxt
+        for (x, y), n in splits.items():
+            for nu, v in to_m[y].items() if weight(y) == k else ():
+                add_into(rest.setdefault(nu, {}), {x: c}, n * v)
+    for nu in partitions_of(k):
+        a = dict(rest.get(nu, {}))
+        if nu == mu:
+            return SymFunc("p", a).scale(macdonald_pair(mu).norm)
+        if a and dominates(nu, mu):
+            for rho, v in macdonald_pair(nu).P.terms.items():
+                add_into(rest.setdefault(rho, {}), a, -v)
+
+
+def p_bar_apply_termwise(r, f):
+    """r (1-q^r)/(1-t^r) d/dp_r, one field product per term."""
+    out = SymFunc("p")
+    for nu, c in convert_termwise(f, "p").terms.items():
+        m = nu.count(r)
+        if m:
+            rest = list(nu)
+            rest.remove(r)
+            add_into(out.terms, {as_partition(rest): c * (m * r * (1 - Q ** r) / (1 - T ** r))})
+    return out
+
+
+def skew_via_diffop_termwise(lam, mu):
+    """P_mu acting in the lowered power sums on Q_lam, term by term in Q(q,t)."""
+    cur = SymFunc("p")
+    for kappa, u in macdonald_pair(mu).P_p.terms.items():
+        piece = macdonald_pair(lam).Qf
+        for part in kappa:
+            piece = p_bar_apply_termwise(part, piece)
+        add_into(cur.terms, piece.terms, u)
+    return cur

@@ -6,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.rings import PolyElement
 
 from macsym.coeff import (FIELD, MAX_EXPONENT, ONE, Q, QPochProduct, QTSeries, RatQT,
-                          T, add_into, clear_denominators, divide_back, emit_ratqt,
-                          parse_ratqt, ratqt, substitute, swap_qt, to_series)
+                          RING, T, add_into, clear_denominators, clear_ratqt,
+                          divide_back, emit_ratqt, parse_ratqt, ratqt, reduce_ratqt,
+                          substitute, swap_qt, to_series)
 from macsym.errors import NotSeriesExpandable, SpecializationPole
 from macsym.macdonald import macdonald_pair
 from macsym.partitions import partitions_of
 
 from oracles import (dense_from_qtseries, dense_inv, dense_mul, poch_dense,
                      series_mul_fraction)
+from strategies import ratqt_values
 
 
 def test_arith_examples():
@@ -36,6 +38,32 @@ def test_add_into_drops_cancelled_keys():
     add_into(out, {"c": ONE, "e": ONE}, scale=FIELD.zero)
     assert out == {"c": T, "d": -2 * ONE}  # a zero scale stores nothing
     assert add_into({}, {"z": FIELD.zero}) == {}  # a zero term is never stored
+
+
+def test_clear_ratqt_examples():
+    assert clear_ratqt({}) == (RING.one, {})
+    den, nums = clear_ratqt({"a": 1 / (1 - Q), "b": Q / (1 - Q ** 2), "c": Fraction(1, 2)})
+    assert den in (2 - 2 * Q ** 2, 2 * Q ** 2 - 2)  # the lcm, up to sign
+    assert reduce_ratqt(nums, den) == {"a": 1 / (1 - Q), "b": Q / (1 - Q ** 2),
+                                       "c": ratqt(Fraction(1, 2))}
+    # a denominator that divides the running lcm leaves it as it is
+    assert clear_ratqt({"a": 1 / (1 - Q ** 2), "b": 1 / (1 - Q)})[0] == clear_ratqt(
+        {"a": 1 / (1 - Q ** 2)})[0]
+    assert reduce_ratqt({"z": RING.zero, "o": RING.one}, RING.one) == {"o": ONE}
+
+
+@given(st.dictionaries(st.integers(0, 9), ratqt_values, max_size=6))
+def test_clear_then_reduce_is_the_identity(terms):
+    den, nums = clear_ratqt(terms)
+    assert set(nums) == set(terms)
+    assert all(isinstance(n, PolyElement) for n in nums.values())
+    for c in map(ratqt, terms.values()):
+        assert not den.rem(c.denom)  # every denominator divides den
+    got = reduce_ratqt(nums, den)
+    assert got == {key: ratqt(c) for key, c in terms.items() if c}
+    # the canonical pair, as the field's own arithmetic leaves it
+    assert all((v.numer, v.denom) == (ratqt(terms[k]).numer, ratqt(terms[k]).denom)
+               for k, v in got.items())
 
 
 def test_to_series_examples():

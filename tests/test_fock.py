@@ -12,6 +12,8 @@ from macsym.macdonald import macdonald_pair, skew_q
 from macsym.partitions import partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, sym_gen
 
+from oracles import skew_q_termwise, skew_via_diffop_termwise, skew_via_fock_termwise
+
 
 def test_skew_route_examples():
     assert skew_via_fock((2, 1), ()) == macdonald_pair((2, 1)).Qf
@@ -28,6 +30,18 @@ def test_three_routes_small():
                 for mu in partitions_of(dm):
                     a = skew_q(lam, mu)
                     assert a == skew_via_fock(lam, mu) == skew_via_diffop(lam, mu)
+
+
+def test_three_routes_match_their_termwise_bodies():
+    # every pair with |lam| <= 4: each route against its one-field-operation-at-a-time body
+    for d in range(5):
+        for lam in partitions_of(d):
+            for dm in range(d + 1):
+                for mu in partitions_of(dm):
+                    want = skew_q_termwise(lam, mu)
+                    assert skew_q(lam, mu) == want, (lam, mu)
+                    assert skew_via_fock(lam, mu) == skew_via_fock_termwise(lam, mu) == want
+                    assert skew_via_diffop(lam, mu) == skew_via_diffop_termwise(lam, mu) == want
 
 
 def test_fock_route_uses_no_scalar_product(monkeypatch):
@@ -93,6 +107,20 @@ def test_vertex_product_beta_one():
     assert _delta_factor_rational(1, 1) == -1  # coefficient of u in (1 - u)
     assert _delta_factor_rational(2, 1) == 0
     assert _finite_pi_series(1, 3) == [ratqt(1)] * 4  # 1/(1-u) telescoped
+
+
+def test_vertex_product_fails_on_a_perturbed_pair_series(monkeypatch):
+    exact = fock._vertex_pair_series
+
+    def perturbed(beta):
+        pair = dict(exact(beta))
+        pair[1] = pair[1] + Q ** 2 / (1 - Q)
+        return pair
+
+    assert vertex_product_check(2, 3, 3)
+    monkeypatch.setattr(fock, "_vertex_pair_series", perturbed)
+    assert not vertex_product_check(2, 3, 3)
+    assert not vertex_product_check(1, 2, 3)
 
 
 def test_vertex_product_betas():

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 import macsym.macdonald as mac
-from macsym.coeff import Q, T, parse_ratqt, ratqt, swap_qt
+from macsym.coeff import Q, T, clear_ratqt, parse_ratqt, ratqt, swap_qt
 from macsym.errors import InternalInconsistency
 from macsym.macdonald import (SPECIALIZE_CASES, b_coeff, dr_apply,
                               dr_commute_check, dr_eigencheck, dr_eigenvalue,
@@ -148,7 +148,7 @@ def test_dr_commute_applies_each_first_stage_once():
     info = mac._dr_first_stage.cache_info()
     assert (info.misses, info.hits) == (4, 8)
     # the first stage is D_r itself
-    F = NPoly(4, mac._cleared(f.terms)[1])
+    F = NPoly(4, clear_ratqt(f.terms)[1])
     key = frozenset(F.terms.items())
     for r in range(1, 5):
         assert mac._dr_first_stage(r, key, 4) == mac._dr_apply_ring(r, F, 4)

@@ -2,13 +2,16 @@ import random
 
 from macsym.coeff import Q, T, parse_ratqt, ratqt, swap_qt
 from macsym.kostka import _inv_qpoch
-from macsym.pairing import (cauchy_pi, cauchy_pi_tilde, dual_factor, inner_qt,
+from macsym.pairing import (cauchy_pi, cauchy_pi_tilde, dual_factor, inner_pvec, inner_qt,
                             kernel_coeff, kernel_sym, omega_qt, qbinom_coeff,
                             z_factor, z_plain)
 from macsym.partitions import compositions, partitions_of
-from macsym.symfunc import SymFunc, convert, multiply, sym_gen
+from macsym.symfunc import SymFunc, convert, multiply, p_product, sym_gen
 
-from oracles import kernel_matrices
+from hypothesis import given, strategies as st
+
+from oracles import inner_pvec_termwise, kernel_matrices, p_product_termwise
+from strategies import pvec_maps
 
 
 def test_z_factor_examples():
@@ -115,3 +118,18 @@ def test_g_kernel_weighted_sum():
     g2 = kernel_sym(2, "g")
     assert g2.terms[(2,)] == (1 - T ** 2) / (2 * (1 - Q ** 2))
     assert g2.terms[(1, 1)] == ((1 - T) / (1 - Q)) ** 2 / 2
+
+
+@given(pvec_maps, pvec_maps, st.sampled_from([None, (0, T), (Q, Q)]))
+def test_inner_pvec_matches_the_termwise_sum(a, b, specialize):
+    got = inner_pvec(a, b, specialize)
+    want = inner_pvec_termwise(a, b, specialize)
+    assert got == want
+    assert (got.numer, got.denom) == (want.numer, want.denom)
+
+
+@given(pvec_maps, pvec_maps)
+def test_p_product_matches_the_termwise_product(a, b):
+    f, g = SymFunc("p", a), SymFunc("p", b)
+    got = p_product(f, g)
+    assert got == p_product_termwise(f.map_coeffs(ratqt), g.map_coeffs(ratqt))

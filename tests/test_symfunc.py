@@ -1,14 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from macsym.coeff import RING, ratqt
 from macsym.errors import NotSymmetric, UnstableRange
 from macsym.partitions import partitions_of
-from macsym.symfunc import (NPoly, SymFunc, convert, evaluate_n, from_poly,
+from macsym.symfunc import (BASES, NPoly, SymFunc, convert, evaluate_n, from_poly,
                             multiply, npoly_divexact, sym_gen)
 
-from oracles import schur_bialternant
+from oracles import convert_termwise, schur_bialternant
+from strategies import pvec_maps
 
 
 def test_convert_examples():
@@ -124,3 +126,9 @@ def test_npoly_divexact_ring_coefficient_that_does_not_divide():
 def test_inhomogeneous_conversion():
     f = SymFunc("p", {(): ratqt(5), (1,): ratqt(1), (2, 1): ratqt(2)})
     assert convert(convert(f, "m"), "p") == f
+
+
+@given(pvec_maps, st.sampled_from(BASES), st.sampled_from(BASES))
+def test_convert_matches_the_termwise_conversion(terms, src, dst):
+    f = SymFunc(src, terms).map_coeffs(ratqt)
+    assert convert(f, dst) == convert_termwise(f, dst)
