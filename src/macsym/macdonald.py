@@ -29,8 +29,8 @@ from .errors import InternalInconsistency
 from .pairing import inner_qt, z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
                          dominates, partitions_of, weight)
-from .symfunc import (NPoly, SymFunc, _perm_sign, basis_to_m, convert, evaluate_n,
-                      m_to_basis, multiply, npoly_divexact, sym_gen)
+from .symfunc import (NPoly, SymFunc, _m_to_basis_cleared, _perm_sign, basis_to_m,
+                      convert, evaluate_n, m_to_basis, multiply, npoly_divexact, sym_gen)
 
 # Q[q,t]: the zero mode in the power-sum basis has rational constants
 _QRING = RING.clone(domain=QQ)
@@ -165,28 +165,22 @@ def _integral_form(lam):
 def _pair_from_integral_form(lam, numer):
     """The pair from J_lam: P = J / c_lam, P_p = J_p / c_lam, Qf = J_p / c'_lam.
 
-    J_p is J in the power-sum basis over Q[q,t]; since b_lam = c_lam / c'_lam,
+    J_p, J in the power-sum basis, is D J_p / D over Z[q,t], D the integer
+    denominator of the m -> p table; since b_lam = c_lam / c'_lam,
     Q_lam = b_lam P_lam = J / c'_lam.  Each coefficient is reduced once.
     """
     c, c_prime = _arm_leg_products(lam)
-    m2p = m_to_basis("p", weight(lam))
-    numer_p = {}
+    den, m2p = _m_to_basis_cleared("p", weight(lam))
+    numer_p = {}  # D J_p
     for mu, n in numer.items():
-        n = n.set_ring(_QRING)
-        add_into(numer_p, {kappa: n * _qq(v) for kappa, v in m2p[mu].items()})
-    cleared = {kappa: v.clear_denoms() for kappa, v in numer_p.items()}
-
-    def reduce(den):
-        return {kappa: FIELD.new(v.set_ring(RING), den * k)
-                for kappa, (k, v) in cleared.items()}
-
+        add_into(numer_p, m2p[mu], n)
     b = b_coeff(lam)
     return MacdonaldPair(
         lam=lam,
-        P=SymFunc("m", {mu: FIELD.new(n, c) for mu, n in numer.items()}),
-        P_p=SymFunc("p", reduce(c)),
+        P=SymFunc("m", reduce_ratqt(numer, c)),
+        P_p=SymFunc("p", reduce_ratqt(numer_p, den * c)),
         b=b,
-        Qf=SymFunc("p", reduce(c_prime)),
+        Qf=SymFunc("p", reduce_ratqt(numer_p, den * c_prime)),
         norm=1 / b,
     )
 
