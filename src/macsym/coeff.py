@@ -117,19 +117,21 @@ def add_into(out, terms, scale=None):
 
 
 def invert(rows, plist):
-    """Inverse over Q(q,t) of the square matrix {lam: {mu: entry}} indexed by plist.
+    """Inverse of the square matrix {lam: {mu: entry}} indexed by plist.
 
-    Gauss-Jordan elimination with the first nonzero pivot of each column.
-    The inverse comes back in the same sparse row form, zeros dropped; a
-    singular matrix raises InternalInconsistency.
+    The entries are field elements, Fraction or RatQT, and are used as they
+    are; the identity starts as plain 0/1.  Gauss-Jordan elimination with the
+    first nonzero pivot of each column.  The inverse comes back in the same
+    sparse row form, zeros dropped; a singular matrix raises
+    InternalInconsistency.
     """
     k = len(plist)
     idx = {lam: i for i, lam in enumerate(plist)}
-    mat = [[ZERO] * k for _ in range(k)]
+    mat = [[0] * k for _ in range(k)]
     for lam, row in rows.items():
         for mu, c in row.items():
-            mat[idx[lam]][idx[mu]] = ratqt(c)
-    inv = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
+            mat[idx[lam]][idx[mu]] = c
+    inv = [[int(i == j) for j in range(k)] for i in range(k)]
     for col in range(k):
         piv = next((r for r in range(col, k) if mat[r][col]), None)
         if piv is None:

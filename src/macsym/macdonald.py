@@ -18,9 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 
-from sympy.polys.domains import QQ, ZZ
+from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
 
 from .coeff import (FIELD, Q, RING, T, RatQT, add_into, clear_ratqt, emit_ratqt,
@@ -29,11 +29,9 @@ from .errors import InternalInconsistency
 from .pairing import inner_qt, z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
                          dominates, partitions_of, weight)
-from .symfunc import (NPoly, SymFunc, _m_to_basis_cleared, _perm_sign, basis_to_m,
-                      convert, evaluate_n, m_to_basis, multiply, npoly_divexact, sym_gen)
+from .symfunc import (NPoly, SymFunc, _perm_sign, basis_to_m, convert, evaluate_n,
+                      m_to_basis, multiply, npoly_divexact, sym_gen)
 
-# Q[q,t]: the zero mode in the power-sum basis has rational constants
-_QRING = RING.clone(domain=QQ)
 _q, _t = RING.gens
 
 
@@ -73,39 +71,37 @@ def _eigenvalue(lam, d):
 
 
 def _zero_mode_p(kappa, d):
-    """t^d E p_kappa in the power-sum basis, as {rho: element of Q[q,t]}.
+    """d! t^d E p_kappa in the power-sum basis, as {rho: element of Z[q,t]}.
 
     The translation part sends p_r to p_r - (1-q^r) z^-r; a removed sub-multiset
     S of kappa pairs with g_|S| = sum_{|mu|=|S|} z_mu^-1 prod (1 - t^-mu_i) p_mu.
+    z_mu divides |mu|!, which divides d!, so d! / z_mu is an integer.
     """
-    q, t = _QRING.gens
     mult = Counter(kappa)
     out = {}
     for removed in product(*(range(m + 1) for m in mult.values())):
-        coeff, s, rest = _QRING.one, 0, []
+        coeff, s, rest = RING.one, 0, []
         for (part, m), k in zip(mult.items(), removed):
-            coeff *= comb(m, k) * (q ** part - 1) ** k
+            coeff *= comb(m, k) * (_q ** part - 1) ** k
             s += part * k
             rest += [part] * (m - k)
         for mu in partitions_of(s):
-            c = coeff * t ** (d - s) * QQ(1, z_plain(mu))
+            c = coeff * _t ** (d - s) * (factorial(d) // z_plain(mu))
             for part in mu:
-                c *= t ** part - 1
+                c *= _t ** part - 1
             add_into(out, {as_partition(sorted(rest + list(mu), reverse=True)): c})
     return out
-
-
-def _qq(c):
-    """A constant of Q(q,t), such as an entry of m_to_basis("p", d), in QQ."""
-    return QQ(int(c.numer.LC), int(c.denom.LC))
 
 
 @lru_cache(maxsize=None)
 def zero_mode(d):
     """t^d E on degree d in the monomial basis: rows {nu: {mu: element of Z[q,t]}}.
 
-    E m_nu = sum_mu row[nu][mu] m_mu.  The matrix must be over Z[q,t], triangular
-    in dominance and with diagonal eps_nu; anything else raises InternalInconsistency.
+    E m_nu = sum_mu row[nu][mu] m_mu.  d! t^d E runs over Z[q,t] in the p
+    basis, the integer m -> p rows (over their denominator D) take it back to
+    m, and each entry is divided exactly by D d!.  The matrix must be over
+    Z[q,t] (a remainder), triangular in dominance and with diagonal eps_nu;
+    anything else raises InternalInconsistency.
     """
     p2m = basis_to_m("p", d)
     image_m = {}
@@ -114,20 +110,22 @@ def zero_mode(d):
         for rho, c in _zero_mode_p(kappa, d).items():
             add_into(row, p2m[rho], c)
         image_m[kappa] = row
+    den, m2p = m_to_basis("p", d)
+    den *= factorial(d)
     rows = {}
-    for nu, m2p_row in m_to_basis("p", d).items():
+    for nu, m2p_row in m2p.items():
         row = {}
         for kappa, c in m2p_row.items():
-            add_into(row, image_m[kappa], _qq(c))
+            add_into(row, image_m[kappa], c)
         rows[nu] = {}
         for mu, c in row.items():
-            den, num = c.clear_denoms()
-            if den != 1:
+            quo, rem = divmod(c, den)
+            if rem:
                 raise InternalInconsistency(
-                    f"zero-mode entry ({nu}, {mu}) is not in Z[q,t]: {c}")
+                    f"zero-mode entry ({nu}, {mu}) is not in Z[q,t]: {c} / {den}")
             if not dominates(nu, mu):
                 raise InternalInconsistency(f"zero mode is not triangular at ({nu}, {mu})")
-            rows[nu][mu] = num.set_ring(RING)
+            rows[nu][mu] = quo
         if rows[nu].get(nu) != _eigenvalue(nu, d):
             raise InternalInconsistency(f"zero-mode diagonal at {nu} is not eps_{nu}")
     return rows
@@ -170,7 +168,7 @@ def _pair_from_integral_form(lam, numer):
     Q_lam = b_lam P_lam = J / c'_lam.  Each coefficient is reduced once.
     """
     c, c_prime = _arm_leg_products(lam)
-    den, m2p = _m_to_basis_cleared("p", weight(lam))
+    den, m2p = m_to_basis("p", weight(lam))
     numer_p = {}  # D J_p
     for mu, n in numer.items():
         add_into(numer_p, m2p[mu], n)

@@ -6,13 +6,12 @@ coefficient stays an exact rational function.
 """
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .coeff import RING, ZERO, Q, T, clear_ratqt, ratqt, reduce_ratqt, substitute
-from .partitions import as_partition, compositions, partitions_of
-from .symfunc import SymFunc, convert, p_product
+from .coeff import RING, ZERO, Q, T, clear_ratqt, ratqt, reduce_ratqt
+from .partitions import as_partition, compositions
+from .symfunc import SymFunc, convert, sym_gen
 
 
 @lru_cache(maxsize=None)
@@ -34,33 +33,28 @@ def z_plain(lam):
 
 
 @lru_cache(maxsize=None)
-def _z_weights_cleared(keys, specialize):
-    """clear_ratqt of the weights z_lam(q,t) (substituted per `specialize`) of the keys."""
-    z = {lam: z_factor(lam) for lam in keys}
-    return clear_ratqt(z if specialize is None else
-                       {lam: substitute(w, *specialize) for lam, w in z.items()})
+def _z_weights_cleared(keys):
+    """clear_ratqt of the weights z_lam(q,t) of the keys."""
+    return clear_ratqt({lam: z_factor(lam) for lam in keys})
 
 
-def inner_pvec(a, b, specialize=None):
+def inner_pvec(a, b):
     """<p-basis map a, p-basis map b>: sum over shared lam of a * b * z_lam(q,t).
 
     a, b and the weights of the shared keys are each cleared to Z[q,t] once,
     and the sum is reduced once.
-
-    `specialize` optionally substitutes (q_image, t_image) into the weights,
-    e.g. (0, t) gives the Hall-Littlewood scalar product.
     """
     shared = [lam for lam in a if lam in b]
     den_a, num_a = clear_ratqt({lam: a[lam] for lam in shared})
     den_b, num_b = clear_ratqt({lam: b[lam] for lam in shared})
-    den_z, num_z = _z_weights_cleared(tuple(sorted(shared)), specialize)
+    den_z, num_z = _z_weights_cleared(tuple(sorted(shared)))
     total = sum((num_a[lam] * num_b[lam] * num_z[lam] for lam in shared), RING.zero)
     return reduce_ratqt({(): total}, den_a * den_b * den_z).get((), ZERO)
 
 
-def inner_qt(f, g, specialize=None):
+def inner_qt(f, g):
     """Bilinear extension of <p_lam, p_mu> = delta * z_lam(q,t); see inner_pvec."""
-    return inner_pvec(convert(f, "p").terms, convert(g, "p").terms, specialize)
+    return inner_pvec(convert(f, "p").terms, convert(g, "p").terms)
 
 
 def omega_qt(f):
@@ -167,17 +161,16 @@ def plethysm(f, kind):
     return out
 
 
-@lru_cache(maxsize=None)
 def kernel_sym(r, kind):
     """Degree-r stratum of a kernel as a p-basis symmetric function of x."""
-    h_r = {mu: ratqt(Fraction(1, z_plain(mu))) for mu in partitions_of(r)}
-    return plethysm(SymFunc("p", h_r), kind)
+    return kernel_product((r,), kind)
 
 
 @lru_cache(maxsize=None)
 def kernel_product(kappa, kind):
-    """Product of kernel strata prod_j kernel_sym(kappa_j), in the p basis."""
-    out = SymFunc("p", {(): ratqt(1)})
-    for r in kappa:
-        out = p_product(out, kernel_sym(r, kind))
-    return out
+    """Product of kernel strata prod_j kernel_sym(kappa_j), in the p basis.
+
+    The stratum of degree r is the image of h_r, and plethysm is a ring
+    homomorphism, so the product is the image of h_kappa.
+    """
+    return plethysm(sym_gen("h", kappa), kind)

@@ -20,11 +20,15 @@ MAX_KOSTKA_DEGREE = 6
 
 
 def as_partition(seq):
-    """Validate and normalize an iterable into a partition tuple (zeros stripped)."""
-    parts = tuple(int(p) for p in seq if int(p) != 0)
-    if any(p < 0 for p in parts):
+    """Validate and normalize an iterable of int parts (zeros stripped) into a partition."""
+    parts = tuple(seq)
+    if not all(type(p) is int for p in parts):
+        raise ValueError(f"non-integer part in {seq!r}")
+    if 0 in parts:
+        parts = tuple(p for p in parts if p)
+    if parts and min(parts) < 0:
         raise ValueError(f"negative part in {seq!r}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if any(map(int.__lt__, parts, parts[1:])):
         raise ValueError(f"parts not weakly decreasing in {seq!r}")
     return parts
 

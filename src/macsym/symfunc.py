@@ -2,19 +2,20 @@
 
 Elements are sparse maps from index partitions to exact coefficients.  All
 conversions route through the monomial basis with per-degree transition
-matrices, cached after first use.  The power-sum basis is the pivot for
+matrices, cached after first use: integer rows, and for m_to_basis integer
+rows over one integer denominator.  The power-sum basis is the pivot for
 multiplication and for every scalar product in the package.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.utilities.iterables import multiset_permutations
 
-from .coeff import (QTSeries, add_into, clear_denominators, clear_ratqt, invert, ratqt,
-                    reduce_ratqt)
+from .coeff import QTSeries, add_into, clear_ratqt, invert, ratqt, reduce_ratqt
 from .errors import NotSymmetric, UnstableRange
 from .partitions import as_partition, compositions, partitions_of, weight
 
@@ -238,23 +239,16 @@ def basis_to_m(basis, d):
 
 @lru_cache(maxsize=None)
 def m_to_basis(basis, d):
-    """Rows {mu: {lam: RatQT}} expanding each m_mu of degree d in the target basis."""
-    plist = list(partitions_of(d))
-    if basis == "m":
-        return {lam: {lam: ratqt(1)} for lam in plist}
-    return invert(basis_to_m(basis, d), plist)
+    """(D, {mu: {lam: int}}): each m_mu of degree d in the target basis, times one integer D.
 
-
-@lru_cache(maxsize=None)
-def _m_to_basis_cleared(basis, d):
-    """(D, {mu: {lam: int}}): the rational rows of m_to_basis(basis, d) times one integer D."""
-    rows = m_to_basis(basis, d)
-    den, flat = clear_denominators({(mu, lam): Fraction(int(c.numer.LC), int(c.denom.LC))
-                                    for mu, row in rows.items() for lam, c in row.items()})
-    out = {mu: {} for mu in rows}
-    for (mu, lam), c in flat.items():
-        out[mu][lam] = c
-    return den, out
+    The rows are the inverse of the integer matrix basis_to_m(basis, d)
+    (Macdonald I.6), eliminated over Fractions; D is the lcm of their
+    denominators.
+    """
+    inv = invert({lam: {mu: Fraction(c) for mu, c in row.items()}
+                  for lam, row in basis_to_m(basis, d).items()}, list(partitions_of(d)))
+    den = lcm(*(c.denominator for row in inv.values() for c in row.values()))
+    return den, {mu: {lam: int(c * den) for lam, c in row.items()} for mu, row in inv.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +351,7 @@ def convert(f, to):
         if to == "m":
             res.terms.update(mid if series else reduce_ratqt(mid, den))
             continue
-        row_den, dst_rows = _m_to_basis_cleared(to, d)
+        row_den, dst_rows = m_to_basis(to, d)
         out = {}
         for mu, c in mid.items():
             add_into(out, dst_rows[mu], c)

@@ -18,13 +18,14 @@ once.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
 from macsym.coeff import Q, QTSeries, T, add_into, invert, ratqt, substitute
 from macsym.ctengine import _as_npoly, delta_expand
 from macsym.macdonald import macdonald_pair
-from macsym.pairing import inner_pvec, inner_qt, z_factor
+from macsym.pairing import inner_pvec, z_factor
 from macsym.partitions import as_partition, compositions, dominates, partitions_of, weight
 from macsym.symfunc import (NPoly, SymFunc, basis_to_m, m_to_basis, npoly_divexact,
                             sym_gen)
@@ -237,38 +238,51 @@ def schur_bialternant(lam, n):
     return quo
 
 
+@lru_cache(maxsize=None)
+def m_to_basis_field(to, d):
+    """The rows of m_to_basis(to, d) divided back by their denominator, in Q(q,t)."""
+    den, rows = m_to_basis(to, d)
+    return {mu: {lam: ratqt(Fraction(c, den)) for lam, c in row.items()}
+            for mu, row in rows.items()}
+
+
 def gram_schmidt(d, specialize=None):
     """Orthogonal family of degree d by Gram-Schmidt: {lam: (m_coeffs, p_coeffs, norm)}.
 
     Traverses the partitions of d dominance-smallest first and orthogonalizes
     m_lam against the strictly dominated members already built, under the
     (q,t) scalar product or the one `specialize` selects as in
-    `pairing.inner_pvec` ((0, t) gives Hall-Littlewood).  The leading
+    `inner_pvec_termwise` ((0, t) gives Hall-Littlewood).  The leading
     coefficient stays 1; norm is <P_lam, P_lam> under that product.
     """
-    m2p = m_to_basis("p", d)
+    if specialize is None:
+        inner = inner_pvec
+    else:
+        def inner(a, b):
+            return inner_pvec_termwise(a, b, specialize)
+    m2p = m_to_basis_field("p", d)
     built = {}
     for lam in list(partitions_of(d))[::-1]:
         mvec = {lam: ratqt(1)}
         pvec = dict(m2p[lam])
         for mu, (mu_m, mu_p, mu_norm) in built.items():
             if dominates(lam, mu):
-                c = inner_pvec(pvec, mu_p, specialize) / mu_norm
+                c = inner(pvec, mu_p) / mu_norm
                 add_into(mvec, mu_m, -c)
                 add_into(pvec, mu_p, -c)
-        built[lam] = (mvec, pvec, inner_pvec(pvec, pvec, specialize))
+        built[lam] = (mvec, pvec, inner(pvec, pvec))
     return built
 
 
 def _dual_by_gram(d, partner, specialize):
     """{lam: S_lam} in the s basis with <S_lam, partner[mu]> = delta, by Gram inversion."""
     plist = list(partitions_of(d))
-    gram = {a: {b: inner_qt(sym_gen("s", a), partner[b], specialize=specialize)
+    gram = {a: {b: inner_qt_termwise(sym_gen("s", a), partner[b], specialize)
                 for b in plist} for a in plist}
     out = {lam: SymFunc("s", row) for lam, row in invert(gram, plist).items()}
     for a in plist:
         for b in plist:
-            if inner_qt(out[a], partner[b], specialize=specialize) != (1 if a == b else 0):
+            if inner_qt_termwise(out[a], partner[b], specialize) != (1 if a == b else 0):
                 raise AssertionError(f"duality pairing failed at {a}, {b}")
     return out
 
@@ -402,8 +416,9 @@ def convert_termwise(f, to):
         if to == "m":
             out.update(mid)
             continue
+        rows = m_to_basis_field(to, d)
         for mu, c in mid.items():
-            add_into(out, m_to_basis(to, d)[mu], c)
+            add_into(out, rows[mu], c)
     res = SymFunc(to)
     res.terms = out
     return res

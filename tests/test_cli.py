@@ -406,9 +406,13 @@ def _p21_terms(shift_111):
     # passes the b and unitriangularity checks; the weight-12 tables would take hours
     (_cache_text([{"lambda": [12], "b": emit_ratqt(b_coeff((12,))),
                    "P_in_m": [{"partition": [12], "coeff": "1"}]}]), "above the limit"),
+    # parts that are not ints: json writes 1e999 as Infinity
+    (_cache_text([{"lambda": [1e999], "b": "1", "P_in_m": P2_TERMS}]), "non-integer part"),
+    (_cache_text([{"lambda": [1.5], "b": "1", "P_in_m": P2_TERMS}]), "non-integer part"),
+    (_cache_text([{"lambda": [True], "b": "1", "P_in_m": P2_TERMS}]), "non-integer part"),
 ], ids=["malformed-json", "wrong-header", "missing-key", "wrong-b", "not-unitriangular",
         "power-of-a-sum", "huge-exponent", "not-an-eigenfunction", "c-times-P-not-polynomial",
-        "weight-above-the-limit"])
+        "weight-above-the-limit", "infinite-part", "float-part", "bool-part"])
 def test_bad_cache_file_exits_2(tmp_path, capsys, text, message):
     cache = tmp_path / "cache.json"
     cache.write_text(text)

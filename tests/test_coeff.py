@@ -7,9 +7,9 @@ from sympy.polys.rings import PolyElement
 
 from macsym.coeff import (FIELD, MAX_EXPONENT, ONE, Q, QPochProduct, QTSeries, RatQT,
                           RING, T, add_into, clear_denominators, clear_ratqt,
-                          divide_back, emit_ratqt, parse_ratqt, ratqt, reduce_ratqt,
-                          substitute, swap_qt, to_series)
-from macsym.errors import NotSeriesExpandable, SpecializationPole
+                          divide_back, emit_ratqt, invert, parse_ratqt, ratqt,
+                          reduce_ratqt, substitute, swap_qt, to_series)
+from macsym.errors import InternalInconsistency, NotSeriesExpandable, SpecializationPole
 from macsym.macdonald import macdonald_pair
 from macsym.partitions import partitions_of
 
@@ -309,3 +309,48 @@ def test_qpoch_cancellation():
     prod = QPochProduct.poch(0, 1) / QPochProduct.poch(0, 1)
     assert prod.factors == {}
     assert prod.to_series(3) == QTSeries.one(3)
+
+
+def _times(a, b, keys):
+    """The product of two sparse square matrices {row: {col: entry}}, zeros dropped."""
+    out = {}
+    for i in keys:
+        row = {}
+        for k, x in a.get(i, {}).items():
+            add_into(row, b.get(k, {}), x)
+        out[i] = row
+    return out
+
+
+def test_invert_a_fraction_matrix():
+    keys = ["a", "b", "c"]
+    # the first column's first entry is zero, so the elimination has to swap rows
+    mat = {"a": {"b": Fraction(2), "c": Fraction(1, 3)},
+           "b": {"a": Fraction(1), "b": Fraction(-1, 2)},
+           "c": {"a": Fraction(4), "c": Fraction(5)}}
+    inv = invert(mat, keys)
+    assert all(type(c) is Fraction for row in inv.values() for c in row.values())
+    identity = {k: {k: 1} for k in keys}
+    assert _times(mat, inv, keys) == identity
+    assert _times(inv, mat, keys) == identity
+
+
+def test_invert_a_ratqt_matrix():
+    keys = [0, 1]
+    mat = {0: {0: 1 - Q, 1: T}, 1: {0: ONE, 1: (1 - T) / (1 - Q)}}
+    inv = invert(mat, keys)
+    assert all(isinstance(c, RatQT) for row in inv.values() for c in row.values())
+    det = (1 - T) - T
+    assert inv == {0: {0: (1 - T) / (1 - Q) / det, 1: -T / det},
+                   1: {0: -1 / det, 1: (1 - Q) / det}}
+    assert _times(mat, inv, keys) == {0: {0: ONE}, 1: {1: ONE}}
+
+
+@pytest.mark.parametrize("mat", [
+    {0: {0: Fraction(1), 1: Fraction(2)}, 1: {0: Fraction(2), 1: Fraction(4)}},
+    {0: {0: 1 - Q, 1: 1 - Q ** 2}, 1: {0: ONE, 1: 1 + Q}},
+    {0: {0: Fraction(1)}},  # row 1 is empty
+], ids=["fraction", "ratqt", "zero-row"])
+def test_invert_a_singular_matrix_raises(mat):
+    with pytest.raises(InternalInconsistency, match="singular"):
+        invert(mat, [0, 1])

@@ -75,6 +75,18 @@ def test_perturbed_zero_mode_raises(monkeypatch):
     assert mac._PAIRS == {}
 
 
+def test_zero_mode_entry_off_the_integers_raises(monkeypatch):
+    # doubling z_mu halves d!/z_mu, so an entry no longer divides by D d!
+    z_plain = mac.z_plain
+    monkeypatch.setattr(mac, "z_plain", lambda mu: 2 * z_plain(mu))
+    mac.zero_mode.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistency, match="not in Z"):
+            mac.zero_mode(3)
+    finally:
+        mac.zero_mode.cache_clear()
+
+
 def test_orthogonality_small():
     for d in range(4):
         ps = list(partitions_of(d))

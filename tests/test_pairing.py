@@ -3,12 +3,12 @@ import random
 from macsym.coeff import Q, T, parse_ratqt, ratqt, swap_qt
 from macsym.kostka import _inv_qpoch
 from macsym.pairing import (cauchy_pi, cauchy_pi_tilde, dual_factor, inner_pvec, inner_qt,
-                            kernel_coeff, kernel_sym, omega_qt, qbinom_coeff,
-                            z_factor, z_plain)
+                            kernel_coeff, kernel_product, kernel_sym, omega_qt,
+                            qbinom_coeff, z_factor, z_plain)
 from macsym.partitions import compositions, partitions_of
 from macsym.symfunc import SymFunc, convert, multiply, p_product, sym_gen
 
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from oracles import inner_pvec_termwise, kernel_matrices, p_product_termwise
 from strategies import pvec_maps
@@ -37,11 +37,6 @@ def test_inner_examples():
     m11 = sym_gen("m", (1, 1))
     want = (z_factor((1, 1)) + z_factor((2,))) / 4
     assert inner_qt(m11, m11) == want
-
-
-def test_inner_specialized():
-    p2 = sym_gen("p", (2,))
-    assert inner_qt(p2, p2, specialize=(0, T)) == 2 / (1 - T ** 2)
 
 
 def test_omega_examples():
@@ -113,6 +108,17 @@ def test_kernel_strata_match_classical_bases():
         assert kernel_sym(r, "e") == convert(sym_gen("e", (r,) if r else ()), "p")
 
 
+def test_kernel_product_is_the_product_of_its_strata():
+    # kernel_product is the image of h_kappa; plethysm is a ring homomorphism
+    for kind in ("g", "e"):
+        for d in range(5):
+            for kappa in partitions_of(d):
+                want = SymFunc("p", {(): ratqt(1)})
+                for r in kappa:
+                    want = p_product(want, kernel_sym(r, kind))
+                assert kernel_product(kappa, kind) == want, (kind, kappa)
+
+
 def test_g_kernel_weighted_sum():
     # degree-2 stratum of the Cauchy kernel: p2 (1-t^2)/(2(1-q^2)) + p11 (1-t)^2/(2(1-q)^2)
     g2 = kernel_sym(2, "g")
@@ -120,10 +126,10 @@ def test_g_kernel_weighted_sum():
     assert g2.terms[(1, 1)] == ((1 - T) / (1 - Q)) ** 2 / 2
 
 
-@given(pvec_maps, pvec_maps, st.sampled_from([None, (0, T), (Q, Q)]))
-def test_inner_pvec_matches_the_termwise_sum(a, b, specialize):
-    got = inner_pvec(a, b, specialize)
-    want = inner_pvec_termwise(a, b, specialize)
+@given(pvec_maps, pvec_maps)
+def test_inner_pvec_matches_the_termwise_sum(a, b):
+    got = inner_pvec(a, b)
+    want = inner_pvec_termwise(a, b)
     assert got == want
     assert (got.numer, got.denom) == (want.numer, want.denom)
 

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from macsym.coeff import RING, ratqt
 from macsym.errors import NotSymmetric, UnstableRange
 from macsym.partitions import partitions_of
-from macsym.symfunc import (BASES, NPoly, SymFunc, convert, evaluate_n, from_poly,
-                            multiply, npoly_divexact, sym_gen)
+from macsym.symfunc import (BASES, NPoly, SymFunc, basis_to_m, convert, evaluate_n,
+                            from_poly, m_to_basis, multiply, npoly_divexact, sym_gen)
 
 from oracles import convert_termwise, schur_bialternant
 from strategies import pvec_maps
@@ -20,6 +20,21 @@ def test_convert_examples():
     assert convert(sym_gen("e", (2,)), "m") == sym_gen("m", (1, 1))
     assert convert(sym_gen("s", (2, 1)), "m") == SymFunc(
         "m", {(2, 1): ratqt(1), (1, 1, 1): ratqt(2)})
+
+
+@pytest.mark.parametrize("basis", ["p", "e", "h", "s"])
+def test_m_to_basis_is_the_integer_inverse_of_basis_to_m(basis):
+    for d in range(7):
+        den, rows = m_to_basis(basis, d)
+        to_m = basis_to_m(basis, d)
+        assert type(den) is int and den > 0
+        for mu, row in rows.items():
+            assert all(type(c) is int and c for c in row.values())
+            prod = {}
+            for lam, c in row.items():
+                for nu, v in to_m[lam].items():
+                    prod[nu] = prod.get(nu, 0) + c * v
+            assert {nu: v for nu, v in prod.items() if v} == {mu: den}, (d, mu)
 
 
 def test_schur_against_bialternant_oracle():

@@ -8,7 +8,8 @@ import pytest
 from macsym.coeff import QTSeries
 from macsym.ctengine import ct_norm_check, map_G, norm_prime_product
 from macsym.fock import symmetrizer_check, vertex_product_check
-from macsym.macdonald import dr_apply
+from macsym.macdonald import dr_apply, macdonald_pair
+from macsym.partitions import as_partition
 from macsym.symfunc import NPoly, evaluate_n, sym_gen
 
 
@@ -23,10 +24,18 @@ from macsym.symfunc import NPoly, evaluate_n, sym_gen
     lambda: QTSeries(-1),
     lambda: QTSeries(3, {(-1, 0): 1}),
     lambda: QTSeries(3, {(0, -2): 0}),
+    lambda: as_partition([2.7, 1]),
+    lambda: as_partition([2.0, 1]),
+    lambda: as_partition([True]),
+    lambda: as_partition(["2", "1"]),
+    lambda: as_partition([float("inf")]),
+    lambda: macdonald_pair([2.5]),
 ], ids=["dr_apply-r", "map_G-s", "vertex_product_check-beta",
         "symmetrizer_check-n", "evaluate_n-n", "ct_norm_check-length",
         "norm_prime_product-n", "QTSeries-order", "QTSeries-q-exponent",
-        "QTSeries-t-exponent"])
+        "QTSeries-t-exponent", "as_partition-float", "as_partition-integral-float",
+        "as_partition-bool", "as_partition-str", "as_partition-inf",
+        "macdonald_pair-float"])
 def test_out_of_range_argument_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
