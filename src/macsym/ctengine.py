@@ -44,7 +44,7 @@ from .macdonald import b_coeff, dr_apply, macdonald_pair, skew_q
 from .pairing import kernel_coeff, kernel_product, qbinom_coeff
 from .partitions import (as_partition, compositions, conjugate, partial_stacks,
                          rectangles, weight)
-from .symfunc import NPoly, SymFunc, evaluate_n
+from .symfunc import NPoly, SymFunc, evaluate_n, require_symmetric
 
 
 @lru_cache(maxsize=None)
@@ -313,11 +313,7 @@ def scalar_prime(f, g, n, order):
     """
     fp = _as_npoly(f, n, order)
     gp = _as_npoly(g, n, order)
-    # adjacent transpositions generate S_n
-    for beta, cb in gp.terms.items():
-        for i in range(n - 1):
-            if gp.terms.get(beta[:i] + (beta[i + 1], beta[i]) + beta[i + 2:]) != cb:
-                raise ValueError("scalar_prime needs a symmetric second argument")
+    require_symmetric(gp, "the second argument of scalar_prime")
     g_orbits = _orbits(gp.terms)
     if not fp or not gp:
         return QTSeries.zero(order)

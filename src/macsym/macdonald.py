@@ -29,8 +29,9 @@ from .errors import InternalInconsistency
 from .pairing import inner_qt, z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
                          dominates, partitions_of, weight)
-from .symfunc import (NPoly, SymFunc, _perm_sign, basis_to_m, convert, evaluate_n,
-                      m_to_basis, multiply, npoly_divexact, sym_gen)
+from .symfunc import (NPoly, SymFunc, _collect_m, _perm_sign, basis_to_m, convert,
+                      evaluate_n, m_to_basis, multiply, orbit_exponents, require_symmetric,
+                      sym_gen)
 
 _q, _t = RING.gens
 
@@ -246,129 +247,100 @@ def hall_littlewood_p(lam):
 # shift operators
 # ---------------------------------------------------------------------------
 
-def _unit(n, i):
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
+def _spectrum_e(alpha, r, n):
+    """e_r(t^(n-1) q^alpha_1, ..., t^0 q^alpha_n) in Z[q,t], alpha padded with zeros."""
+    alpha = tuple(alpha) + (0,) * (n - len(alpha))
+    return RING.from_dict(Counter((sum(alpha[i] for i in subset), sum(n - 1 - i for i in subset))
+                                  for subset in combinations(range(n), r)))
 
 
-@lru_cache(maxsize=None)
-def _vandermonde(n):
-    """prod_{u<v} (x_u - x_v) over Z[q,t]; its lex-leading coefficient is 1."""
-    out = NPoly.constant(n, RING.one)
-    for u, v in combinations(range(n), 2):
-        out = out * NPoly(n, {_unit(n, u): RING.one, _unit(n, v): -RING.one})
+def _dr_core(r, F, n):
+    """D_r of sum_mu F[mu] m_mu in n variables, as s-basis coefficients over Z[q,t].
+
+    For symmetric f = sum_alpha c_alpha x^alpha, D_r f is the sum of
+    c_alpha e_r(t^(n-i) q^alpha_i) a_(alpha+delta) / a_delta, delta = (n-1, ..., 0)
+    (Macdonald VI (3.4)).  The alternant a_(alpha+delta) is 0 if two entries
+    agree, else the sign of the sort into nu + delta times a_(nu+delta), and
+    a_(nu+delta) / a_delta = s_nu: no division.  An m_mu with l(mu) > n is 0.
+    """
+    out = {}
+    for mu, c in F.items():
+        row = {}  # D_r m_mu, so that c multiplies once per nu
+        for alpha in orbit_exponents(mu, n):
+            shifted = [a + n - 1 - i for i, a in enumerate(alpha)]
+            if len(set(shifted)) == n:
+                order = sorted(range(n), key=shifted.__getitem__, reverse=True)
+                nu = as_partition([shifted[j] - (n - 1 - i) for i, j in enumerate(order)])
+                add_into(row, {nu: _spectrum_e(alpha, r, n)}, _perm_sign(order))
+        add_into(out, row, c)
     return out
 
 
-@lru_cache(maxsize=None)
-def _dr_prefactors(n, r):
-    """Per-subset numerators of D_r over Z[q,t], with the Vandermonde denominator cleared.
+def _schur_to_m(S, n):
+    """sum_nu S[nu] s_nu in the m basis by the integer rows, without the m_mu, l(mu) > n."""
+    out = {}
+    for nu, c in S.items():
+        add_into(out, basis_to_m("s", weight(nu))[nu], c)
+    return {mu: c for mu, c in out.items() if len(mu) <= n}
 
-    For each r-subset I this is  sign * prod_{i in I, j not in I} (t x_i - x_j)
-    * prod_{u<v not split by I} (x_u - x_v),  so that summing prefactor * f(q x_I)
-    and dividing by the full Vandermonde realizes the operator exactly.
+
+def _cleared_m(f, n, *orders):
+    """(den, {mu: element of Z[q,t]}): f cleared to one denominator, in the m basis.
+
+    f must be a symmetric polynomial in n variables, and 1 <= r <= n for each
+    r in orders; anything else raises ValueError.
     """
-    out = []
-    for subset in combinations(range(n), r):
-        inside = set(subset)
-        poly = NPoly.constant(n, RING.one)
-        sign = 1
-        for u, v in combinations(range(n), 2):
-            eu, ev = _unit(n, u), _unit(n, v)
-            u_in, v_in = u in inside, v in inside
-            if u_in and not v_in:
-                poly = poly * NPoly(n, {eu: _t, ev: -RING.one})
-            elif v_in and not u_in:
-                poly = poly * NPoly(n, {ev: _t, eu: -RING.one})
-                sign = -sign
-            else:
-                poly = poly * NPoly(n, {eu: RING.one, ev: -RING.one})
-        out.append((subset, poly if sign > 0 else -poly))
-    return out
-
-
-def _dr_apply_ring(r, F, n):
-    """D_r on a polynomial F in n variables with coefficients in Z[q,t].
-
-    The sum over r-subsets I of prefactor_I * F(q x_I) is divided exactly by
-    the Vandermonde; a remainder raises InternalInconsistency.
-    """
-    total = {}
-    for subset, pref in _dr_prefactors(n, r):
-        shifted = NPoly(n)
-        for e, c in F.terms.items():
-            shifted.terms[e] = c.mul_monom((sum(e[i] for i in subset), 0))
-        add_into(total, (pref * shifted).terms)
-    out = NPoly(n, total).scale(_t ** (r * (r - 1) // 2))
-    try:
-        return npoly_divexact(out, _vandermonde(n)) if n > 1 else out
-    except ArithmeticError as exc:
-        raise InternalInconsistency("shift-operator sum is not divisible "
-                                    "by the Vandermonde") from exc
-
-
-def _check_dr_args(r, f, n):
-    if not 1 <= r <= n or f.n != n:
-        raise ValueError(f"D_{r} needs 1 <= r <= n = {n} and a polynomial in n variables")
+    if f.n != n or not all(1 <= r <= n for r in orders):
+        raise ValueError(f"D_r for r in {orders} needs 1 <= r <= n = {n} and a polynomial "
+                         "in n variables")
+    require_symmetric(f, "the argument of D_r")
+    den, F = clear_ratqt(f.terms)
+    return den, _collect_m(NPoly(n, F))
 
 
 def dr_apply(r, f, n):
-    """Apply the r-th Macdonald shift operator to f, a polynomial in n variables over Q(q,t).
+    """Apply the r-th Macdonald shift operator to f, a symmetric polynomial in n variables over Q(q,t).
 
-    f is cleared to Z[q,t] over one common denominator, the operator runs in
-    the ring, and each output coefficient is reduced into Q(q,t) once.
+    The core takes f, cleared to Z[q,t], from the m basis to D_r f in the s
+    basis; the integer s -> m rows take it back, and each m coefficient is
+    reduced into Q(q,t) once.
     """
-    _check_dr_args(r, f, n)
-    den, F = clear_ratqt(f.terms)
-    return NPoly(n, reduce_ratqt(_dr_apply_ring(r, NPoly(n, F), n).terms, den))
+    den, F = _cleared_m(f, n, r)
+    return evaluate_n(SymFunc("m", reduce_ratqt(_schur_to_m(_dr_core(r, F, n), n), den)), n)
 
 
 def dr_eigenvalue(lam, r, n):
-    """e_r of the spectrum (t^(n-1) q^lam_1, ..., t^0 q^lam_n)."""
+    """e_r of the spectrum (t^(n-1) q^lam_1, ..., t^0 q^lam_n), for len(lam) <= n, 1 <= r <= n."""
     lam = as_partition(lam)
-    vals = [_t ** (n - i) * _q ** (lam[i - 1] if i <= len(lam) else 0)
-            for i in range(1, n + 1)]
-    total = RING.zero
-    for subset in combinations(vals, r):
-        prod = RING.one
-        for v in subset:
-            prod *= v
-        total += prod
-    return FIELD(total)
+    if len(lam) > n or not 1 <= r <= n:
+        raise ValueError(f"the D_{r} eigenvalue needs len(lambda) <= n = {n} and 1 <= r <= n")
+    return FIELD(_spectrum_e(lam, r, n))
 
 
 def dr_eigencheck(lam, r, n):
     """Exact check of D_r P_lam = e_r(spectrum) P_lam in n variables.
 
-    The session's P_lam in n variables is cleared to J over Z[q,t], and
-    D_r J = e_r J is checked in the ring.
+    The session's P_lam is cleared to J over Z[q,t], and D_r J and e_r J are
+    compared in the s basis on the s_nu with l(nu) <= n, a basis of the
+    symmetric polynomials in n variables.  For r = n this sees only the
+    degree: D_n = t^(n(n-1)/2) T_(q,x_1) ... T_(q,x_n) scales every f of
+    degree d by t^(n(n-1)/2) q^d, which is e_n for every lam of weight d.
     """
-    lam = as_partition(lam)
-    if len(lam) > n or not 1 <= r <= n:
-        raise ValueError(f"eigen check needs len(lambda) <= n = {n} and 1 <= r <= n")
-    J = NPoly(n, clear_ratqt(evaluate_n(macdonald_pair(lam).P, n).terms)[1])
-    return _dr_apply_ring(r, J, n) == J.scale(dr_eigenvalue(lam, r, n).numer)
-
-
-@lru_cache(maxsize=None)
-def _dr_first_stage(r, terms, n):
-    """D_r F for F given by its frozenset of (exponent, Z[q,t] coefficient) items.
-
-    Memoized so that the commutator checks of one f share each D_r f: do not
-    mutate the result.
-    """
-    return _dr_apply_ring(r, NPoly(n, dict(terms)), n)
+    ev = dr_eigenvalue(lam, r, n)
+    _, J = clear_ratqt(macdonald_pair(lam).P.terms)
+    den, m2s = m_to_basis("s", weight(lam))
+    J_s = {}
+    for mu, c in J.items():
+        add_into(J_s, m2s[mu], c)
+    rhs = {nu: c * ev.numer for nu, c in J_s.items() if len(nu) <= n}
+    return {nu: c * den * ev.denom for nu, c in _dr_core(r, J, n).items()} == rhs
 
 
 def dr_commute_check(r, s, f, n):
-    """[D_r, D_s] f = 0, exactly, on f cleared to Z[q,t]."""
-    _check_dr_args(r, f, n)
-    _check_dr_args(s, f, n)
-    F = frozenset(clear_ratqt(f.terms)[1].items())
-    a = _dr_apply_ring(r, _dr_first_stage(s, F, n), n)
-    b = _dr_apply_ring(s, _dr_first_stage(r, F, n), n)
-    return a == b
+    """[D_r, D_s] f = 0, exactly: the core twice on f cleared to Z[q,t], compared in s."""
+    _, F = _cleared_m(f, n, r, s)
+    return (_dr_core(r, _schur_to_m(_dr_core(s, F, n), n), n)
+            == _dr_core(s, _schur_to_m(_dr_core(r, F, n), n), n))
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,14 @@ def npoly_divexact(num, den):
     return out
 
 
+def require_symmetric(poly, what):
+    """Raise ValueError unless poly is fixed by the adjacent transpositions, which generate S_n."""
+    for e, c in poly.terms.items():
+        for i in range(poly.n - 1):
+            if poly.terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != c:
+                raise ValueError(f"{what} is not symmetric")
+
+
 # ---------------------------------------------------------------------------
 # generators expanded into monomials
 # ---------------------------------------------------------------------------

@@ -97,6 +97,11 @@ def suite_orthogonality(maxweight=5, **_):
 
 
 def suite_eigen(maxweight=3, **_):
+    """D_r P_lam = e_r P_lam for 1 <= r <= n = |lam|, and [D_r, D_s] m_mu = 0.
+
+    The r = n records check only the degree: e_n is t^(n(n-1)/2) q^d for
+    every lam of weight d (see macdonald.dr_eigencheck).
+    """
     checks = []
     for lam in _all_partitions(maxweight):
         n = max(weight(lam), 1)

@@ -338,17 +338,20 @@ def test_order_n_and_integral_weight_at_the_limit_parse():
 
 
 def test_broken_shift_operator_exits_3(monkeypatch, capsys):
-    # a divisor whose lead coefficient 1 + q divides nothing in the sum
+    # a wrong eigenvalue eps_lam trips the zero mode's diagonal check while
+    # the eigen suite builds its first pair
+    import macsym
     from macsym import macdonald
-    from macsym.coeff import RING
-    from macsym.symfunc import NPoly
-    q, t = RING.gens
-    monkeypatch.setattr(macdonald, "_vandermonde",
-                        lambda n: NPoly(n, {(1,) + (0,) * (n - 1): 1 + q,
-                                            (0, 1) + (0,) * (n - 2): -RING.one}))
-    assert main(["verify", "--suite", "eigen", "--maxweight", "1"]) == 3
+    eigenvalue = macdonald._eigenvalue
+    monkeypatch.setattr(macdonald, "_eigenvalue", lambda lam, d: eigenvalue(lam, d) + 1)
+    macsym.clear_caches()
+    try:
+        assert main(["verify", "--suite", "eigen", "--maxweight", "1"]) == 3
+    finally:
+        macsym.clear_caches()
     err = capsys.readouterr().err
     assert err.startswith("error: internal inconsistency: "), err
+    assert "diagonal" in err, err
 
 
 def test_negative_degree_exits_2():

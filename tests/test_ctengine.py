@@ -193,6 +193,8 @@ def test_scalar_prime_rejects_a_nonsymmetric_g(terms):
         scalar_prime(sym_gen("m", (2,)), g, n, 4)
     with pytest.raises(ValueError):
         scalar_prime(NPoly(n), g, n, 4)  # checked even when f is zero
+    with pytest.raises(ValueError):
+        dr_apply(1, g, n)
 
 
 def test_ct_norm_examples():

@@ -1,9 +1,7 @@
-from itertools import combinations
-
 import pytest
 
 import macsym.macdonald as mac
-from macsym.coeff import Q, T, clear_ratqt, parse_ratqt, ratqt, swap_qt
+from macsym.coeff import Q, T, parse_ratqt, ratqt, swap_qt
 from macsym.errors import InternalInconsistency
 from macsym.macdonald import (SPECIALIZE_CASES, b_coeff, dr_apply,
                               dr_commute_check, dr_eigencheck, dr_eigenvalue,
@@ -127,16 +125,19 @@ def test_dr_eigencheck_fails_for_a_wrong_eigenvalue(monkeypatch):
     monkeypatch.setattr(mac, "dr_eigenvalue", lambda *a: eigenvalue(*a) + 1)
     for lam, r, n in (((1,), 1, 2), ((2, 1), 2, 3), ((), 1, 1)):
         assert not dr_eigencheck(lam, r, n), (lam, r, n)
-
-
-def test_perturbed_dr_prefactor_raises(monkeypatch):
-    prefactors = list(mac._dr_prefactors(3, 1))
-    subset, pref = prefactors[0]
-    e = max(pref.terms)
-    prefactors[0] = (subset, NPoly(3, {**pref.terms, e: pref.terms[e] + 1}))
-    monkeypatch.setattr(mac, "_dr_prefactors", lambda n, r: prefactors)
-    with pytest.raises(InternalInconsistency, match="not divisible"):
-        dr_apply(1, evaluate_n(sym_gen("m", (2, 1)), 3), 3)
+    # P_mu checked against lam's eigenvalue fails for every mu != lam and
+    # r < n = d (for r = n every lam of weight d has the same e_n)
+    failed = 0
+    for d in (3, 4):
+        for lam in partitions_of(d):
+            monkeypatch.setattr(mac, "dr_eigenvalue",
+                                lambda mu, r, n, lam=lam: eigenvalue(lam, r, n))
+            for mu in partitions_of(d):
+                for r in range(1, d):
+                    if mu != lam:
+                        assert not dr_eigencheck(mu, r, d), (lam, mu, r)
+                        failed += 1
+    assert failed == 72
 
 
 def test_dr_eigenvalue_full_subset():
@@ -149,21 +150,6 @@ def test_dr_commute_spot():
     f = evaluate_n(sym_gen("m", (2, 1)), 3)
     assert dr_commute_check(1, 2, f, 3)
     assert dr_commute_check(2, 3, f, 3)
-
-
-def test_dr_commute_applies_each_first_stage_once():
-    # the six pairs (r, s) at n = 4 need D_r f for r = 1..4, each once
-    f = evaluate_n(sym_gen("m", (2, 1)), 4)
-    mac._dr_first_stage.cache_clear()
-    for r, s in combinations(range(1, 5), 2):
-        assert dr_commute_check(r, s, f, 4), (r, s)
-    info = mac._dr_first_stage.cache_info()
-    assert (info.misses, info.hits) == (4, 8)
-    # the first stage is D_r itself
-    F = NPoly(4, clear_ratqt(f.terms)[1])
-    key = frozenset(F.terms.items())
-    for r in range(1, 5):
-        assert mac._dr_first_stage(r, key, 4) == mac._dr_apply_ring(r, F, 4)
 
 
 def test_structure_constants_examples():

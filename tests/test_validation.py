@@ -8,13 +8,16 @@ import pytest
 from macsym.coeff import QTSeries
 from macsym.ctengine import ct_norm_check, map_G, norm_prime_product
 from macsym.fock import symmetrizer_check, vertex_product_check
-from macsym.macdonald import dr_apply, macdonald_pair
+from macsym.macdonald import dr_apply, dr_eigenvalue, macdonald_pair
 from macsym.partitions import as_partition
 from macsym.symfunc import NPoly, evaluate_n, sym_gen
 
 
 @pytest.mark.parametrize("call", [
     lambda: dr_apply(3, NPoly(2), 2),
+    lambda: dr_eigenvalue((3, 2, 1), 1, 2),
+    lambda: dr_eigenvalue((1,), 0, 2),
+    lambda: dr_eigenvalue((1,), 3, 2),
     lambda: map_G(0, NPoly(1)),
     lambda: vertex_product_check(0, 2, 3),
     lambda: symmetrizer_check(0),
@@ -30,7 +33,8 @@ from macsym.symfunc import NPoly, evaluate_n, sym_gen
     lambda: as_partition(["2", "1"]),
     lambda: as_partition([float("inf")]),
     lambda: macdonald_pair([2.5]),
-], ids=["dr_apply-r", "map_G-s", "vertex_product_check-beta",
+], ids=["dr_apply-r", "dr_eigenvalue-length", "dr_eigenvalue-r-zero",
+        "dr_eigenvalue-r-above-n", "map_G-s", "vertex_product_check-beta",
         "symmetrizer_check-n", "evaluate_n-n", "ct_norm_check-length",
         "norm_prime_product-n", "QTSeries-order", "QTSeries-q-exponent",
         "QTSeries-t-exponent", "as_partition-float", "as_partition-integral-float",
