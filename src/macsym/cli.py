@@ -10,8 +10,8 @@ variables than parts, or a --cache-path file that cannot be read, written or
 trusted (a record of weight above MAX_WEIGHT included), and 3 on an internal
 inconsistency (two routes that must agree did not: a bug in macsym, not a
 counterexample).  verify runs the integral-reps suite up to weight
-MAX_INTEGRAL_WEIGHT and the kostka suite up to degree MAX_KOSTKA_DEGREE at
-most, whatever --maxweight is.
+MAX_INTEGRAL_WEIGHT, the kostka suite up to degree MAX_KOSTKA_DEGREE and
+Hall-Littlewood P up to weight MAX_HL_WEIGHT at most, whatever --maxweight is.
 """
 
 import argparse

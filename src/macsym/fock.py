@@ -9,7 +9,7 @@ collapse of the kernels at t = q^beta and the symmetrizer sum formula.
 """
 
 from itertools import combinations, permutations
-from math import comb
+from math import comb, prod
 
 from .coeff import FIELD, RING, Q, add_into, clear_ratqt, ratqt, reduce_ratqt, substitute
 from .macdonald import hall_littlewood_symmetrizer, macdonald_pair
@@ -26,13 +26,13 @@ def skew_via_fock(lam, mu):
     Q_lam(x, y) = sum_mu Q_{lam/mu}(x) b_mu P_mu(y) (Macdonald VI (7.9')); P_mu(y) is
     peeled off the y-parts in the m basis down dominance, as P is unitriangular in m.
     Only the y-parts m_nu with nu dominating mu can reach the coefficient of P_mu.
-    Q_lam is cleared to Z[q,t] once, the peeling runs over one running
-    denominator, and each output coefficient is reduced once.
+    Q_lam and each P_nu = J_nu / c_nu are read from the held J over one
+    running denominator, and each output coefficient is reduced once.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     if (k := weight(mu)) > weight(lam):
         return SymFunc("p")
-    den, Qf = clear_ratqt(macdonald_pair(lam).Qf.terms)
+    den, Qf = macdonald_pair(lam).cleared_p(dual=True)
     to_m, rest = basis_to_m("p", k), {}  # rest: {nu: {x-partition: numerator of m_nu(y)}}
     for kappa, c in Qf.items():
         splits = {((), ()): 1}  # {(x-parts, y-parts): multiplicity}
@@ -54,13 +54,13 @@ def skew_via_fock(lam, mu):
             return SymFunc("p", reduce_ratqt({x: v * b.denom for x, v in a.items()},
                                              den * b.numer))
         if a:  # only for nu inside lam and dominating mu
-            den_p, P = clear_ratqt(macdonald_pair(nu).P.terms)
-            if den_p != 1:
-                for row in rest.values():
-                    for x in row:
-                        row[x] *= den_p
-                den *= den_p
-            for rho, v in P.items():
+            J = macdonald_pair(nu).J
+            den_p = J[nu]  # c_nu, as P_nu = J_nu / c_nu is unitriangular
+            for row in rest.values():
+                for x in row:
+                    row[x] *= den_p
+            den *= den_p
+            for rho, v in J.items():
                 if rho != nu and dominates(rho, mu):
                     add_into(rest.setdefault(rho, {}), a, -v)
 
@@ -89,28 +89,24 @@ def skew_via_diffop(lam, mu):
     """Skew function by letting P_mu act in the lowered power sums on Q_lam.
 
     p_kappa of P_mu acts as the lowering operators of the parts of kappa: their
-    factors r (1-q^r) act on the numerators of Q_lam, cleared to Z[q,t] once,
-    and prod (1-t^r) joins the coefficient of p_kappa.  The sum over kappa is
-    reduced once per output coefficient.
+    factors r (1-q^r) act on J_lam, and prod (1-t^r) joins the denominator of
+    the J_mu coefficient of p_kappa.  Each such product divides (t;t)_|mu|, so
+    the sum over kappa runs over that one denominator and is reduced once per
+    output coefficient.
     """
     lam, mu = as_partition(lam), as_partition(mu)
-    den, target = clear_ratqt(macdonald_pair(lam).Qf.terms)
-    pieces, weights = {}, {}
-    for kappa, u in macdonald_pair(mu).P_p.terms.items():
+    den, target = macdonald_pair(lam).cleared_p(dual=True)
+    den_mu, P_mu = macdonald_pair(mu).cleared_p()
+    den_w = prod((1 - _t ** r for r in range(1, weight(mu) + 1)), start=RING.one)
+    total = {}
+    for kappa, u in P_mu.items():
         piece, lowering = target, RING.one
         for part in kappa:
             piece = _lower(part, piece)
             lowering *= 1 - _t ** part
         if piece:
-            pieces[kappa] = piece
-            weights[kappa] = FIELD.new(u.numer, u.denom * lowering)
-    den_w, weights = clear_ratqt(weights)
-    total = {}
-    for kappa, piece in pieces.items():
-        add_into(total, piece, weights[kappa])
-    out = SymFunc("p")
-    out.terms = reduce_ratqt(total, den * den_w)
-    return out
+            add_into(total, piece, u * den_w.exquo(lowering))
+    return SymFunc("p", reduce_ratqt(total, den * den_mu * den_w))
 
 
 def commutator_contract(r, s, f):
@@ -225,14 +221,11 @@ def vertex_product_check(beta, n, d):
 
 
 def symmetrizer_check(n):
-    """Symmetrized product sum identity, exact in x and t.
+    """sum_w w(prod_{i<j} (x_i - t x_j) / (x_i - x_j)) over S_n is v_n(t) = prod_{k<=n} [k]_t.
 
-    Clearing the Vandermonde turns the sum over permutations into polynomial
-    arithmetic in Z[x_1..x_n, t]; the right side is prod_{k<=n} (1-t^k)/(1-t)
-    times the Vandermonde.  This is the lam = () case of the symmetrizer that
-    builds Hall-Littlewood P, whose P_() is 1.
+    That is A = {(): v_n} for the symmetrizer that builds Hall-Littlewood P_() = 1.
     """
     if n < 1:
         raise ValueError(f"variable count must be >= 1, got {n}")
-    lhs, rhs = hall_littlewood_symmetrizer((), n)
-    return lhs == rhs
+    A, v = hall_littlewood_symmetrizer((), n)
+    return A == {(): v}

@@ -11,7 +11,7 @@ constant-term formula.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import FIELD, Q, QTSeries, add_into, ratqt, substitute
+from .coeff import FIELD, Q, RING, QTSeries, add_into, ratqt, reduce_ratqt, substitute
 from .errors import InternalInconsistency
 from .macdonald import _arm_leg_products, macdonald_pair
 from .pairing import inner_qt, kernel_coeff, plethysm, qbinom_coeff
@@ -28,8 +28,9 @@ def h_factors(lam):
 
 
 def m_function(lam):
-    """M_lam = h_lam P_lam (= h'_lam Q_lam, since b_lam = h/h')."""
-    return macdonald_pair(lam).P_p.scale(h_factors(lam)[0])
+    """M_lam = h_lam P_lam (= h'_lam Q_lam, since b_lam = h/h'): J_lam = J_p / D."""
+    D, nums = macdonald_pair(lam).J_p
+    return SymFunc("p", reduce_ratqt(nums, RING(D)))
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from math import comb, factorial
+from itertools import combinations, product
+from math import comb, factorial, prod
 
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
@@ -26,12 +26,12 @@ from sympy.polys.rings import ring
 from .coeff import (FIELD, Q, RING, T, RatQT, add_into, clear_ratqt, emit_ratqt,
                     parse_ratqt, ratqt, reduce_ratqt, substitute)
 from .errors import InternalInconsistency
-from .pairing import inner_qt, z_plain
+from .pairing import inner_cleared, z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
                          dominates, partitions_of, weight)
 from .symfunc import (NPoly, SymFunc, _collect_m, _perm_sign, basis_to_m, convert,
-                      evaluate_n, m_to_basis, multiply, orbit_exponents, require_symmetric,
-                      sym_gen)
+                      evaluate_n, m_to_basis, orbit_exponents, p_product_cleared,
+                      require_symmetric, sym_gen)
 
 _q, _t = RING.gens
 
@@ -46,6 +46,13 @@ class MacdonaldPair:
     b: RatQT
     Qf: SymFunc       # Q_lam in the power-sum basis
     norm: RatQT       # <P_lam, P_lam> = 1/b
+    J: dict           # J_lam = c_lam P_lam in m, {mu: element of Z[q,t]}
+    J_p: tuple        # (D, D J_lam in p): P_p = J_p / (D c_lam), Qf = J_p / (D c'_lam)
+
+    def cleared_p(self, dual=False):
+        """P_lam (Q_lam if dual) in the p basis as (den, {kappa: element of Z[q,t]})."""
+        D, nums = self.J_p
+        return D * _arm_leg_products(self.lam)[dual], nums
 
 
 @lru_cache(maxsize=None)
@@ -162,12 +169,9 @@ def _integral_form(lam):
 
 
 def _pair_from_integral_form(lam, numer):
-    """The pair from J_lam: P = J / c_lam, P_p = J_p / c_lam, Qf = J_p / c'_lam.
-
-    J_p, J in the power-sum basis, is D J_p / D over Z[q,t], D the integer
-    denominator of the m -> p table; since b_lam = c_lam / c'_lam,
-    Q_lam = b_lam P_lam = J / c'_lam.  Each coefficient is reduced once.
-    """
+    """The pair from J_lam, held beside it with D J_lam in p, D the integer
+    denominator of the m -> p table; Q_lam = b_lam P_lam = J / c'_lam, as
+    b_lam = c_lam / c'_lam.  Each coefficient is reduced once."""
     c, c_prime = _arm_leg_products(lam)
     den, m2p = m_to_basis("p", weight(lam))
     numer_p = {}  # D J_p
@@ -181,6 +185,8 @@ def _pair_from_integral_form(lam, numer):
         b=b,
         Qf=SymFunc("p", reduce_ratqt(numer_p, den * c_prime)),
         norm=1 / b,
+        J=numer,
+        J_p=(den, numer_p),
     )
 
 
@@ -197,50 +203,33 @@ def macdonald_pair(lam):
 
 
 def hall_littlewood_symmetrizer(lam, n):
-    """(A, D) in Z[x_1..x_n, t] with P_lam(x_1..x_n; t) = A / D (Macdonald III (2.2)).
+    """(A, v_lam) with P_lam(x_1..x_n; t) = sum_nu A[nu] s_nu / v_lam (Macdonald III (2.2)).
 
-    A = sum_w sign(w) w(x^lam prod_{i<j} (x_i - t x_j)) over S_n is the
-    symmetrizer with the Vandermonde cleared; D = v_lam(t) prod_{i<j} (x_i - x_j),
-    where v_lam(t) = prod_i prod_{j<=m_i} (1-t^j)/(1-t) over the multiplicities
-    m_i of the parts of lam padded with zeros to length n.
+    Summed over S_n, each monomial x^beta of x^lam prod_{i<j} (x_i - t x_j)
+    gives the alternant a_beta, +-a_(nu+delta) or 0 (`_straighten`), and
+    a_(nu+delta) / a_delta = s_nu.  v_lam(t) = prod_i prod_{j<=m_i} (1-t^j)/(1-t)
+    over the multiplicities m_i of lam padded with zeros to length n.
     """
-    R, *gens = ring([f"x{i}" for i in range(n)] + ["t"], ZZ)
-    xs, t = gens[:n], gens[n]
-    seed = R.one
-    for x, part in zip(xs, lam):
-        seed *= x ** part
-    for i, j in combinations(range(n), 2):
-        seed *= xs[i] - t * xs[j]
-    terms = {}
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        source = sorted(range(n), key=perm.__getitem__) + [n]  # x_i -> x_perm[i]
-        for mono, c in seed.items():
-            key = tuple(map(mono.__getitem__, source))
-            terms[key] = terms.get(key, 0) + sign * c
-    den = R.one
-    for i, j in combinations(range(n), 2):
-        den *= xs[i] - xs[j]
-    for m in Counter(lam + (0,) * (n - len(lam))).values():
-        for k in range(1, m + 1):
-            den *= sum((t ** s for s in range(k)), R.zero)
-    return R.from_dict({key: c for key, c in terms.items() if c}), den
+    R, *x = ring([f"x{i}" for i in range(n)] + ["t"], ZZ)
+    seed = prod((x[i] - x[n] * x[j] for i, j in combinations(range(n), 2)), start=R.one)
+    shift = tuple(lam) + (0,) * (n - len(lam))  # x^lam, as a shift of exponents
+    A = {}
+    for mono, c in seed.items():
+        if straight := _straighten([e + part for e, part in zip(mono, shift)]):
+            sign, nu = straight
+            row = A.setdefault(nu, {})
+            row[0, mono[n]] = row.get((0, mono[n]), 0) + sign * c
+    v = prod((sum((_t ** s for s in range(k)), RING.zero)
+              for m in Counter(shift).values() for k in range(1, m + 1)), start=RING.one)
+    return {nu: c for nu, row in A.items() if (c := RING.from_dict(row))}, v
 
 
 def hall_littlewood_p(lam):
-    """Hall-Littlewood P_lam(t) in the m basis, by symmetrization in |lam| variables."""
+    """Hall-Littlewood P_lam(t) in m: the symmetrizer in |lam| variables over v_lam, reduced once."""
     lam = as_partition(lam)
     n = weight(lam)
-    quo, rem = divmod(*hall_littlewood_symmetrizer(lam, n))
-    if rem:
-        raise InternalInconsistency(f"symmetrizer of {lam} is not divisible by "
-                                    "the Vandermonde and v_lam(t)")
-    coeffs = {}
-    for mono, c in quo.items():
-        x = mono[:n]
-        if all(x[i] >= x[i + 1] for i in range(n - 1)):
-            coeffs.setdefault(as_partition(x), {})[(0, mono[n])] = c
-    return SymFunc("m", {mu: FIELD(RING.from_dict(c)) for mu, c in coeffs.items()})
+    A, v = hall_littlewood_symmetrizer(lam, n)
+    return SymFunc("m", reduce_ratqt(_schur_to_m(A, n), v))
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +243,32 @@ def _spectrum_e(alpha, r, n):
                                   for subset in combinations(range(n), r)))
 
 
+def _straighten(shifted):
+    """(sign, nu) with alternant a_shifted = sign a_(nu+delta), or None if it is 0."""
+    n = len(shifted)
+    if len(set(shifted)) < n:
+        return None
+    order = sorted(range(n), key=shifted.__getitem__, reverse=True)
+    return _perm_sign(order), as_partition([shifted[j] - (n - 1 - i)
+                                            for i, j in enumerate(order)])
+
+
 def _dr_core(r, F, n):
     """D_r of sum_mu F[mu] m_mu in n variables, as s-basis coefficients over Z[q,t].
 
     For symmetric f = sum_alpha c_alpha x^alpha, D_r f is the sum of
     c_alpha e_r(t^(n-i) q^alpha_i) a_(alpha+delta) / a_delta, delta = (n-1, ..., 0)
-    (Macdonald VI (3.4)).  The alternant a_(alpha+delta) is 0 if two entries
-    agree, else the sign of the sort into nu + delta times a_(nu+delta), and
-    a_(nu+delta) / a_delta = s_nu: no division.  An m_mu with l(mu) > n is 0.
+    (Macdonald VI (3.4)).  `_straighten` takes a_(alpha+delta) to
+    +-a_(nu+delta) or 0, and a_(nu+delta) / a_delta = s_nu: no division.  An
+    m_mu with l(mu) > n is 0.
     """
     out = {}
     for mu, c in F.items():
         row = {}  # D_r m_mu, so that c multiplies once per nu
         for alpha in orbit_exponents(mu, n):
-            shifted = [a + n - 1 - i for i, a in enumerate(alpha)]
-            if len(set(shifted)) == n:
-                order = sorted(range(n), key=shifted.__getitem__, reverse=True)
-                nu = as_partition([shifted[j] - (n - 1 - i) for i, j in enumerate(order)])
-                add_into(row, {nu: _spectrum_e(alpha, r, n)}, _perm_sign(order))
+            if straight := _straighten([a + n - 1 - i for i, a in enumerate(alpha)]):
+                sign, nu = straight
+                add_into(row, {nu: _spectrum_e(alpha, r, n)}, sign)
         add_into(out, row, c)
     return out
 
@@ -320,14 +317,14 @@ def dr_eigenvalue(lam, r, n):
 def dr_eigencheck(lam, r, n):
     """Exact check of D_r P_lam = e_r(spectrum) P_lam in n variables.
 
-    The session's P_lam is cleared to J over Z[q,t], and D_r J and e_r J are
+    D_r J and e_r J, J = c_lam P_lam the pair's integral form over Z[q,t], are
     compared in the s basis on the s_nu with l(nu) <= n, a basis of the
     symmetric polynomials in n variables.  For r = n this sees only the
     degree: D_n = t^(n(n-1)/2) T_(q,x_1) ... T_(q,x_n) scales every f of
     degree d by t^(n(n-1)/2) q^d, which is e_n for every lam of weight d.
     """
     ev = dr_eigenvalue(lam, r, n)
-    _, J = clear_ratqt(macdonald_pair(lam).P.terms)
+    J = macdonald_pair(lam).J
     den, m2s = m_to_basis("s", weight(lam))
     J_s = {}
     for mu, c in J.items():
@@ -347,44 +344,41 @@ def dr_commute_check(r, s, f, n):
 # structure constants, skew functions, specializations
 # ---------------------------------------------------------------------------
 
+def _structure_constant(lam, mu, nu):
+    """f^lam_{mu,nu} = <Q_lam, P_mu P_nu>: P_mu P_nu as a ring product of the held
+    numerators, paired with those of Q_lam, reduced once."""
+    pm_pn = p_product_cleared(macdonald_pair(mu).cleared_p(), macdonald_pair(nu).cleared_p())
+    den, num = inner_cleared(macdonald_pair(lam).cleared_p(dual=True), pm_pn)
+    return FIELD.new(num, den)
+
+
 def structure_f(mu, nu):
     """f^lam_{mu,nu} = <Q_lam, P_mu P_nu>: the P-basis expansion of P_mu P_nu."""
     mu, nu = as_partition(mu), as_partition(nu)
-    prod = multiply(macdonald_pair(mu).P_p, macdonald_pair(nu).P_p)
-    out = {}
-    for lam in partitions_of(weight(mu) + weight(nu)):
-        pair = macdonald_pair(lam)
-        c = pair.b * inner_qt(pair.P_p, prod)
-        if c:
-            out[lam] = c
-    return out
+    return {lam: c for lam in partitions_of(weight(mu) + weight(nu))
+            if (c := _structure_constant(lam, mu, nu))}
 
 
 def skew_q(lam, mu):
-    """Skew function Q_{lam/mu} = sum_nu f^lam_{mu,nu} Q_nu, in the p basis."""
+    """Skew function Q_{lam/mu} = sum_nu f^lam_{mu,nu} Q_nu, in the p basis.
+
+    With Q_nu = J_p(nu) / den_nu, the f^lam_{mu,nu} / den_nu are cleared to
+    Z[q,t] once, the sum runs over the held J_p, and each output coefficient
+    is reduced once.
+    """
     lam, mu = as_partition(lam), as_partition(mu)
-    d = weight(lam) - weight(mu)
-    out = SymFunc("p")
-    if d < 0:
-        return out
-    pair_l = macdonald_pair(lam)
-    pmu = macdonald_pair(mu).P_p
-    f, Qf = {}, {}  # f^lam_{mu,nu} / b_lam, and Q_nu keyed (nu, kappa), where f != 0
-    for nu in partitions_of(d):
-        pair_n = macdonald_pair(nu)
-        if c := inner_qt(pair_l.P_p, multiply(pmu, pair_n.P_p)):
-            f[nu] = c
-            Qf.update(((nu, kappa), v) for kappa, v in pair_n.Qf.terms.items())
-    # sum_nu f_nu Q_nu over Z[q,t]: each side cleared once, each output reduced once
-    den_f, f = clear_ratqt(f)
-    den_q, Qf = clear_ratqt(Qf)
-    b = pair_l.b
+    if weight(mu) > weight(lam):
+        return SymFunc("p")
+    f, J = {}, {}
+    for nu in partitions_of(weight(lam) - weight(mu)):
+        if c := _structure_constant(lam, mu, nu):
+            den_nu, J[nu] = macdonald_pair(nu).cleared_p(dual=True)
+            f[nu] = c / den_nu
+    den, f = clear_ratqt(f)
     total = {}
-    for (nu, kappa), v in Qf.items():
-        total[kappa] = total.get(kappa, RING.zero) + f[nu] * v
-    out.terms = reduce_ratqt({kappa: v * b.numer for kappa, v in total.items()},
-                             den_f * den_q * b.denom)
-    return out
+    for nu, nums in J.items():
+        add_into(total, nums, f[nu])
+    return SymFunc("p", reduce_ratqt(total, den))
 
 
 def skew_p(lam, mu):

@@ -38,18 +38,26 @@ def _z_weights_cleared(keys):
     return clear_ratqt({lam: z_factor(lam) for lam in keys})
 
 
+def inner_cleared(a, b):
+    """<a, b> = num / den as (den, num) over Z[q,t], for cleared p-vectors (den, nums):
+    the shared keys against their cleared weights z_lam(q,t), with no reduction."""
+    (den_a, a), (den_b, b) = a, b
+    shared = tuple(sorted(lam for lam in a if lam in b))
+    den_z, num_z = _z_weights_cleared(shared)
+    return (den_a * den_b * den_z,
+            sum((a[lam] * num_z[lam] * b[lam] for lam in shared), RING.zero))
+
+
 def inner_pvec(a, b):
     """<p-basis map a, p-basis map b>: sum over shared lam of a * b * z_lam(q,t).
 
-    a, b and the weights of the shared keys are each cleared to Z[q,t] once,
-    and the sum is reduced once.
+    a and b are each cleared to Z[q,t] on the shared keys once, `inner_cleared`
+    pairs them, and the sum is reduced once.
     """
     shared = [lam for lam in a if lam in b]
-    den_a, num_a = clear_ratqt({lam: a[lam] for lam in shared})
-    den_b, num_b = clear_ratqt({lam: b[lam] for lam in shared})
-    den_z, num_z = _z_weights_cleared(tuple(sorted(shared)))
-    total = sum((num_a[lam] * num_b[lam] * num_z[lam] for lam in shared), RING.zero)
-    return reduce_ratqt({(): total}, den_a * den_b * den_z).get((), ZERO)
+    den, num = inner_cleared(clear_ratqt({lam: a[lam] for lam in shared}),
+                             clear_ratqt({lam: b[lam] for lam in shared}))
+    return reduce_ratqt({(): num}, den).get((), ZERO)
 
 
 def inner_qt(f, g):

@@ -14,6 +14,8 @@ MAX_WEIGHT = 8
 # integral of weight w runs the Delta kernel over up to w variables, and
 # (1^6) at order 6 takes about 8 s, (1^5) at order 10 about 4.5 s.
 MAX_INTEGRAL_WEIGHT = 5
+# Largest weight of a Hall-Littlewood P that `verify` symmetrizes: weight 7 takes 16-18 s.
+MAX_HL_WEIGHT = 7
 # Largest Kostka degree the CLI and `verify` build: kostka --degree 6 takes
 # 7-9 s on a 2-vCPU VM, degree 7 29-35 s.
 MAX_KOSTKA_DEGREE = 6

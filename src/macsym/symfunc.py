@@ -373,19 +373,19 @@ def multiply(f, g):
 
 
 def p_product(f, g):
-    """Product of two p-basis elements: p_lam p_mu is p of the merged parts.
+    """Product of two p-basis elements, each cleared to Z[q,t] once; each output reduced once."""
+    den, nums = p_product_cleared(clear_ratqt(f.terms), clear_ratqt(g.terms))
+    return SymFunc("p", reduce_ratqt(nums, den))
 
-    Both factors are cleared to Z[q,t] once and each output is reduced once.
-    """
-    den_f, nums_f = clear_ratqt(f.terms)
-    den_g, nums_g = clear_ratqt(g.terms)
+
+def p_product_cleared(f, g):
+    """The product of cleared p-vectors (den, {lam: Z[q,t]}): p_lam p_mu is p of the merged parts."""
+    (den_f, nums_f), (den_g, nums_g) = f, g
     out = {}
     for lam, c1 in nums_f.items():
         add_into(out, {as_partition(sorted(lam + mu, reverse=True)): c2
                        for mu, c2 in nums_g.items()}, c1)
-    res = SymFunc("p")
-    res.terms = reduce_ratqt(out, den_f * den_g)
-    return res
+    return den_f * den_g, out
 
 
 def evaluate_n(f, n):

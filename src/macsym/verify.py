@@ -16,8 +16,8 @@ from .coeff import QTSeries, add_into, emit_ratqt, swap_qt
 from .errors import InternalInconsistency
 from .macdonald import macdonald_pair
 from .pairing import dual_factor, inner_qt, kernel_coeff, omega_qt, qbinom_coeff
-from .partitions import (MAX_INTEGRAL_WEIGHT, MAX_KOSTKA_DEGREE, conjugate,
-                         partitions_of, weight)
+from .partitions import (MAX_HL_WEIGHT, MAX_INTEGRAL_WEIGHT, MAX_KOSTKA_DEGREE,
+                         conjugate, partitions_of, weight)
 from .symfunc import convert, evaluate_n, sym_gen
 
 REPORT_VERSION = "v1"
@@ -167,6 +167,8 @@ def suite_specializations(maxweight=4, **_):
     checks = []
     for lam in _all_partitions(maxweight):
         for case in macdonald.SPECIALIZE_CASES:
+            if case == "hall-littlewood" and weight(lam) > MAX_HL_WEIGHT:
+                continue
             def chk(lam=lam, case=case):
                 return _record(f"specialization-{case}", {"lambda": lam},
                                macdonald.specialize_check(lam, case))

@@ -5,7 +5,9 @@ Everything here is deliberately written against a different representation
 package's sparse series type, so the two can check each other.  The kernel
 oracle enumerates whole matrices where the package recurses on sorted margins,
 the Macdonald oracle orthogonalizes in Q(q,t) where the package solves the
-zero-mode eigenvector equation over Z[q,t], the shift-operator oracle does
+zero-mode eigenvector equation over Z[q,t], the Hall-Littlewood oracle sums
+over every permutation and divides by the Vandermonde where the package
+straightens each monomial into an alternant, the shift-operator oracle does
 every coefficient operation in Q(q,t) where the package works in Z[q,t], the
 dual Schur oracle inverts Gram matrices where the package reads the
 plethystic closed forms, the series product multiplies Fractions where the
@@ -17,12 +19,16 @@ package clears each linear combination to Z[q,t] once and reduces each output
 once.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
-from macsym.coeff import Q, QTSeries, T, add_into, invert, ratqt, substitute
+from sympy.polys.domains import ZZ
+from sympy.polys.rings import ring
+
+from macsym.coeff import FIELD, Q, RING, QTSeries, T, add_into, invert, ratqt, substitute
 from macsym.ctengine import _as_npoly, delta_expand
 from macsym.macdonald import macdonald_pair
 from macsym.pairing import inner_pvec, z_factor
@@ -236,6 +242,44 @@ def schur_bialternant(lam, n):
             else:
                 num.pop(key, None)
     return quo
+
+
+def hall_littlewood_p_division(lam):
+    """Hall-Littlewood P_lam(t) in the m basis: every permutation, then one division.
+
+    sum_w sign(w) w(x^lam prod_{i<j} (x_i - t x_j)) is summed over all n!
+    permutations of n = |lam| variables and divided, as a polynomial in
+    Z[x_1..x_n, t], by v_lam(t) prod_{i<j} (x_i - x_j) (Macdonald III (2.2)).
+    """
+    lam = as_partition(lam)
+    n = weight(lam)
+    R, *gens = ring([f"x{i}" for i in range(n)] + ["t"], ZZ)
+    xs, t = gens[:n], gens[n]
+    seed = R.one
+    for x, part in zip(xs, lam):
+        seed *= x ** part
+    for i, j in combinations(range(n), 2):
+        seed *= xs[i] - t * xs[j]
+    terms = {}
+    for perm in permutations(range(n)):
+        inv = sum(1 for a, b in combinations(range(n), 2) if perm[a] > perm[b])
+        source = sorted(range(n), key=perm.__getitem__) + [n]  # x_i -> x_perm[i]
+        for mono, c in seed.items():
+            key = tuple(map(mono.__getitem__, source))
+            terms[key] = terms.get(key, 0) + (-c if inv & 1 else c)
+    den = R.one
+    for i, j in combinations(range(n), 2):
+        den *= xs[i] - xs[j]
+    for m in Counter(lam + (0,) * (n - len(lam))).values():
+        for k in range(1, m + 1):
+            den *= sum((t ** s for s in range(k)), R.zero)
+    quo, rem = divmod(R.from_dict({key: c for key, c in terms.items() if c}), den)
+    assert not rem, "the symmetrizer is not divisible by the Vandermonde and v_lam(t)"
+    coeffs = {}
+    for mono, c in quo.items():
+        if all(mono[i] >= mono[i + 1] for i in range(n - 1)):
+            coeffs.setdefault(as_partition(mono[:n]), {})[(0, mono[n])] = c
+    return SymFunc("m", {mu: FIELD(RING.from_dict(c)) for mu, c in coeffs.items()})
 
 
 @lru_cache(maxsize=None)

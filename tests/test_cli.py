@@ -11,7 +11,7 @@ from macsym.cli import build_parser, main
 from macsym.coeff import QTSeries, emit_ratqt, ratqt, swap_qt
 from macsym.errors import InternalInconsistency, NotSeriesExpandable
 from macsym.macdonald import b_coeff, macdonald_pair
-from macsym.partitions import conjugate
+from macsym.partitions import MAX_HL_WEIGHT, conjugate
 
 
 def test_expand_json(capsys):
@@ -194,6 +194,24 @@ def test_verify_integral_reps_stop_at_the_integral_ceiling(monkeypatch, capsys):
     weights = {sum(r["parameters"]["lambda"]) for r in checks}
     assert weights == set(range(cli.MAX_INTEGRAL_WEIGHT + 1)) == {sum(lam) for lam in seen}
     assert cli.MAX_INTEGRAL_WEIGHT == 5
+
+
+def test_verify_hall_littlewood_stops_at_its_ceiling(monkeypatch, capsys):
+    seen = []
+
+    def stub(lam, case):
+        seen.append((lam, case))
+        return True
+
+    monkeypatch.setattr(verify.macdonald, "specialize_check", stub)
+    assert main(["verify", "--suite", "specializations", "--maxweight", "8",
+                 "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    hl = {sum(r["parameters"]["lambda"]) for r in checks
+          if r["identity"] == "specialization-hall-littlewood"}
+    assert hl == set(range(MAX_HL_WEIGHT + 1)) == set(range(8))
+    assert {sum(lam) for lam, case in seen if case == "schur"} == set(range(9))
+    assert len(seen) == len(checks)
 
 
 def test_verify_kostka_stops_at_the_kostka_ceiling(monkeypatch, capsys):

@@ -53,10 +53,14 @@ def test_fock_route_uses_no_scalar_product(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the Fock route reached a scalar-product helper")
 
-    for mod in (fock, macdonald, pairing):
+    for mod in (fock, pairing):
         monkeypatch.setattr(mod, "inner_qt", forbidden)
-    for mod in (fock, macdonald, symfunc):
+    for mod in (macdonald, pairing):
+        monkeypatch.setattr(mod, "inner_cleared", forbidden)
+    for mod in (fock, symfunc):
         monkeypatch.setattr(mod, "multiply", forbidden)
+    for mod in (macdonald, symfunc):
+        monkeypatch.setattr(mod, "p_product_cleared", forbidden)
     monkeypatch.setattr(macdonald, "skew_q", forbidden)
     for pair in pairs:
         assert skew_via_fock(*pair) == want[pair]
@@ -133,9 +137,17 @@ def test_symmetrizer_examples():
     assert symmetrizer_check(1)
     assert symmetrizer_check(2)
     assert symmetrizer_check(4)
+    assert symmetrizer_check(6)
     # direct rational-function route for two variables: result is 1 + t
     x1 = NPoly(2, {(1, 0): ratqt(1)})
     x2 = NPoly(2, {(0, 1): ratqt(1)})
     # (x1 - t x2)/(x1 - x2) + (x2 - t x1)/(x2 - x1) has polynomial sum (1+t)(x1-x2)
     num = (x1 - x2.scale(T)) - (x2 - x1.scale(T))
     assert num == (x1 - x2).scale(1 + T)
+
+
+def test_symmetrizer_needs_the_alternant_signs(monkeypatch):
+    # negative control: straightening without the sign of the sort breaks the identity
+    assert symmetrizer_check(3)
+    monkeypatch.setattr(macdonald, "_perm_sign", lambda perm: 1)
+    assert not symmetrizer_check(3)

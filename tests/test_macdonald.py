@@ -1,7 +1,7 @@
 import pytest
 
 import macsym.macdonald as mac
-from macsym.coeff import Q, T, parse_ratqt, ratqt, swap_qt
+from macsym.coeff import Q, RING, T, parse_ratqt, ratqt, reduce_ratqt, swap_qt
 from macsym.errors import InternalInconsistency
 from macsym.macdonald import (SPECIALIZE_CASES, b_coeff, dr_apply,
                               dr_commute_check, dr_eigencheck, dr_eigenvalue,
@@ -12,7 +12,7 @@ from macsym.pairing import inner_qt, omega_qt
 from macsym.partitions import conjugate, partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, evaluate_n, multiply, sym_gen
 
-from oracles import dr_apply_field, gram_schmidt
+from oracles import dr_apply_field, gram_schmidt, hall_littlewood_p_division
 
 
 def test_p_examples():
@@ -221,6 +221,36 @@ def test_hall_littlewood_matches_gram_schmidt():
     for d in range(6):
         for lam, (mvec, _, _) in gram_schmidt(d, (0, T)).items():
             assert hall_littlewood_p(lam) == SymFunc("m", mvec), lam
+
+
+def test_hall_littlewood_matches_the_division_route():
+    # the straightened symmetrizer against every permutation and the Vandermonde division
+    for d in range(6):
+        for lam in partitions_of(d):
+            assert hall_littlewood_p(lam) == hall_littlewood_p_division(lam), lam
+
+
+def test_held_integral_forms_give_back_the_pair():
+    for d in range(5):
+        for lam in partitions_of(d):
+            pair = macdonald_pair(lam)
+            c, c_prime = mac._arm_leg_products(lam)
+            D, nums = pair.J_p
+            assert reduce_ratqt(pair.J, c) == pair.P.terms, lam
+            assert reduce_ratqt(nums, RING(D) * c) == pair.P_p.terms, lam
+            assert reduce_ratqt(nums, RING(D) * c_prime) == pair.Qf.terms, lam
+
+
+def test_cache_loaded_pairs_hold_the_built_integral_forms(tmp_path):
+    mac._PAIRS.clear()
+    built = {lam: macdonald_pair(lam) for d in range(5) for lam in partitions_of(d)}
+    path = tmp_path / "pairs.json"
+    save_cache(path)
+    mac._PAIRS.clear()
+    assert load_cache(path) == len(built)
+    for lam, pair in built.items():
+        assert mac._PAIRS[lam] is not pair
+        assert (mac._PAIRS[lam].J, mac._PAIRS[lam].J_p) == (pair.J, pair.J_p), lam
 
 
 def test_cache_round_trip(tmp_path):
