@@ -14,6 +14,7 @@ coefficients' denominators, multiplies Python ints, and divides each output
 coefficient once (`clear_denominators` / `divide_back`).
 """
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -242,10 +243,59 @@ def _tokenize(text):
     return tokens
 
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the text of a coefficient.
+
+    Values stay in Z[q,t] while both operands of an operation are
+    polynomials.  A quotient of two polynomials is one reduction
+    (`FIELD.new`); from the first operand with a denominator on, the
+    arithmetic runs in Q(q,t), reduced at every step, so a long sum of
+    fractions stays bounded in size.  emit_ratqt's "(N)/(D)" therefore
+    costs one reduction.  The arithmetic is in `const`, `sym`, `power`,
+    `combine` and `finish`; the grammar does not depend on it.
+    """
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
+
+    def parse(self):
+        result = self.expr()
+        if self.pos != len(self.tokens):
+            raise ValueError(f"trailing input in {self.text!r}")
+        return self.finish(result)
+
+    @staticmethod
+    def const(val):
+        return RING(val)
+
+    @staticmethod
+    def sym(name):
+        return RING.gens["qt".index(name)]
+
+    @staticmethod
+    def power(base, e):
+        return base ** e if e >= 0 else FIELD.new(RING.one, base ** -e)
+
+    @staticmethod
+    def combine(op, a, b):
+        """a op b: over Z[q,t] while both are polynomials, a polynomial quotient
+        reduced once, anything else in Q(q,t)."""
+        if isinstance(a, RatQT) or isinstance(b, RatQT):
+            return _OPS[op](_Parser.finish(a), _Parser.finish(b))
+        if op != "/":
+            return _OPS[op](a, b)
+        if not b:
+            raise ZeroDivisionError("division by zero")
+        return FIELD.new(a, b)
+
+    @staticmethod
+    def finish(value):
+        return value if isinstance(value, RatQT) else FIELD.new(value)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -263,15 +313,14 @@ class _Parser:
             if val == "-":
                 sign = -sign
             kind, val = self.peek()
-        total = sign * self.term()
+        total = self.term()
+        if sign < 0:
+            total = -total
         while True:
             kind, val = self.peek()
-            if (kind, val) == ("op", "+"):
+            if (kind, val) in (("op", "+"), ("op", "-")):
                 self.take()
-                total = total + self.term()
-            elif (kind, val) == ("op", "-"):
-                self.take()
-                total = total - self.term()
+                total = self.combine(val, total, self.term())
             else:
                 return total
 
@@ -279,15 +328,12 @@ class _Parser:
         total = self.factor()
         while True:
             kind, val = self.peek()
-            if (kind, val) == ("op", "*"):
+            if (kind, val) in (("op", "*"), ("op", "/")):
                 self.take()
-                total = total * self.factor()
-            elif (kind, val) == ("op", "/"):
-                self.take()
-                total = total / self.factor()
+                total = self.combine(val, total, self.factor())
             elif kind in ("int", "sym") or (kind, val) == ("op", "("):
                 # juxtaposition, e.g. "(1+q)(1-t)" or "2q"
-                total = total * self.factor()
+                total = self.combine("*", total, self.factor())
             else:
                 return total
 
@@ -306,15 +352,15 @@ class _Parser:
                 kind, val = self.take()
             if kind != "int" or val > MAX_EXPONENT:
                 raise ValueError(f"exponent must be an integer of size at most {MAX_EXPONENT}")
-            return base ** (sign * val)
+            return self.power(base, sign * val)
         return base
 
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return FIELD(val)
+            return self.const(val)
         if kind == "sym":
-            return Q if val == "q" else T
+            return self.sym(val)
         if (kind, val) == ("op", "("):
             inner = self.expr()
             kind, val = self.take()
@@ -327,12 +373,12 @@ class _Parser:
 
 
 def parse_ratqt(text):
-    """Parse "(1 - t + q*t)/(1 - q)" into Q(q,t); only q and t take an exponent."""
-    parser = _Parser(_tokenize(text))
-    result = parser.expr()
-    if parser.pos != len(parser.tokens):
-        raise ValueError(f"trailing input in {text!r}")
-    return result
+    """Parse "(1 - t + q*t)/(1 - q)" into Q(q,t); only q and t take an exponent.
+
+    The text is evaluated over Z[q,t] until a denominator appears (see
+    `_Parser`), so an emitted coefficient costs one reduction.
+    """
+    return _Parser(text).parse()
 
 
 def _emit_poly(poly, negate=False):

@@ -6,24 +6,25 @@ degree d, t^d E has a matrix over Z[q,t] in the monomial basis that is
 triangular in dominance, with the distinct eigenvalues eps_lam on its
 diagonal.  The integral form J_lam = c_lam P_lam (Macdonald VI.8) has
 coefficients in Z[q,t], so its eigenvector equation is solved down the
-dominance order by exact ring division: no gcd until each coefficient is
-reduced into Q(q,t) once.  A cache file is checked against the same
-equation when it is loaded.  Hall-Littlewood P is built independently, by
-symmetrization (Macdonald III (2.2)).
+dominance order by exact ring division, with no gcd.  A pair holds J_lam;
+P_lam and Q_lam are reduced into Q(q,t) on first read, each coefficient
+once.  A cache file is checked against the same equation when it is
+loaded.  Hall-Littlewood P is built independently, by symmetrization
+(Macdonald III (2.2)).
 """
 
 import json
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, factorial, prod
 
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
 
-from .coeff import (FIELD, Q, RING, T, RatQT, add_into, clear_ratqt, emit_ratqt,
+from .coeff import (FIELD, Q, RING, T, add_into, clear_ratqt, emit_ratqt,
                     parse_ratqt, ratqt, reduce_ratqt, substitute)
 from .errors import InternalInconsistency
 from .pairing import inner_cleared, z_plain
@@ -38,14 +39,14 @@ _q, _t = RING.gens
 
 @dataclass(frozen=True)
 class MacdonaldPair:
-    """P_lam and its dual partner: Q_lam = b_lam * P_lam, <Q_lam, P_lam> = 1."""
+    """P_lam and its dual partner Q_lam = b_lam P_lam, <Q_lam, P_lam> = 1, held as
+    the integral form J_lam = c_lam P_lam over Z[q,t].
+
+    P (m basis, unitriangular), P_p (the same element in p) and Qf (Q_lam in p)
+    are reduced into Q(q,t) on first read, each coefficient once.
+    """
 
     lam: tuple
-    P: SymFunc        # monomial basis, unitriangular
-    P_p: SymFunc      # the same element in the power-sum basis
-    b: RatQT
-    Qf: SymFunc       # Q_lam in the power-sum basis
-    norm: RatQT       # <P_lam, P_lam> = 1/b
     J: dict           # J_lam = c_lam P_lam in m, {mu: element of Z[q,t]}
     J_p: tuple        # (D, D J_lam in p): P_p = J_p / (D c_lam), Qf = J_p / (D c'_lam)
 
@@ -53,6 +54,29 @@ class MacdonaldPair:
         """P_lam (Q_lam if dual) in the p basis as (den, {kappa: element of Z[q,t]})."""
         D, nums = self.J_p
         return D * _arm_leg_products(self.lam)[dual], nums
+
+    @cached_property
+    def P(self):
+        return SymFunc("m", reduce_ratqt(self.J, _arm_leg_products(self.lam)[0]))
+
+    @cached_property
+    def P_p(self):
+        den, nums = self.cleared_p()
+        return SymFunc("p", reduce_ratqt(nums, den))
+
+    @cached_property
+    def Qf(self):
+        den, nums = self.cleared_p(dual=True)
+        return SymFunc("p", reduce_ratqt(nums, den))
+
+    @property
+    def b(self):
+        return b_coeff(self.lam)
+
+    @cached_property
+    def norm(self):
+        """<P_lam, P_lam> = 1/b_lam."""
+        return 1 / self.b
 
 
 @lru_cache(maxsize=None)
@@ -169,25 +193,13 @@ def _integral_form(lam):
 
 
 def _pair_from_integral_form(lam, numer):
-    """The pair from J_lam, held beside it with D J_lam in p, D the integer
-    denominator of the m -> p table; Q_lam = b_lam P_lam = J / c'_lam, as
-    b_lam = c_lam / c'_lam.  Each coefficient is reduced once."""
-    c, c_prime = _arm_leg_products(lam)
+    """The pair held as J_lam and D J_lam in p, D the integer denominator of the
+    m -> p table; nothing is reduced into Q(q,t) here."""
     den, m2p = m_to_basis("p", weight(lam))
     numer_p = {}  # D J_p
     for mu, n in numer.items():
         add_into(numer_p, m2p[mu], n)
-    b = b_coeff(lam)
-    return MacdonaldPair(
-        lam=lam,
-        P=SymFunc("m", reduce_ratqt(numer, c)),
-        P_p=SymFunc("p", reduce_ratqt(numer_p, den * c)),
-        b=b,
-        Qf=SymFunc("p", reduce_ratqt(numer_p, den * c_prime)),
-        norm=1 / b,
-        J=numer,
-        J_p=(den, numer_p),
-    )
+    return MacdonaldPair(lam=lam, J=numer, J_p=(den, numer_p))
 
 
 _PAIRS = {}
@@ -458,9 +470,9 @@ def load_cache(path):
     arm/leg product, P must be unitriangular, J = c_lam P must have
     coefficients in Z[q,t], and J must satisfy the eigenfunction equation
     t^d E J = eps_lam J.
-    The pair is then rebuilt from J as a built pair is.  A malformed file or
-    a record that fails raises ValueError, and then no pair from the file is
-    installed.
+    The pair is then held as J, as a built pair is, with the parsed P (already
+    canonical) as its P.  A malformed file or a record that fails raises
+    ValueError, and then no pair from the file is installed.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -495,6 +507,7 @@ def load_cache(path):
             if _zero_mode_image(rows, numer, mu) != eps * numer.get(mu, RING.zero):
                 raise ValueError(f"P of {lam} is not an eigenfunction of the zero mode "
                                  f"(at m_{mu})")
-        loaded[lam] = _pair_from_integral_form(lam, numer)
+        pair = loaded[lam] = _pair_from_integral_form(lam, numer)
+        vars(pair)["P"] = SymFunc("m", P)  # parsed canonical and checked: no second reduction
     _PAIRS.update(loaded)
     return len(loaded)

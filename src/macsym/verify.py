@@ -12,10 +12,10 @@ import time
 from itertools import combinations
 
 from . import ctengine, fock, kostka, macdonald
-from .coeff import QTSeries, add_into, emit_ratqt, swap_qt
+from .coeff import FIELD, QTSeries, add_into, emit_ratqt, swap_qt
 from .errors import InternalInconsistency
 from .macdonald import macdonald_pair
-from .pairing import dual_factor, inner_qt, kernel_coeff, omega_qt, qbinom_coeff
+from .pairing import dual_factor, inner_cleared, kernel_coeff, omega_qt, qbinom_coeff
 from .partitions import (MAX_HL_WEIGHT, MAX_INTEGRAL_WEIGHT, MAX_KOSTKA_DEGREE,
                          conjugate, partitions_of, weight)
 from .symfunc import convert, evaluate_n, sym_gen
@@ -83,12 +83,16 @@ def _all_partitions(maxweight, max_length=None):
 
 
 def suite_orthogonality(maxweight=5, **_):
+    """<P_lam, P_mu> = delta_lam,mu / b_lam, paired on the held integral forms
+    over Z[q,t] and reduced once."""
     checks = []
     plist = list(_all_partitions(maxweight))
     for lam in plist:
         for mu in plist:
             def chk(lam=lam, mu=mu):
-                got = inner_qt(macdonald_pair(lam).P_p, macdonald_pair(mu).P_p)
+                den, num = inner_cleared(macdonald_pair(lam).cleared_p(),
+                                         macdonald_pair(mu).cleared_p())
+                got = FIELD.new(num, den)
                 want = macdonald_pair(lam).norm if lam == mu else 0
                 return _compared("orthogonality-norm", {"lambda": lam, "mu": mu},
                                  got, want)

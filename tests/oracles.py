@@ -11,8 +11,10 @@ straightens each monomial into an alternant, the shift-operator oracle does
 every coefficient operation in Q(q,t) where the package works in Z[q,t], the
 dual Schur oracle inverts Gram matrices where the package reads the
 plethystic closed forms, the series product multiplies Fractions where the
-package clears both operands to integers, and the pairwise scalar product
-pairs every two monomials where the package pairs S_n-orbits.  The
+package clears both operands to integers, the pairwise scalar product pairs
+every two monomials where the package pairs S_n-orbits, and the coefficient
+parser does every operation in Q(q,t) where the package stays in Z[q,t]
+until a denominator appears.  The
 term-by-term bodies below (scalar product, p-product, basis change, the three
 skew routes) add and multiply one reduced Q(q,t) element at a time where the
 package clears each linear combination to Z[q,t] once and reduces each output
@@ -28,7 +30,8 @@ from math import factorial
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
 
-from macsym.coeff import FIELD, Q, RING, QTSeries, T, add_into, invert, ratqt, substitute
+from macsym.coeff import (_OPS, FIELD, Q, RING, QTSeries, T, _Parser, add_into, invert, ratqt,
+                          substitute)
 from macsym.ctengine import _as_npoly, delta_expand
 from macsym.macdonald import macdonald_pair
 from macsym.pairing import inner_pvec, z_factor
@@ -535,3 +538,27 @@ def skew_via_diffop_termwise(lam, mu):
             piece = p_bar_apply_termwise(part, piece)
         add_into(cur.terms, piece.terms, u)
     return cur
+
+
+class _FieldParser(_Parser):
+    """The coefficient grammar with every value in Q(q,t) from the atoms up."""
+
+    const = staticmethod(FIELD)
+    power = staticmethod(pow)
+
+    @staticmethod
+    def sym(name):
+        return Q if name == "q" else T
+
+    @staticmethod
+    def combine(op, a, b):
+        return _OPS[op](a, b)
+
+    @staticmethod
+    def finish(value):
+        return value
+
+
+def parse_ratqt_field(text):
+    """parse_ratqt with field arithmetic at every step, one reduction per operation."""
+    return _FieldParser(text).parse()

@@ -13,8 +13,8 @@ from macsym.errors import InternalInconsistency, NotSeriesExpandable, Specializa
 from macsym.macdonald import macdonald_pair
 from macsym.partitions import partitions_of
 
-from oracles import (dense_from_qtseries, dense_inv, dense_mul, poch_dense,
-                     series_mul_fraction)
+from oracles import (dense_from_qtseries, dense_inv, dense_mul, parse_ratqt_field,
+                     poch_dense, series_mul_fraction)
 from strategies import ratqt_values
 
 
@@ -222,6 +222,53 @@ def test_parse_ratqt_fuzz(text):
     except (ValueError, ZeroDivisionError):
         return
     assert isinstance(value, RatQT)
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789qt+-*/^() ", max_size=20))
+def test_parse_ratqt_matches_the_field_evaluator(text):
+    # the same value, or the same exception class
+    assert _parsed_or_error(parse_ratqt, text) == _parsed_or_error(parse_ratqt_field, text)
+
+
+def test_parse_makes_one_reduction_per_emitted_coefficient(monkeypatch):
+    texts = []
+    for d in range(6):
+        for lam in partitions_of(d):
+            pair = macdonald_pair(lam)
+            texts.append(emit_ratqt(pair.b))
+            for table in (pair.P, pair.P_p, pair.Qf):
+                texts += [emit_ratqt(c) for c in table.terms.values()]
+    want = [_parsed_or_error(parse_ratqt_field, text) for text in texts]
+
+    def forbidden(*args):
+        raise AssertionError("field arithmetic in parse_ratqt")
+
+    reductions = []
+    cancel = PolyElement.cancel
+
+    def counted(f, g):
+        reductions.append(g)
+        return cancel(f, g)
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+        monkeypatch.setattr(RatQT, name, forbidden)
+    monkeypatch.setattr(PolyElement, "cancel", counted)
+    got = []
+    for text in texts:
+        reductions.clear()
+        got.append(parse_ratqt(text))
+        assert len(reductions) == 1, text
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_series_inverse_against_dense_oracle():

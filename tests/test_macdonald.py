@@ -230,27 +230,68 @@ def test_hall_littlewood_matches_the_division_route():
             assert hall_littlewood_p(lam) == hall_littlewood_p_division(lam), lam
 
 
-def test_held_integral_forms_give_back_the_pair():
+def _count_reductions(monkeypatch):
+    """Record the denominator of every reduce_ratqt call the pairs make."""
+    calls = []
+
+    def counted(nums, den):
+        calls.append(den)
+        return reduce_ratqt(nums, den)
+
+    monkeypatch.setattr(mac, "reduce_ratqt", counted)
+    return calls
+
+
+def test_held_integral_forms_give_back_the_pair(monkeypatch):
+    calls = _count_reductions(monkeypatch)
     for d in range(5):
         for lam in partitions_of(d):
-            pair = macdonald_pair(lam)
+            pair = mac._pair_from_integral_form(lam, mac._integral_form(lam))
+            assert calls == [], lam  # nothing is reduced until it is read
             c, c_prime = mac._arm_leg_products(lam)
             D, nums = pair.J_p
             assert reduce_ratqt(pair.J, c) == pair.P.terms, lam
+            assert calls == [c], lam
             assert reduce_ratqt(nums, RING(D) * c) == pair.P_p.terms, lam
             assert reduce_ratqt(nums, RING(D) * c_prime) == pair.Qf.terms, lam
+            assert (pair.b, pair.norm) == (b_coeff(lam), 1 / b_coeff(lam)), lam
+            assert (pair.P, pair.P_p, pair.Qf) == (macdonald_pair(lam).P, macdonald_pair(lam).P_p,
+                                                   macdonald_pair(lam).Qf), lam
+            calls.clear()
+            pair.P, pair.P_p, pair.Qf  # read again: held, not reduced again
+            assert calls == [], lam
 
 
-def test_cache_loaded_pairs_hold_the_built_integral_forms(tmp_path):
+def test_cache_loaded_pairs_hold_the_built_integral_forms(tmp_path, monkeypatch):
     mac._PAIRS.clear()
+    calls = _count_reductions(monkeypatch)
     built = {lam: macdonald_pair(lam) for d in range(5) for lam in partitions_of(d)}
+    assert calls == []
     path = tmp_path / "pairs.json"
     save_cache(path)
+    assert len(calls) == len(built)  # each P, to be written
+    parsed = []
+
+    def recorded(text):
+        parsed.append(parse_ratqt(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(mac, "parse_ratqt", recorded)
     mac._PAIRS.clear()
+    calls.clear()
     assert load_cache(path) == len(built)
+    parsed_ids = {id(c) for c in parsed}
     for lam, pair in built.items():
-        assert mac._PAIRS[lam] is not pair
-        assert (mac._PAIRS[lam].J, mac._PAIRS[lam].J_p) == (pair.J, pair.J_p), lam
+        got = mac._PAIRS[lam]
+        assert got is not pair
+        assert (got.J, got.J_p) == (pair.J, pair.J_p), lam
+        assert got.P == pair.P, lam
+        assert all(id(c) in parsed_ids for c in got.P.terms.values()), lam
+    assert calls == []  # neither the load nor a read of P reduces a table
+    for lam, pair in built.items():
+        got = mac._PAIRS[lam]
+        assert (got.P_p, got.Qf, got.b, got.norm) == (pair.P_p, pair.Qf, pair.b, pair.norm), lam
+    assert len(calls) == 4 * len(built)  # P_p and Qf of each loaded and each built pair
 
 
 def test_cache_round_trip(tmp_path):
