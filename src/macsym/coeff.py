@@ -254,8 +254,8 @@ class _Parser:
     (`FIELD.new`); from the first operand with a denominator on, the
     arithmetic runs in Q(q,t), reduced at every step, so a long sum of
     fractions stays bounded in size.  emit_ratqt's "(N)/(D)" therefore
-    costs one reduction.  The arithmetic is in `const`, `sym`, `power`,
-    `combine` and `finish`; the grammar does not depend on it.
+    costs one reduction.  The arithmetic is in `combine` and `finish`; the
+    grammar does not depend on it.
     """
 
     def __init__(self, text):
@@ -268,18 +268,6 @@ class _Parser:
         if self.pos != len(self.tokens):
             raise ValueError(f"trailing input in {self.text!r}")
         return self.finish(result)
-
-    @staticmethod
-    def const(val):
-        return RING(val)
-
-    @staticmethod
-    def sym(name):
-        return RING.gens["qt".index(name)]
-
-    @staticmethod
-    def power(base, e):
-        return base ** e if e >= 0 else FIELD.new(RING.one, base ** -e)
 
     @staticmethod
     def combine(op, a, b):
@@ -352,15 +340,15 @@ class _Parser:
                 kind, val = self.take()
             if kind != "int" or val > MAX_EXPONENT:
                 raise ValueError(f"exponent must be an integer of size at most {MAX_EXPONENT}")
-            return self.power(base, sign * val)
+            return base ** val if sign > 0 else FIELD.new(RING.one, base ** val)
         return base
 
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return self.const(val)
+            return RING(val)
         if kind == "sym":
-            return self.sym(val)
+            return RING.gens["qt".index(val)]
         if (kind, val) == ("op", "("):
             inner = self.expr()
             kind, val = self.take()

@@ -541,22 +541,11 @@ def skew_via_diffop_termwise(lam, mu):
 
 
 class _FieldParser(_Parser):
-    """The coefficient grammar with every value in Q(q,t) from the atoms up."""
-
-    const = staticmethod(FIELD)
-    power = staticmethod(pow)
-
-    @staticmethod
-    def sym(name):
-        return Q if name == "q" else T
+    """The coefficient grammar with every operation in Q(q,t)."""
 
     @staticmethod
     def combine(op, a, b):
-        return _OPS[op](a, b)
-
-    @staticmethod
-    def finish(value):
-        return value
+        return _OPS[op](_Parser.finish(a), _Parser.finish(b))
 
 
 def parse_ratqt_field(text):

@@ -258,7 +258,7 @@ def test_held_integral_forms_give_back_the_pair(monkeypatch):
             assert (pair.P, pair.P_p, pair.Qf) == (macdonald_pair(lam).P, macdonald_pair(lam).P_p,
                                                    macdonald_pair(lam).Qf), lam
             calls.clear()
-            pair.P, pair.P_p, pair.Qf  # read again: held, not reduced again
+            _ = (pair.P, pair.P_p, pair.Qf)  # read again: held, not reduced again
             assert calls == [], lam
 
 
