@@ -3,18 +3,19 @@
 S_lam(t) is the dual of the Schur basis under the Hall-Littlewood scalar
 product, S_lam(q,t) the dual of S_lam(t) under the full (q,t) product; both are
 their plethystic closed forms s_lam[X(1-t)] and s_lam[X/(1-q)] (Macdonald
-III.4, VI.8).  Kostka entries are the pairings K[lam,mu] = <S_lam(q,t), M_mu>,
-cross-checked by reconstruction and, independently, by the nested
-constant-term formula.
+III.4, VI.8).  K[lam,mu] = <S_lam(q,t), J_mu> = <s_lam, J_mu[X/(1-t)]>
+(Macdonald VI (8.11)), so each Kostka column is a Schur expansion and no
+pairing is taken; the nested constant-term formula cross-checks it
+independently.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import FIELD, Q, RING, QTSeries, add_into, ratqt, reduce_ratqt, substitute
+from .coeff import FIELD, Q, RING, QTSeries, ratqt, reduce_ratqt, substitute
 from .errors import InternalInconsistency
 from .macdonald import _arm_leg_products, macdonald_pair
-from .pairing import inner_qt, kernel_coeff, plethysm, qbinom_coeff
+from .pairing import kernel_coeff, plethysm, qbinom_coeff
 from .partitions import as_partition, partitions_of, weight
 from .symfunc import SymFunc, convert, sym_gen
 
@@ -51,27 +52,24 @@ class KostkaTable:
     entries: dict  # (lam, mu) -> RatQT
 
     def non_polynomial(self):
-        """Entries whose reduced denominator is not 1 (observed, never asserted)."""
+        """Entries with a denominator: none in a table from `kostka_matrix`, which raises on one."""
         return sorted(key for key, v in self.entries.items() if v.denom != 1)
 
 
 @lru_cache(maxsize=None)
 def kostka_matrix(d):
-    """K[lam,mu] = <S_lam(q,t), M_mu>; reconstruction of M_mu is asserted, which
-    holds for every mu only if S(q,t) and S(t) are dual: it checks that too."""
-    plist = list(partitions_of(d))
-    sqt = {lam: plethysm(sym_gen("s", lam), "qinv") for lam in plist}  # in the p basis
-    st = {lam: plethysm(sym_gen("s", lam), "hl") for lam in plist}
+    """K[lam,mu] = <s_lam, J_mu[X/(1-t)]>: one plethysm and one Schur expansion per column,
+    each entry checked to lie in N[q,t] (Haiman).  Rebuilding J_mu = sum K S_lam(t) is a
+    plethysm round trip that no longer tests duality; kostka-integral is the independent route."""
     entries = {}
-    for mu in plist:
-        m_mu = m_function(mu)
-        recon = SymFunc("p")
-        for lam in plist:
-            k = inner_qt(sqt[lam], m_mu)
-            if k:
-                entries[(lam, mu)] = k
-            add_into(recon.terms, st[lam].terms, k)
-        if recon != m_mu:
+    for mu in partitions_of(d):
+        j_mu = m_function(mu)
+        column = convert(plethysm(j_mu, "tinv"), "s")
+        for lam, k in column.terms.items():
+            if k.denom != 1 or min(k.numer.values()) < 0:
+                raise InternalInconsistency(f"Kostka entry K[{lam},{mu}] = {k} is not in N[q,t]")
+            entries[(lam, mu)] = k
+        if plethysm(column, "hl") != j_mu:
             raise InternalInconsistency(f"Kostka reconstruction failed for {mu}")
     return KostkaTable(degree=d, entries=entries)
 
@@ -89,7 +87,7 @@ def _inv_qpoch(v):
 
 
 def kostka_integral_sides(lam, mu, order):
-    """(constant-term route to K[lam,mu], the pairing route), as series at the order.
+    """(constant-term route to K[lam,mu], the `kostka_matrix` entry), as series at the order.
 
     The x-side carries x^(-lam) and the sign factor; the kernel
     prod 1/(x_i/y_j; q)oo couples it to the windowed integrand of mu.

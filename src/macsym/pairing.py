@@ -142,6 +142,7 @@ def cauchy_pi_tilde(nx, ny, d):
 #   'h'      1                            prod 1/(1-xy): h_r
 #   'hl'     1-t^r                        X -> X(1-t): S_lam(t) = s_lam[X(1-t)]
 #   'qinv'   1/(1-q^r)                    X -> X/(1-q): S_lam(q,t) = s_lam[X/(1-q)]
+#   'tinv'   1/(1-t^r)                    X -> X/(1-t): Kostka column J_mu[X/(1-t)]
 #   'omega'  (-1)^(r-1)(1-q^r)/(1-t^r)    omega_qt
 
 _KERNEL_WEIGHTS = {
@@ -150,6 +151,7 @@ _KERNEL_WEIGHTS = {
     "h": lambda r: ratqt(1),
     "hl": lambda r: ratqt(1) - T ** r,
     "qinv": lambda r: 1 / (ratqt(1) - Q ** r),
+    "tinv": lambda r: 1 / (ratqt(1) - T ** r),
     "omega": lambda r: ratqt(-1) ** (r - 1) * (1 - Q ** r) / (1 - T ** r),
 }
 

@@ -16,9 +16,9 @@ MAX_WEIGHT = 8
 MAX_INTEGRAL_WEIGHT = 5
 # Largest weight of a Hall-Littlewood P that `verify` symmetrizes: weight 7 takes 16-18 s.
 MAX_HL_WEIGHT = 7
-# Largest Kostka degree the CLI and `verify` build: kostka --degree 6 takes
-# 7-9 s on a 2-vCPU VM, degree 7 29-35 s.
-MAX_KOSTKA_DEGREE = 6
+# Largest Kostka degree the CLI and `verify` build: a cold kostka --degree 7
+# (weight-7 pairs built) takes 3.2-3.7 s on a 2-vCPU VM, degree 8 about 10 s.
+MAX_KOSTKA_DEGREE = 7
 
 
 def as_partition(seq):

@@ -264,7 +264,7 @@ def suite_kostka(maxweight=3, order=5, **_):
     for d in range(1, min(maxweight, MAX_KOSTKA_DEGREE) + 1):
         def chk(d=d):
             try:
-                kostka.kostka_matrix(d)  # reconstruction asserted inside
+                kostka.kostka_matrix(d)  # N[q,t] entries and reconstruction asserted inside
                 ok = True
             except InternalInconsistency:
                 ok = False

@@ -319,7 +319,7 @@ def test_degree_and_maxweight_above_the_limit_exit_2(capsys):
         assert "above the limit" in capsys.readouterr().err
     assert time.perf_counter() - start < 1
     args = build_parser().parse_args(["kostka", "--degree", str(cli.MAX_KOSTKA_DEGREE)])
-    assert args.degree == cli.MAX_KOSTKA_DEGREE == 6
+    assert args.degree == cli.MAX_KOSTKA_DEGREE == 7
     args = build_parser().parse_args(["verify", "--maxweight", str(cli.MAX_WEIGHT)])
     assert args.maxweight == cli.MAX_WEIGHT
 

@@ -1,6 +1,10 @@
+import json
+from math import factorial, prod
+
 import pytest
 
-from macsym import kostka, pairing
+import macsym
+from macsym import cli, kostka, pairing
 from macsym.coeff import Q, T, parse_ratqt, ratqt, substitute
 from macsym.errors import InternalInconsistency
 from macsym.kostka import (KostkaTable, dual_schur_qt, dual_schur_t,
@@ -8,7 +12,7 @@ from macsym.kostka import (KostkaTable, dual_schur_qt, dual_schur_t,
                            kostka_matrix, m_function)
 from macsym.macdonald import b_coeff, macdonald_pair
 from macsym.pairing import inner_qt
-from macsym.partitions import conjugate, partitions_of
+from macsym.partitions import arm_leg, cells, conjugate, partitions_of
 from macsym.symfunc import convert, sym_gen
 
 from oracles import dual_schur_by_gram, inner_qt_termwise
@@ -131,11 +135,6 @@ def test_kostka_degree_three_frozen():
     assert kostka_matrix(3).entries == want
 
 
-def test_kostka_entries_polynomial_observed():
-    for d in range(1, 5):
-        assert kostka_matrix(d).non_polynomial() == []
-
-
 def test_kostka_integral_examples():
     assert kostka_integral_check((1,), (1,), 5)
     assert kostka_integral_check((2,), (1, 1), 5)
@@ -169,23 +168,74 @@ def test_dual_bases_use_no_scalar_product(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("the closed forms called inner_qt")
-    monkeypatch.setattr(kostka, "inner_qt", refuse)
     monkeypatch.setattr(pairing, "inner_qt", refuse)
     dual_schur_t.cache_clear()
     dual_schur_qt.cache_clear()
     assert {d: (dual_schur_t(d), dual_schur_qt(d)) for d in range(5)} == want
 
 
-def test_kostka_matrix_equals_pairing_on_gram_bases():
-    _, sqt = dual_schur_by_gram(4)
-    plist = list(partitions_of(4))
+@pytest.mark.parametrize("d", range(6))
+def test_kostka_matrix_equals_pairing_on_gram_bases(d):
+    # the pairing route K[lam,mu] = <S_lam(q,t), M_mu> on the solved-for dual basis
+    _, sqt = dual_schur_by_gram(d)
+    plist = list(partitions_of(d))
     want = {(lam, mu): k for mu in plist for lam in plist
             if (k := inner_qt(sqt[lam], m_function(mu)))}
-    assert kostka_matrix(4).entries == want
+    assert kostka_matrix(d).entries == want
+
+
+def test_kostka_matrix_takes_no_scalar_product(monkeypatch):
+    assert not hasattr(kostka, "inner_qt")
+    want = {d: kostka_matrix(d).entries for d in range(6)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kostka_matrix took a scalar product")
+    monkeypatch.setattr(pairing, "inner_qt", refuse)
+    monkeypatch.setattr(pairing, "inner_cleared", refuse)
+    macsym.clear_caches()
+    assert {d: kostka_matrix(d).entries for d in range(6)} == want
+
+
+def test_kostka_entries_lie_in_N_qt_and_count_standard_tableaux():
+    for d in range(7):
+        for (lam, mu), k in kostka_matrix(d).entries.items():
+            assert k.denom == 1 and min(k.numer.values()) > 0, (lam, mu, k)
+            hooks = prod(arm + leg + 1 for arm, leg, _, _ in
+                         (arm_leg(lam, cell) for cell in cells(lam)))
+            assert substitute(k, 1, 1) == factorial(d) // hooks, (lam, mu)
+        assert len(kostka_matrix(d).entries) == len(list(partitions_of(d))) ** 2
+        assert kostka_matrix(d).non_polynomial() == []
+
+
+def test_wrong_plethysm_weight_raises_and_fails_verify(monkeypatch, capsys):
+    # X -> -X/(1-t) gives polynomial entries with negative coefficients, and
+    # X -> X/(1-qt) in place of X/(1-t) gives entries with a denominator
+    with monkeypatch.context() as m:
+        m.setitem(pairing._KERNEL_WEIGHTS, "tinv", lambda r: -1 / (1 - T ** r))
+        macsym.clear_caches()
+        with pytest.raises(InternalInconsistency, match="K\\[\\(1,\\),\\(1,\\)\\] = -1 "):
+            kostka_matrix(1)
+        m.setitem(pairing._KERNEL_WEIGHTS, "tinv", lambda r: 1 / (1 - Q * T ** r))
+        macsym.clear_caches()
+        with pytest.raises(InternalInconsistency, match="N\\[q,t\\]"):
+            kostka_matrix(2)
+        argv = ["verify", "--suite", "kostka", "--maxweight", "3", "--format", "json"]
+        # the kostka-integral records read the table too, and stop the run
+        assert cli.main(argv) == 3
+        capsys.readouterr()
+        m.setattr(kostka, "kostka_integral_sides", lambda lam, mu, order: (0, 0))
+        assert cli.main(argv) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(r["parameters"]["degree"], r["status"]) for r in checks
+                if r["identity"] == "kostka-reconstruction"] == [(1, "fail"), (2, "fail"),
+                                                                 (3, "fail")]
+    macsym.clear_caches()
+    assert kostka_entry((2,), (1, 1)) == T
 
 
 def test_kostka_reconstruction_checks_the_duality(monkeypatch):
-    # with s_lam in place of S_lam(t) the bases are not dual, and M_mu is not rebuilt
+    # X -> X/(1-t) is undone by X(1-t), not by s_lam in place of S_lam(t): J_mu is
+    # not rebuilt.  This is a plethysm round trip; kostka-integral tests the duality.
     real = kostka.plethysm
     monkeypatch.setattr(kostka, "plethysm",
                         lambda f, kind: real(f, "h" if kind == "hl" else kind))
