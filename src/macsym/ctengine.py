@@ -621,8 +621,9 @@ def _sign_factor_terms(ell, reverse=False):
 def schur_ct(lam, kind="h"):
     """Constant-term formula with kernel strata of the given kind.
 
-    kind 'h' reproduces the Schur function s_lam; 'hl' and 'qinv' give the
-    dual bases of the Schur family under the deformed scalar products.
+    kind 'h' reproduces s_lam as a Jacobi-Trudi sum over h strata, checked
+    against the bialternant s tables; 'hl' and 'qinv' give the dual bases of
+    the Schur family under the deformed scalar products.
     """
     lam = as_partition(lam)
     acc = {}

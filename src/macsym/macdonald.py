@@ -30,7 +30,7 @@ from .errors import InternalInconsistency
 from .pairing import inner_cleared, z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
                          dominates, partitions_of, weight)
-from .symfunc import (NPoly, SymFunc, _collect_m, _perm_sign, basis_to_m, convert,
+from .symfunc import (NPoly, SymFunc, _collect_m, _straighten, basis_to_m, convert,
                       evaluate_n, m_to_basis, orbit_exponents, p_product_cleared,
                       require_symmetric, sym_gen)
 
@@ -253,16 +253,6 @@ def _spectrum_e(alpha, r, n):
     alpha = tuple(alpha) + (0,) * (n - len(alpha))
     return RING.from_dict(Counter((sum(alpha[i] for i in subset), sum(n - 1 - i for i in subset))
                                   for subset in combinations(range(n), r)))
-
-
-def _straighten(shifted):
-    """(sign, nu) with alternant a_shifted = sign a_(nu+delta), or None if it is 0."""
-    n = len(shifted)
-    if len(set(shifted)) < n:
-        return None
-    order = sorted(range(n), key=shifted.__getitem__, reverse=True)
-    return _perm_sign(order), as_partition([shifted[j] - (n - 1 - i)
-                                            for i, j in enumerate(order)])
 
 
 def _dr_core(r, F, n):

@@ -6,9 +6,9 @@ empty partition.  Cells are indexed 1-based as (row, column).
 
 from .errors import CellOutOfDiagram, EmptyPartition
 
-# Largest weight the CLI and the cache loader accept: the largest weight whose
-# whole P/Q family builds in about 25 s on a 2-vCPU VM (weight 8: 7-9 s, weight
-# 9: about 28 s).  Library calls are unbounded.
+# Largest weight the CLI and the cache loader accept; library calls are unbounded.
+# On a 2-vCPU VM the P/Q family of weight <= 8 builds in 3.1-4.1 s cold and of
+# weight <= 9 in about 14 s; raising the ceiling is a measured change of its own.
 MAX_WEIGHT = 8
 # Largest weight of an integral representation the CLI and `verify` run: an
 # integral of weight w runs the Delta kernel over up to w variables, and

@@ -9,7 +9,7 @@ multiplication and for every scalar product in the package.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import lcm
 
 from sympy.polys.polyerrors import ExactQuotientFailed
@@ -190,28 +190,31 @@ def _perm_sign(perm):
     return -1 if inv & 1 else 1
 
 
-@lru_cache(maxsize=None)
-def schur_in_h(lam):
-    """Jacobi-Trudi expansion s_lam = det(h_{lam_i - i + j}): dict h-partition -> int."""
-    lam = as_partition(lam)
-    if not lam:
-        return {(): 1}
-    ell = len(lam)
-    out = {}
-    for sigma in permutations(range(ell)):
-        parts = []
-        ok = True
-        for i in range(ell):
-            v = lam[i] - (i + 1) + (sigma[i] + 1)
-            if v < 0:
-                ok = False
-                break
-            if v > 0:
-                parts.append(v)
-        if not ok:
-            continue
-        add_into(out, {as_partition(sorted(parts, reverse=True)): _perm_sign(sigma)})
-    return out
+def _straighten(shifted):
+    """(sign, nu) with alternant a_shifted = sign a_(nu+delta), or None if it is 0."""
+    n = len(shifted)
+    if len(set(shifted)) < n:
+        return None
+    order = sorted(range(n), key=shifted.__getitem__, reverse=True)
+    return _perm_sign(order), as_partition([shifted[j] - (n - 1 - i)
+                                            for i, j in enumerate(order)])
+
+
+def _m_in_s(d):
+    """Rows {mu: {nu: Fraction}}: each m_mu of degree d in the Schur basis.
+
+    In d variables m_mu a_delta is the sum of a_(alpha+delta) over the orbit
+    of mu, and each term straightens to +-a_(nu+delta) = +-s_nu a_delta or 0
+    (the bialternant, Macdonald I (3.1)).
+    """
+    rows = {}
+    for mu in partitions_of(d):
+        rows[mu] = {}
+        for alpha in orbit_exponents(mu, d):
+            if straight := _straighten([a + d - 1 - i for i, a in enumerate(alpha)]):
+                sign, nu = straight
+                add_into(rows[mu], {nu: Fraction(sign)})
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -230,16 +233,15 @@ def _gen_expansion_m(kind, lam):
 @lru_cache(maxsize=None)
 def basis_to_m(basis, d):
     """Rows {lam: {mu: int}} expanding each basis element of degree d in m."""
+    if basis == "s":  # the unitriangular inverse of the straightened m -> s rows
+        return {lam: {mu: int(c) for mu, c in row.items()}
+                for lam, row in invert(_m_in_s(d), list(partitions_of(d))).items()}
     rows = {}
     for lam in partitions_of(d):
         if basis == "m":
             rows[lam] = {lam: 1}
         elif basis in _GEN:
             rows[lam] = _gen_expansion_m(basis, lam)
-        elif basis == "s":
-            rows[lam] = {}
-            for mu, c in schur_in_h(lam).items():
-                add_into(rows[lam], _gen_expansion_m("h", mu), c)
         else:
             raise ValueError(f"unknown basis {basis!r}")
     return rows

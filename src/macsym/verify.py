@@ -1,14 +1,17 @@
 """Named verification suites with machine-readable reports.
 
-Each check yields a record {identity, parameters, order, status,
-max_order_checked, wall_time}; `order`/`max_order_checked` are null for exact
-(non-truncated) checks.  A failing record of a check that compares two sides
-also carries `detail`: the first key at which they differ, with both values.
+Each suite is a generator of records {identity, parameters, order, status,
+max_order_checked, wall_time}, run into a list by `_timed`; wall_time is the
+time spent producing the record.  `order`/`max_order_checked` are null for
+exact (non-truncated) checks.  A failing record of a check that compares two
+sides also carries `detail`: the first key at which they differ, with both
+values, or no detail when a side could not be computed.
 Reports are deterministic apart from the timing field: cases are generated in
 reverse-lex partition order.
 """
 
 import time
+from functools import wraps
 from itertools import combinations
 
 from . import ctengine, fock, kostka, macdonald
@@ -24,14 +27,9 @@ REPORT_VERSION = "v1"
 
 
 def _record(identity, parameters, passed, order=None):
-    return {
-        "identity": identity,
-        "parameters": parameters,
-        "order": order,
-        "status": "pass" if passed else "fail",
-        "max_order_checked": order,
-        "wall_time": None,
-    }
+    return {"identity": identity, "parameters": parameters, "order": order,
+            "status": "pass" if passed else "fail", "max_order_checked": order,
+            "wall_time": None}
 
 
 def _render(c):
@@ -67,14 +65,20 @@ def _compared(identity, parameters, got, want, order=None):
     return rec
 
 
-def _timed(records):
-    out = []
-    for make in records:
+def _timed(suite):
+    """Run a suite generator into a list, each record's wall_time the time spent
+    producing it: since the previous record, or since the suite started."""
+    @wraps(suite)
+    def run(**params):
+        out = []
         start = time.perf_counter()
-        rec = make()
-        rec["wall_time"] = round(time.perf_counter() - start, 6)
-        out.append(rec)
-    return out
+        for rec in suite(**params):
+            now = time.perf_counter()
+            rec["wall_time"] = round(now - start, 6)
+            out.append(rec)
+            start = now
+        return out
+    return run
 
 
 def _all_partitions(maxweight, max_length=None):
@@ -82,61 +86,47 @@ def _all_partitions(maxweight, max_length=None):
         yield from partitions_of(d, max_length=max_length)
 
 
+@_timed
 def suite_orthogonality(maxweight=5, **_):
     """<P_lam, P_mu> = delta_lam,mu / b_lam, paired on the held integral forms
     over Z[q,t] and reduced once."""
-    checks = []
     plist = list(_all_partitions(maxweight))
     for lam in plist:
         for mu in plist:
-            def chk(lam=lam, mu=mu):
-                den, num = inner_cleared(macdonald_pair(lam).cleared_p(),
-                                         macdonald_pair(mu).cleared_p())
-                got = FIELD.new(num, den)
-                want = macdonald_pair(lam).norm if lam == mu else 0
-                return _compared("orthogonality-norm", {"lambda": lam, "mu": mu},
-                                 got, want)
-            checks.append(chk)
-    return _timed(checks)
+            den, num = inner_cleared(macdonald_pair(lam).cleared_p(),
+                                     macdonald_pair(mu).cleared_p())
+            want = macdonald_pair(lam).norm if lam == mu else 0
+            yield _compared("orthogonality-norm", {"lambda": lam, "mu": mu},
+                            FIELD.new(num, den), want)
 
 
+@_timed
 def suite_eigen(maxweight=3, **_):
     """D_r P_lam = e_r P_lam for 1 <= r <= n = |lam|, and [D_r, D_s] m_mu = 0.
 
     The r = n records check only the degree: e_n is t^(n(n-1)/2) q^d for
     every lam of weight d (see macdonald.dr_eigencheck).
     """
-    checks = []
     for lam in _all_partitions(maxweight):
         n = max(weight(lam), 1)
         for r in range(1, n + 1):
-            def chk(lam=lam, r=r, n=n):
-                return _record("eigen-equation", {"lambda": lam, "r": r, "n": n},
-                               macdonald.dr_eigencheck(lam, r, n))
-            checks.append(chk)
-    maxn = min(3, maxweight + 1)
-    for n in range(2, maxn + 1):
+            yield _record("eigen-equation", {"lambda": lam, "r": r, "n": n},
+                          macdonald.dr_eigencheck(lam, r, n))
+    for n in range(2, min(3, maxweight + 1) + 1):
         for d in range(0, min(3, maxweight) + 1):
             for mu in partitions_of(d, max_length=n):
                 for r, s in combinations(range(1, n + 1), 2):
-                    def chk(mu=mu, r=r, s=s, n=n):
-                        f = evaluate_n(sym_gen("m", mu), n)
-                        return _record("commutator",
-                                       {"mu": mu, "r": r, "s": s, "n": n},
-                                       macdonald.dr_commute_check(r, s, f, n))
-                    checks.append(chk)
-    return _timed(checks)
+                    f = evaluate_n(sym_gen("m", mu), n)
+                    yield _record("commutator", {"mu": mu, "r": r, "s": s, "n": n},
+                                  macdonald.dr_commute_check(r, s, f, n))
 
 
+@_timed
 def suite_duality(maxweight=5, **_):
-    checks = []
     for lam in _all_partitions(maxweight):
-        def chk(lam=lam):
-            lhs = omega_qt(macdonald_pair(lam).P_p)
-            rhs = macdonald_pair(conjugate(lam)).Qf.map_coeffs(swap_qt)
-            return _compared("omega-duality", {"lambda": lam}, lhs, rhs)
-        checks.append(chk)
-    return _timed(checks)
+        lhs = omega_qt(macdonald_pair(lam).P_p)
+        rhs = macdonald_pair(conjugate(lam)).Qf.map_coeffs(swap_qt)
+        yield _compared("omega-duality", {"lambda": lam}, lhs, rhs)
 
 
 def _cauchy_products(d, dual):
@@ -152,148 +142,118 @@ def _cauchy_products(d, dual):
     return out
 
 
+@_timed
 def suite_cauchy(maxweight=4, **_):
     """Both Cauchy identities at partition keys: each side is symmetric in x and in y."""
-    checks = []
     for d in range(maxweight + 1):
+        plist = list(partitions_of(d))
         for identity, factor, dual in (("cauchy-kernel", qbinom_coeff, False),
                                        ("dual-cauchy-kernel", dual_factor, True)):
-            def chk(d=d, identity=identity, factor=factor, dual=dual):
-                plist = list(partitions_of(d))
-                kernel = {(lam, mu): c for lam in plist for mu in plist
-                          if (c := kernel_coeff(lam, mu, factor))}
-                return _compared(identity, {"degree": d}, kernel, _cauchy_products(d, dual))
-            checks.append(chk)
-    return _timed(checks)
+            kernel = {(lam, mu): c for lam in plist for mu in plist
+                      if (c := kernel_coeff(lam, mu, factor))}
+            yield _compared(identity, {"degree": d}, kernel, _cauchy_products(d, dual))
 
 
+@_timed
 def suite_specializations(maxweight=4, **_):
-    checks = []
     for lam in _all_partitions(maxweight):
         for case in macdonald.SPECIALIZE_CASES:
-            if case == "hall-littlewood" and weight(lam) > MAX_HL_WEIGHT:
-                continue
-            def chk(lam=lam, case=case):
-                return _record(f"specialization-{case}", {"lambda": lam},
-                               macdonald.specialize_check(lam, case))
-            checks.append(chk)
-    return _timed(checks)
+            if case != "hall-littlewood" or weight(lam) <= MAX_HL_WEIGHT:
+                yield _record(f"specialization-{case}", {"lambda": lam},
+                              macdonald.specialize_check(lam, case))
 
 
+@_timed
 def suite_ct_conjecture(maxweight=3, order=6, **_):
-    checks = []
     for n in range(1, 4):
         for lam in _all_partitions(maxweight, max_length=n):
-            def chk(lam=lam, n=n):
-                return _compared("constant-term-norm", {"lambda": lam, "n": n},
-                                 *ctengine.ct_norm_sides(lam, n, order), order)
-            checks.append(chk)
-    return _timed(checks)
+            yield _compared("constant-term-norm", {"lambda": lam, "n": n},
+                            *ctengine.ct_norm_sides(lam, n, order), order)
 
 
+@_timed
 def suite_self_adjoint(maxweight=3, order=4, **_):
-    checks = []
     for n in (2, 3):
         fams = list(_all_partitions(maxweight, max_length=n))
         for mu in fams:
             for nu in fams:
-                def chk(mu=mu, nu=nu, n=n):
-                    return _compared("self-adjointness", {"f": mu, "g": nu, "n": n},
-                                     *ctengine.self_adjoint_sides(
-                                         sym_gen("m", mu), sym_gen("m", nu), n, order),
-                                     order)
-                checks.append(chk)
-    return _timed(checks)
+                yield _compared("self-adjointness", {"f": mu, "g": nu, "n": n},
+                                *ctengine.self_adjoint_sides(
+                                    sym_gen("m", mu), sym_gen("m", nu), n, order),
+                                order)
 
 
+@_timed
 def suite_integral_reps(maxweight=4, order=6, **_):
-    checks = []
     for lam in _all_partitions(min(maxweight, MAX_INTEGRAL_WEIGHT)):
         for identity, dual in (("integral-rep", False), ("integral-rep-dual", True)):
-            def chk(lam=lam, identity=identity, dual=dual):
-                return _compared(identity, {"lambda": lam},
-                                 *ctengine.integral_rep_sides(lam, order, dual), order)
-            checks.append(chk)
-    return _timed(checks)
+            yield _compared(identity, {"lambda": lam},
+                            *ctengine.integral_rep_sides(lam, order, dual), order)
 
 
+@_timed
 def suite_skew_routes(maxweight=4, **_):
-    checks = []
     for lam in _all_partitions(maxweight):
         for dm in range(weight(lam) + 1):
             for mu in partitions_of(dm):
-                def chk(lam=lam, mu=mu):
-                    a = macdonald.skew_q(lam, mu)
-                    b = fock.skew_via_fock(lam, mu)
-                    c = fock.skew_via_diffop(lam, mu)
-                    return _compared("skew-three-routes", {"lambda": lam, "mu": mu},
-                                     b if b != a else c, a)
-                checks.append(chk)
-    return _timed(checks)
+                a = macdonald.skew_q(lam, mu)
+                b = fock.skew_via_fock(lam, mu)
+                c = fock.skew_via_diffop(lam, mu)
+                yield _compared("skew-three-routes", {"lambda": lam, "mu": mu},
+                                b if b != a else c, a)
 
 
+@_timed
 def suite_skew_integral(order=5, **_):
-    cases = [((2,), (1,)), ((1, 1), (1,)), ((2, 1), (1,))]
-    checks = []
-    for lam, mu in cases:
-        def chk(lam=lam, mu=mu):
-            return _compared("skew-integral", {"lambda": lam, "mu": mu},
-                             *ctengine.skew_integral_sides(lam, mu, order), order)
-        checks.append(chk)
-    return _timed(checks)
+    for lam, mu in [((2,), (1,)), ((1, 1), (1,)), ((2, 1), (1,))]:
+        yield _compared("skew-integral", {"lambda": lam, "mu": mu},
+                        *ctengine.skew_integral_sides(lam, mu, order), order)
 
 
+@_timed
 def suite_schur_ct(maxweight=4, **_):
-    checks = []
+    """The constant-term formulas for s_lam and s_lam' against the bialternant
+    definition: the s tables come from straightening alternants, not from
+    Jacobi-Trudi, which the formula itself expands."""
     for lam in _all_partitions(maxweight):
-        def chk(lam=lam):
-            return _compared("schur-ct", {"lambda": lam},
-                             convert(ctengine.schur_ct(lam), "m"),
-                             convert(sym_gen("s", lam), "m"))
-        checks.append(chk)
-        def chk2(lam=lam):
-            return _compared("schur-ct-dual", {"lambda": lam},
-                             convert(ctengine.schur_ct_dual(lam), "m"),
-                             convert(sym_gen("s", conjugate(lam)), "m"))
-        checks.append(chk2)
-    return _timed(checks)
+        yield _compared("schur-ct", {"lambda": lam},
+                        convert(ctengine.schur_ct(lam), "m"),
+                        convert(sym_gen("s", lam), "m"))
+        yield _compared("schur-ct-dual", {"lambda": lam},
+                        convert(ctengine.schur_ct_dual(lam), "m"),
+                        convert(sym_gen("s", conjugate(lam)), "m"))
 
 
+@_timed
 def suite_kostka(maxweight=3, order=5, **_):
-    checks = []
+    """The reconstruction inside kostka_matrix and the integral route to each entry
+    of degree 2; a record whose table raises InternalInconsistency fails."""
     for d in range(1, min(maxweight, MAX_KOSTKA_DEGREE) + 1):
-        def chk(d=d):
-            try:
-                kostka.kostka_matrix(d)  # N[q,t] entries and reconstruction asserted inside
-                ok = True
-            except InternalInconsistency:
-                ok = False
-            return _record("kostka-reconstruction", {"degree": d}, ok)
-        checks.append(chk)
+        try:
+            kostka.kostka_matrix(d)  # N[q,t] entries and reconstruction asserted inside
+            ok = True
+        except InternalInconsistency:
+            ok = False
+        yield _record("kostka-reconstruction", {"degree": d}, ok)
     for lam in partitions_of(2):
         for mu in partitions_of(2):
-            def chk2(lam=lam, mu=mu):
-                return _compared("kostka-integral", {"lambda": lam, "mu": mu},
-                                 *kostka.kostka_integral_sides(lam, mu, order), order)
-            checks.append(chk2)
-    return _timed(checks)
+            params = {"lambda": lam, "mu": mu}
+            try:
+                sides = kostka.kostka_integral_sides(lam, mu, order)
+            except InternalInconsistency:
+                yield _record("kostka-integral", params, False, order)
+            else:
+                yield _compared("kostka-integral", params, *sides, order)
 
 
+@_timed
 def suite_vertex_identities(maxweight=3, **_):
-    checks = []
     for beta in range(1, 4):
         for n in range(2, 4):
-            def chk(beta=beta, n=n):
-                return _record("kernel-product-collapse",
-                               {"beta": beta, "n": n, "degree": maxweight},
-                               fock.vertex_product_check(beta, n, maxweight))
-            checks.append(chk)
+            yield _record("kernel-product-collapse", {"beta": beta, "n": n, "degree": maxweight},
+                          fock.vertex_product_check(beta, n, maxweight))
     for n in range(1, 6):
-        def chk2(n=n):
-            return _record("symmetrizer-sum", {"n": n},
-                           fock.symmetrizer_check(n))
-        checks.append(chk2)
-    return _timed(checks)
+        yield _record("symmetrizer-sum", {"n": n}, fock.symmetrizer_check(n))
 
 
 SUITES = {
@@ -315,10 +275,7 @@ SUITES = {
 
 def run_suite(name, **params):
     if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](**params))
-        return out
+        return [rec for suite in SUITES.values() for rec in suite(**params)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name](**params)

@@ -125,6 +125,23 @@ def test_verify_suite(capsys):
             "max_order_checked", "wall_time"} <= set(data["checks"][0])
 
 
+def test_record_time_is_the_time_spent_producing_it(monkeypatch):
+    # only the symmetrizer-sum record at n = 3 sleeps, so only it may take 0.2 s
+    check = fock.symmetrizer_check
+
+    def slow(n):
+        if n == 3:
+            time.sleep(0.2)
+        return check(n)
+
+    monkeypatch.setattr(fock, "symmetrizer_check", slow)
+    records = verify.run_suite("vertex-identities")
+    slow_records = [r for r in records if r["identity"] == "symmetrizer-sum"
+                    and r["parameters"]["n"] == 3]
+    assert len(slow_records) == 1 and slow_records[0]["wall_time"] >= 0.2
+    assert all(r["wall_time"] < 0.2 for r in records if r is not slow_records[0])
+
+
 def test_verify_cauchy_default_degree(capsys):
     # degree 4 by default; the kernel side is read at partition margins
     assert main(["verify", "--suite", "cauchy", "--format", "json"]) == 0
