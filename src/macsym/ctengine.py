@@ -24,7 +24,9 @@ reaches (M+1)^2 exactly when the degree exceeds M, so the truncated product
 of two terms is their integer product reduced mod 2^(B (M+1)^2) into the
 signed range.  Rational seeds are cleared to one integer denominator first,
 and B comes from a coefficientwise majorant of what the pair steps can make
-of the seeds, so no slot overflows (see _accumulate_delta).
+of the seeds, so no slot overflows (see _accumulate_delta).  Symmetric seeds
+give a symmetric result, so the kernel then computes only the weakly
+decreasing exponents and fills each S_n-orbit from them.
 
 The positive kernels never need their own variables: the coefficient of
 y^(-a) in Pi(x, 1/y) is the product of single-variable strata g_{a_j}(x)
@@ -35,6 +37,7 @@ straight into the power-sum basis.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 
 from .coeff import (ONE, RING, QPochProduct, QTSeries, add_into, clear_denominators,
@@ -44,7 +47,7 @@ from .macdonald import b_coeff, dr_apply, macdonald_pair, skew_q
 from .pairing import kernel_coeff, kernel_product, qbinom_coeff
 from .partitions import (as_partition, compositions, conjugate, partial_stacks,
                          rectangles, weight)
-from .symfunc import NPoly, SymFunc, evaluate_n, require_symmetric
+from .symfunc import NPoly, SymFunc, evaluate_n, is_symmetric, require_symmetric
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +172,23 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
     2^(B*W*W); the truncated sum has |value| < 2^(B*W*W - 1) by the width
     bound, so reducing mod 2^(B*W*W) into the signed range recovers it
     exactly.  Series are built only for the terms in the final window.
+
+    Symmetry.  Delta is S_n-invariant and the box window is symmetric, so
+    when the seeds are fixed by every adjacent transposition (is_symmetric)
+    so is the output, and only its weakly decreasing exponents are computed.
+    Pairs run in lex order, so no step after (i, nvars-1) touches e_i: that
+    step finalizes e_i, and drops a target before its product is formed when
+    e_i > e_(i-1), or when the nvars-1-i coordinates still open cannot sum
+    to the rest of the total while each stays in [lo, e_i]; at the last
+    step the latter says e_(nvars-1) > e_(nvars-2).  The later steps only
+    carry a dropped target to exponents that leave the window or are not
+    weakly decreasing, and no kept coefficient sums over those, so each
+    kept coefficient is exact.  Each orbit is
+    then filled from its sorted representative, and its members share one
+    series object: the returned dict is read-only, like the caches that
+    hold it.  Any other seed runs the full product.
     """
+    symmetric = is_symmetric(seeds, nvars)
     for e in seeds:
         if sum(e) != total:
             raise WindowTooSmall(f"seed exponent {e} has total {sum(e)} != {total}")
@@ -213,9 +232,13 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
               for d, cd in sorted(delta_pair_series(order).items())]
     for step, (i, j) in enumerate(pairs):
         touch = remain[step]
+        final = symmetric and j == nvars - 1  # this step finalizes e_i
+        still = nvars - 1 - i  # coordinates still open after it
         accs = {}
         for e, (kl, left) in terms.items():
             ve = kl // width
+            if final:
+                top, rest = e[i - 1] if i else hi, total - sum(e[:i])
             shared = {}  # F_d = F_-d, so one product can serve both targets
             for d, kr, right in series:
                 slack = order - ve - kr // width
@@ -225,6 +248,8 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
                 fi = touch[i] + slack if touch[i] else 0
                 fj = touch[j] + slack if touch[j] else 0
                 if lo - fi <= ei <= hi + fi and lo - fj <= ej <= hi + fj:
+                    if final and (ei > top or not lo * still <= rest - ei <= ei * still):
+                        continue
                     ne = list(e)
                     ne[i], ne[j] = ei, ej
                     ne = tuple(ne)
@@ -253,8 +278,10 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
                 k += 1
             if x:
                 raise InternalInconsistency(f"Delta kernel term {e} overflows its slots")
-            s = out[e] = QTSeries(order)
+            s = QTSeries(order)
             s.coeffs = divide_back(coeffs, den)
+            for p in sorted(set(permutations(e))) if symmetric else (e,):
+                out[p] = s
     return out
 
 
@@ -262,7 +289,8 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
 def delta_expand(n, order, cap):
     """Delta(y;q,t) over n variables: {exponent: series} on {|e_j| <= cap, sum e = 0}.
 
-    The cached dict is shared: do not mutate it.
+    The cached dict is shared, and the exponents of one S_n-orbit share one
+    series: do not mutate either.
     """
     return _accumulate_delta({(0,) * n: QTSeries.one(order)}, n, order, -cap, cap, 0)
 

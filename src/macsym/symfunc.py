@@ -127,12 +127,16 @@ def npoly_divexact(num, den):
     return out
 
 
+def is_symmetric(terms, n):
+    """Whether {exponent: coefficient} is fixed by the adjacent transpositions, which generate S_n."""
+    return all(terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) == c
+               for e, c in terms.items() for i in range(n - 1))
+
+
 def require_symmetric(poly, what):
-    """Raise ValueError unless poly is fixed by the adjacent transpositions, which generate S_n."""
-    for e, c in poly.terms.items():
-        for i in range(poly.n - 1):
-            if poly.terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != c:
-                raise ValueError(f"{what} is not symmetric")
+    """Raise ValueError unless poly is symmetric (is_symmetric)."""
+    if not is_symmetric(poly.terms, poly.n):
+        raise ValueError(f"{what} is not symmetric")
 
 
 # ---------------------------------------------------------------------------

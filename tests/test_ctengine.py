@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from macsym.coeff import QPochProduct, QTSeries, parse_ratqt, ratqt, to_series
-from macsym.ctengine import (_accumulate_delta, ct_norm_check, delta_expand,
-                             delta_factor_coeffs, delta_pair_series,
+from macsym.ctengine import (_accumulate_delta, _as_npoly, ct_norm_check,
+                             delta_expand, delta_factor_coeffs, delta_pair_series,
                              expected_p_series, f_plus_terms,
                              integral_constants, integral_rep_P,
                              integral_rep_P_dual, integral_rep_check,
@@ -15,8 +16,8 @@ from macsym.ctengine import (_accumulate_delta, ct_norm_check, delta_expand,
                              skew_integral_check)
 from macsym.errors import WindowTooSmall
 from macsym.macdonald import b_coeff, dr_apply, macdonald_pair
-from macsym.partitions import conjugate, partitions_of
-from macsym.symfunc import NPoly, convert, evaluate_n, sym_gen
+from macsym.partitions import conjugate, partitions_of, rectangles
+from macsym.symfunc import NPoly, convert, evaluate_n, is_symmetric, sym_gen
 
 from oracles import (dense_from_qtseries, dense_inv, dense_mul, dense_zero,
                      delta_two_var_oracle, delta_unpruned, poch_dense,
@@ -92,6 +93,66 @@ def test_delta_prune_against_unpruned_product():
         want = delta_unpruned(seeds, n, delta_pair_series(order), order, lo, hi)
         assert {e: dense_from_qtseries(c) for e, c in got.items()} == want, \
             (n, order, seeds, lo, hi)
+
+
+def _matches_unpruned(seeds, n, order, lo, hi):
+    total = sum(next(iter(seeds)))
+    got = _accumulate_delta(seeds, n, order, lo, hi, total)
+    want = delta_unpruned(seeds, n, delta_pair_series(order), order, lo, hi)
+    return {e: dense_from_qtseries(c) for e, c in got.items()} == want
+
+
+def _outer_seed(lam, order):
+    """The seed that _outer_integrand hands the kernel: (series terms, variable count)."""
+    cur = prev = None
+    for s, r in rectangles(lam):
+        cur = NPoly.constant(r, QTSeries.one(order)) if cur is None else map_N(r, prev, cur, order)
+        cur, prev = map_G(s, cur), r
+    return _as_npoly(cur, prev, order).terms, prev
+
+
+def _orbit_seed(coeff_of):
+    """The S_3-orbit of (2,1,0), coefficient coeff_of(e), beside (1,1,1) with coefficient 1."""
+    seeds = {e: coeff_of(e) for e in permutations((2, 1, 0))}
+    seeds[1, 1, 1] = QTSeries.one(3)
+    return seeds
+
+
+def test_symmetric_seeds_against_unpruned_product():
+    # symmetric seeds take the sorted-exponent path; the (1^4) integrand is
+    # checked at order 3, as the unpruned oracle needs 3.7 s at order 4
+    for lam, order in (((2, 1, 1), 4), ((1, 1, 1, 1), 3)):
+        seeds, n = _outer_seed(lam, order)
+        assert is_symmetric(seeds, n)
+        assert _matches_unpruned(seeds, n, order, 0, sum(lam)), lam
+    frac = QTSeries(3, {(0, 0): Fraction(2, 3), (0, 1): Fraction(-1, 7)})
+    seeds = _orbit_seed(lambda e: frac)
+    assert is_symmetric(seeds, 3)
+    assert _matches_unpruned(seeds, 3, 3, 0, 3)
+    for n, order, cap in ((1, 3, 2), (2, 3, 2), (5, 0, 2)):
+        assert _matches_unpruned({(0,) * n: QTSeries.one(order)}, n, order, -cap, cap), n
+
+
+def test_unit_seed_in_five_variables_by_linearity():
+    # the oracle takes about 30 s at n = 5, order 3; instead the symmetric
+    # unit seed is the difference of two seeds that take the full path
+    one, side = QTSeries.one(3), QTSeries(3, {(0, 1): 3, (1, 0): -2})
+    shifted = (1, -1, 0, 0, 0)
+    both = _accumulate_delta({(0,) * 5: one, shifted: side}, 5, 3, -2, 2, 0)
+    alone = _accumulate_delta({shifted: side}, 5, 3, -2, 2, 0)
+    diff = {e: s for e in both.keys() | alone.keys()
+            if (s := both.get(e, QTSeries.zero(3)) - alone.get(e, QTSeries.zero(3)))}
+    assert delta_expand(5, 3, 2) == diff
+
+
+def test_permutation_closed_nonsymmetric_seeds_take_the_full_path():
+    # keys closed under S_3, but a coefficient differs from its image under
+    # the first or under the second adjacent transposition
+    two = QTSeries(3, {(0, 0): 2, (1, 0): -1})
+    for pos in (0, 2):
+        seeds = _orbit_seed(lambda e: two if e[pos] == 2 else QTSeries.one(3))
+        assert not is_symmetric(seeds, 3)
+        assert _matches_unpruned(seeds, 3, 3, 0, 3), pos
 
 
 def test_delta_windows_nest():

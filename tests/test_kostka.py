@@ -210,25 +210,29 @@ def test_kostka_entries_lie_in_N_qt_and_count_standard_tableaux():
 def test_wrong_plethysm_weight_raises_and_fails_verify(monkeypatch, capsys):
     # X -> -X/(1-t) gives polynomial entries with negative coefficients, and
     # X -> X/(1-qt) in place of X/(1-t) gives entries with a denominator
-    with monkeypatch.context() as m:
-        m.setitem(pairing._KERNEL_WEIGHTS, "tinv", lambda r: -1 / (1 - T ** r))
+    # the caches then hold tables built with the wrong weight: clear them
+    # even when an assertion fails, or the next Kostka test reads them
+    try:
+        with monkeypatch.context() as m:
+            m.setitem(pairing._KERNEL_WEIGHTS, "tinv", lambda r: -1 / (1 - T ** r))
+            macsym.clear_caches()
+            with pytest.raises(InternalInconsistency, match="K\\[\\(1,\\),\\(1,\\)\\] = -1 "):
+                kostka_matrix(1)
+            m.setitem(pairing._KERNEL_WEIGHTS, "tinv", lambda r: 1 / (1 - Q * T ** r))
+            macsym.clear_caches()
+            with pytest.raises(InternalInconsistency, match="N\\[q,t\\]"):
+                kostka_matrix(2)
+            argv = ["verify", "--suite", "kostka", "--maxweight", "3", "--format", "json"]
+            # the kostka-integral records read the table too: they fail, without a
+            # detail, and the run still emits the whole report
+            assert cli.main(argv) == 1
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert [r["identity"] for r in checks] == ["kostka-reconstruction"] * 3 + [
+                "kostka-integral"] * 4
+            assert {r["status"] for r in checks} == {"fail"}
+            assert not any("detail" in r for r in checks)
+    finally:
         macsym.clear_caches()
-        with pytest.raises(InternalInconsistency, match="K\\[\\(1,\\),\\(1,\\)\\] = -1 "):
-            kostka_matrix(1)
-        m.setitem(pairing._KERNEL_WEIGHTS, "tinv", lambda r: 1 / (1 - Q * T ** r))
-        macsym.clear_caches()
-        with pytest.raises(InternalInconsistency, match="N\\[q,t\\]"):
-            kostka_matrix(2)
-        argv = ["verify", "--suite", "kostka", "--maxweight", "3", "--format", "json"]
-        # the kostka-integral records read the table too: they fail, without a
-        # detail, and the run still emits the whole report
-        assert cli.main(argv) == 1
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert [r["identity"] for r in checks] == ["kostka-reconstruction"] * 3 + [
-            "kostka-integral"] * 4
-        assert {r["status"] for r in checks} == {"fail"}
-        assert not any("detail" in r for r in checks)
-    macsym.clear_caches()
     assert kostka_entry((2,), (1, 1)) == T
 
 
