@@ -183,10 +183,10 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
     step the latter says e_(nvars-1) > e_(nvars-2).  The later steps only
     carry a dropped target to exponents that leave the window or are not
     weakly decreasing, and no kept coefficient sums over those, so each
-    kept coefficient is exact.  Each orbit is
-    then filled from its sorted representative, and its members share one
-    series object: the returned dict is read-only, like the caches that
-    hold it.  Any other seed runs the full product.
+    kept coefficient is exact.  Each orbit is then filled from its sorted
+    representative, and its members share one series object: the returned
+    dict is read-only, like the caches that hold it.  Any other seed runs
+    the full product.
     """
     symmetric = is_symmetric(seeds, nvars)
     for e in seeds:
@@ -238,7 +238,8 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
         for e, (kl, left) in terms.items():
             ve = kl // width
             if final:
-                top, rest = e[i - 1] if i else hi, total - sum(e[:i])
+                top = e[i - 1] if i else hi
+                rest = total - sum(e[:i])
             shared = {}  # F_d = F_-d, so one product can serve both targets
             for d, kr, right in series:
                 slack = order - ve - kr // width
