@@ -12,8 +12,7 @@ from .coeff import (FIELD, ONE, Q, QPochProduct, QTSeries, RatQT, T,
 from .ctengine import (ct_norm_check, delta_expand, integral_constants,
                        integral_rep_P, integral_rep_P_dual, map_G, map_N,
                        map_N_tilde, norm_prime_product, scalar_prime,
-                       schur_ct, schur_ct_dual, self_adjoint_check,
-                       skew_integral_check)
+                       schur_ct, schur_ct_dual, skew_integral_check)
 from .fock import (completeness_check, p_bar_apply, skew_via_diffop,
                    skew_via_fock, symmetrizer_check, vertex_product_check)
 from .kostka import (dual_schur_qt, dual_schur_t, h_factors,

@@ -214,6 +214,9 @@ def divide_back(coeffs, den):
 # Largest |exponent| parse_ratqt accepts, on q or t only: emit_ratqt writes at most
 # 21 up to weight 6, and a short unbounded power could take minutes and gigabytes.
 MAX_EXPONENT = 100
+# Largest combined depth of parentheses and unary minus signs parse_ratqt accepts:
+# emit_ratqt writes one level, and deeper text would exhaust the recursive descent's stack.
+MAX_NESTING = 20
 
 
 def _tokenize(text):
@@ -262,6 +265,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def parse(self):
         result = self.expr()
@@ -349,15 +353,19 @@ class _Parser:
             return RING(val)
         if kind == "sym":
             return RING.gens["qt".index(val)]
-        if (kind, val) == ("op", "("):
+        if (kind, val) not in (("op", "("), ("op", "-")):
+            raise ValueError(f"unexpected token {val!r}")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ValueError(f"parentheses and unary minus signs nest deeper than {MAX_NESTING}")
+        if val == "-":
+            inner = -self.atom()
+        else:
             inner = self.expr()
-            kind, val = self.take()
-            if (kind, val) != ("op", ")"):
+            if self.take() != ("op", ")"):
                 raise ValueError("unbalanced parentheses")
-            return inner
-        if (kind, val) == ("op", "-"):
-            return -self.atom()
-        raise ValueError(f"unexpected token {val!r}")
+        self.depth -= 1
+        return inner
 
 
 def parse_ratqt(text):

@@ -390,12 +390,6 @@ def ct_norm_check(lam, n, order):
     return lhs == rhs
 
 
-def scalar_prime_orthogonality(lam, mu, n, order):
-    """<P_lam, P_mu>'_n vanishes to the working order for lam != mu."""
-    lhs = scalar_prime(macdonald_pair(lam).P, macdonald_pair(mu).P, n, order)
-    return not lhs
-
-
 def self_adjoint_sides(f, g, n, order):
     """(<D_1 f, g>'_n, <f, D_1 g>'_n) as series, for symmetric f and g."""
     if isinstance(f, SymFunc):
@@ -404,12 +398,6 @@ def self_adjoint_sides(f, g, n, order):
         g = evaluate_n(g, n)
     return (scalar_prime(dr_apply(1, f, n), g, n, order),
             scalar_prime(f, dr_apply(1, g, n), n, order))
-
-
-def self_adjoint_check(f, g, n, order):
-    """<D_1 f, g>' = <f, D_1 g>' to the working order."""
-    lhs, rhs = self_adjoint_sides(f, g, n, order)
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

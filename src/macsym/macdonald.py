@@ -465,7 +465,10 @@ def load_cache(path):
     ValueError, and then no pair from the file is installed.
     """
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"cache file {path} nests too deeply for the JSON parser") from exc
     header = (data.get("format"), data.get("version")) if isinstance(data, dict) else None
     if header != (CACHE_FORMAT, CACHE_VERSION) or not isinstance(data.get("records"), list):
         raise ValueError(f"unrecognized cache file {path}")

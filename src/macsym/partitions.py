@@ -7,8 +7,8 @@ empty partition.  Cells are indexed 1-based as (row, column).
 from .errors import CellOutOfDiagram, EmptyPartition
 
 # Largest weight the CLI and the cache loader accept; library calls are unbounded.
-# On a 2-vCPU VM the P/Q family of weight <= 8 builds in 3.1-4.1 s cold and of
-# weight <= 9 in about 14 s; raising the ceiling is a measured change of its own.
+# On a 2-vCPU VM the P/Q family of weight <= 8 builds in 2.6-4.0 s cold and of
+# weight <= 9 in 8-13 s; raising the ceiling is a measured change of its own.
 MAX_WEIGHT = 8
 # Largest weight of an integral representation the CLI and `verify` run: an
 # integral of weight w runs the Delta kernel over up to w variables, and
@@ -170,10 +170,8 @@ def rectangles(lam):
 
 def stack_blocks(blocks):
     """Rebuild the partition from rectangle blocks [(s_a, r_a), ...]."""
-    out = ()
-    for s, r in blocks:
-        out = add_parts(out, (s,) * r)
-    return out
+    stacks = partial_stacks(blocks)
+    return stacks[-1] if stacks else ()
 
 
 def partial_stacks(blocks):

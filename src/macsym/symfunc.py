@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from operator import sub
 
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.utilities.iterables import multiset_permutations
@@ -139,38 +140,6 @@ def require_symmetric(poly, what):
         raise ValueError(f"{what} is not symmetric")
 
 
-# ---------------------------------------------------------------------------
-# generators expanded into monomials
-# ---------------------------------------------------------------------------
-
-def power_sum_poly(r, n):
-    terms = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = r
-        terms[tuple(e)] = 1
-    return NPoly(n, terms)
-
-
-def elementary_poly(r, n):
-    if r > n:
-        return NPoly(n)
-    terms = {}
-    for idx in combinations(range(n), r):
-        e = [0] * n
-        for i in idx:
-            e[i] = 1
-        terms[tuple(e)] = 1
-    return NPoly(n, terms)
-
-
-def complete_poly(r, n):
-    return NPoly(n, {e: 1 for e in compositions(r, n)})
-
-
-_GEN = {"p": power_sum_poly, "e": elementary_poly, "h": complete_poly}
-
-
 @lru_cache(maxsize=None)
 def orbit_exponents(lam, n):
     """All distinct permutations of lam padded with zeros to length n."""
@@ -221,17 +190,36 @@ def _m_in_s(d):
     return rows
 
 
+def _pieri_steps(kind, r, nu):
+    """The exponents a <= nu of g_r (p_r, e_r or h_r) on the len(nu) coordinates of nu."""
+    n = len(nu)
+    if kind == "p":
+        return [tuple(r if j == i else 0 for j in range(n)) for i in range(n) if nu[i] >= r]
+    if kind == "e":
+        return [tuple(int(j in idx) for j in range(n)) for idx in combinations(range(n), r)]
+    return [a for a in compositions(r, n) if all(map(int.__le__, a, nu))]
+
+
 @lru_cache(maxsize=None)
 def _gen_expansion_m(kind, lam):
-    """X_lam (X in {p, e, h}) in the monomial basis: dict partition -> int."""
-    d = weight(lam)
-    if d == 0:
+    """X_lam (X in {p, e, h}) in the monomial basis: dict partition -> int.
+
+    One Pieri step on sorted exponents (Macdonald I.6): X_lam = g_r X_rest
+    with r = lam_1, and every monomial of g_r has coefficient 1, so the
+    coefficient of m_nu is the sum of X_rest[sort(nu - a)] over the exponents
+    a <= nu of g_r.  Those vanish past len(nu), and only the partitions nu of
+    |lam| are visited.
+    """
+    if not lam:
         return {(): 1}
-    n = d
-    poly = NPoly.constant(n, 1)
-    for part in lam:
-        poly = poly * _GEN[kind](part, n)
-    return _collect_m(poly)
+    rest = _gen_expansion_m(kind, lam[1:])
+    out = {}
+    for nu in partitions_of(weight(lam)):
+        c = sum(rest.get(tuple(sorted(filter(None, map(sub, nu, a)), reverse=True)), 0)
+                for a in _pieri_steps(kind, lam[0], nu))
+        if c:
+            out[nu] = c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -244,7 +232,7 @@ def basis_to_m(basis, d):
     for lam in partitions_of(d):
         if basis == "m":
             rows[lam] = {lam: 1}
-        elif basis in _GEN:
+        elif basis in ("p", "e", "h"):
             rows[lam] = _gen_expansion_m(basis, lam)
         else:
             raise ValueError(f"unknown basis {basis!r}")

@@ -12,9 +12,11 @@ every coefficient operation in Q(q,t) where the package works in Z[q,t], the
 dual Schur oracle inverts Gram matrices where the package reads the
 plethystic closed forms, the series product multiplies Fractions where the
 package clears both operands to integers, the pairwise scalar product pairs
-every two monomials where the package pairs S_n-orbits, and the coefficient
+every two monomials where the package pairs S_n-orbits, the coefficient
 parser does every operation in Q(q,t) where the package stays in Z[q,t]
-until a denominator appears.  The
+until a denominator appears, and the p, e and h tables multiply generator
+polynomials in d variables where the package takes one Pieri step on
+partitions.  The
 term-by-term bodies below (scalar product, p-product, basis change, the three
 skew routes) add and multiply one reduced Q(q,t) element at a time where the
 package clears each linear combination to Z[q,t] once and reduces each output
@@ -283,6 +285,22 @@ def hall_littlewood_p_division(lam):
         if all(mono[i] >= mono[i + 1] for i in range(n - 1)):
             coeffs.setdefault(as_partition(mono[:n]), {})[(0, mono[n])] = c
     return SymFunc("m", {mu: FIELD(RING.from_dict(c)) for mu, c in coeffs.items()})
+
+
+def gen_expansion_by_product(kind, lam):
+    """X_lam (X in {p, e, h}) in the m basis: the X_r multiplied in d = |lam| variables."""
+    d = weight(lam)
+    poly = NPoly.constant(d, 1)
+    for r in lam:
+        if kind == "p":
+            steps = [tuple(r if j == i else 0 for j in range(d)) for i in range(d)]
+        elif kind == "e":
+            steps = [tuple(int(j in idx) for j in range(d)) for idx in combinations(range(d), r)]
+        else:
+            steps = compositions(r, d)
+        poly = poly * NPoly(d, {a: 1 for a in steps})
+    return {as_partition(e): c for e, c in poly.terms.items()
+            if all(e[i] >= e[i + 1] for i in range(d - 1))}
 
 
 @lru_cache(maxsize=None)

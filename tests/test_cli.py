@@ -448,9 +448,14 @@ def _p21_terms(shift_111):
     (_cache_text([{"lambda": [1e999], "b": "1", "P_in_m": P2_TERMS}]), "non-integer part"),
     (_cache_text([{"lambda": [1.5], "b": "1", "P_in_m": P2_TERMS}]), "non-integer part"),
     (_cache_text([{"lambda": [True], "b": "1", "P_in_m": P2_TERMS}]), "non-integer part"),
+    # nesting past the recursive parsers' stacks, in a coefficient and in the JSON itself
+    (_cache_text([{"lambda": [2], "b": "(" * 3000 + "1" + ")" * 3000, "P_in_m": P2_TERMS}]),
+     "nest deeper"),
+    ("[" * 100000 + "]" * 100000, "nests too deeply"),
 ], ids=["malformed-json", "wrong-header", "missing-key", "wrong-b", "not-unitriangular",
         "power-of-a-sum", "huge-exponent", "not-an-eigenfunction", "c-times-P-not-polynomial",
-        "weight-above-the-limit", "infinite-part", "float-part", "bool-part"])
+        "weight-above-the-limit", "infinite-part", "float-part", "bool-part",
+        "nested-coefficient", "nested-json"])
 def test_bad_cache_file_exits_2(tmp_path, capsys, text, message):
     cache = tmp_path / "cache.json"
     cache.write_text(text)

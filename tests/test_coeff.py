@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from sympy.polys.rings import PolyElement
 
-from macsym.coeff import (FIELD, MAX_EXPONENT, ONE, Q, QPochProduct, QTSeries, RatQT,
-                          RING, T, add_into, clear_denominators, clear_ratqt,
+from macsym.coeff import (FIELD, MAX_EXPONENT, MAX_NESTING, ONE, Q, QPochProduct, QTSeries,
+                          RatQT, RING, T, add_into, clear_denominators, clear_ratqt,
                           divide_back, emit_ratqt, invert, parse_ratqt, ratqt,
                           reduce_ratqt, substitute, swap_qt, to_series)
 from macsym.errors import InternalInconsistency, NotSeriesExpandable, SpecializationPole
@@ -202,6 +202,12 @@ def test_parse_emit_round_trip():
     "(1+q+t)^1200",  # a power of a sum: 12 bytes, about 1 GB to expand
     "(1-q^1000*t^1000)/(1-q^999*t^999)",  # a gcd that does not finish in minutes
     f"q^{MAX_EXPONENT + 1}", f"t^-{MAX_EXPONENT + 1}", "2^3", "(q)^2", "-(t)^2",
+    # nesting past the recursive descent's stack, and just past the bound
+    pytest.param("(" * 3000 + "1" + ")" * 3000, id="3000-parentheses"),
+    pytest.param("1*" + "-" * 5000 + "1", id="5000-minus-signs"),
+    pytest.param("(" * (MAX_NESTING + 1) + "q" + ")" * (MAX_NESTING + 1),
+                 id="parentheses-past-MAX_NESTING"),
+    pytest.param("1*" + "-" * (MAX_NESTING + 1) + "q", id="minus-signs-past-MAX_NESTING"),
 ])
 def test_parse_rejects_unbounded_powers(text):
     with pytest.raises(ValueError):
@@ -212,6 +218,8 @@ def test_parse_accepts_exponents_up_to_the_bound():
     assert parse_ratqt(f"q^{MAX_EXPONENT}*t**-{MAX_EXPONENT}") == \
         Q ** MAX_EXPONENT / T ** MAX_EXPONENT
     assert parse_ratqt("-q^2") == -Q ** 2
+    assert parse_ratqt("(" * MAX_NESTING + "q" + ")" * MAX_NESTING) == Q
+    assert parse_ratqt("1*" + "-" * MAX_NESTING + "q") == Q
 
 
 @settings(max_examples=500)

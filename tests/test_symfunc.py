@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import macsym
 from macsym.coeff import RING, ratqt
 from macsym.errors import NotSymmetric, UnstableRange
 from macsym.partitions import partitions_of
 from macsym.symfunc import (BASES, NPoly, SymFunc, basis_to_m, convert, evaluate_n,
                             from_poly, m_to_basis, multiply, npoly_divexact, sym_gen)
 
-from oracles import convert_termwise, schur_bialternant
+from oracles import convert_termwise, gen_expansion_by_product, schur_bialternant
 from strategies import pvec_maps
 
 
@@ -35,6 +36,29 @@ def test_m_to_basis_is_the_integer_inverse_of_basis_to_m(basis):
                 for nu, v in to_m[lam].items():
                     prod[nu] = prod.get(nu, 0) + c * v
             assert {nu: v for nu, v in prod.items() if v} == {mu: den}, (d, mu)
+
+
+@pytest.mark.parametrize("kind", ["p", "e", "h"])
+def test_generator_tables_against_the_d_variable_product(kind):
+    for d in range(7):
+        assert basis_to_m(kind, d) == {lam: gen_expansion_by_product(kind, lam)
+                                       for lam in partitions_of(d)}, d
+
+
+def test_generator_tables_multiply_no_polynomials(monkeypatch):
+    # negative control: the Pieri step builds the tables on partitions alone
+    def refuse(self, other):
+        raise AssertionError("a p, e or h table multiplied NPolys")
+
+    macsym.clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(NPoly, "__mul__", refuse)
+            m.setattr(NPoly, "__rmul__", refuse)
+            for kind in "peh":
+                assert len(basis_to_m(kind, 7)) == 15
+    finally:
+        macsym.clear_caches()
 
 
 def test_schur_against_bialternant_oracle():
