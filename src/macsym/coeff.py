@@ -77,6 +77,11 @@ def substitute(r, q_image, t_image):
     return num / den
 
 
+def swap_poly(poly, sign=1):
+    """sign * poly with q and t exchanged, for an element of Z[q,t]: its exponents swapped."""
+    return poly.new({(b, a): sign * c for (a, b), c in poly.items()})
+
+
 def swap_qt(r):
     """The involution q <-> t on Q(q,t).
 
@@ -88,8 +93,7 @@ def swap_qt(r):
     r = ratqt(r)
     numer, denom = r.numer, r.denom
     sign = -1 if denom[max(denom, key=lambda e: (e[1], e[0]))] < 0 else 1
-    return FIELD.raw_new(numer.new({(b, a): sign * c for (a, b), c in numer.items()}),
-                         denom.new({(b, a): sign * c for (a, b), c in denom.items()}))
+    return FIELD.raw_new(swap_poly(numer, sign), swap_poly(denom, sign))
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +581,35 @@ def _poly_to_series(poly, order):
     return out
 
 
+def cleared_series(den, nums, order):
+    """{key: series of nums[key] / den} for Z[q,t] numerators over one denominator;
+    zero series dropped.
+
+    Series expansion is a ring homomorphism on the fractions with no pole at
+    q = t = 0, so every representative of nums[key] / den has the same
+    series, reduced or not: nothing is reduced here.  The integer content g
+    of den comes off, the series of den / g is inverted once (integral when
+    its constant term is +-1, as for c_lam), and each numerator costs one
+    product and one division by g.  A den that vanishes at q = t = 0 raises
+    NotSeriesExpandable.
+    """
+    den = RING(den)
+    if not den.coeff(1):
+        raise NotSeriesExpandable(f"{den} vanishes at q = t = 0: a pole of the series")
+    content, den = den.primitive()
+    inv = _poly_to_series(den, order).inverse()
+    out = {}
+    for key, num in nums.items():
+        if s := _poly_to_series(num, order) * inv:
+            s.coeffs = divide_back(s.coeffs, int(content))
+            out[key] = s
+    return out
+
+
 def to_series(r, order):
     """Taylor-expand a RatQT about q = t = 0, truncated past total degree `order`."""
     r = ratqt(r)
-    den = r.denom
-    if not den.coeff(1):
-        raise NotSeriesExpandable(f"{r} has a pole at q = t = 0")
-    num = _poly_to_series(r.numer, order)
-    return num * _poly_to_series(den, order).inverse()
+    return cleared_series(r.denom, {(): r.numer}, order).get((), QTSeries(order))
 
 
 # ---------------------------------------------------------------------------

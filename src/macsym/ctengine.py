@@ -31,23 +31,29 @@ decreasing exponents and fills each S_n-orbit from them.
 The positive kernels never need their own variables: the coefficient of
 y^(-a) in Pi(x, 1/y) is the product of single-variable strata g_{a_j}(x)
 (and e_{a_j} for the finite dual kernel), so integral transforms collect
-straight into the power-sum basis.
+straight into the power-sum basis.  A stratum product is the image of
+h_kappa under p_r -> w(r) p_r, held as series: the rational p-coefficients
+of h_kappa times the series of the weights.  The expected P_lam and the
+normalization constants are read from Z[q,t] numerators over one inverted
+denominator (coeff.cleared_series), so no value on the integral-rep path
+is reduced in Q(q,t).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
 
-from .coeff import (ONE, RING, QPochProduct, QTSeries, add_into, clear_denominators,
-                    divide_back, ratqt, reduce_ratqt, swap_qt, to_series)
+from .coeff import (RING, QPochProduct, QTSeries, add_into, clear_denominators,
+                    cleared_series, divide_back, ratqt, reduce_ratqt, swap_poly, to_series)
 from .errors import InternalInconsistency, WindowTooSmall
-from .macdonald import b_coeff, dr_apply, macdonald_pair, skew_q
-from .pairing import kernel_coeff, kernel_product, qbinom_coeff
+from .macdonald import _arm_leg_products, b_coeff, dr_apply, macdonald_pair, skew_q
+from .pairing import _weight, kernel_coeff, kernel_product, qbinom_coeff
 from .partitions import (as_partition, compositions, conjugate, partial_stacks,
                          rectangles, weight)
-from .symfunc import NPoly, SymFunc, evaluate_n, is_symmetric, require_symmetric
+from .symfunc import (NPoly, SymFunc, basis_to_m, evaluate_n, is_symmetric, m_to_basis,
+                      require_symmetric)
 
 
 @lru_cache(maxsize=None)
@@ -425,6 +431,31 @@ def _windowed_integrand(f, m, order):
     return _accumulate_delta(fp.terms, m, order, 0, d, d)
 
 
+@lru_cache(maxsize=None)
+def _weight_series(nu, kind, order):
+    """prod over the parts r of nu of the plethystic weight w(r) of `kind`, as a series."""
+    if not nu:
+        return QTSeries.one(order)
+    return _weight_series(nu[1:], kind, order) * series_of(_weight(nu[0], kind), order)
+
+
+@lru_cache(maxsize=None)
+def _kernel_series(kappa, kind, order):
+    """The kernel stratum product of kappa (pairing.kernel_product) as p-basis series.
+
+    It is the image of h_kappa under p_r -> w(r) p_r, so each rational
+    p-coefficient of h_kappa (the integer h -> m row taken to p by the
+    integer m -> p rows over their denominator) is multiplied by the series
+    of prod w(nu_j), formed in the series ring: no Q(q,t) arithmetic.
+    """
+    d = weight(kappa)
+    den, m2p = m_to_basis("p", d)
+    h_p = {}
+    for mu, c in basis_to_m("h", d)[kappa].items():
+        add_into(h_p, m2p[mu], c)
+    return {nu: _weight_series(nu, kind, order) * Fraction(c, den) for nu, c in h_p.items()}
+
+
 def _collect_kernel(wterms, order, kind):
     """Pair windowed integrand terms with kernel stratum products: p-basis output."""
     by_kappa = {}
@@ -432,8 +463,7 @@ def _collect_kernel(wterms, order, kind):
         add_into(by_kappa, {as_partition(sorted(e, reverse=True)): c})
     out = {}
     for kappa, c in by_kappa.items():
-        add_into(out, {nu: series_of(gc, order)
-                       for nu, gc in kernel_product(kappa, kind).terms.items()}, c)
+        add_into(out, _kernel_series(kappa, kind, order), c)
     return out
 
 
@@ -462,16 +492,43 @@ def map_N_tilde(n_to, m_from, f, order):
 class IntegralConstants:
     """Normalizations of the nested integral representation.
 
-    The primed norms are infinite q-Pochhammer products, so both constants are
-    carried exactly as product objects and expanded on demand;
-    `uses_ct_conjecture` records that a nontrivial primed norm entered.
+    c_plus = prefactor / primes and c_minus = c_plus b_lam.  The primed norms
+    are infinite q-Pochhammer products, held as the product object `primes`;
+    each rational prefactor is held unreduced over Z[q,t], as (num, den) in
+    `prefactors` (c_plus's, then c_minus's), and `block_norms` holds each
+    block's <P, P> = c'/c the same way.  `c_plus` and `c_minus` are reduced
+    into Q(q,t) on first read; `series(order, dual)` expands a constant
+    straight from its cleared prefactor.  `uses_ct_conjecture` records that
+    a nontrivial primed norm entered.
     """
 
     lam: tuple
-    c_plus: QPochProduct
-    c_minus: QPochProduct
+    prefactors: tuple
+    primes: QPochProduct
     block_norms: tuple
     uses_ct_conjecture: bool
+    _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def _reduced(self, dual):
+        num, den = self.prefactors[dual]
+        return QPochProduct(reduce_ratqt({(): num}, den)[()]) / self.primes
+
+    @cached_property
+    def c_plus(self):
+        return self._reduced(False)
+
+    @cached_property
+    def c_minus(self):
+        return self._reduced(True)
+
+    def series(self, order, dual=False):
+        """c_minus (dual) or c_plus as a series, cached per (order, dual); do not mutate it."""
+        key = order, dual
+        if key not in self._series:
+            num, den = self.prefactors[dual]
+            pre = cleared_series(den, {(): num}, order)[()]
+            self._series[key] = pre * (QPochProduct() / self.primes).to_series(order)
+        return self._series[key]
 
 
 def integral_constants(lam):
@@ -489,18 +546,16 @@ def _integral_constants(lam):
     norms = []
     num = den = RING.one  # the prefactor of c_plus, prod over blocks of norm / r!
     for (_, r), stack in zip(blocks, partial_stacks(blocks)):
-        norm = 1 / b_coeff(stack)
-        norms.append(norm)
-        num, den = num * norm.numer, den * norm.denom * factorial(r)
+        c, c_prime = _arm_leg_products(stack)
+        norms.append((c_prime, c))  # <P_stack, P_stack> = 1 / b_stack = c' / c
+        num, den = num * c_prime, den * c * factorial(r)
         primes = primes * norm_prime_product(stack, r)
-    # one reduction per constant; c_minus = c_plus / <P_lam, P_lam> = c_plus b_lam
-    b = b_coeff(lam) if lam else ONE
-    c_plus = reduce_ratqt({(): num}, den)[()]
-    c_minus = reduce_ratqt({(): num * b.numer}, den * b.denom)[()]
+    # c_minus = c_plus / <P_lam, P_lam> = c_plus b_lam, b_lam = c_lam / c'_lam
+    c, c_prime = _arm_leg_products(lam)
     return IntegralConstants(
         lam=lam,
-        c_plus=QPochProduct(c_plus) / primes,
-        c_minus=QPochProduct(c_minus) / primes,
+        prefactors=((num, den), (num * c, den * c_prime)),
+        primes=primes,
         block_norms=tuple(norms),
         uses_ct_conjecture=any(r >= 2 for _, r in blocks),
     )
@@ -530,8 +585,7 @@ def _integral_rep(lam, order, dual):
     if not lam:
         return SymFunc("p", {(): QTSeries.one(order)})
     out = _collect_kernel(_outer_integrand(lam, order)[0], order, "e" if dual else "g")
-    constants = integral_constants(lam)
-    scale = (constants.c_minus if dual else constants.c_plus).to_series(order)
+    scale = integral_constants(lam).series(order, dual)
     return SymFunc("p", {nu: c * scale for nu, c in out.items()})
 
 
@@ -546,10 +600,15 @@ def integral_rep_P_dual(lam, order):
 
 
 def expected_p_series(lam, order, swapped=False):
-    """P_lam (or P_lam with q,t swapped) in the p basis, as its nonzero truncated series."""
-    pair = macdonald_pair(lam)
-    src = pair.P_p if not swapped else pair.P_p.map_coeffs(swap_qt)
-    return {nu: s for nu, c in src.terms.items() if (s := series_of(c, order))}
+    """P_lam (or P_lam with q,t swapped) in the p basis, as its nonzero truncated series.
+
+    Read from the pair's cleared p-vector over Z[q,t] (q and t swapped on its
+    polynomials), with no reduction: see coeff.cleared_series.
+    """
+    den, nums = macdonald_pair(lam).cleared_p()
+    if swapped:
+        den, nums = swap_poly(den), {nu: swap_poly(n) for nu, n in nums.items()}
+    return cleared_series(den, nums, order)
 
 
 def integral_rep_sides(lam, order, dual=False):
@@ -583,7 +642,7 @@ def f_plus_terms(lam, order):
     if not lam:
         return {(): QTSeries.one(order)}, 0
     wterms, r_n = _outer_integrand(lam, order)
-    scale = integral_constants(lam).c_plus.to_series(order)
+    scale = integral_constants(lam).series(order)
     return {e: c * scale for e, c in wterms.items()}, r_n
 
 

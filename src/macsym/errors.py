@@ -21,14 +21,6 @@ class EmptyPartition(MacsymError):
     """Operation requires a nonempty partition."""
 
 
-class NotSymmetric(MacsymError):
-    """Polynomial is not invariant under permutations of its variables."""
-
-
-class UnstableRange(MacsymError):
-    """Too few variables to identify a symmetric function of this degree."""
-
-
 class InternalInconsistency(MacsymError):
     """Two routes that must agree produced different results; signals a bug."""
 

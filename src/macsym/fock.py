@@ -13,7 +13,7 @@ from math import comb, prod
 
 from .coeff import FIELD, RING, Q, add_into, clear_ratqt, ratqt, reduce_ratqt, substitute
 from .macdonald import hall_littlewood_symmetrizer, macdonald_pair
-from .pairing import inner_qt, qbinom_coeff
+from .pairing import qbinom_coeff
 from .partitions import as_partition, dominates, partitions_of, weight
 from .symfunc import NPoly, SymFunc, basis_to_m, convert, multiply
 
@@ -116,17 +116,6 @@ def commutator_contract(r, s, f):
     lhs = p_bar_apply(r, multiply(p_s, fp)) - multiply(p_s, p_bar_apply(r, fp))
     rhs = fp.scale(FIELD.new(r * (1 - _q ** r), 1 - _t ** r)) if r == s else SymFunc("p")
     return lhs == rhs
-
-
-def completeness_check(f):
-    """sum_lam P_lam <Q_lam, f> reassembles f, degree by degree."""
-    fp = convert(f, "p")
-    out = SymFunc("p")
-    for d in fp.degrees():
-        for lam in partitions_of(d):
-            pair = macdonald_pair(lam)
-            add_into(out.terms, pair.P_p.terms, inner_qt(pair.Qf, fp))
-    return out == fp
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.utilities.iterables import multiset_permutations
 
 from .coeff import QTSeries, add_into, clear_ratqt, invert, ratqt, reduce_ratqt
-from .errors import NotSymmetric, UnstableRange
 from .partitions import as_partition, compositions, partitions_of, weight
 
 BASES = ("p", "m", "e", "h", "s")
@@ -393,30 +392,3 @@ def evaluate_n(f, n):
             out.terms[e] = c
     return out
 
-
-def from_poly(g, require_stable=False):
-    """Recover the m-basis preimage (supported on partitions of length <= n).
-
-    The preimage is unique whenever the variable count is at least the degree;
-    below that range monomial terms indexed by longer partitions are invisible,
-    and `require_stable=True` turns the ambiguity into an UnstableRange error.
-    Non-symmetric input raises NotSymmetric.
-    """
-    d = g.degree()
-    if require_stable and d is not None and g.n < d:
-        raise UnstableRange(f"degree {d} needs at least {d} variables, got {g.n}")
-    groups = {}
-    for e, c in g.terms.items():
-        lam = as_partition(sorted((x for x in e if x), reverse=True))
-        groups.setdefault(lam, []).append(c)
-    out = {}
-    for lam, cs in groups.items():
-        if len(cs) != len(orbit_exponents(lam, g.n)):
-            raise NotSymmetric(f"orbit of {lam} is incomplete")
-        first = cs[0]
-        if any(c != first for c in cs[1:]):
-            raise NotSymmetric(f"unequal coefficients on the orbit of {lam}")
-        out[lam] = first
-    res = SymFunc("m")
-    res.terms = out
-    return res

@@ -16,11 +16,15 @@ every two monomials where the package pairs S_n-orbits, the coefficient
 parser does every operation in Q(q,t) where the package stays in Z[q,t]
 until a denominator appears, and the p, e and h tables multiply generator
 polynomials in d variables where the package takes one Pieri step on
-partitions.  The
+partitions.  The integral-representation oracle reduces every kernel
+stratum (a Q(q,t) plethysm), P_p and normalization constant into Q(q,t)
+and expands the reduced value, where the package reads each series
+straight from Z[q,t] numerators over one inverted denominator.  The
 term-by-term bodies below (scalar product, p-product, basis change, the three
 skew routes) add and multiply one reduced Q(q,t) element at a time where the
 package clears each linear combination to Z[q,t] once and reduces each output
-once.
+once.  `from_poly` and `completeness_check` are helpers only the tests
+read.
 """
 
 from collections import Counter
@@ -33,13 +37,16 @@ from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
 
 from macsym.coeff import (_OPS, FIELD, Q, RING, QTSeries, T, _Parser, add_into, invert, ratqt,
-                          substitute)
-from macsym.ctengine import _as_npoly, delta_expand
+                          substitute, swap_qt)
+from macsym.ctengine import (_as_npoly, _windowed_integrand, delta_expand, integral_constants,
+                             map_G, series_of)
+from macsym.errors import MacsymError
 from macsym.macdonald import macdonald_pair
-from macsym.pairing import inner_pvec, z_factor
-from macsym.partitions import as_partition, compositions, dominates, partitions_of, weight
-from macsym.symfunc import (NPoly, SymFunc, basis_to_m, m_to_basis, npoly_divexact,
-                            sym_gen)
+from macsym.pairing import inner_pvec, inner_qt, kernel_product, z_factor
+from macsym.partitions import (as_partition, compositions, conjugate, dominates, partitions_of,
+                               rectangles, weight)
+from macsym.symfunc import (NPoly, SymFunc, basis_to_m, convert, evaluate_n, m_to_basis,
+                            npoly_divexact, orbit_exponents, sym_gen)
 
 
 def dense_zero(order):
@@ -569,3 +576,103 @@ class _FieldParser(_Parser):
 def parse_ratqt_field(text):
     """parse_ratqt with field arithmetic at every step, one reduction per operation."""
     return _FieldParser(text).parse()
+
+
+class NotSymmetric(MacsymError):
+    """Polynomial is not invariant under permutations of its variables."""
+
+
+class UnstableRange(MacsymError):
+    """Too few variables to identify a symmetric function of this degree."""
+
+
+def from_poly(g, require_stable=False):
+    """Recover the m-basis preimage (supported on partitions of length <= n).
+
+    The preimage is unique whenever the variable count is at least the degree;
+    below that range monomial terms indexed by longer partitions are invisible,
+    and `require_stable=True` turns the ambiguity into an UnstableRange error.
+    Non-symmetric input raises NotSymmetric.
+    """
+    d = g.degree()
+    if require_stable and d is not None and g.n < d:
+        raise UnstableRange(f"degree {d} needs at least {d} variables, got {g.n}")
+    groups = {}
+    for e, c in g.terms.items():
+        lam = as_partition(sorted((x for x in e if x), reverse=True))
+        groups.setdefault(lam, []).append(c)
+    out = {}
+    for lam, cs in groups.items():
+        if len(cs) != len(orbit_exponents(lam, g.n)):
+            raise NotSymmetric(f"orbit of {lam} is incomplete")
+        first = cs[0]
+        if any(c != first for c in cs[1:]):
+            raise NotSymmetric(f"unequal coefficients on the orbit of {lam}")
+        out[lam] = first
+    return SymFunc("m", out)
+
+
+def completeness_check(f):
+    """sum_lam P_lam <Q_lam, f> reassembles f, degree by degree."""
+    fp = convert(f, "p")
+    out = SymFunc("p")
+    for d in fp.degrees():
+        for lam in partitions_of(d):
+            pair = macdonald_pair(lam)
+            add_into(out.terms, pair.P_p.terms, inner_qt(pair.Qf, fp))
+    return out == fp
+
+
+def _collect_kernel_field(wterms, order, kind):
+    """Windowed terms against the kernel strata, each a reduced Q(q,t) plethysm
+    (pairing.kernel_product) expanded by series_of."""
+    by_kappa = {}
+    for e, c in wterms.items():
+        add_into(by_kappa, {as_partition(sorted(e, reverse=True)): c})
+    out = {}
+    for kappa, c in by_kappa.items():
+        add_into(out, {nu: series_of(gc, order)
+                       for nu, gc in kernel_product(kappa, kind).terms.items()}, c)
+    return out
+
+
+def _outer_integrand_field(lam, order):
+    """The nested transform of lam through its last gauge factor, every level
+    collected by _collect_kernel_field, then windowed against Delta."""
+    cur = prev = None
+    for s, r in rectangles(lam):
+        if cur is None:
+            cur = NPoly.constant(r, QTSeries.one(order))
+        else:
+            wterms = _windowed_integrand(cur, prev, order)
+            cur = evaluate_n(SymFunc("p", _collect_kernel_field(wterms, order, "g")), r)
+        cur, prev = map_G(s, cur), r
+    return _windowed_integrand(cur, prev, order), prev
+
+
+def integral_rep_sides_field(lam, order, dual=False):
+    """ctengine.integral_rep_sides by the Q(q,t) route: reduced kernel strata, the
+    reduced P_p (q and t swapped for the dual) and the reduced c_plus or c_minus,
+    each expanded by series_of or QPochProduct.to_series."""
+    lam = as_partition(lam)
+    P_p = macdonald_pair(conjugate(lam) if dual else lam).P_p
+    if dual:
+        P_p = P_p.map_coeffs(swap_qt)
+    want = {nu: s for nu, c in P_p.terms.items() if (s := series_of(c, order))}
+    if not lam:
+        return {(): QTSeries.one(order)}, want
+    wterms, _ = _outer_integrand_field(lam, order)
+    constants = integral_constants(lam)
+    scale = (constants.c_minus if dual else constants.c_plus).to_series(order)
+    got = _collect_kernel_field(wterms, order, "e" if dual else "g")
+    return {nu: s for nu, c in got.items() if (s := c * scale)}, want
+
+
+def f_plus_terms_field(lam, order):
+    """ctengine.f_plus_terms by the Q(q,t) route of integral_rep_sides_field."""
+    lam = as_partition(lam)
+    if not lam:
+        return {(): QTSeries.one(order)}, 0
+    wterms, r_n = _outer_integrand_field(lam, order)
+    scale = integral_constants(lam).c_plus.to_series(order)
+    return {e: c * scale for e, c in wterms.items()}, r_n

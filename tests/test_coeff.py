@@ -7,7 +7,7 @@ from sympy.polys.rings import PolyElement
 
 from macsym.coeff import (FIELD, MAX_EXPONENT, MAX_NESTING, ONE, Q, QPochProduct, QTSeries,
                           RatQT, RING, T, add_into, clear_denominators, clear_ratqt,
-                          divide_back, emit_ratqt, invert, parse_ratqt, ratqt,
+                          cleared_series, divide_back, emit_ratqt, invert, parse_ratqt, ratqt,
                           reduce_ratqt, substitute, swap_qt, to_series)
 from macsym.errors import InternalInconsistency, NotSeriesExpandable, SpecializationPole
 from macsym.macdonald import macdonald_pair
@@ -73,6 +73,22 @@ def test_to_series_examples():
     assert s.coeffs == {(0, 0): 1, (1, 0): 1, (0, 1): -1}
     with pytest.raises(NotSeriesExpandable):
         to_series(parse_ratqt("1/q"), 3)
+
+
+def test_cleared_series_reads_any_representative():
+    # unreduced numerators over one denominator with content 6 and constant
+    # term 18 give the series of the reduced fractions; zero series drop out
+    q, t = RING.gens
+    extra = 6 * (1 - q * t) * (3 - t)
+    nums = {"a": (1 - t) * extra, "b": RING.zero, "c": 2 * extra, "d": q ** 3 * extra}
+    got = cleared_series((1 - q) * extra, nums, 2)
+    assert got == {"a": to_series(parse_ratqt("(1-t)/(1-q)"), 2),
+                   "c": to_series(parse_ratqt("2/(1-q)"), 2)}
+    assert got["c"].coeffs == {(0, 0): 2, (1, 0): 2, (2, 0): 2}  # ints where exact
+    assert cleared_series(4, {"x": 2 * q + RING(1)}, 1)["x"].coeffs == \
+        {(0, 0): Fraction(1, 4), (1, 0): Fraction(1, 2)}
+    with pytest.raises(NotSeriesExpandable):
+        cleared_series(q * (1 - t), {"x": q}, 3)
 
 
 def test_substitute_examples():

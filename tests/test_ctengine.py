@@ -3,13 +3,15 @@ from itertools import permutations
 
 import pytest
 
+import macsym
+from macsym import ctengine, macdonald, pairing
 from macsym.coeff import QPochProduct, QTSeries, parse_ratqt, ratqt, to_series
 from macsym.ctengine import (_accumulate_delta, _as_npoly, ct_norm_check,
                              delta_expand, delta_factor_coeffs, delta_pair_series,
                              expected_p_series, f_plus_terms,
                              integral_constants, integral_rep_P,
                              integral_rep_P_dual, integral_rep_check,
-                             integral_rep_dual_check, map_G, map_N,
+                             integral_rep_dual_check, integral_rep_sides, map_G, map_N,
                              map_N_tilde, norm_prime_product, scalar_prime,
                              schur_ct, schur_ct_dual, self_adjoint_sides,
                              skew_integral_check)
@@ -19,8 +21,8 @@ from macsym.partitions import conjugate, partitions_of, rectangles
 from macsym.symfunc import NPoly, convert, evaluate_n, is_symmetric, sym_gen
 
 from oracles import (dense_from_qtseries, dense_inv, dense_mul, dense_zero,
-                     delta_two_var_oracle, delta_unpruned, poch_dense,
-                     scalar_prime_pairwise)
+                     delta_two_var_oracle, delta_unpruned, f_plus_terms_field,
+                     integral_rep_sides_field, poch_dense, scalar_prime_pairwise)
 
 
 def test_delta_coefficient_valuations():
@@ -401,6 +403,41 @@ def test_skew_integral_examples():
     assert skew_integral_check((2,), (), 5)    # no inner group: plain reconstruction
     assert skew_integral_check((1,), (1,), 5)  # collapses to 1 * b^(-1)
     assert skew_integral_check((2,), (1,), 5)
+
+
+@pytest.mark.parametrize("order", [0, 1, 8])
+def test_integral_reps_match_the_field_route(order):
+    # every series read from Z[q,t] numerators equals the series of the value
+    # reduced in Q(q,t), on both kernels, the expected sides and F+
+    for d in range(5):
+        for lam in partitions_of(d):
+            for dual in (False, True):
+                assert integral_rep_sides(lam, order, dual) == \
+                    integral_rep_sides_field(lam, order, dual), (lam, dual)
+            assert f_plus_terms(lam, order) == f_plus_terms_field(lam, order), lam
+
+
+def test_integral_reps_reduce_nothing_in_the_field():
+    # with the pairs prebuilt, no kernel stratum is a plethysm and no expected
+    # side or constant is reduced: each raises, and every side still agrees
+    def refused(*args, **kwargs):
+        raise AssertionError("the integral-rep path reduced a value in Q(q,t)")
+
+    lams = [lam for d in range(5) for lam in partitions_of(d)]
+    macsym.clear_caches()
+    try:
+        for lam in lams:
+            macdonald_pair(lam)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(pairing, "plethysm", refused)
+            m.setattr(macdonald, "reduce_ratqt", refused)
+            m.setattr(ctengine, "reduce_ratqt", refused)
+            for lam in lams:
+                for dual in (False, True):
+                    got, want = integral_rep_sides(lam, 6, dual)
+                    assert got == want, (lam, dual)
+    finally:
+        macsym.clear_caches()
 
 
 def test_f_plus_degenerate():

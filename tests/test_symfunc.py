@@ -5,12 +5,12 @@ from hypothesis import given, strategies as st
 
 import macsym
 from macsym.coeff import RING, ratqt
-from macsym.errors import NotSymmetric, UnstableRange
 from macsym.partitions import partitions_of
 from macsym.symfunc import (BASES, NPoly, SymFunc, basis_to_m, convert, evaluate_n,
-                            from_poly, m_to_basis, multiply, npoly_divexact, sym_gen)
+                            m_to_basis, multiply, npoly_divexact, sym_gen)
 
-from oracles import convert_termwise, gen_expansion_by_product, schur_bialternant
+from oracles import (NotSymmetric, UnstableRange, convert_termwise, from_poly,
+                     gen_expansion_by_product, schur_bialternant)
 from strategies import pvec_maps
 
 
