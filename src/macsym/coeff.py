@@ -215,8 +215,8 @@ def divide_back(coeffs, den):
 # parsing / printing
 # ---------------------------------------------------------------------------
 
-# Largest |exponent| parse_ratqt accepts, on q or t only: emit_ratqt writes at most
-# 21 up to weight 6, and a short unbounded power could take minutes and gigabytes.
+# Largest |exponent| on q or t that parse_ratqt and cache terms accept (J_lam reaches
+# 36 at weight 8): a short unbounded power could take minutes and gigabytes.
 MAX_EXPONENT = 100
 # Largest combined depth of parentheses and unary minus signs parse_ratqt accepts:
 # emit_ratqt writes one level, and deeper text would exhaust the recursive descent's stack.

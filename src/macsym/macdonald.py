@@ -8,9 +8,9 @@ diagonal.  The integral form J_lam = c_lam P_lam (Macdonald VI.8) has
 coefficients in Z[q,t], so its eigenvector equation is solved down the
 dominance order by exact ring division, with no gcd.  A pair holds J_lam;
 P_lam and Q_lam are reduced into Q(q,t) on first read, each coefficient
-once.  A cache file is checked against the same equation when it is
-loaded.  Hall-Littlewood P is built independently, by symmetrization
-(Macdonald III (2.2)).
+once.  A cache file holds J as integer triples, checked against the same
+equation when loaded.  Hall-Littlewood P is built independently, by
+symmetrization (Macdonald III (2.2)).
 """
 
 import json
@@ -24,8 +24,8 @@ from math import comb, factorial, prod
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
 
-from .coeff import (FIELD, Q, RING, T, add_into, clear_ratqt, emit_ratqt,
-                    parse_ratqt, ratqt, reduce_ratqt, substitute)
+from .coeff import (FIELD, MAX_EXPONENT, Q, RING, T, add_into, clear_ratqt, ratqt,
+                    reduce_ratqt, substitute)
 from .errors import InternalInconsistency
 from .pairing import inner_cleared, z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
@@ -420,49 +420,59 @@ def specialize_check(lam, which):
 # ---------------------------------------------------------------------------
 
 CACHE_FORMAT = "macsym-macdonald-cache"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def save_cache(path):
-    """Persist every memoized pair as JSON: one record per partition.
+    """Persist every memoized pair's integral form J as compact JSON, reducing nothing.
 
-    Writes a temporary file beside path and renames it over path, so an
-    interrupted save leaves the previous file (or none), never a truncated one.
+    One record per partition: `{"lambda": lam, "J_in_m": [{"partition": mu,
+    "terms": [[a, b, c], ...]}, ...]}`, each entry sum c q^a t^b in Z[q,t].  A
+    temporary file beside path is renamed over it, so an interrupted save
+    leaves the previous file (or none), never a truncated one.
     """
-    records = []
-    for lam in sorted(_PAIRS, key=lambda l: (weight(l), l)):
-        pair = _PAIRS[lam]
-        records.append({
-            "lambda": list(lam),
-            "b": emit_ratqt(pair.b),
-            "P_in_m": [
-                {"partition": list(mu), "coeff": emit_ratqt(c)}
-                for mu, c in sorted(pair.P.terms.items())
-            ],
-        })
+    records = [{"lambda": list(lam),
+                "J_in_m": [{"partition": list(mu),
+                            "terms": [[a, b, int(c)] for (a, b), c in n.terms()]}
+                           for mu, n in sorted(_PAIRS[lam].J.items())]}
+               for lam in sorted(_PAIRS, key=lambda l: (weight(l), l))]
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "w")
     try:
         with fh:
             json.dump({"format": CACHE_FORMAT, "version": CACHE_VERSION,
-                       "records": records}, fh, indent=1)
+                       "records": records}, fh, separators=(",", ":"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
+def _cached_element(terms):
+    """sum c q^a t^b in Z[q,t] over a cache entry's [a, b, c] triples: ints, not bools,
+    with 0 <= a, b <= MAX_EXPONENT, c != 0 and no repeated monomial, or ValueError."""
+    monomials = {}
+    for term in terms:
+        if len(term) != 3 or any(type(x) is not int for x in term):
+            raise ValueError(f"cache term {term!r} is not three ints [a, b, c]")
+        a, b, c = term
+        if not (0 <= a <= MAX_EXPONENT and 0 <= b <= MAX_EXPONENT):
+            raise ValueError(f"cache term {term!r} has an exponent outside 0..{MAX_EXPONENT}")
+        if not c or (a, b) in monomials:
+            raise ValueError(f"cache term {term!r} has a zero c or a repeated monomial")
+        monomials[a, b] = c
+    return RING.from_dict(monomials)
+
+
 def load_cache(path):
     """Install cached pairs; returns the number of records loaded.
 
-    A record of weight above MAX_WEIGHT is rejected before any table is built.
-    Every other record is checked against the construction: b must equal the
-    arm/leg product, P must be unitriangular, J = c_lam P must have
-    coefficients in Z[q,t], and J must satisfy the eigenfunction equation
-    t^d E J = eps_lam J.
-    The pair is then held as J, as a built pair is, with the parsed P (already
-    canonical) as its P.  A malformed file or a record that fails raises
-    ValueError, and then no pair from the file is installed.
+    J is read from integer triples, so it lies in Z[q,t] by construction and
+    nothing is parsed or reduced.  A record above MAX_WEIGHT is rejected before
+    any table is built; every other one needs J = c_lam P with P unitriangular
+    and t^d E J = eps_lam J.  The pair is held as J, as a built pair is.  A
+    version-1 or malformed file or a failing record raises ValueError, and
+    then no pair from the file is installed.
     """
     with open(path) as fh:
         try:
@@ -470,37 +480,27 @@ def load_cache(path):
         except RecursionError as exc:
             raise ValueError(f"cache file {path} nests too deeply for the JSON parser") from exc
     header = (data.get("format"), data.get("version")) if isinstance(data, dict) else None
+    if header == (CACHE_FORMAT, 1):
+        raise ValueError(f"cache file {path} is version 1, no longer read: delete it to rebuild")
     if header != (CACHE_FORMAT, CACHE_VERSION) or not isinstance(data.get("records"), list):
         raise ValueError(f"unrecognized cache file {path}")
     loaded = {}
     for rec in data["records"]:
         try:
             lam = as_partition(rec["lambda"])
-            P = {as_partition(item["partition"]): parse_ratqt(item["coeff"])
-                 for item in rec["P_in_m"]}
-            b = parse_ratqt(rec["b"])
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            J = {as_partition(it["partition"]): _cached_element(it["terms"])
+                 for it in rec["J_in_m"]}
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed record in cache file {path}: {exc!r}") from exc
         if weight(lam) > MAX_WEIGHT:
             raise ValueError(f"record {lam} has weight {weight(lam)}, above the limit "
                              f"{MAX_WEIGHT}")
-        if b != b_coeff(lam):
-            raise ValueError(f"b of {lam} is not the arm/leg product")
-        if P.get(lam) != 1 or not all(dominates(lam, mu) for mu in P):
-            raise ValueError(f"P of {lam} is not unitriangular")
-        c = _arm_leg_products(lam)[0]
-        numer = {}
-        for mu, v in P.items():
-            numer[mu], rem = divmod(c * v.numer, v.denom)
-            if rem:
-                raise ValueError(f"c_lam P of {lam} is not a polynomial at m_{mu}")
+        if J.get(lam) != _arm_leg_products(lam)[0] or not all(dominates(lam, mu) for mu in J):
+            raise ValueError(f"J of {lam} is not c_lam times a unitriangular P")
         rows = zero_mode(weight(lam))
-        eps = rows[lam][lam]
         for mu in rows:
-            if _zero_mode_image(rows, numer, mu) != eps * numer.get(mu, RING.zero):
-                raise ValueError(f"P of {lam} is not an eigenfunction of the zero mode "
-                                 f"(at m_{mu})")
-        pair = loaded[lam] = _pair_from_integral_form(lam, numer)
-        vars(pair)["P"] = SymFunc("m", P)  # parsed canonical and checked: no second reduction
+            if _zero_mode_image(rows, J, mu) != rows[lam][lam] * J.get(mu, RING.zero):
+                raise ValueError(f"J of {lam} is not an eigenfunction of the zero mode at m_{mu}")
+        loaded[lam] = _pair_from_integral_form(lam, J)
     _PAIRS.update(loaded)
     return len(loaded)

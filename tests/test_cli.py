@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from macsym import cli, ctengine, fock, macdonald, verify
 from macsym.cli import build_parser, main
-from macsym.coeff import QTSeries, emit_ratqt, ratqt, swap_qt
+from macsym.coeff import MAX_EXPONENT, RING, QTSeries, emit_ratqt, ratqt, swap_qt
 from macsym.errors import InternalInconsistency, NotSeriesExpandable
-from macsym.macdonald import b_coeff, macdonald_pair
+from macsym.macdonald import macdonald_pair
 from macsym.partitions import MAX_HL_WEIGHT, conjugate
 
 
@@ -409,53 +409,69 @@ def test_norm_fewer_variables_than_parts_exits_2(capsys):
         assert captured.out == ""
 
 
-def _cache_text(records, fmt="macsym-macdonald-cache"):
-    return json.dumps({"format": fmt, "version": 1, "records": records})
+def _cache_text(records, fmt="macsym-macdonald-cache", version=2):
+    return json.dumps({"format": fmt, "version": version, "records": records})
 
 
-P2_TERMS = [{"partition": [2], "coeff": "1"},
-            {"partition": [1, 1], "coeff": "(1 - t + q - q*t)/(1 - q*t)"}]
+def _terms(n):
+    return [[a, b, int(c)] for (a, b), c in n.terms()]
 
 
-def _p21_terms(shift_111):
-    """P_(2,1) as cache terms, with shift_111 added to its m_(1,1,1) coefficient."""
-    P = macdonald_pair((2, 1)).P
-    return [{"partition": list(mu),
-             "coeff": emit_ratqt(c + shift_111 if mu == (1, 1, 1) else c)}
-            for mu, c in sorted(P.terms.items())]
+def _j_entries(lam, scale=1, shift_at=None):
+    """J_lam as cache entries, each times scale, with 1 added at m_shift_at."""
+    return [{"partition": list(mu), "terms": _terms(n * scale + int(mu == shift_at))}
+            for mu, n in sorted(macdonald_pair(lam).J.items())]
+
+
+def _j2_with_term(term):
+    """The record of J_(2) with one more term in its m_(2) entry."""
+    top, rest = _j_entries((2,))
+    return _cache_text([{"lambda": [2], "J_in_m": [
+        {"partition": [2], "terms": top["terms"] + [term]}, rest]}])
+
+
+_q = RING.gens[0]
+_C12 = _terms(macdonald._arm_leg_products((12,))[0])
+_DEEP = [0, 0, json.loads("[" * 20 + "1" + "]" * 20)]
 
 
 @pytest.mark.parametrize("text, message", [
     ("{not json", "bad cache file"),
     (_cache_text([], fmt="other"), "unrecognized cache file"),
-    (_cache_text([{"lambda": [2], "b": "1"}]), "malformed record"),  # P_in_m missing
-    (_cache_text([{"lambda": [2], "b": "1", "P_in_m": P2_TERMS}]), "arm/leg"),  # wrong b
-    (_cache_text([{"lambda": [1, 1], "b": emit_ratqt(b_coeff((1, 1))),
-                   "P_in_m": [{"partition": [2], "coeff": "1"}]}]), "not unitriangular"),
-    (_cache_text([{"lambda": [2], "b": "(1+q+t)^1200", "P_in_m": P2_TERMS}]), "exponent"),
-    (_cache_text([{"lambda": [2], "b": "1", "P_in_m": [
-        {"partition": [2], "coeff": "(1-q^1000*t^1000)/(1-q^999*t^999)"}]}]), "exponent"),
-    # unitriangular with the right b, but not the Macdonald polynomial
-    (_cache_text([{"lambda": [2, 1], "b": emit_ratqt(b_coeff((2, 1))),
-                   "P_in_m": _p21_terms(1)}]), "eigenfunction"),
-    (_cache_text([{"lambda": [2], "b": emit_ratqt(b_coeff((2,))), "P_in_m": [
-        {"partition": [2], "coeff": "1"}, {"partition": [1, 1], "coeff": "1/(1-q)"}]}]),
-     "not a polynomial"),
-    # passes the b and unitriangularity checks; the weight-12 tables would take hours
-    (_cache_text([{"lambda": [12], "b": emit_ratqt(b_coeff((12,))),
-                   "P_in_m": [{"partition": [12], "coeff": "1"}]}]), "above the limit"),
+    (_cache_text([{"lambda": [2], "b": "(1 - t)(1 - q*t)/((1 - q)(1 - q^2))",
+                   "P_in_m": [{"partition": [2], "coeff": "1"}]}], version=1), "version 1"),
+    (_cache_text([{"lambda": [2]}]), "malformed record"),  # J_in_m missing
+    # J_(2) times 1 + q: the eigen equation holds, but J[lam] is not c_lam
+    (_cache_text([{"lambda": [2], "J_in_m": _j_entries((2,), scale=1 + _q)}]), "c_lam times"),
+    (_cache_text([{"lambda": [1, 1], "J_in_m": _j_entries((1, 1)) + [
+        {"partition": [2], "terms": [[0, 0, 1]]}]}]), "unitriangular"),
+    (_cache_text([{"lambda": [2, 1], "J_in_m": _j_entries((2, 1), shift_at=(1, 1, 1))}]),
+     "eigenfunction"),
+    # normalized; the weight-12 tables would take hours
+    (_cache_text([{"lambda": [12], "J_in_m": [{"partition": [12], "terms": _C12}]}]),
+     "above the limit"),
     # parts that are not ints: json writes 1e999 as Infinity
-    (_cache_text([{"lambda": [1e999], "b": "1", "P_in_m": P2_TERMS}]), "non-integer part"),
-    (_cache_text([{"lambda": [1.5], "b": "1", "P_in_m": P2_TERMS}]), "non-integer part"),
-    (_cache_text([{"lambda": [True], "b": "1", "P_in_m": P2_TERMS}]), "non-integer part"),
-    # nesting past the recursive parsers' stacks, in a coefficient and in the JSON itself
-    (_cache_text([{"lambda": [2], "b": "(" * 3000 + "1" + ")" * 3000, "P_in_m": P2_TERMS}]),
-     "nest deeper"),
+    (_cache_text([{"lambda": [1e999], "J_in_m": _j_entries((2,))}]), "non-integer part"),
+    (_cache_text([{"lambda": [1.5], "J_in_m": _j_entries((2,))}]), "non-integer part"),
+    (_cache_text([{"lambda": [True], "J_in_m": _j_entries((2,))}]), "non-integer part"),
+    (_j2_with_term(_DEEP), "not three ints"),
     ("[" * 100000 + "]" * 100000, "nests too deeply"),
-], ids=["malformed-json", "wrong-header", "missing-key", "wrong-b", "not-unitriangular",
-        "power-of-a-sum", "huge-exponent", "not-an-eigenfunction", "c-times-P-not-polynomial",
-        "weight-above-the-limit", "infinite-part", "float-part", "bool-part",
-        "nested-coefficient", "nested-json"])
+    (_j2_with_term([3, 3, 1.0]), "not three ints"),
+    (_j2_with_term([3, 3, True]), "not three ints"),
+    (_j2_with_term([3, 3, "1/(1-q)"]), "not three ints"),
+    (_j2_with_term([-1, 0, 1]), "exponent outside"),
+    (_j2_with_term([0, MAX_EXPONENT + 1, 1]), "exponent outside"),
+    (_j2_with_term([0, 0, 1]), "repeated monomial"),  # c_(2) has the constant 1
+    (_j2_with_term([3, 3, 0]), "zero c"),
+    (_j2_with_term([3, 3]), "not three ints"),
+    (_j2_with_term([3, 3, 1, 0]), "not three ints"),
+    # past Python's limit on digits in an int literal: rejected while the JSON is read
+    (_j2_with_term([3, 3, 123456789]).replace("123456789", "7" * 5000), "bad cache file"),
+], ids=["malformed-json", "wrong-header", "version-1", "missing-key", "wrong-normalization",
+        "not-unitriangular", "not-an-eigenfunction", "weight-above-the-limit", "infinite-part",
+        "float-part", "bool-part", "nested-term", "nested-json", "float-c", "bool-c",
+        "string-c", "negative-exponent", "huge-exponent", "repeated-monomial", "zero-c",
+        "short-term", "long-term", "5000-digit-c"])
 def test_bad_cache_file_exits_2(tmp_path, capsys, text, message):
     cache = tmp_path / "cache.json"
     cache.write_text(text)

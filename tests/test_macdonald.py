@@ -1,4 +1,10 @@
+import json
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, strategies as st
+from sympy.polys.rings import PolyElement
 
 import macsym.macdonald as mac
 from macsym.coeff import Q, RING, T, parse_ratqt, ratqt, reduce_ratqt, swap_qt
@@ -266,32 +272,72 @@ def test_cache_loaded_pairs_hold_the_built_integral_forms(tmp_path, monkeypatch)
     mac._PAIRS.clear()
     calls = _count_reductions(monkeypatch)
     built = {lam: macdonald_pair(lam) for d in range(5) for lam in partitions_of(d)}
-    assert calls == []
+    cancels = []
+    cancel = PolyElement.cancel
+
+    def counted_cancel(f, g):
+        cancels.append(g)
+        return cancel(f, g)
+
+    monkeypatch.setattr(PolyElement, "cancel", counted_cancel)
     path = tmp_path / "pairs.json"
     save_cache(path)
-    assert len(calls) == len(built)  # each P, to be written
-    parsed = []
-
-    def recorded(text):
-        parsed.append(parse_ratqt(text))
-        return parsed[-1]
-
-    monkeypatch.setattr(mac, "parse_ratqt", recorded)
+    assert (calls, cancels) == ([], [])  # the held J is written as it is
     mac._PAIRS.clear()
-    calls.clear()
     assert load_cache(path) == len(built)
-    parsed_ids = {id(c) for c in parsed}
+    assert (calls, cancels) == ([], [])  # and read back over Z[q,t]
     for lam, pair in built.items():
         got = mac._PAIRS[lam]
         assert got is not pair
         assert (got.J, got.J_p) == (pair.J, pair.J_p), lam
-        assert got.P == pair.P, lam
-        assert all(id(c) in parsed_ids for c in got.P.terms.values()), lam
-    assert calls == []  # neither the load nor a read of P reduces a table
+        assert ((got.P, got.P_p, got.Qf, got.b, got.norm)
+                == (pair.P, pair.P_p, pair.Qf, pair.b, pair.norm)), lam
+    # P, P_p and Qf of each loaded and each built pair, reduced once on first read
+    assert len(calls) == 6 * len(built)
+    for pair in [*built.values(), *mac._PAIRS.values()]:
+        _ = (pair.P, pair.P_p, pair.Qf)
+    assert len(calls) == 6 * len(built)
+
+
+_UP_TO_5 = [lam for d in range(6) for lam in partitions_of(d)]
+
+
+@given(st.lists(st.sampled_from(_UP_TO_5), unique=True))
+def test_cache_round_trip_of_pairs_built_in_any_order(lams):
+    mac._PAIRS.clear()
+    built = {lam: macdonald_pair(lam) for lam in lams}  # in the drawn order
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pairs.json")
+        save_cache(path)
+        mac._PAIRS.clear()
+        assert load_cache(path) == len(built)
+    assert mac._PAIRS.keys() == built.keys()
     for lam, pair in built.items():
-        got = mac._PAIRS[lam]
-        assert (got.P_p, got.Qf, got.b, got.norm) == (pair.P_p, pair.Qf, pair.b, pair.norm), lam
-    assert len(calls) == 4 * len(built)  # P_p and Qf of each loaded and each built pair
+        assert (mac._PAIRS[lam].J, mac._PAIRS[lam].J_p) == (pair.J, pair.J_p), lam
+
+
+def test_cache_load_rejects_every_single_term_perturbation(tmp_path):
+    # a negative control for the eigen check: +1 on one term of any entry below m_lam
+    mac._PAIRS.clear()
+    built = [macdonald_pair(lam) for d in range(5) for lam in partitions_of(d)]
+    path = tmp_path / "pairs.json"
+    save_cache(path)
+    text = path.read_text()
+    mac._PAIRS.clear()
+    perturbed = 0
+    for i, rec in enumerate(json.loads(text)["records"]):
+        for j, entry in enumerate(rec["J_in_m"]):
+            if entry["partition"] == rec["lambda"]:
+                continue
+            data = json.loads(text)
+            terms = data["records"][i]["J_in_m"][j]["terms"]
+            next(term for term in terms if term[2] != -1)[2] += 1  # stays nonzero
+            path.write_text(json.dumps(data))
+            with pytest.raises(ValueError, match="eigenfunction"):
+                load_cache(path)
+            assert mac._PAIRS == {}, (rec["lambda"], entry["partition"])
+            perturbed += 1
+    assert perturbed == sum(len(pair.J) - 1 for pair in built) > 0
 
 
 def test_cache_round_trip(tmp_path):
