@@ -1,14 +1,16 @@
 """Boson-Fock adapter and the scalar reductions of the vertex-operator picture.
 
 The Fock space is the ring of symmetric functions itself; no oscillator algebra
-is materialized.  Two skew routes share nothing with the scalar products of
-`macdonald.skew_q`: the translation coproduct p_r -> p_r(x) + p_r(y) of the
-half vertex operator, and P_mu acting in the lowered power sums.  Two scalar
-identities come from the vertex-operator construction: the finite-product
-collapse of the kernels at t = q^beta and the symmetrizer sum formula.
+is materialized.  Two skew routes share nothing with `macdonald.skew_q`'s peel
+of P_mu P_nu: the translation coproduct p_r -> p_r(x) + p_r(y) of the half
+vertex operator, and P_mu acting in the lowered power sums.  Each `_cleared`
+form returns (den, numerators over Z[q,t]); the public form reduces them.  Two
+scalar identities come from the vertex-operator construction: the
+finite-product collapse of the kernels at t = q^beta and the symmetrizer sum
+formula.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, product
 from math import comb, prod
 
 from .coeff import FIELD, RING, Q, add_into, clear_ratqt, ratqt, reduce_ratqt, substitute
@@ -21,17 +23,23 @@ _q, _t = RING.gens
 
 
 def skew_via_fock(lam, mu):
-    """Q_{lam/mu} from the translation coproduct p_r -> p_r(x) + p_r(y) of Q_lam.
+    """Q_{lam/mu} by the translation coproduct, each coefficient reduced once."""
+    den, nums = skew_via_fock_cleared(lam, mu)
+    return SymFunc("p", reduce_ratqt(nums, den))
+
+
+def skew_via_fock_cleared(lam, mu):
+    """Q_{lam/mu} in p as (den, {kappa: Z[q,t]}), by the coproduct p_r -> p_r(x) + p_r(y).
 
     Q_lam(x, y) = sum_mu Q_{lam/mu}(x) b_mu P_mu(y) (Macdonald VI (7.9')); P_mu(y) is
     peeled off the y-parts in the m basis down dominance, as P is unitriangular in m.
     Only the y-parts m_nu with nu dominating mu can reach the coefficient of P_mu.
     Q_lam and each P_nu = J_nu / c_nu are read from the held J over one
-    running denominator, and each output coefficient is reduced once.
+    running denominator; nothing is reduced.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     if (k := weight(mu)) > weight(lam):
-        return SymFunc("p")
+        return RING.one, {}
     den, Qf = macdonald_pair(lam).cleared_p(dual=True)
     to_m, rest = basis_to_m("p", k), {}  # rest: {nu: {x-partition: numerator of m_nu(y)}}
     for kappa, c in Qf.items():
@@ -51,8 +59,7 @@ def skew_via_fock(lam, mu):
         a = rest.pop(nu, {})  # the coefficient of P_nu(y), once larger P are off
         if nu == mu:  # Q_{lam/mu} = a / b_mu
             b = macdonald_pair(mu).b
-            return SymFunc("p", reduce_ratqt({x: v * b.denom for x, v in a.items()},
-                                             den * b.numer))
+            return den * b.numer, {x: v * b.denom for x, v in a.items()}
         if a:  # only for nu inside lam and dominating mu
             J = macdonald_pair(nu).J
             den_p = J[nu]  # c_nu, as P_nu = J_nu / c_nu is unitriangular
@@ -86,13 +93,18 @@ def p_bar_apply(r, f):
 
 
 def skew_via_diffop(lam, mu):
-    """Skew function by letting P_mu act in the lowered power sums on Q_lam.
+    """Q_{lam/mu} with P_mu acting by lowering operators, each coefficient reduced once."""
+    den, nums = skew_via_diffop_cleared(lam, mu)
+    return SymFunc("p", reduce_ratqt(nums, den))
+
+
+def skew_via_diffop_cleared(lam, mu):
+    """Q_{lam/mu} in p as (den, {kappa: Z[q,t]}), P_mu acting in the lowered power sums.
 
     p_kappa of P_mu acts as the lowering operators of the parts of kappa: their
     factors r (1-q^r) act on J_lam, and prod (1-t^r) joins the denominator of
     the J_mu coefficient of p_kappa.  Each such product divides (t;t)_|mu|, so
-    the sum over kappa runs over that one denominator and is reduced once per
-    output coefficient.
+    the sum over kappa runs over that one denominator; nothing is reduced.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     den, target = macdonald_pair(lam).cleared_p(dual=True)
@@ -106,7 +118,7 @@ def skew_via_diffop(lam, mu):
             lowering *= 1 - _t ** part
         if piece:
             add_into(total, piece, u * den_w.exquo(lowering))
-    return SymFunc("p", reduce_ratqt(total, den * den_mu * den_w))
+    return den * den_mu * den_w, total
 
 
 def commutator_contract(r, s, f):
@@ -178,7 +190,8 @@ def vertex_product_check(beta, n, d):
 
     Checks the per-factor identities coefficientwise up to u^d, then
     assembles the full interchange kernel over n variables as an exact
-    Laurent polynomial and compares against the finite product.
+    Laurent polynomial and compares against the finite product, one factor
+    in z = x_i / x_j per pair i < j.
     """
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
@@ -199,13 +212,15 @@ def vertex_product_check(beta, n, d):
     # compared over Z[q]: the pair series cleared to one denominator D, the
     # finite product times D^(number of pairs)
     den, pair = clear_ratqt(_vertex_pair_series(beta))
+    a = [c.numer for c in finite[:beta + 1]]  # prod_{k<beta} (1 - q^k z), over Z[q]
+    finite_pair = {}  # one pair's finite product a(z) a(1/z), {d: coefficient of z^d}
+    for i, j in product(range(beta + 1), repeat=2):
+        add_into(finite_pair, {i - j: a[i] * a[j]})
     lhs = NPoly.constant(n, RING.one)
     rhs = NPoly.constant(n, den ** comb(n, 2))
     for i, j in combinations(range(n), 2):
         lhs = lhs * NPoly(n, {_monomial_shift(n, i, j, dd): s for dd, s in pair.items()})
-    for i, j in permutations(range(n), 2):
-        for k in range(beta):
-            rhs = rhs * NPoly(n, {(0,) * n: RING.one, _monomial_shift(n, i, j): -_q ** k})
+        rhs = rhs * NPoly(n, {_monomial_shift(n, i, j, dd): c for dd, c in finite_pair.items()})
     return lhs == rhs
 
 

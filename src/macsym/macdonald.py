@@ -27,7 +27,7 @@ from sympy.polys.rings import ring
 from .coeff import (FIELD, MAX_EXPONENT, Q, RING, T, add_into, clear_ratqt, ratqt,
                     reduce_ratqt, substitute)
 from .errors import InternalInconsistency
-from .pairing import inner_cleared, z_plain
+from .pairing import z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
                          dominates, partitions_of, weight)
 from .symfunc import (NPoly, SymFunc, _collect_m, _straighten, basis_to_m, convert,
@@ -346,24 +346,43 @@ def dr_commute_check(r, s, f, n):
 # structure constants, skew functions, specializations
 # ---------------------------------------------------------------------------
 
-def _structure_constant(lam, mu, nu):
-    """f^lam_{mu,nu} = <Q_lam, P_mu P_nu>: P_mu P_nu as a ring product of the held
-    numerators, paired with those of Q_lam, reduced once."""
-    pm_pn = p_product_cleared(macdonald_pair(mu).cleared_p(), macdonald_pair(nu).cleared_p())
-    den, num = inner_cleared(macdonald_pair(lam).cleared_p(dual=True), pm_pn)
-    return FIELD.new(num, den)
-
-
 def structure_f(mu, nu):
-    """f^lam_{mu,nu} = <Q_lam, P_mu P_nu>: the P-basis expansion of P_mu P_nu."""
-    mu, nu = as_partition(mu), as_partition(nu)
-    return {lam: c for lam in partitions_of(weight(mu) + weight(nu))
-            if (c := _structure_constant(lam, mu, nu))}
+    """f^lam_{mu,nu}, the P-basis expansion of P_mu P_nu: a fresh dict over the
+    memoized peel of the unordered pair, as f^lam_{mu,nu} = f^lam_{nu,mu}."""
+    return dict(_structure_peel(*sorted((as_partition(mu), as_partition(nu)))))
+
+
+@lru_cache(maxsize=None)
+def _structure_peel(mu, nu):
+    """{lam: f^lam_{mu,nu}} by peeling P_mu P_nu into the P basis, no scalar product.
+
+    The ring product of the held numerators goes to m by the integer p -> m
+    rows.  Reverse lex puts each lam before every partition it dominates and P
+    is unitriangular in m, so once the larger P are off, the m_lam coefficient
+    left is f^lam_{mu,nu}: it is reduced once, and f P_lam = f J_lam / c_lam
+    comes off over one running denominator.
+    """
+    d = weight(mu) + weight(nu)
+    den, prod_p = p_product_cleared(macdonald_pair(mu).cleared_p(),
+                                    macdonald_pair(nu).cleared_p())
+    p2m, rest, out = basis_to_m("p", d), {}, {}
+    for kappa, c in prod_p.items():
+        add_into(rest, p2m[kappa], c)
+    for lam in partitions_of(d):
+        if (a := rest.pop(lam, None)) is not None:
+            out[lam] = FIELD.new(a, den)
+            J = macdonald_pair(lam).J
+            for rho in rest:
+                rest[rho] *= J[lam]
+            den *= J[lam]
+            add_into(rest, {rho: v for rho, v in J.items() if rho != lam}, -a)
+    return out
 
 
 def skew_q(lam, mu):
     """Skew function Q_{lam/mu} = sum_nu f^lam_{mu,nu} Q_nu, in the p basis.
 
+    Each f^lam_{mu,nu} comes from the peel of P_mu P_nu (`structure_f`).
     With Q_nu = J_p(nu) / den_nu, the f^lam_{mu,nu} / den_nu are cleared to
     Z[q,t] once, the sum runs over the held J_p, and each output coefficient
     is reduced once.
@@ -373,7 +392,7 @@ def skew_q(lam, mu):
         return SymFunc("p")
     f, J = {}, {}
     for nu in partitions_of(weight(lam) - weight(mu)):
-        if c := _structure_constant(lam, mu, nu):
+        if c := structure_f(mu, nu).get(lam):
             den_nu, J[nu] = macdonald_pair(nu).cleared_p(dual=True)
             f[nu] = c / den_nu
     den, f = clear_ratqt(f)

@@ -23,8 +23,10 @@ straight from Z[q,t] numerators over one inverted denominator.  The
 term-by-term bodies below (scalar product, p-product, basis change, the three
 skew routes) add and multiply one reduced Q(q,t) element at a time where the
 package clears each linear combination to Z[q,t] once and reduces each output
-once.  `from_poly` and `completeness_check` are helpers only the tests
-read.
+once.  The structure constants pair Q_lam with P_mu P_nu over Z[q,t], one
+scalar product per lam, where the package peels P_mu P_nu into the P basis
+down the dominance order.  `from_poly` and `completeness_check` are helpers
+only the tests read.
 """
 
 from collections import Counter
@@ -42,11 +44,11 @@ from macsym.ctengine import (_as_npoly, _windowed_integrand, delta_expand, integ
                              map_G, series_of)
 from macsym.errors import MacsymError
 from macsym.macdonald import macdonald_pair
-from macsym.pairing import inner_pvec, inner_qt, kernel_product, z_factor
+from macsym.pairing import inner_cleared, inner_pvec, inner_qt, kernel_product, z_factor
 from macsym.partitions import (as_partition, compositions, conjugate, dominates, partitions_of,
                                rectangles, weight)
 from macsym.symfunc import (NPoly, SymFunc, basis_to_m, convert, evaluate_n, m_to_basis,
-                            npoly_divexact, orbit_exponents, sym_gen)
+                            npoly_divexact, orbit_exponents, p_product_cleared, sym_gen)
 
 
 def dense_zero(order):
@@ -494,6 +496,14 @@ def convert_termwise(f, to):
     res = SymFunc(to)
     res.terms = out
     return res
+
+
+def structure_constant_pairing(lam, mu, nu):
+    """f^lam_{mu,nu} = <Q_lam, P_mu P_nu>: P_mu P_nu as a ring product of the held
+    numerators, paired with those of Q_lam, reduced once."""
+    pm_pn = p_product_cleared(macdonald_pair(mu).cleared_p(), macdonald_pair(nu).cleared_p())
+    den, num = inner_cleared(macdonald_pair(lam).cleared_p(dual=True), pm_pn)
+    return FIELD.new(num, den)
 
 
 def skew_q_termwise(lam, mu):

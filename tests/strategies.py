@@ -1,4 +1,4 @@
-"""Hypothesis strategies for exact coefficients and sparse p-basis maps."""
+"""Hypothesis strategies for exact coefficients and sparse p-basis maps, reduced or cleared."""
 
 from fractions import Fraction
 from math import prod
@@ -28,3 +28,14 @@ _SMALL_PARTITIONS = [lam for d in range(4) for lam in partitions_of(d)]
 
 #: sparse p-basis maps {partition: value}, |partition| <= 3
 pvec_maps = st.dictionaries(st.sampled_from(_SMALL_PARTITIONS), ratqt_values, max_size=5)
+
+_ring_elements = _polys.map(lambda r: r.numer)  # Z[q,t], zero included
+
+#: nonzero denominators in Z[q,t]; the negated ones have a negative leading coefficient
+cleared_dens = st.builds(lambda dens, sign: sign * prod(dens, start=ratqt(1)).numer,
+                         st.lists(st.sampled_from(_DEN_FACTORS), max_size=3),
+                         st.sampled_from((1, -1)))
+
+#: cleared p-basis maps (den, {partition: element of Z[q,t]}), zero numerators included
+cleared_maps = st.tuples(cleared_dens, st.dictionaries(st.sampled_from(_SMALL_PARTITIONS),
+                                                       _ring_elements, max_size=5))

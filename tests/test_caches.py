@@ -30,9 +30,10 @@ def test_cache_inventory_covers_every_lru_cache_and_clears_them():
     assert set(sizes) == names | {"macdonald._PAIRS"}
     before = macsym.integral_rep_P((2, 1), 3).terms
     macsym.kostka_matrix(2)
+    macsym.structure_f((1,), (1,))
     filled = macsym.cache_sizes()
     for name in ("macdonald._PAIRS", "ctengine._outer_integrand", "ctengine._pair_majorant",
-                 "kostka.kostka_matrix"):
+                 "kostka.kostka_matrix", "macdonald._structure_peel"):
         assert filled[name] > 0, name
     macsym.clear_caches()
     assert set(macsym.cache_sizes().values()) == {0}

@@ -51,11 +51,16 @@ def test_skew_command(capsys):
         {"partition": [1], "coeff": "(1 - t)/(1 - q)"}]
 
 
-@pytest.mark.parametrize("route", ["skew_via_fock", "skew_via_diffop"])
+@pytest.mark.parametrize("route", ["skew_via_fock_cleared", "skew_via_diffop_cleared"])
 def test_skew_counterexample_reports_its_first_difference(monkeypatch, capsys, route):
     # a wrong route fails the command, and stderr names the first differing coefficient
     original = getattr(fock, route)
-    monkeypatch.setattr(fock, route, lambda lam, mu: original(lam, mu).scale(2))
+
+    def doubled(lam, mu):
+        den, nums = original(lam, mu)
+        return den, {kappa: 2 * n for kappa, n in nums.items()}
+
+    monkeypatch.setattr(fock, route, doubled)
     assert main(["skew", "--lam", "2", "--mu", "1", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["routes_agree"] is False
@@ -269,6 +274,35 @@ def test_integral_checks_report_their_first_difference(monkeypatch, suite, modul
         assert set(rec["detail"]) <= {"key", "got", "want"}
         assert rec["detail"]["got"] != rec["detail"]["want"]
     # a passing record carries no detail
+    assert all(r["status"] == "pass" and "detail" not in r for r in passing)
+
+
+@pytest.mark.parametrize("route", ["skew_via_fock_cleared", "skew_via_diffop_cleared"])
+def test_skew_routes_report_the_perturbed_key(monkeypatch, route):
+    # one route's cleared numerator at p_1 off by one: every record whose skew
+    # function has a p_1 term fails and names it, and every other record passes
+    key = (1,)
+    original = getattr(fock, route)
+
+    def perturbed(lam, mu):
+        den, nums = original(lam, mu)
+        return den, ({**nums, key: nums[key] + den} if key in nums else nums)
+
+    passing = verify.run_suite("skew-routes", maxweight=3)
+    monkeypatch.setattr(fock, route, perturbed)
+    records = verify.run_suite("skew-routes", maxweight=3)
+    assert [r["parameters"] for r in records] == [r["parameters"] for r in passing]
+    failed = 0
+    for rec in records:
+        want = macdonald.skew_q(rec["parameters"]["lambda"], rec["parameters"]["mu"]).terms
+        if key in want:
+            failed += 1
+            assert rec["status"] == "fail"
+            assert rec["detail"] == {"key": repr(key), "got": emit_ratqt(want[key] + 1),
+                                     "want": emit_ratqt(want[key])}
+        else:
+            assert rec["status"] == "pass" and "detail" not in rec
+    assert 0 < failed < len(records)
     assert all(r["status"] == "pass" and "detail" not in r for r in passing)
 
 

@@ -53,9 +53,8 @@ def test_fock_route_uses_no_scalar_product(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the Fock route reached a scalar-product helper")
 
-    monkeypatch.setattr(pairing, "inner_qt", forbidden)  # fock does not import it
-    for mod in (macdonald, pairing):
-        monkeypatch.setattr(mod, "inner_cleared", forbidden)
+    for name in ("inner_qt", "inner_cleared"):  # fock does not import them
+        monkeypatch.setattr(pairing, name, forbidden)
     for mod in (fock, symfunc):
         monkeypatch.setattr(mod, "multiply", forbidden)
     for mod in (macdonald, symfunc):

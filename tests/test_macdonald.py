@@ -14,11 +14,13 @@ from macsym.macdonald import (SPECIALIZE_CASES, b_coeff, dr_apply,
                               hall_littlewood_p, load_cache, macdonald_pair,
                               save_cache, skew_p, skew_q, specialize_check,
                               structure_f)
+from macsym import pairing
 from macsym.pairing import inner_qt, omega_qt
 from macsym.partitions import conjugate, partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, evaluate_n, multiply, sym_gen
 
-from oracles import dr_apply_field, gram_schmidt, hall_littlewood_p_division
+from oracles import (dr_apply_field, gram_schmidt, hall_littlewood_p_division,
+                     structure_constant_pairing)
 
 
 def test_p_examples():
@@ -174,6 +176,47 @@ def test_structure_constants_reconstruct_product():
             for lam, c in structure_f(mu, nu).items():
                 recon = recon + macdonald_pair(lam).P_p.scale(c)
             assert recon == prod
+
+
+@pytest.mark.parametrize("pairs", [
+    [(mu, nu) for d in range(5) for dm in range(d + 1)
+     for mu in partitions_of(dm) for nu in partitions_of(d - dm)],
+    [((2, 1), (1, 1)), ((3,), (1, 1)), ((1, 1, 1), (2,)), ((2, 2), (1,)), ((4,), (1,))],
+], ids=["weight<=4", "weight5"])
+def test_structure_f_peel_equals_the_pairing(pairs):
+    for mu, nu in pairs:
+        want = {lam: c for lam in partitions_of(weight(mu) + weight(nu))
+                if (c := structure_constant_pairing(lam, mu, nu))}
+        assert structure_f(mu, nu) == want, (mu, nu)
+        assert structure_f(nu, mu) == want, (nu, mu)
+
+
+def test_structure_f_returns_a_fresh_dict():
+    mac._structure_peel.cache_clear()
+    first = structure_f((2,), (1,))
+    want = dict(first)
+    first[(3,)] = ratqt(7)
+    first.clear()
+    again = structure_f((1,), (2,))
+    assert again == want and again is not first and want
+    again.pop((2, 1))
+    assert structure_f((2,), (1,)) == want
+    assert mac._structure_peel.cache_info().currsize == 1  # one peel for both orders
+
+
+def test_skew_q_uses_no_scalar_product(monkeypatch):
+    cases = [((3, 1), (1,)), ((2, 2), (1, 1)), ((2, 1, 1), (2,)), ((2, 1), ())]
+    want = {case: skew_q(*case) for case in cases}
+    mac._structure_peel.cache_clear()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("skew_q reached a scalar product")
+
+    for mod in (mac, pairing):  # also where a by-name import would put them
+        for name in ("inner_cleared", "inner_pvec", "inner_qt"):
+            monkeypatch.setattr(mod, name, forbidden, raising=False)
+    for case in cases:
+        assert skew_q(*case) == want[case]
 
 
 def test_skew_examples():
