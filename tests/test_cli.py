@@ -51,16 +51,16 @@ def test_skew_command(capsys):
         {"partition": [1], "coeff": "(1 - t)/(1 - q)"}]
 
 
-@pytest.mark.parametrize("route", ["skew_via_fock_cleared", "skew_via_diffop_cleared"])
+@pytest.mark.parametrize("route", ["skew_via_fock", "skew_via_diffop"])
 def test_skew_counterexample_reports_its_first_difference(monkeypatch, capsys, route):
     # a wrong route fails the command, and stderr names the first differing coefficient
-    original = getattr(fock, route)
+    original = getattr(fock, f"{route}_cleared")
 
     def doubled(lam, mu):
         den, nums = original(lam, mu)
         return den, {kappa: 2 * n for kappa, n in nums.items()}
 
-    monkeypatch.setattr(fock, route, doubled)
+    monkeypatch.setattr(fock, f"{route}_cleared", doubled)
     assert main(["skew", "--lam", "2", "--mu", "1", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["routes_agree"] is False
@@ -277,19 +277,19 @@ def test_integral_checks_report_their_first_difference(monkeypatch, suite, modul
     assert all(r["status"] == "pass" and "detail" not in r for r in passing)
 
 
-@pytest.mark.parametrize("route", ["skew_via_fock_cleared", "skew_via_diffop_cleared"])
+@pytest.mark.parametrize("route", ["skew_via_fock", "skew_via_diffop"])
 def test_skew_routes_report_the_perturbed_key(monkeypatch, route):
     # one route's cleared numerator at p_1 off by one: every record whose skew
     # function has a p_1 term fails and names it, and every other record passes
     key = (1,)
-    original = getattr(fock, route)
+    original = getattr(fock, f"{route}_cleared")
 
     def perturbed(lam, mu):
         den, nums = original(lam, mu)
         return den, ({**nums, key: nums[key] + den} if key in nums else nums)
 
     passing = verify.run_suite("skew-routes", maxweight=3)
-    monkeypatch.setattr(fock, route, perturbed)
+    monkeypatch.setattr(fock, f"{route}_cleared", perturbed)
     records = verify.run_suite("skew-routes", maxweight=3)
     assert [r["parameters"] for r in records] == [r["parameters"] for r in passing]
     failed = 0

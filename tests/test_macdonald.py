@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from sympy.polys.rings import PolyElement
 
 import macsym.macdonald as mac
+from macsym import pairing
 from macsym.coeff import Q, RING, T, parse_ratqt, ratqt, reduce_ratqt, swap_qt
 from macsym.errors import InternalInconsistency
 from macsym.macdonald import (SPECIALIZE_CASES, b_coeff, dr_apply,
@@ -14,7 +15,6 @@ from macsym.macdonald import (SPECIALIZE_CASES, b_coeff, dr_apply,
                               hall_littlewood_p, load_cache, macdonald_pair,
                               save_cache, skew_p, skew_q, specialize_check,
                               structure_f)
-from macsym import pairing
 from macsym.pairing import inner_qt, omega_qt
 from macsym.partitions import conjugate, partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, evaluate_n, multiply, sym_gen
