@@ -13,8 +13,8 @@ from .ctengine import (ct_norm_check, delta_expand, integral_constants,
                        integral_rep_P, integral_rep_P_dual, map_G, map_N,
                        map_N_tilde, norm_prime_product, scalar_prime,
                        schur_ct, schur_ct_dual, skew_integral_check)
-from .fock import (p_bar_apply, skew_via_diffop, skew_via_fock,
-                   symmetrizer_check, vertex_product_check)
+from .fock import (skew_via_diffop, skew_via_fock, symmetrizer_check,
+                   vertex_product_check)
 from .kostka import (dual_schur_qt, dual_schur_t, h_factors,
                      kostka_integral_check, kostka_matrix, m_function)
 from .macdonald import (MacdonaldPair, b_coeff, dr_apply, dr_commute_check,
@@ -22,10 +22,9 @@ from .macdonald import (MacdonaldPair, b_coeff, dr_apply, dr_commute_check,
                         load_cache, macdonald_pair, save_cache, skew_p, skew_q,
                         specialize_check, structure_f)
 from .pairing import (cauchy_pi, cauchy_pi_tilde, inner_qt, kernel_coeff,
-                      kernel_sym, omega_qt, z_factor)
-from .partitions import (arm_leg, as_partition, conjugate, dominance_cmp,
-                         dominates, parse_partition, partitions_of,
-                         rectangles, stack_blocks, weight)
+                      omega_qt, z_factor)
+from .partitions import (arm_leg, as_partition, conjugate, dominates,
+                         parse_partition, partitions_of, rectangles, weight)
 from .symfunc import NPoly, SymFunc, convert, evaluate_n, multiply, sym_gen
 
 __version__ = "0.1.0"

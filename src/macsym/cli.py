@@ -28,9 +28,9 @@ from .symfunc import convert
 
 DEFAULT_ORDER = 6
 # Ceilings picked, as MAX_WEIGHT and MAX_INTEGRAL_WEIGHT were, from the
-# largest inputs whose worst case runs within about 10 s on a 2-vCPU VM:
-# (1^5) at order 10 takes about 4.5 s, and norm --lam 8 --n 200 --order 10
-# about 7 s.
+# largest inputs whose worst case runs within about 10 s on a 2-vCPU VM; cold,
+# (1^5) at order 10 now takes 1.4-2.5 s, and norm --lam 8 --n 200 --order 10
+# 1.9-2.4 s.
 MAX_ORDER = 10
 MAX_N = 200
 

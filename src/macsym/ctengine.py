@@ -52,7 +52,7 @@ from .macdonald import _arm_leg_products, b_coeff, dr_apply, macdonald_pair, ske
 from .pairing import _weight, kernel_coeff, kernel_product, qbinom_coeff
 from .partitions import (as_partition, compositions, conjugate, partial_stacks,
                          rectangles, weight)
-from .symfunc import (NPoly, SymFunc, basis_to_m, evaluate_n, is_symmetric, m_to_basis,
+from .symfunc import (NPoly, SymFunc, convert_cleared, evaluate_n, is_symmetric,
                       require_symmetric)
 
 
@@ -444,15 +444,11 @@ def _kernel_series(kappa, kind, order):
     """The kernel stratum product of kappa (pairing.kernel_product) as p-basis series.
 
     It is the image of h_kappa under p_r -> w(r) p_r, so each rational
-    p-coefficient of h_kappa (the integer h -> m row taken to p by the
-    integer m -> p rows over their denominator) is multiplied by the series
+    p-coefficient of h_kappa (an integer over the denominator of the
+    m -> p rows, by `convert_cleared`) is multiplied by the series
     of prod w(nu_j), formed in the series ring: no Q(q,t) arithmetic.
     """
-    d = weight(kappa)
-    den, m2p = m_to_basis("p", d)
-    h_p = {}
-    for mu, c in basis_to_m("h", d)[kappa].items():
-        add_into(h_p, m2p[mu], c)
+    den, h_p = convert_cleared({kappa: 1}, "h", "p", weight(kappa))
     return {nu: _weight_series(nu, kind, order) * Fraction(c, den) for nu, c in h_p.items()}
 
 

@@ -13,11 +13,11 @@ formula.
 from itertools import combinations, product
 from math import comb, prod
 
-from .coeff import FIELD, RING, Q, add_into, clear_ratqt, ratqt, reduce_ratqt, substitute
+from .coeff import RING, Q, add_into, clear_ratqt, ratqt, reduce_ratqt, substitute
 from .macdonald import hall_littlewood_symmetrizer, macdonald_pair
 from .pairing import qbinom_coeff
 from .partitions import as_partition, dominates, partitions_of, weight
-from .symfunc import NPoly, SymFunc, basis_to_m, convert, multiply
+from .symfunc import NPoly, SymFunc, basis_to_m
 
 _q, _t = RING.gens
 
@@ -84,14 +84,6 @@ def _lower(r, nums):
     return out
 
 
-def p_bar_apply(r, f):
-    """The lowering operator r (1-q^r)/(1-t^r) d/dp_r on a p-basis element."""
-    den, nums = clear_ratqt(convert(f, "p").terms)
-    out = SymFunc("p")
-    out.terms = reduce_ratqt(_lower(r, nums), den * (1 - _t ** r))
-    return out
-
-
 def skew_via_diffop(lam, mu):
     """Q_{lam/mu} with P_mu acting by lowering operators, each coefficient reduced once."""
     den, nums = skew_via_diffop_cleared(lam, mu)
@@ -119,15 +111,6 @@ def skew_via_diffop_cleared(lam, mu):
         if piece:
             add_into(total, piece, u * den_w.exquo(lowering))
     return den * den_mu * den_w, total
-
-
-def commutator_contract(r, s, f):
-    """[pbar_r, p_s] f equals delta_{rs} r (1-q^r)/(1-t^r) f, exactly."""
-    fp = convert(f, "p")
-    p_s = SymFunc("p", {(s,): ratqt(1)})
-    lhs = p_bar_apply(r, multiply(p_s, fp)) - multiply(p_s, p_bar_apply(r, fp))
-    rhs = fp.scale(FIELD.new(r * (1 - _q ** r), 1 - _t ** r)) if r == s else SymFunc("p")
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

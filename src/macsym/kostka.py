@@ -29,7 +29,7 @@ def h_factors(lam):
 
 
 def m_function(lam):
-    """M_lam = h_lam P_lam (= h'_lam Q_lam, since b_lam = h/h'): J_lam = J_p / D."""
+    """M_lam = h_lam P_lam (= h'_lam Q_lam, as b_lam = h/h') = J_lam: J_p's numerators over D."""
     D, nums = macdonald_pair(lam).J_p
     return SymFunc("p", reduce_ratqt(nums, RING(D)))
 

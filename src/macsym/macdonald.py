@@ -31,7 +31,7 @@ from .pairing import z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
                          dominates, partitions_of, weight)
 from .symfunc import (NPoly, SymFunc, _collect_m, _straighten, basis_to_m, convert,
-                      evaluate_n, m_to_basis, orbit_exponents, p_product_cleared,
+                      convert_cleared, evaluate_n, orbit_exponents, p_product_cleared,
                       require_symmetric, sym_gen)
 
 _q, _t = RING.gens
@@ -42,13 +42,17 @@ class MacdonaldPair:
     """P_lam and its dual partner Q_lam = b_lam P_lam, <Q_lam, P_lam> = 1, held as
     the integral form J_lam = c_lam P_lam over Z[q,t].
 
-    P (m basis, unitriangular), P_p (the same element in p) and Qf (Q_lam in p)
+    J_p = (D, D J_lam in p) is formed from J on first read.  P (m basis,
+    unitriangular), P_p = J_p / (D c_lam) and Qf = J_p / (D c'_lam) (both in p)
     are reduced into Q(q,t) on first read, each coefficient once.
     """
 
     lam: tuple
     J: dict           # J_lam = c_lam P_lam in m, {mu: element of Z[q,t]}
-    J_p: tuple        # (D, D J_lam in p): P_p = J_p / (D c_lam), Qf = J_p / (D c'_lam)
+
+    @cached_property
+    def J_p(self):
+        return convert_cleared(self.J, "m", "p", weight(self.lam))
 
     def cleared_p(self, dual=False):
         """P_lam (Q_lam if dual) in the p basis as (den, {kappa: element of Z[q,t]})."""
@@ -130,22 +134,17 @@ def zero_mode(d):
     """t^d E on degree d in the monomial basis: rows {nu: {mu: element of Z[q,t]}}.
 
     E m_nu = sum_mu row[nu][mu] m_mu.  d! t^d E runs over Z[q,t] in the p
-    basis, the integer m -> p rows (over their denominator D) take it back to
-    m, and each entry is divided exactly by D d!.  The matrix must be over
-    Z[q,t] (a remainder), triangular in dominance and with diagonal eps_nu;
-    anything else raises InternalInconsistency.
+    basis and is taken to m; it acts on m_nu through the integer m -> p row
+    of nu over its denominator D, and each entry is divided exactly by D d!.
+    The matrix must be over Z[q,t] (a remainder), triangular in dominance and
+    with diagonal eps_nu; anything else raises InternalInconsistency.
     """
-    p2m = basis_to_m("p", d)
-    image_m = {}
-    for kappa in partitions_of(d):
-        row = {}
-        for rho, c in _zero_mode_p(kappa, d).items():
-            add_into(row, p2m[rho], c)
-        image_m[kappa] = row
-    den, m2p = m_to_basis("p", d)
-    den *= factorial(d)
+    image_m = {kappa: convert_cleared(_zero_mode_p(kappa, d), "p", "m", d)[1]
+               for kappa in partitions_of(d)}
     rows = {}
-    for nu, m2p_row in m2p.items():
+    for nu in partitions_of(d):
+        den, m2p_row = convert_cleared({nu: 1}, "m", "p", d)
+        den *= factorial(d)
         row = {}
         for kappa, c in m2p_row.items():
             add_into(row, image_m[kappa], c)
@@ -192,16 +191,6 @@ def _integral_form(lam):
     return numer
 
 
-def _pair_from_integral_form(lam, numer):
-    """The pair held as J_lam and D J_lam in p, D the integer denominator of the
-    m -> p table; nothing is reduced into Q(q,t) here."""
-    den, m2p = m_to_basis("p", weight(lam))
-    numer_p = {}  # D J_p
-    for mu, n in numer.items():
-        add_into(numer_p, m2p[mu], n)
-    return MacdonaldPair(lam=lam, J=numer, J_p=(den, numer_p))
-
-
 _PAIRS = {}
 
 
@@ -210,7 +199,7 @@ def macdonald_pair(lam):
     lam = as_partition(lam)
     pair = _PAIRS.get(lam)
     if pair is None:
-        pair = _PAIRS[lam] = _pair_from_integral_form(lam, _integral_form(lam))
+        pair = _PAIRS[lam] = MacdonaldPair(lam, _integral_form(lam))
     return pair
 
 
@@ -327,10 +316,7 @@ def dr_eigencheck(lam, r, n):
     """
     ev = dr_eigenvalue(lam, r, n)
     J = macdonald_pair(lam).J
-    den, m2s = m_to_basis("s", weight(lam))
-    J_s = {}
-    for mu, c in J.items():
-        add_into(J_s, m2s[mu], c)
+    den, J_s = convert_cleared(J, "m", "s", weight(lam))
     rhs = {nu: c * ev.numer for nu, c in J_s.items() if len(nu) <= n}
     return {nu: c * den * ev.denom for nu, c in _dr_core(r, J, n).items()} == rhs
 
@@ -365,9 +351,8 @@ def _structure_peel(mu, nu):
     d = weight(mu) + weight(nu)
     den, prod_p = p_product_cleared(macdonald_pair(mu).cleared_p(),
                                     macdonald_pair(nu).cleared_p())
-    p2m, rest, out = basis_to_m("p", d), {}, {}
-    for kappa, c in prod_p.items():
-        add_into(rest, p2m[kappa], c)
+    _, rest = convert_cleared(prod_p, "p", "m", d)
+    out = {}
     for lam in partitions_of(d):
         if (a := rest.pop(lam, None)) is not None:
             out[lam] = FIELD.new(a, den)
@@ -490,8 +475,8 @@ def load_cache(path):
     nothing is parsed or reduced.  A record above MAX_WEIGHT is rejected before
     any table is built; every other one needs J = c_lam P with P unitriangular
     and t^d E J = eps_lam J.  The pair is held as J, as a built pair is.  A
-    version-1 or malformed file or a failing record raises ValueError, and
-    then no pair from the file is installed.
+    version-1 or malformed file, a repeated record or entry, or a failing
+    record raises ValueError, and then no pair from the file is installed.
     """
     with open(path) as fh:
         try:
@@ -506,11 +491,15 @@ def load_cache(path):
     loaded = {}
     for rec in data["records"]:
         try:
-            lam = as_partition(rec["lambda"])
-            J = {as_partition(it["partition"]): _cached_element(it["terms"])
-                 for it in rec["J_in_m"]}
+            lam, J = as_partition(rec["lambda"]), {}
+            for it in rec["J_in_m"]:
+                if (mu := as_partition(it["partition"])) in J:
+                    raise ValueError(f"record {lam} repeats the entry of m_{mu}")
+                J[mu] = _cached_element(it["terms"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed record in cache file {path}: {exc!r}") from exc
+        if lam in loaded:
+            raise ValueError(f"cache file {path} repeats the record of {lam}")
         if weight(lam) > MAX_WEIGHT:
             raise ValueError(f"record {lam} has weight {weight(lam)}, above the limit "
                              f"{MAX_WEIGHT}")
@@ -520,6 +509,6 @@ def load_cache(path):
         for mu in rows:
             if _zero_mode_image(rows, J, mu) != rows[lam][lam] * J.get(mu, RING.zero):
                 raise ValueError(f"J of {lam} is not an eigenfunction of the zero mode at m_{mu}")
-        loaded[lam] = _pair_from_integral_form(lam, J)
+        loaded[lam] = MacdonaldPair(lam, J)
     _PAIRS.update(loaded)
     return len(loaded)

@@ -134,8 +134,8 @@ def cauchy_pi_tilde(nx, ny, d):
 # plethystic weights
 # ---------------------------------------------------------------------------
 #
-# plethysm(f, kind) sends each p_r to w(r) p_r.  kernel_sym(r, kind), the image
-# of h_r, is the y^r coefficient of a kernel K(x; y) that factors over y:
+# plethysm(f, kind) sends each p_r to w(r) p_r.  kernel_product((r,), kind), the
+# image of h_r, is the y^r coefficient of a kernel K(x; y) that factors over y:
 #
 #   'g'      (1-t^r)/(1-q^r)              Cauchy kernel: Macdonald g_r
 #   'e'      (-1)^(r-1)                   dual kernel prod(1+xy): e_r
@@ -171,14 +171,9 @@ def plethysm(f, kind):
     return out
 
 
-def kernel_sym(r, kind):
-    """Degree-r stratum of a kernel as a p-basis symmetric function of x."""
-    return kernel_product((r,), kind)
-
-
 @lru_cache(maxsize=None)
 def kernel_product(kappa, kind):
-    """Product of kernel strata prod_j kernel_sym(kappa_j), in the p basis.
+    """Product of kernel strata prod_j kernel_product((kappa_j,)), in the p basis.
 
     The stratum of degree r is the image of h_r, and plethysm is a ring
     homomorphism, so the product is the image of h_kappa.

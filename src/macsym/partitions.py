@@ -11,13 +11,13 @@ from .errors import CellOutOfDiagram, EmptyPartition
 # weight <= 9 in 8-13 s; raising the ceiling is a measured change of its own.
 MAX_WEIGHT = 8
 # Largest weight of an integral representation the CLI and `verify` run: an
-# integral of weight w runs the Delta kernel over up to w variables, and
-# (1^6) at order 6 takes about 8 s, (1^5) at order 10 about 4.5 s.
+# integral of weight w runs the Delta kernel over up to w variables; cold, both
+# sides of (1^6) at order 6 take 2.6-3.4 s, (1^5) at order 10 1.4-2.5 s.
 MAX_INTEGRAL_WEIGHT = 5
 # Largest weight of a Hall-Littlewood P that `verify` symmetrizes: weight 7 takes 16-18 s.
 MAX_HL_WEIGHT = 7
 # Largest Kostka degree the CLI and `verify` build: a cold kostka --degree 7
-# (weight-7 pairs built) takes 3.2-3.7 s on a 2-vCPU VM, degree 8 about 10 s.
+# (weight-7 pairs built) takes 2.0-2.4 s on a 2-vCPU VM, degree 8 5.5-6.1 s.
 MAX_KOSTKA_DEGREE = 7
 
 
@@ -60,18 +60,6 @@ def dominates(lam, mu):
         if sl < sm:
             return False
     return True
-
-
-def dominance_cmp(mu, lam):
-    """Tri-state dominance comparison: 'leq' (mu <= lam), 'gt', or 'incomparable'.
-
-    Unequal weights are incomparable by convention.
-    """
-    if dominates(lam, mu):
-        return "leq"
-    if dominates(mu, lam):
-        return "gt"
-    return "incomparable"
 
 
 def cells(lam):
@@ -166,12 +154,6 @@ def rectangles(lam):
         r = sum(1 for p in lam if p >= values[a])
         blocks.append((s, r))
     return blocks
-
-
-def stack_blocks(blocks):
-    """Rebuild the partition from rectangle blocks [(s_a, r_a), ...]."""
-    stacks = partial_stacks(blocks)
-    return stacks[-1] if stacks else ()
 
 
 def partial_stacks(blocks):

@@ -3,8 +3,9 @@
 Elements are sparse maps from index partitions to exact coefficients.  All
 conversions route through the monomial basis with per-degree transition
 matrices, cached after first use: integer rows, and for m_to_basis integer
-rows over one integer denominator.  The power-sum basis is the pivot for
-multiplication and for every scalar product in the package.
+rows over one integer denominator, read only by `convert_cleared`.  The
+power-sum basis is the pivot for multiplication and for every scalar product
+in the package.
 """
 
 from fractions import Fraction
@@ -325,12 +326,32 @@ def sym_gen(basis, lam, coeff=1):
     return SymFunc(basis, {as_partition(lam): ratqt(coeff)})
 
 
+def convert_cleared(nums, basis, to, d):
+    """(D, out): the degree-d map nums in `basis` rewritten in `to` as out / D.
+
+    The coefficients need only take integer multiples (ints, Z[q,t]
+    numerators or series).  The integer basis_to_m rows take them to m and
+    the integer m_to_basis rows on to `to`; D is 1 into m and otherwise the
+    rows' one integer denominator.  This is the one reader of those rows.
+    """
+    src, mid = basis_to_m(basis, d), {}
+    for lam, c in nums.items():
+        add_into(mid, src[lam], c)
+    if to == "m":
+        return 1, mid
+    den, rows = m_to_basis(to, d)
+    out = {}
+    for mu, c in mid.items():
+        add_into(out, rows[mu], c)
+    return den, out
+
+
 def convert(f, to):
     """Rewrite f in the target basis; exact, degree by degree.
 
-    Over Q(q,t), f is cleared to Z[q,t] over one denominator, the integer
-    transition rows act on the numerators, and each output coefficient is
-    reduced once.  A map of series coefficients converts to the m basis only.
+    Over Q(q,t), f is cleared to Z[q,t] over one denominator, each degree
+    goes through `convert_cleared`, and each output coefficient is reduced
+    once.  A map of series coefficients converts to the m basis only.
     """
     if to not in BASES:
         raise ValueError(f"unknown basis {to!r}")
@@ -345,29 +366,16 @@ def convert(f, to):
         by_degree.setdefault(weight(lam), {})[lam] = c
     res = SymFunc(to)
     for d, terms in by_degree.items():
-        src_rows = basis_to_m(f.basis, d)
-        mid = {}
-        for lam, c in terms.items():
-            add_into(mid, src_rows[lam], c)
-        if to == "m":
-            res.terms.update(mid if series else reduce_ratqt(mid, den))
-            continue
-        row_den, dst_rows = m_to_basis(to, d)
-        out = {}
-        for mu, c in mid.items():
-            add_into(out, dst_rows[mu], c)
-        res.terms.update(reduce_ratqt(out, den * row_den))
+        row_den, out = convert_cleared(terms, f.basis, to, d)
+        res.terms.update(out if series else reduce_ratqt(out, den * row_den))
     return res
 
 
 def multiply(f, g):
-    """Product in the ring of symmetric functions, returned in the p basis."""
-    return p_product(convert(f, "p"), convert(g, "p"))
-
-
-def p_product(f, g):
-    """Product of two p-basis elements, each cleared to Z[q,t] once; each output reduced once."""
-    den, nums = p_product_cleared(clear_ratqt(f.terms), clear_ratqt(g.terms))
+    """Product in the ring of symmetric functions, returned in the p basis: each
+    factor cleared to Z[q,t] once, each output coefficient reduced once."""
+    den, nums = p_product_cleared(clear_ratqt(convert(f, "p").terms),
+                                  clear_ratqt(convert(g, "p").terms))
     return SymFunc("p", reduce_ratqt(nums, den))
 
 

@@ -1,4 +1,4 @@
-"""Hypothesis strategies for exact coefficients and sparse p-basis maps, reduced or cleared."""
+"""Hypothesis strategies for exact coefficients and sparse partition maps, reduced or cleared."""
 
 from fractions import Fraction
 from math import prod
@@ -35,6 +35,10 @@ _ring_elements = _polys.map(lambda r: r.numer)  # Z[q,t], zero included
 cleared_dens = st.builds(lambda dens, sign: sign * prod(dens, start=ratqt(1)).numer,
                          st.lists(st.sampled_from(_DEN_FACTORS), max_size=3),
                          st.sampled_from((1, -1)))
+
+#: (d, {partition of d: element of Z[q,t]}) for d <= 5, zero values included
+degree_maps = st.integers(0, 5).flatmap(lambda d: st.tuples(st.just(d), st.dictionaries(
+    st.sampled_from(list(partitions_of(d))), _ring_elements, max_size=5)))
 
 #: cleared p-basis maps (den, {partition: element of Z[q,t]}), zero numerators included
 cleared_maps = st.tuples(cleared_dens, st.dictionaries(st.sampled_from(_SMALL_PARTITIONS),

@@ -501,11 +501,15 @@ _DEEP = [0, 0, json.loads("[" * 20 + "1" + "]" * 20)]
     (_j2_with_term([3, 3, 1, 0]), "not three ints"),
     # past Python's limit on digits in an int literal: rejected while the JSON is read
     (_j2_with_term([3, 3, 123456789]).replace("123456789", "7" * 5000), "bad cache file"),
+    # a junk m_(1,1,1,0) entry before the real m_(1,1,1) one, then the same record twice
+    (_cache_text([{"lambda": [2, 1], "J_in_m": [{"partition": [1, 1, 1, 0], "terms": [[5, 5, 7]]}]
+                   + _j_entries((2, 1))}]), "repeats the entry"),
+    (_cache_text([{"lambda": [2, 1], "J_in_m": _j_entries((2, 1))}] * 2), "repeats the record"),
 ], ids=["malformed-json", "wrong-header", "version-1", "missing-key", "wrong-normalization",
         "not-unitriangular", "not-an-eigenfunction", "weight-above-the-limit", "infinite-part",
         "float-part", "bool-part", "nested-term", "nested-json", "float-c", "bool-c",
         "string-c", "negative-exponent", "huge-exponent", "repeated-monomial", "zero-c",
-        "short-term", "long-term", "5000-digit-c"])
+        "short-term", "long-term", "5000-digit-c", "repeated-entry", "repeated-record"])
 def test_bad_cache_file_exits_2(tmp_path, capsys, text, message):
     cache = tmp_path / "cache.json"
     cache.write_text(text)

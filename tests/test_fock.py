@@ -4,15 +4,14 @@ import pytest
 
 import macsym
 from macsym import fock, macdonald, pairing, symfunc
-from macsym.coeff import Q, T, ratqt
-from macsym.fock import (commutator_contract, p_bar_apply, skew_via_diffop, skew_via_fock,
-                         symmetrizer_check, vertex_product_check)
+from macsym.coeff import Q, RING, T, ratqt
+from macsym.fock import skew_via_diffop, skew_via_fock, symmetrizer_check, vertex_product_check
 from macsym.macdonald import macdonald_pair, skew_q
 from macsym.partitions import partitions_of, weight
-from macsym.symfunc import NPoly, SymFunc, sym_gen
+from macsym.symfunc import NPoly, SymFunc, multiply, sym_gen
 
-from oracles import (completeness_check, skew_q_termwise, skew_via_diffop_termwise,
-                     skew_via_fock_termwise)
+from oracles import (completeness_check, p_bar_apply_termwise, skew_q_termwise,
+                     skew_via_diffop_termwise, skew_via_fock_termwise)
 
 
 def test_skew_route_examples():
@@ -55,8 +54,7 @@ def test_fock_route_uses_no_scalar_product(monkeypatch):
 
     for name in ("inner_qt", "inner_cleared"):  # fock does not import them
         monkeypatch.setattr(pairing, name, forbidden)
-    for mod in (fock, symfunc):
-        monkeypatch.setattr(mod, "multiply", forbidden)
+    monkeypatch.setattr(symfunc, "multiply", forbidden)  # fock does not import it
     for mod in (macdonald, symfunc):
         monkeypatch.setattr(mod, "p_product_cleared", forbidden)
     monkeypatch.setattr(macdonald, "skew_q", forbidden)
@@ -78,10 +76,10 @@ def test_fock_route_above_lambda_is_zero():
 
 
 def test_p_bar_is_scaled_derivative():
-    f = sym_gen("p", (2, 2, 1))
-    out = p_bar_apply(2, f)
-    assert out.terms == {(2, 1): 2 * 2 * (1 - Q ** 2) / (1 - T ** 2)}
-    assert not p_bar_apply(3, f)
+    # the lowering numerators: p_bar_r times 1 - t^r, here on p_(2,2,1)
+    q = RING.gens[0]
+    assert fock._lower(2, {(2, 2, 1): RING.one}) == {(2, 1): 2 * 2 * (1 - q ** 2)}
+    assert not fock._lower(3, {(2, 2, 1): RING.one})
 
 
 def test_commutator_contract():
@@ -91,7 +89,12 @@ def test_commutator_contract():
         f = SymFunc("p", {lam: ratqt(rng.randint(-3, 3)) for lam in partitions_of(d)})
         for r in (1, 2):
             for s in (1, 2, 3):
-                assert commutator_contract(r, s, f)
+                # [p_bar_r, p_s] = delta_rs r (1-q^r)/(1-t^r), the Heisenberg relation
+                p_s = sym_gen("p", (s,))
+                lhs = (p_bar_apply_termwise(r, multiply(p_s, f))
+                       - multiply(p_s, p_bar_apply_termwise(r, f)))
+                assert lhs == (f.scale(r * (1 - Q ** r) / (1 - T ** r)) if r == s
+                               else SymFunc("p")), (f, r, s)
 
 
 def test_completeness():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tempfile
@@ -10,14 +11,14 @@ import macsym.macdonald as mac
 from macsym import pairing
 from macsym.coeff import Q, RING, T, parse_ratqt, ratqt, reduce_ratqt, swap_qt
 from macsym.errors import InternalInconsistency
-from macsym.macdonald import (SPECIALIZE_CASES, b_coeff, dr_apply,
+from macsym.macdonald import (SPECIALIZE_CASES, MacdonaldPair, b_coeff, dr_apply,
                               dr_commute_check, dr_eigencheck, dr_eigenvalue,
                               hall_littlewood_p, load_cache, macdonald_pair,
                               save_cache, skew_p, skew_q, specialize_check,
                               structure_f)
 from macsym.pairing import inner_qt, omega_qt
 from macsym.partitions import conjugate, partitions_of, weight
-from macsym.symfunc import NPoly, SymFunc, evaluate_n, multiply, sym_gen
+from macsym.symfunc import NPoly, SymFunc, convert, evaluate_n, multiply, sym_gen
 
 from oracles import (dr_apply_field, gram_schmidt, hall_littlewood_p_division,
                      structure_constant_pairing)
@@ -295,8 +296,8 @@ def test_held_integral_forms_give_back_the_pair(monkeypatch):
     calls = _count_reductions(monkeypatch)
     for d in range(5):
         for lam in partitions_of(d):
-            pair = mac._pair_from_integral_form(lam, mac._integral_form(lam))
-            assert calls == [], lam  # nothing is reduced until it is read
+            pair = MacdonaldPair(lam, mac._integral_form(lam))
+            assert calls == [] and "J_p" not in vars(pair), lam  # nothing formed until read
             c, c_prime = mac._arm_leg_products(lam)
             D, nums = pair.J_p
             assert reduce_ratqt(pair.J, c) == pair.P.terms, lam
@@ -331,8 +332,9 @@ def test_cache_loaded_pairs_hold_the_built_integral_forms(tmp_path, monkeypatch)
     assert (calls, cancels) == ([], [])  # and read back over Z[q,t]
     for lam, pair in built.items():
         got = mac._PAIRS[lam]
-        assert got is not pair
-        assert (got.J, got.J_p) == (pair.J, pair.J_p), lam
+        assert got is not pair and got == pair, lam  # the one field, J
+        assert got.cleared_p() == pair.cleared_p(), lam
+        assert got.cleared_p(dual=True) == pair.cleared_p(dual=True), lam
         assert ((got.P, got.P_p, got.Qf, got.b, got.norm)
                 == (pair.P, pair.P_p, pair.Qf, pair.b, pair.norm)), lam
     # P, P_p and Qf of each loaded and each built pair, reduced once on first read
@@ -356,7 +358,49 @@ def test_cache_round_trip_of_pairs_built_in_any_order(lams):
         assert load_cache(path) == len(built)
     assert mac._PAIRS.keys() == built.keys()
     for lam, pair in built.items():
-        assert (mac._PAIRS[lam].J, mac._PAIRS[lam].J_p) == (pair.J, pair.J_p), lam
+        assert mac._PAIRS[lam] == pair, lam
+        assert mac._PAIRS[lam].cleared_p() == pair.cleared_p(), lam
+
+
+def test_built_held_and_loaded_pairs_agree(tmp_path):
+    # a pair stores J alone; J_p is formed from it on first read, the same on every route
+    assert [f.name for f in dataclasses.fields(MacdonaldPair)] == ["lam", "J"]
+    mac._PAIRS.clear()
+    memo = {lam: macdonald_pair(lam) for lam in _UP_TO_5}
+    path = tmp_path / "pairs.json"
+    save_cache(path)
+    mac._PAIRS.clear()
+    assert load_cache(path) == len(memo)
+    for lam in _UP_TO_5:
+        held = MacdonaldPair(lam, mac._integral_form(lam))
+        pairs = (held, memo[lam], mac._PAIRS[lam])
+        assert not any("J_p" in vars(pair) for pair in pairs), lam  # not formed at build or load
+        assert all(pair.J == held.J for pair in pairs), lam
+        for dual in (False, True):
+            den, nums = held.cleared_p(dual)
+            assert all(pair.cleared_p(dual) == (den, nums) for pair in pairs), (lam, dual)
+            want = convert(memo[lam].P, "p").scale(memo[lam].b if dual else 1)  # Q = b P
+            assert reduce_ratqt(nums, den) == want.terms, (lam, dual)
+
+
+@pytest.mark.parametrize("repeat", ["entry", "record"])
+def test_cache_load_rejects_a_repeat(tmp_path, repeat):
+    mac._PAIRS.clear()
+    macdonald_pair((2, 1))
+    path = tmp_path / "pairs.json"
+    save_cache(path)
+    data = json.loads(path.read_text())
+    rec = data["records"][0]
+    if repeat == "entry":  # (1,1,1,0) is m_(1,1,1): a junk entry before the real one
+        assert rec["J_in_m"][0]["partition"] == [1, 1, 1]
+        rec["J_in_m"].insert(0, {"partition": [1, 1, 1, 0], "terms": [[5, 5, 7]]})
+    else:
+        data["records"].append(rec)
+    path.write_text(json.dumps(data))
+    mac._PAIRS.clear()
+    with pytest.raises(ValueError, match=f"repeats the {repeat}"):
+        load_cache(path)
+    assert mac._PAIRS == {}
 
 
 def test_cache_load_rejects_every_single_term_perturbation(tmp_path):

@@ -3,10 +3,10 @@ import random
 from macsym.coeff import Q, T, parse_ratqt, ratqt, swap_qt
 from macsym.kostka import _inv_qpoch
 from macsym.pairing import (cauchy_pi, cauchy_pi_tilde, dual_factor, inner_pvec, inner_qt,
-                            kernel_coeff, kernel_product, kernel_sym, omega_qt,
+                            kernel_coeff, kernel_product, omega_qt,
                             qbinom_coeff, z_factor, z_plain)
 from macsym.partitions import compositions, partitions_of
-from macsym.symfunc import SymFunc, convert, multiply, p_product, sym_gen
+from macsym.symfunc import SymFunc, convert, multiply, sym_gen
 
 from hypothesis import given
 
@@ -104,8 +104,9 @@ def test_qbinom_telescopes_at_beta_one():
 
 def test_kernel_strata_match_classical_bases():
     for r in range(5):
-        assert kernel_sym(r, "h") == convert(sym_gen("h", (r,) if r else ()), "p")
-        assert kernel_sym(r, "e") == convert(sym_gen("e", (r,) if r else ()), "p")
+        kappa = (r,) if r else ()
+        assert kernel_product(kappa, "h") == convert(sym_gen("h", kappa), "p")
+        assert kernel_product(kappa, "e") == convert(sym_gen("e", kappa), "p")
 
 
 def test_kernel_product_is_the_product_of_its_strata():
@@ -115,13 +116,13 @@ def test_kernel_product_is_the_product_of_its_strata():
             for kappa in partitions_of(d):
                 want = SymFunc("p", {(): ratqt(1)})
                 for r in kappa:
-                    want = p_product(want, kernel_sym(r, kind))
+                    want = multiply(want, kernel_product((r,), kind))
                 assert kernel_product(kappa, kind) == want, (kind, kappa)
 
 
 def test_g_kernel_weighted_sum():
     # degree-2 stratum of the Cauchy kernel: p2 (1-t^2)/(2(1-q^2)) + p11 (1-t)^2/(2(1-q)^2)
-    g2 = kernel_sym(2, "g")
+    g2 = kernel_product((2,), "g")
     assert g2.terms[(2,)] == (1 - T ** 2) / (2 * (1 - Q ** 2))
     assert g2.terms[(1, 1)] == ((1 - T) / (1 - Q)) ** 2 / 2
 
@@ -137,5 +138,5 @@ def test_inner_pvec_matches_the_termwise_sum(a, b):
 @given(pvec_maps, pvec_maps)
 def test_p_product_matches_the_termwise_product(a, b):
     f, g = SymFunc("p", a), SymFunc("p", b)
-    got = p_product(f, g)
+    got = multiply(f, g)
     assert got == p_product_termwise(f.map_coeffs(ratqt), g.map_coeffs(ratqt))

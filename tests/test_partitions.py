@@ -5,18 +5,17 @@ from hypothesis import given, strategies as st
 
 from macsym.errors import CellOutOfDiagram, EmptyPartition
 from macsym.partitions import (arm_leg, as_partition, cells, compositions,
-                               conjugate, dominance_cmp, dominates,
-                               format_partition, parse_partition,
-                               partial_stacks, partitions_of, rectangles,
-                               stack_blocks, weight)
+                               conjugate, dominates, format_partition,
+                               parse_partition, partial_stacks, partitions_of,
+                               rectangles, weight)
 
 
 def test_dominance_examples():
-    assert dominance_cmp((1, 1, 1), (3,)) == "leq"
-    assert dominance_cmp((2, 1), (2, 1)) == "leq"  # reflexive
-    assert dominance_cmp((2, 2, 2), (3, 1, 1, 1)) == "incomparable"
-    assert dominance_cmp((3,), (1, 1, 1)) == "gt"
-    assert dominance_cmp((2,), (1, 1, 1)) == "incomparable"  # weights differ
+    assert dominates((3,), (1, 1, 1)) and not dominates((1, 1, 1), (3,))
+    assert dominates((2, 1), (2, 1))  # reflexive
+    # incomparable
+    assert not dominates((2, 2, 2), (3, 1, 1, 1)) and not dominates((3, 1, 1, 1), (2, 2, 2))
+    assert not dominates((2,), (1, 1, 1)) and not dominates((1, 1, 1), (2,))  # weights differ
 
 
 def test_conjugate_examples():
@@ -110,7 +109,7 @@ def test_rectangle_reconstruction(lam):
     if not lam:
         return
     blocks = rectangles(lam)
-    assert stack_blocks(blocks) == lam
+    assert partial_stacks(blocks)[-1] == lam
     heights = [r for _, r in blocks]
     assert heights == sorted(heights) and len(set(heights)) == len(heights)
     assert all(s >= 1 for s, _ in blocks)

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import macsym
-from macsym.coeff import RING, ratqt
+from macsym.coeff import FIELD, RING, ratqt, reduce_ratqt, to_series
 from macsym.partitions import partitions_of
-from macsym.symfunc import (BASES, NPoly, SymFunc, basis_to_m, convert, evaluate_n,
-                            m_to_basis, multiply, npoly_divexact, sym_gen)
+from macsym.symfunc import (BASES, NPoly, SymFunc, basis_to_m, convert, convert_cleared,
+                            evaluate_n, m_to_basis, multiply, npoly_divexact, sym_gen)
 
 from oracles import (NotSymmetric, UnstableRange, convert_termwise, from_poly,
                      gen_expansion_by_product, schur_bialternant)
-from strategies import pvec_maps
+from strategies import degree_maps, pvec_maps
 
 
 def test_convert_examples():
@@ -171,3 +171,27 @@ def test_inhomogeneous_conversion():
 def test_convert_matches_the_termwise_conversion(terms, src, dst):
     f = SymFunc(src, terms).map_coeffs(ratqt)
     assert convert(f, dst) == convert_termwise(f, dst)
+
+
+@pytest.mark.parametrize("src, dst", [(a, b) for a in BASES for b in BASES if a != b])
+@given(degree_maps)
+def test_convert_cleared_reduces_to_the_termwise_conversion(src, dst, dmap):
+    d, nums = dmap
+    den, out = convert_cleared(nums, src, dst, d)
+    assert type(den) is int and den > 0 and (dst != "m" or den == 1)
+    f = SymFunc(src, nums).map_coeffs(FIELD)
+    got = SymFunc(dst, reduce_ratqt(out, RING(den)))
+    assert got == convert(f, dst) == convert_termwise(f, dst)
+
+
+@pytest.mark.parametrize("src", [b for b in BASES if b != "m"])
+@given(degree_maps)
+def test_convert_cleared_takes_series_into_m(src, dmap):
+    # expanding each coefficient commutes with the change of basis; order 4 is exact
+    # for the Z[q,t] values drawn, of degree at most 2 in each of q and t
+    d, nums = dmap
+    series = {lam: to_series(FIELD(c), 4) for lam, c in nums.items()}
+    den, out = convert_cleared(series, src, "m", d)
+    want = convert(SymFunc(src, nums).map_coeffs(FIELD), "m")
+    assert den == 1 and out == {mu: to_series(c, 4) for mu, c in want.terms.items()}
+    assert convert(SymFunc(src, series), "m").terms == out
