@@ -6,7 +6,11 @@ content-free and sign-normalized, and each field operation pays a gcd to
 keep it so.  A linear combination therefore does not add term by term in
 the field: `clear_ratqt` clears its terms to Z[q,t] over one common
 denominator, the sum runs in the ring, and `reduce_ratqt` reduces each
-output once.  Truncated series live in
+output once.  An identity of sums of products over Z[q,t] is decided with
+no ring product at all: `sums_of_products_equal` evaluates both sides at
+q = 2^B, t = 2^(B W), spaced from the operands' norms and degrees so that
+the evaluation is injective on them, and compares Python integers.
+Truncated series live in
 Q[[q,t]] / (total degree > M) and are plain dictionaries mapping
 (q-exponent, t-exponent) to exact rational coefficients.  A series product
 clears each operand to integers over one denominator, the lcm of its
@@ -17,7 +21,7 @@ coefficient once (`clear_denominators` / `divide_back`).
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import field as _field
@@ -199,6 +203,56 @@ def cleared_equals(cleared, reduced):
     return True
 
 
+def _packing_layout(equations):
+    """(bits, width) for `sums_of_products_equal`, read from the operands alone.
+
+    bits is one more than the bit length of the largest sum, over the sides,
+    of the products of the factors' L1 norms; width is one more than the
+    largest sum of q-degrees of a product's factors.
+    """
+    stats, bound, width = {}, 0, 1
+    for side in (side for eq in equations for side in eq):
+        total = 0
+        for term in side:
+            norm, qdeg = 1, 0
+            for f in term:
+                if (s := stats.get(id(f))) is None:
+                    s = stats[id(f)] = (sum(abs(c) for c in f.values()),
+                                        max((a for a, _ in f), default=0))
+                norm, qdeg = norm * s[0], qdeg + s[1]
+            total += norm
+            width = max(width, qdeg + 1)
+        bound = max(bound, total)
+    return bound.bit_length() + 1, width
+
+
+def sums_of_products_equal(equations):
+    """Yield sum of prod(lhs terms) == sum of prod(rhs terms) for each (lhs, rhs), exactly.
+
+    Each side is a list of tuples of Z[q,t] factors (an empty tuple is 1, an
+    empty side 0).  Every side is evaluated at q = X = 2^bits, t = X^width
+    (`_packing_layout`, over all the equations): a side's product has
+    q-degree below width, so its monomials q^a t^b go to distinct powers
+    X^(a + width*b), and each of its coefficients is at most the largest sum
+    of products of L1 norms, under X / 2.  Balanced digits base X are
+    unique, so equal images mean equal sides.  Each distinct operand is
+    packed once, when an equation first needs it, and nothing is unpacked:
+    a caller that stops at the first False packs no more.
+    """
+    bits, width = _packing_layout(equations)
+    packed = {}
+
+    def image(f):
+        if (v := packed.get(id(f))) is None:
+            v = packed[id(f)] = sum(c << bits * (a + width * b) for (a, b), c in f.items())
+        return v
+
+    def value(side):
+        return sum(prod(map(image, term)) for term in side)
+
+    return (value(lhs) == value(rhs) for lhs, rhs in equations)
+
+
 def clear_denominators(coeffs):
     """(D, {key: c * D}) for a dict of exact int/Fraction values.
 
@@ -232,6 +286,9 @@ def divide_back(coeffs, den):
 # Largest |exponent| on q or t that parse_ratqt and cache terms accept (J_lam reaches
 # 36 at weight 8): a short unbounded power could take minutes and gigabytes.
 MAX_EXPONENT = 100
+# Largest bit length of a coefficient that cache terms accept (J_lam reaches 19 bits at
+# weight 8): the packed images of `sums_of_products_equal` widen with every bit.
+MAX_COEFF_BITS = 64
 # Largest combined depth of parentheses and unary minus signs parse_ratqt accepts:
 # emit_ratqt writes one level, and deeper text would exhaust the recursive descent's stack.
 MAX_NESTING = 20

@@ -9,23 +9,26 @@ coefficients in Z[q,t], so its eigenvector equation is solved down the
 dominance order by exact ring division, with no gcd.  A pair holds J_lam;
 P_lam and Q_lam are reduced into Q(q,t) on first read, each coefficient
 once.  A cache file holds J as integer triples, checked against the same
-equation when loaded.  Hall-Littlewood P is built independently, by
-symmetrization (Macdonald III (2.2)).
+equation when loaded: every coefficient of t^d E J - eps_lam J is decided
+by one packed big-integer evaluation (`coeff.sums_of_products_equal`).
+Hall-Littlewood P is built independently, by symmetrization (Macdonald III
+(2.2)).
 """
 
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, factorial, prod
+from types import MappingProxyType
 
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
 
-from .coeff import (FIELD, MAX_EXPONENT, Q, RING, T, add_into, clear_ratqt, ratqt,
-                    reduce_ratqt, substitute)
+from .coeff import (FIELD, MAX_COEFF_BITS, MAX_EXPONENT, Q, RING, T, add_into, clear_ratqt,
+                    ratqt, reduce_ratqt, substitute, sums_of_products_equal)
 from .errors import InternalInconsistency
 from .pairing import z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
@@ -44,11 +47,16 @@ class MacdonaldPair:
 
     J_p = (D, D J_lam in p) is formed from J on first read.  P (m basis,
     unitriangular), P_p = J_p / (D c_lam) and Qf = J_p / (D c'_lam) (both in p)
-    are reduced into Q(q,t) on first read, each coefficient once.
+    are reduced into Q(q,t) on first read, each coefficient once.  J is held
+    read-only, as every read above and `save_cache` trust it, and the pair
+    hashes on lam.
     """
 
     lam: tuple
-    J: dict           # J_lam = c_lam P_lam in m, {mu: element of Z[q,t]}
+    J: MappingProxyType = field(hash=False)  # J_lam = c_lam P_lam in m, {mu: Z[q,t]}
+
+    def __post_init__(self):
+        object.__setattr__(self, "J", MappingProxyType(dict(self.J)))
 
     @cached_property
     def J_p(self):
@@ -165,6 +173,16 @@ def zero_mode(d):
 def _zero_mode_image(rows, numer, mu):
     """Coefficient of m_mu in t^d E applied to sum_nu numer[nu] m_nu."""
     return sum((n * rows[nu][mu] for nu, n in numer.items() if mu in rows[nu]), RING.zero)
+
+
+def _eigen_equations(lam, J):
+    """{mu: (lhs, rhs)}: the m_mu coefficient of t^d E J = eps_lam J, for every
+    partition mu of d = |lam|, as sums of products for `sums_of_products_equal`."""
+    rows = zero_mode(weight(lam))
+    eps = rows[lam][lam]
+    return {mu: ([(n, rows[nu][mu]) for nu, n in J.items() if mu in rows[nu]],
+                 [(eps, J[mu])] if mu in J else [])
+            for mu in rows}
 
 
 def _integral_form(lam):
@@ -454,7 +472,8 @@ def save_cache(path):
 
 def _cached_element(terms):
     """sum c q^a t^b in Z[q,t] over a cache entry's [a, b, c] triples: ints, not bools,
-    with 0 <= a, b <= MAX_EXPONENT, c != 0 and no repeated monomial, or ValueError."""
+    with 0 <= a, b <= MAX_EXPONENT, 0 < |c| < 2^MAX_COEFF_BITS and no repeated
+    monomial, or ValueError."""
     monomials = {}
     for term in terms:
         if len(term) != 3 or any(type(x) is not int for x in term):
@@ -462,6 +481,9 @@ def _cached_element(terms):
         a, b, c = term
         if not (0 <= a <= MAX_EXPONENT and 0 <= b <= MAX_EXPONENT):
             raise ValueError(f"cache term {term!r} has an exponent outside 0..{MAX_EXPONENT}")
+        if c.bit_length() > MAX_COEFF_BITS:
+            raise ValueError(f"cache term {term!r} has a coefficient of more than "
+                             f"{MAX_COEFF_BITS} bits")
         if not c or (a, b) in monomials:
             raise ValueError(f"cache term {term!r} has a zero c or a repeated monomial")
         monomials[a, b] = c
@@ -472,11 +494,14 @@ def load_cache(path):
     """Install cached pairs; returns the number of records loaded.
 
     J is read from integer triples, so it lies in Z[q,t] by construction and
-    nothing is parsed or reduced.  A record above MAX_WEIGHT is rejected before
-    any table is built; every other one needs J = c_lam P with P unitriangular
-    and t^d E J = eps_lam J.  The pair is held as J, as a built pair is.  A
-    version-1 or malformed file, a repeated record or entry, or a failing
-    record raises ValueError, and then no pair from the file is installed.
+    nothing is parsed or reduced.  A record above MAX_WEIGHT, or with a
+    coefficient above MAX_COEFF_BITS bits, is rejected before any table is
+    built; every other one needs J = c_lam P with P unitriangular and
+    t^d E J = eps_lam J at every m_mu, all decided by one packed evaluation
+    (`coeff.sums_of_products_equal`) sized from the record's own entries.
+    The pair is held as J, as a built pair is.  A version-1 or malformed
+    file, a repeated record or entry, or a failing record raises ValueError,
+    and then no pair from the file is installed.
     """
     with open(path) as fh:
         try:
@@ -505,9 +530,9 @@ def load_cache(path):
                              f"{MAX_WEIGHT}")
         if J.get(lam) != _arm_leg_products(lam)[0] or not all(dominates(lam, mu) for mu in J):
             raise ValueError(f"J of {lam} is not c_lam times a unitriangular P")
-        rows = zero_mode(weight(lam))
-        for mu in rows:
-            if _zero_mode_image(rows, J, mu) != rows[lam][lam] * J.get(mu, RING.zero):
+        equations = _eigen_equations(lam, J)
+        for mu, holds in zip(equations, sums_of_products_equal(list(equations.values()))):
+            if not holds:
                 raise ValueError(f"J of {lam} is not an eigenfunction of the zero mode at m_{mu}")
         loaded[lam] = MacdonaldPair(lam, J)
     _PAIRS.update(loaded)

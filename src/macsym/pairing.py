@@ -38,14 +38,21 @@ def _z_weights_cleared(keys):
     return clear_ratqt({lam: z_factor(lam) for lam in keys})
 
 
-def inner_cleared(a, b):
-    """<a, b> = num / den as (den, num) over Z[q,t], for cleared p-vectors (den, nums):
-    the shared keys against their cleared weights z_lam(q,t), with no reduction."""
+def inner_products(a, b):
+    """<a, b> for cleared p-vectors (den, nums) as products over Z[q,t], unmultiplied:
+    (den_a, den_b, den_z) and one (a_lam, z_lam, b_lam) per shared key, z_lam / den_z
+    the cleared weight z_lam(q,t); <a, b> is the sum of the products over den."""
     (den_a, a), (den_b, b) = a, b
     shared = tuple(sorted(lam for lam in a if lam in b))
     den_z, num_z = _z_weights_cleared(shared)
-    return (den_a * den_b * den_z,
-            sum((a[lam] * num_z[lam] * b[lam] for lam in shared), RING.zero))
+    return (den_a, den_b, den_z), [(a[lam], num_z[lam], b[lam]) for lam in shared]
+
+
+def inner_cleared(a, b):
+    """<a, b> = num / den as (den, num) over Z[q,t], for cleared p-vectors (den, nums):
+    the products of `inner_products` multiplied out, with no reduction."""
+    dens, terms = inner_products(a, b)
+    return prod(dens), sum((x * z * y for x, z, y in terms), RING.zero)
 
 
 def inner_pvec(a, b):

@@ -16,10 +16,11 @@ from itertools import combinations
 
 from . import ctengine, fock, kostka, macdonald
 from .coeff import (FIELD, QTSeries, add_into, cleared_equals, emit_ratqt, reduce_ratqt,
-                    swap_qt)
+                    sums_of_products_equal, swap_qt)
 from .errors import InternalInconsistency
 from .macdonald import macdonald_pair
-from .pairing import dual_factor, inner_cleared, kernel_coeff, omega_qt, qbinom_coeff
+from .pairing import (dual_factor, inner_cleared, inner_products, kernel_coeff, omega_qt,
+                      qbinom_coeff)
 from .partitions import (MAX_HL_WEIGHT, MAX_INTEGRAL_WEIGHT, MAX_KOSTKA_DEGREE,
                          conjugate, partitions_of, weight)
 from .symfunc import SymFunc, convert, evaluate_n, sym_gen
@@ -89,16 +90,30 @@ def _all_partitions(maxweight, max_length=None):
 
 @_timed
 def suite_orthogonality(maxweight=5, **_):
-    """<P_lam, P_mu> = delta_lam,mu / b_lam, paired on the held integral forms
-    over Z[q,t] and reduced once."""
+    """<P_lam, P_mu> = delta_lam,mu / b_lam on the held integral forms over Z[q,t].
+
+    `inner_products` gives a pairing as a sum of products over a product den.
+    lam != mu checks that the sum for <P_lam, P_mu> is 0, and lam = mu that
+    the sum for <Q_lam, P_lam> = b_lam <P_lam, P_lam> equals its den: Q_lam
+    is held as the numerators of P_lam over the denominator D c'_lam.  One
+    packed evaluation decides every record, and only a failing record is
+    reduced, for its detail.
+    """
     plist = list(_all_partitions(maxweight))
+    cases = {}
     for lam in plist:
         for mu in plist:
+            dens, terms = inner_products(macdonald_pair(lam).cleared_p(dual=lam == mu),
+                                         macdonald_pair(mu).cleared_p())
+            cases[lam, mu] = (terms, [dens] if lam == mu else [])
+    for (lam, mu), holds in zip(cases, sums_of_products_equal(list(cases.values()))):
+        rec = _record("orthogonality-norm", {"lambda": lam, "mu": mu}, holds)
+        if not holds:
             den, num = inner_cleared(macdonald_pair(lam).cleared_p(),
                                      macdonald_pair(mu).cleared_p())
-            want = macdonald_pair(lam).norm if lam == mu else 0
-            yield _compared("orthogonality-norm", {"lambda": lam, "mu": mu},
-                            FIELD.new(num, den), want)
+            rec["detail"] = first_difference(FIELD.new(num, den),
+                                             macdonald_pair(lam).norm if lam == mu else 0)
+        yield rec
 
 
 @_timed

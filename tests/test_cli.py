@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 
 from macsym import cli, ctengine, fock, macdonald, verify
 from macsym.cli import build_parser, main
-from macsym.coeff import MAX_EXPONENT, RING, QTSeries, emit_ratqt, ratqt, swap_qt
+from macsym.coeff import MAX_COEFF_BITS, MAX_EXPONENT, RING, QTSeries, emit_ratqt, ratqt, swap_qt
 from macsym.errors import InternalInconsistency, NotSeriesExpandable
-from macsym.macdonald import macdonald_pair
+from macsym.macdonald import MacdonaldPair, macdonald_pair
+from macsym.pairing import inner_qt
 from macsym.partitions import MAX_HL_WEIGHT, conjugate
 
 
@@ -200,6 +201,31 @@ def test_failing_record_reports_its_first_difference(monkeypatch, capsys):
     detail = failed[0]["detail"]
     assert captured.err == (f"counterexample: omega-duality {{'lambda': (2,)}}; first difference "
                             f"at (2,): got {detail['got']}, want {detail['want']}\n")
+
+
+@pytest.mark.parametrize("added, failing", [
+    # J_(2,1) doubled: <P, P> = 4 / b_lam, and P still pairs to 0 with the others
+    ((2, 1), [((2, 1), (2, 1))]),
+    # J_(2,1) + J_(1,1,1): P_(2,1) gains a multiple of P_(1,1,1)
+    ((1, 1, 1), [((2, 1), (2, 1)), ((2, 1), (1, 1, 1)), ((1, 1, 1), (2, 1))]),
+])
+def test_failing_orthogonality_record_reports_its_value(monkeypatch, added, failing):
+    lam = (2, 1)
+    J = dict(macdonald_pair(lam).J)
+    for mu, c in macdonald_pair(added).J.items():
+        J[mu] = J.get(mu, RING.zero) + c
+    wrong = MacdonaldPair(lam, J)
+    pairs = {nu: macdonald_pair(nu) for nu in ((3,), (2, 1), (1, 1, 1))}
+    monkeypatch.setitem(macdonald._PAIRS, lam, wrong)
+    records = verify.run_suite("orthogonality", maxweight=3)
+    failed = [r for r in records if r["status"] == "fail"]
+    assert [(r["parameters"]["lambda"], r["parameters"]["mu"]) for r in failed] == failing
+    for rec in failed:
+        a, b = (wrong if nu == lam else pairs[nu] for nu in rec["parameters"].values())
+        want = pairs[lam].norm if a is b else 0
+        assert rec["detail"] == {"got": emit_ratqt(inner_qt(a.P_p, b.P_p)),
+                                 "want": emit_ratqt(want)}
+    assert all("detail" not in r for r in records if r["status"] == "pass")
 
 
 def test_verify_integral_reps_stop_at_the_integral_ceiling(monkeypatch, capsys):
@@ -495,6 +521,7 @@ _DEEP = [0, 0, json.loads("[" * 20 + "1" + "]" * 20)]
     (_j2_with_term([3, 3, "1/(1-q)"]), "not three ints"),
     (_j2_with_term([-1, 0, 1]), "exponent outside"),
     (_j2_with_term([0, MAX_EXPONENT + 1, 1]), "exponent outside"),
+    (_j2_with_term([3, 3, -2 ** MAX_COEFF_BITS]), f"more than {MAX_COEFF_BITS} bits"),
     (_j2_with_term([0, 0, 1]), "repeated monomial"),  # c_(2) has the constant 1
     (_j2_with_term([3, 3, 0]), "zero c"),
     (_j2_with_term([3, 3]), "not three ints"),
@@ -508,7 +535,7 @@ _DEEP = [0, 0, json.loads("[" * 20 + "1" + "]" * 20)]
 ], ids=["malformed-json", "wrong-header", "version-1", "missing-key", "wrong-normalization",
         "not-unitriangular", "not-an-eigenfunction", "weight-above-the-limit", "infinite-part",
         "float-part", "bool-part", "nested-term", "nested-json", "float-c", "bool-c",
-        "string-c", "negative-exponent", "huge-exponent", "repeated-monomial", "zero-c",
+        "string-c", "negative-exponent", "huge-exponent", "huge-c", "repeated-monomial", "zero-c",
         "short-term", "long-term", "5000-digit-c", "repeated-entry", "repeated-record"])
 def test_bad_cache_file_exits_2(tmp_path, capsys, text, message):
     cache = tmp_path / "cache.json"

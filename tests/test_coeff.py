@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.rings import PolyElement
 
 from macsym.coeff import (FIELD, MAX_EXPONENT, MAX_NESTING, ONE, ZERO, Q, QPochProduct,
-                          QTSeries, RatQT, RING, T, add_into, clear_denominators, clear_ratqt,
-                          cleared_equals, cleared_series, divide_back, emit_ratqt, invert,
-                          parse_ratqt, ratqt, reduce_ratqt, substitute, swap_qt, to_series)
+                          QTSeries, RatQT, RING, T, _packing_layout, add_into, clear_denominators,
+                          clear_ratqt, cleared_equals, cleared_series, divide_back, emit_ratqt,
+                          invert, parse_ratqt, ratqt, reduce_ratqt, substitute,
+                          sums_of_products_equal, swap_qt, to_series)
 from macsym.errors import InternalInconsistency, NotSeriesExpandable, SpecializationPole
 from macsym.macdonald import macdonald_pair
 from macsym.partitions import partitions_of
@@ -91,6 +93,64 @@ def test_cleared_equals_agrees_with_reducing(cleared, other, data):
         dict(list(reduced.items())[1:])]))
     want = reduced == {key: ratqt(c) for key, c in target.items() if c}
     assert cleared_equals(cleared, target) is want
+
+
+# Z[q,t] factors with large coefficients of both signs; the zero polynomial included
+_factors = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                           st.integers(-2 ** 70, 2 ** 70), max_size=4).map(RING.from_dict)
+_sides = st.lists(st.lists(_factors, max_size=3).map(tuple), max_size=4)
+
+
+def _ring_sum(side):
+    return sum((prod(term, start=RING.one) for term in side), RING.zero)
+
+
+@st.composite
+def _equations(draw):
+    """(lhs, rhs): rhs random, or lhs rearranged, expanded, or expanded and perturbed."""
+    lhs = draw(_sides)
+    kind = draw(st.sampled_from(["random", "rearranged", "expanded", "perturbed"]))
+    if kind == "random":
+        return lhs, draw(_sides)
+    if kind == "rearranged":  # the same operand objects, terms and factors reversed
+        return lhs, [term[::-1] for term in reversed(lhs)]
+    total = _ring_sum(lhs)
+    if kind == "perturbed":
+        a, b = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        total += draw(st.sampled_from([1, -1, 2 ** 70])) * RING.gens[0] ** a * RING.gens[1] ** b
+    return lhs, [(total,)] if draw(st.booleans()) else [(RING.one, total)]
+
+
+@given(st.lists(_equations(), min_size=1, max_size=3))
+def test_sums_of_products_equal_agrees_with_the_ring(equations):
+    want = [_ring_sum(lhs) == _ring_sum(rhs) for lhs, rhs in equations]
+    assert list(sums_of_products_equal(equations)) == want
+
+
+def test_sums_of_products_equal_examples():
+    q, t = RING.gens
+    assert list(sums_of_products_equal([])) == []
+    assert list(sums_of_products_equal([([], []), ([()], [(RING.one,)]),
+                                        ([(RING.zero, q)], [])])) == [True, True, True]
+    f = 1 - q * t
+    assert list(sums_of_products_equal([([(f, f)], [(1 - 2 * q * t + q ** 2 * t ** 2,)]),
+                                        ([(f, 1 + q * t)], [(1 - q ** 2 * t,)])])) \
+        == [True, False]
+
+
+@pytest.mark.parametrize("k", [2, 5, 19, 64])
+def test_sums_of_products_equal_one_bit_past_a_collision(k):
+    # 2^k - 1 and q - 1 agree at q = 2^k: a layout one bit narrower than the
+    # helper's maps them to one integer, and the helper tells them apart
+    q = RING.gens[0]
+    f, g = RING(2 ** k - 1), q - 1
+    equations = [([(f,)], [(g,)])]
+    bits, width = _packing_layout(equations)
+    assert (bits, width) == (k + 1, 2)
+    narrow = 2 ** (bits - 1)
+    assert f(narrow, narrow ** width) == g(narrow, narrow ** width)
+    assert list(sums_of_products_equal(equations)) == [False]
+    assert list(sums_of_products_equal([([(f,)], [(f,)]), ([(g,)], [(g,)])])) == [True, True]
 
 
 def test_to_series_examples():

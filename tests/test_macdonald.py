@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import os
+import re
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,8 @@ from sympy.polys.rings import PolyElement
 
 import macsym.macdonald as mac
 from macsym import pairing
-from macsym.coeff import Q, RING, T, parse_ratqt, ratqt, reduce_ratqt, swap_qt
+from macsym.coeff import (MAX_COEFF_BITS, MAX_EXPONENT, Q, RING, T, _packing_layout,
+                          parse_ratqt, ratqt, reduce_ratqt, swap_qt)
 from macsym.errors import InternalInconsistency
 from macsym.macdonald import (SPECIALIZE_CASES, MacdonaldPair, b_coeff, dr_apply,
                               dr_commute_check, dr_eigencheck, dr_eigenvalue,
@@ -17,7 +20,7 @@ from macsym.macdonald import (SPECIALIZE_CASES, MacdonaldPair, b_coeff, dr_apply
                               save_cache, skew_p, skew_q, specialize_check,
                               structure_f)
 from macsym.pairing import inner_qt, omega_qt
-from macsym.partitions import conjugate, partitions_of, weight
+from macsym.partitions import MAX_WEIGHT, conjugate, dominates, partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, convert, evaluate_n, multiply, sym_gen
 
 from oracles import (dr_apply_field, gram_schmidt, hall_littlewood_p_division,
@@ -425,6 +428,100 @@ def test_cache_load_rejects_every_single_term_perturbation(tmp_path):
             assert mac._PAIRS == {}, (rec["lambda"], entry["partition"])
             perturbed += 1
     assert perturbed == sum(len(pair.J) - 1 for pair in built) > 0
+
+
+def test_pair_holds_J_read_only_and_hashes_on_lam(tmp_path):
+    mac._PAIRS.clear()
+    pair = macdonald_pair((2, 1))
+    source = dict(pair.J)
+    held = MacdonaldPair((2, 1), source)
+    source[(3,)] = RING.one  # the pair holds its own copy
+    assert held == pair and hash(held) == hash(pair)
+    path = tmp_path / "pairs.json"
+    save_cache(path)
+    mac._PAIRS.clear()
+    load_cache(path)
+    loaded = mac._PAIRS[(2, 1)]
+    assert loaded == pair and len({pair, held, loaded}) == 1
+    for p in (pair, held, loaded):
+        with pytest.raises(TypeError):
+            p.J[(1, 1, 1)] = RING.one
+        with pytest.raises(TypeError):
+            del p.J[(2, 1)]
+        assert p.J == pair.J and (3,) not in p.J
+
+
+def test_cache_load_forms_no_zero_mode_image(tmp_path, monkeypatch):
+    mac._PAIRS.clear()
+    built = [macdonald_pair(lam) for lam in _UP_TO_5]
+    path = tmp_path / "pairs.json"
+    save_cache(path)
+    mac._PAIRS.clear()
+
+    def refuse(*args):
+        raise AssertionError("load_cache formed a zero-mode image")
+
+    monkeypatch.setattr(mac, "_zero_mode_image", refuse)
+    assert load_cache(path) == len(built)
+
+
+def _record_of(lam, J):
+    return {"lambda": list(lam), "J_in_m": [
+        {"partition": list(mu), "terms": [[a, b, int(c)] for (a, b), c in n.terms()]}
+        for mu, n in sorted(J.items())]}
+
+
+def _write_cache(path, records):
+    path.write_text(json.dumps({"format": mac.CACHE_FORMAT, "version": mac.CACHE_VERSION,
+                                "records": records}))
+
+
+@pytest.mark.parametrize("lam", [(2, 1), (2, 2), (3, 1, 1)])
+def test_cache_load_sizes_its_layout_from_the_record(tmp_path, lam):
+    # 2^B on one term of an entry below m_lam and -1 on the next slot: at the
+    # layout (B, W) that the genuine record gets, both records have the same
+    # images; sized from its own entries, the shifted one is rejected
+    mac._PAIRS.clear()
+    J = dict(macdonald_pair(lam).J)
+    bits, width = _packing_layout(list(mac._eigen_equations(lam, J).values()))
+    mu = min(J)
+    (a, b), _ = J[mu].terms()[0]
+    slot = a + width * b + 1
+    shift = RING.from_dict({(a, b): 2 ** bits, (slot % width, slot // width): -1})
+    x = 2 ** bits
+    assert shift(x, x ** width) == 0 and bits < MAX_COEFF_BITS
+    path = tmp_path / "pairs.json"
+    _write_cache(path, [_record_of(lam, {**J, mu: J[mu] + shift})])
+    mac._PAIRS.clear()
+    with pytest.raises(ValueError, match=re.escape(f"eigenfunction of the zero mode at m_{mu}")):
+        load_cache(path)
+    assert mac._PAIRS == {}
+
+
+@pytest.mark.parametrize("entries", ["every", "last"])
+def test_cache_load_rejects_a_record_at_the_ceilings_quickly(tmp_path, entries):
+    # J_(d) at the top weight with terms at MAX_EXPONENT and MAX_COEFF_BITS bits
+    # in every entry below m_(d), or in the last one only
+    lam = (MAX_WEIGHT,)
+    mac.zero_mode(MAX_WEIGHT)  # built once per session, outside the timing
+    big = 2 ** MAX_COEFF_BITS - 1
+    hostile = RING.from_dict({(MAX_EXPONENT, MAX_EXPONENT): big, (MAX_EXPONENT, 0): -big,
+                              (0, MAX_EXPONENT): big})
+    last = (1,) * MAX_WEIGHT
+    if entries == "every":
+        J = {mu: hostile for mu in partitions_of(MAX_WEIGHT) if dominates(lam, mu)}
+        J[lam] = mac._arm_leg_products(lam)[0]
+    else:
+        J = dict(macdonald_pair(lam).J)
+        J[last] += hostile
+    path = tmp_path / "pairs.json"
+    _write_cache(path, [_record_of(lam, J)])
+    mac._PAIRS.clear()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="eigenfunction"):
+        load_cache(path)
+    assert time.perf_counter() - start < 1
+    assert mac._PAIRS == {}
 
 
 def test_cache_round_trip(tmp_path):
