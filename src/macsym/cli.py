@@ -24,7 +24,7 @@ from .errors import InternalInconsistency, MacsymError
 from .macdonald import macdonald_pair
 from .partitions import (MAX_INTEGRAL_WEIGHT, MAX_KOSTKA_DEGREE, MAX_WEIGHT,
                          format_partition, parse_partition, partitions_of, weight)
-from .symfunc import convert
+from .symfunc import _reduced_p, convert
 
 DEFAULT_ORDER = 6
 # Ceilings picked, as MAX_WEIGHT and MAX_INTEGRAL_WEIGHT were, from the
@@ -183,8 +183,8 @@ def cmd_norm(args):
 
 def cmd_skew(args):
     lam, mu = args.lam, args.mu
-    got, a = verify.skew_route_sides(lam, mu)
-    agree = got == a
+    got, want = verify.skew_route_sides(lam, mu)
+    agree, a = got is None, _reduced_p(want)
     payload = dict(_header(args))
     payload.update({
         "lambda": list(lam),
@@ -196,7 +196,7 @@ def cmd_skew(args):
     if not agree:
         _counterexample(f"routes disagree for lambda={format_partition(lam)} "
                         f"mu={format_partition(mu)}",
-                        verify.first_difference(got, a))
+                        verify.first_difference(_reduced_p(got), a))
         return 1
     return 0
 

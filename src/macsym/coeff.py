@@ -189,20 +189,6 @@ def reduce_ratqt(nums, den):
     return {key: FIELD.new(n, den) for key, n in nums.items() if n}
 
 
-def cleared_equals(cleared, reduced):
-    """nums / den == reduced for a cleared map (den, nums) and a map into Q(q,t),
-    cross-multiplied key by key with no reduction; a missing key reads as 0.
-    A zero den raises InternalInconsistency."""
-    den, nums = cleared
-    if not den:
-        raise InternalInconsistency("a cleared map has denominator 0")
-    for key in nums.keys() | reduced.keys():
-        r = ratqt(reduced.get(key, ZERO))
-        if nums.get(key, RING.zero) * r.denom != r.numer * den:
-            return False
-    return True
-
-
 def _packing_layout(equations):
     """(bits, width) for `sums_of_products_equal`, read from the operands alone.
 

@@ -33,10 +33,10 @@ y^(-a) in Pi(x, 1/y) is the product of single-variable strata g_{a_j}(x)
 (and e_{a_j} for the finite dual kernel), so integral transforms collect
 straight into the power-sum basis.  A stratum product is the image of
 h_kappa under p_r -> w(r) p_r, held as series: the rational p-coefficients
-of h_kappa times the series of the weights.  The expected P_lam and the
-normalization constants are read from Z[q,t] numerators over one inverted
-denominator (coeff.cleared_series), so no value on the integral-rep path
-is reduced in Q(q,t).
+of h_kappa times the series of the weights.  The expected P_lam, the expected
+skew side and the normalization constants are read from Z[q,t] numerators
+over one inverted denominator (coeff.cleared_series), so no value on the
+integral-rep path is reduced in Q(q,t).
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +48,7 @@ from math import factorial
 from .coeff import (RING, QPochProduct, QTSeries, add_into, clear_denominators,
                     cleared_series, divide_back, ratqt, reduce_ratqt, swap_poly, to_series)
 from .errors import InternalInconsistency, WindowTooSmall
-from .macdonald import _arm_leg_products, b_coeff, dr_apply, macdonald_pair, skew_q
+from .macdonald import _arm_leg_products, dr_apply, macdonald_pair, skew_q_cleared
 from .pairing import _weight, kernel_coeff, kernel_product, qbinom_coeff
 from .partitions import (as_partition, compositions, conjugate, partial_stacks,
                          rectangles, weight)
@@ -645,9 +645,9 @@ def f_plus_terms(lam, order):
 def skew_integral_sides(lam, mu, order):
     """(nested-integral route to b_lam^(-1) Q_{lam/mu}, the algebraic route), as series.
 
-    The two integrand groups interact through Pi(1/z, 1/w), whose coefficient
-    is read at the margins (z-exponents, w-exponents) by kernel_coeff, while
-    Pi(x, 1/z) collects the output into the p basis.
+    The two integrand groups interact through Pi(1/z, 1/w), read at the margins
+    (z-, w-exponents) by kernel_coeff; Pi(x, 1/z) collects the output into p.  The
+    algebraic route, `skew_q_cleared` times c'_lam / c_lam, is expanded unreduced.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     wl, r = f_plus_terms(lam, order)
@@ -660,8 +660,8 @@ def skew_integral_sides(lam, mu, order):
             if k := kernel_coeff(rows, beta, qbinom_coeff):
                 add_into(wterms, shifted, cb * series_of(k, order))
     out = _collect_kernel(wterms, order, "g")
-    expected = skew_q(lam, mu).scale(1 / b_coeff(lam))
-    return out, {nu: s for nu, c in expected.terms.items() if (s := series_of(c, order))}
+    (den, nums), (c, c_prime) = skew_q_cleared(lam, mu), _arm_leg_products(lam)
+    return out, cleared_series(den * c, {nu: n * c_prime for nu, n in nums.items()}, order)
 
 
 def skew_integral_check(lam, mu, order):

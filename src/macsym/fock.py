@@ -13,27 +13,26 @@ formula.
 from itertools import combinations, product
 from math import comb, prod
 
-from .coeff import RING, Q, add_into, clear_ratqt, ratqt, reduce_ratqt, substitute
-from .macdonald import hall_littlewood_symmetrizer, macdonald_pair
+from .coeff import RING, Q, add_into, clear_ratqt, ratqt, substitute
+from .macdonald import _arm_leg_products, _peel_p, hall_littlewood_symmetrizer, macdonald_pair
 from .pairing import qbinom_coeff
-from .partitions import as_partition, dominates, partitions_of, weight
-from .symfunc import NPoly, SymFunc, basis_to_m
+from .partitions import as_partition, dominates, weight
+from .symfunc import NPoly, _reduced_p, basis_to_m
 
 _q, _t = RING.gens
 
 
 def skew_via_fock(lam, mu):
     """Q_{lam/mu} by the translation coproduct, each coefficient reduced once."""
-    den, nums = skew_via_fock_cleared(lam, mu)
-    return SymFunc("p", reduce_ratqt(nums, den))
+    return _reduced_p(skew_via_fock_cleared(lam, mu))
 
 
 def skew_via_fock_cleared(lam, mu):
     """Q_{lam/mu} in p as (den, {kappa: Z[q,t]}), by the coproduct p_r -> p_r(x) + p_r(y).
 
     Q_lam(x, y) = sum_mu Q_{lam/mu}(x) b_mu P_mu(y) (Macdonald VI (7.9')); P_mu(y) is
-    peeled off the y-parts in the m basis down dominance, as P is unitriangular in m.
-    Only the y-parts m_nu with nu dominating mu can reach the coefficient of P_mu.
+    peeled off the y-parts in the m basis (`macdonald._peel_p`), stopping at mu: only the
+    m_nu(y) with nu dominating mu reach P_mu, and a mu that carries no term gives 0.
     Q_lam and each P_nu = J_nu / c_nu are read from the held J over one
     running denominator; nothing is reduced.
     """
@@ -55,21 +54,11 @@ def skew_via_fock_cleared(lam, mu):
             for nu, v in to_m[y].items() if weight(y) == k else ():
                 if dominates(nu, mu):
                     add_into(rest.setdefault(nu, {}), {x: c}, n * v)
-    for nu in partitions_of(k):
-        a = rest.pop(nu, {})  # the coefficient of P_nu(y), once larger P are off
-        if nu == mu:  # Q_{lam/mu} = a / b_mu
-            b = macdonald_pair(mu).b
-            return den * b.numer, {x: v * b.denom for x, v in a.items()}
-        if a:  # only for nu inside lam and dominating mu
-            J = macdonald_pair(nu).J
-            den_p = J[nu]  # c_nu, as P_nu = J_nu / c_nu is unitriangular
-            for row in rest.values():
-                for x in row:
-                    row[x] *= den_p
-            den *= den_p
-            for rho, v in J.items():
-                if rho != nu and dominates(rho, mu):
-                    add_into(rest.setdefault(rho, {}), a, -v)
+    for nu, a, den in _peel_p(rest, den, below=mu):
+        if nu == mu:  # Q_{lam/mu} = a / b_mu, b_mu = c_mu / c'_mu
+            c, c_prime = _arm_leg_products(mu)
+            return den * c, {x: v * c_prime for x, v in a.items()}
+    return RING.one, {}
 
 
 def _lower(r, nums):
@@ -86,8 +75,7 @@ def _lower(r, nums):
 
 def skew_via_diffop(lam, mu):
     """Q_{lam/mu} with P_mu acting by lowering operators, each coefficient reduced once."""
-    den, nums = skew_via_diffop_cleared(lam, mu)
-    return SymFunc("p", reduce_ratqt(nums, den))
+    return _reduced_p(skew_via_diffop_cleared(lam, mu))
 
 
 def skew_via_diffop_cleared(lam, mu):

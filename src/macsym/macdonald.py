@@ -33,7 +33,7 @@ from .errors import InternalInconsistency
 from .pairing import z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
                          dominates, partitions_of, weight)
-from .symfunc import (NPoly, SymFunc, _collect_m, _straighten, basis_to_m, convert,
+from .symfunc import (NPoly, SymFunc, _collect_m, _reduced_p, _straighten, basis_to_m, convert,
                       convert_cleared, evaluate_n, orbit_exponents, p_product_cleared,
                       require_symmetric, sym_gen)
 
@@ -73,13 +73,11 @@ class MacdonaldPair:
 
     @cached_property
     def P_p(self):
-        den, nums = self.cleared_p()
-        return SymFunc("p", reduce_ratqt(nums, den))
+        return _reduced_p(self.cleared_p())
 
     @cached_property
     def Qf(self):
-        den, nums = self.cleared_p(dual=True)
-        return SymFunc("p", reduce_ratqt(nums, den))
+        return _reduced_p(self.cleared_p(dual=True))
 
     @property
     def b(self):
@@ -332,11 +330,11 @@ def dr_eigencheck(lam, r, n):
     degree: D_n = t^(n(n-1)/2) T_(q,x_1) ... T_(q,x_n) scales every f of
     degree d by t^(n(n-1)/2) q^d, which is e_n for every lam of weight d.
     """
-    ev = dr_eigenvalue(lam, r, n)
+    ev = dr_eigenvalue(lam, r, n).numer  # e_r of a spectrum in Z[q,t]: its denom is 1
     J = macdonald_pair(lam).J
     den, J_s = convert_cleared(J, "m", "s", weight(lam))
-    rhs = {nu: c * ev.numer for nu, c in J_s.items() if len(nu) <= n}
-    return {nu: c * den * ev.denom for nu, c in _dr_core(r, J, n).items()} == rhs
+    rhs = {nu: c * ev for nu, c in J_s.items() if len(nu) <= n}
+    return {nu: c * den for nu, c in _dr_core(r, J, n).items()} == rhs
 
 
 def dr_commute_check(r, s, f, n):
@@ -356,43 +354,49 @@ def structure_f(mu, nu):
     return dict(_structure_peel(*sorted((as_partition(mu), as_partition(nu)))))
 
 
+def _peel_p(rest, den, below=None):
+    """Peel an m-basis map {rho: {key: element of Z[q,t]}} over den into the P basis.
+
+    Yields (lam, numerators, den) down reverse lex, numerators / den the
+    coefficient of P_lam; a row that cancels to empty is skipped.  Reverse lex
+    puts each lam before every partition it dominates and P is unitriangular
+    in m, so once the larger P are off, the m_lam row left is that
+    coefficient, and P_lam = J_lam / c_lam comes off over one running
+    denominator.  With `below`, only the rows of the rho dominating it are kept.
+    """
+    while rest:
+        lam = max(rest)
+        if a := rest.pop(lam):
+            yield lam, a, den
+            J = macdonald_pair(lam).J
+            rest = {rho: {key: v * J[lam] for key, v in row.items()} for rho, row in rest.items()}
+            den *= J[lam]
+            for rho, v in J.items():
+                if rho != lam and (below is None or dominates(rho, below)):
+                    add_into(rest.setdefault(rho, {}), a, -v)
+
+
 @lru_cache(maxsize=None)
 def _structure_peel(mu, nu):
-    """{lam: f^lam_{mu,nu}} by peeling P_mu P_nu into the P basis, no scalar product.
-
-    The ring product of the held numerators goes to m by the integer p -> m
-    rows.  Reverse lex puts each lam before every partition it dominates and P
-    is unitriangular in m, so once the larger P are off, the m_lam coefficient
-    left is f^lam_{mu,nu}: it is reduced once, and f P_lam = f J_lam / c_lam
-    comes off over one running denominator.
-    """
-    d = weight(mu) + weight(nu)
+    """{lam: f^lam_{mu,nu}}: the ring product of the held numerators, taken to m by the
+    integer p -> m rows and peeled into P (`_peel_p`); each f^lam_{mu,nu} reduced once."""
     den, prod_p = p_product_cleared(macdonald_pair(mu).cleared_p(),
                                     macdonald_pair(nu).cleared_p())
-    _, rest = convert_cleared(prod_p, "p", "m", d)
-    out = {}
-    for lam in partitions_of(d):
-        if (a := rest.pop(lam, None)) is not None:
-            out[lam] = FIELD.new(a, den)
-            J = macdonald_pair(lam).J
-            for rho in rest:
-                rest[rho] *= J[lam]
-            den *= J[lam]
-            add_into(rest, {rho: v for rho, v in J.items() if rho != lam}, -a)
-    return out
+    _, rest = convert_cleared(prod_p, "p", "m", weight(mu) + weight(nu))
+    return {lam: FIELD.new(a[()], den)
+            for lam, a, den in _peel_p({rho: {(): v} for rho, v in rest.items()}, den)}
 
 
-def skew_q(lam, mu):
-    """Skew function Q_{lam/mu} = sum_nu f^lam_{mu,nu} Q_nu, in the p basis.
+def skew_q_cleared(lam, mu):
+    """Q_{lam/mu} = sum_nu f^lam_{mu,nu} Q_nu in p as (den, {kappa: Z[q,t]}).
 
     Each f^lam_{mu,nu} comes from the peel of P_mu P_nu (`structure_f`).
     With Q_nu = J_p(nu) / den_nu, the f^lam_{mu,nu} / den_nu are cleared to
-    Z[q,t] once, the sum runs over the held J_p, and each output coefficient
-    is reduced once.
+    Z[q,t] once and the sum runs over the held J_p; nothing is reduced.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     if weight(mu) > weight(lam):
-        return SymFunc("p")
+        return RING.one, {}
     f, J = {}, {}
     for nu in partitions_of(weight(lam) - weight(mu)):
         if c := structure_f(mu, nu).get(lam):
@@ -402,14 +406,21 @@ def skew_q(lam, mu):
     total = {}
     for nu, nums in J.items():
         add_into(total, nums, f[nu])
-    return SymFunc("p", reduce_ratqt(total, den))
+    return den, total
+
+
+def skew_q(lam, mu):
+    """Skew function Q_{lam/mu} in the p basis, each coefficient reduced once."""
+    return _reduced_p(skew_q_cleared(lam, mu))
 
 
 def skew_p(lam, mu):
-    """P_{lam/mu} = b_lam^(-1) b_mu Q_{lam/mu}."""
+    """P_{lam/mu} = b_lam^(-1) b_mu Q_{lam/mu}: nums c_mu c'_lam over den c'_mu c_lam."""
     lam, mu = as_partition(lam), as_partition(mu)
-    scale = macdonald_pair(mu).b / macdonald_pair(lam).b
-    return skew_q(lam, mu).scale(scale)
+    den, nums = skew_q_cleared(lam, mu)
+    (c_lam, c_lam_prime), (c_mu, c_mu_prime) = map(_arm_leg_products, (lam, mu))
+    scale = c_mu * c_lam_prime
+    return _reduced_p((den * c_mu_prime * c_lam, {k: n * scale for k, n in nums.items()}))
 
 
 SPECIALIZE_CASES = ("schur", "hall-littlewood", "monomial", "dual-e", "inverse-qt")

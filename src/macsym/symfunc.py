@@ -371,12 +371,17 @@ def convert(f, to):
     return res
 
 
+def _reduced_p(cleared):
+    """The p-basis SymFunc of a cleared pair (den, {lam: Z[q,t]}), each coefficient reduced once."""
+    den, nums = cleared
+    return SymFunc("p", reduce_ratqt(nums, den))
+
+
 def multiply(f, g):
     """Product in the ring of symmetric functions, returned in the p basis: each
     factor cleared to Z[q,t] once, each output coefficient reduced once."""
-    den, nums = p_product_cleared(clear_ratqt(convert(f, "p").terms),
-                                  clear_ratqt(convert(g, "p").terms))
-    return SymFunc("p", reduce_ratqt(nums, den))
+    return _reduced_p(p_product_cleared(clear_ratqt(convert(f, "p").terms),
+                                        clear_ratqt(convert(g, "p").terms)))
 
 
 def p_product_cleared(f, g):

@@ -8,11 +8,14 @@ from hypothesis import given, strategies as st
 
 from macsym import cli, ctengine, fock, macdonald, verify
 from macsym.cli import build_parser, main
-from macsym.coeff import MAX_COEFF_BITS, MAX_EXPONENT, RING, QTSeries, emit_ratqt, ratqt, swap_qt
+from macsym.coeff import (MAX_COEFF_BITS, MAX_EXPONENT, RING, QTSeries, clear_ratqt, emit_ratqt,
+                          ratqt, reduce_ratqt, swap_qt)
 from macsym.errors import InternalInconsistency, NotSeriesExpandable
 from macsym.macdonald import MacdonaldPair, macdonald_pair
 from macsym.pairing import inner_qt
 from macsym.partitions import MAX_HL_WEIGHT, conjugate
+
+from strategies import cleared_maps, pvec_maps
 
 
 def test_expand_json(capsys):
@@ -330,6 +333,61 @@ def test_skew_routes_report_the_perturbed_key(monkeypatch, route):
             assert rec["status"] == "pass" and "detail" not in rec
     assert 0 < failed < len(records)
     assert all(r["status"] == "pass" and "detail" not in r for r in passing)
+
+
+def _routes_against(monkeypatch, want, via_fock, via_diffop):
+    """skew_route_sides with skew_q_cleared and the two routes replaced by fixed pairs."""
+    monkeypatch.setattr(macdonald, "skew_q_cleared", lambda lam, mu: want)
+    monkeypatch.setattr(fock, "skew_via_fock_cleared", lambda lam, mu: via_fock)
+    monkeypatch.setattr(fock, "skew_via_diffop_cleared", lambda lam, mu: via_diffop)
+    return verify.skew_route_sides((1,), ())
+
+
+def test_skew_route_sides_examples(monkeypatch):
+    q, one = RING.gens[0], RING.one
+    want = (1 - q, {(1,): one})  # 1 / (1 - q) at p_1
+
+    def failing(route):  # the route that skew_route_sides reports, the other one agreeing
+        got, same = _routes_against(monkeypatch, want, route, want)
+        assert same is want
+        return got
+
+    assert failing(want) is None
+    assert failing((q - 1, {(1,): -one})) is None  # den and nums negated
+    unreduced = 2 * (1 + q)
+    assert failing(((1 - q) * unreduced, {(1,): unreduced})) is None
+    assert failing((1 - q, {(1,): one, (2,): RING.zero})) is None  # an extra zero entry
+    for route in [(1 - q, {(1,): -one}), (1 - q, {(1,): one, (2,): one}), (1 - q, {})]:
+        assert failing(route) is route  # a wrong value, or a key missing on one side
+    assert _routes_against(monkeypatch, (1 - q, {}), (one, {}), (q, {}))[0] is None
+    # the fock route is reported first, and the diffop route when only it differs
+    wrong = (1 - q, {(1,): 2 * one})
+    assert _routes_against(monkeypatch, want, wrong, (one, {}))[0] is wrong
+    assert _routes_against(monkeypatch, want, want, wrong)[0] is wrong
+    for zero_den in [(RING.zero, {(1,): one}), (RING.zero, {})]:
+        with pytest.raises(InternalInconsistency):
+            _routes_against(monkeypatch, want, zero_den, want)
+
+
+@given(cleared_maps, pvec_maps, st.sampled_from(["fock", "diffop"]), st.data())
+def test_skew_route_sides_agree_with_reducing(cleared, other, route, data):
+    den, nums = cleared
+    reduced = reduce_ratqt(nums, den)
+    target = data.draw(st.sampled_from([
+        reduced, other, {**reduced, **other}, {**other, **reduced},
+        dict(list(reduced.items())[1:])]))
+    agree = reduced == {key: ratqt(c) for key, c in target.items() if c}
+    want = clear_ratqt(target)
+    with pytest.MonkeyPatch.context() as mp:
+        routes = (cleared, want) if route == "fock" else (want, cleared)
+        got, _ = _routes_against(mp, want, *routes)
+    assert got is (None if agree else cleared)
+
+
+def test_skew_route_with_a_zero_denominator_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(fock, "skew_via_diffop_cleared", lambda lam, mu: (RING.zero, {}))
+    assert main(["skew", "--lam", "2", "--mu", "1", "--format", "json"]) == 3
+    assert "internal inconsistency" in capsys.readouterr().err
 
 
 def test_self_adjointness_failure_reports_its_first_difference(monkeypatch):

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from sympy.polys.rings import PolyElement
 
-from macsym.coeff import (FIELD, MAX_EXPONENT, MAX_NESTING, ONE, ZERO, Q, QPochProduct,
+from macsym.coeff import (FIELD, MAX_EXPONENT, MAX_NESTING, ONE, Q, QPochProduct,
                           QTSeries, RatQT, RING, T, _packing_layout, add_into, clear_denominators,
-                          clear_ratqt, cleared_equals, cleared_series, divide_back, emit_ratqt,
+                          clear_ratqt, cleared_series, divide_back, emit_ratqt,
                           invert, parse_ratqt, ratqt, reduce_ratqt, substitute,
                           sums_of_products_equal, swap_qt, to_series)
 from macsym.errors import InternalInconsistency, NotSeriesExpandable, SpecializationPole
@@ -17,7 +17,7 @@ from macsym.partitions import partitions_of
 
 from oracles import (dense_from_qtseries, dense_inv, dense_mul, parse_ratqt_field,
                      poch_dense, series_mul_fraction)
-from strategies import cleared_maps, pvec_maps, ratqt_values
+from strategies import ratqt_values
 
 
 def test_arith_examples():
@@ -66,33 +66,6 @@ def test_clear_then_reduce_is_the_identity(terms):
     # the canonical pair, as the field's own arithmetic leaves it
     assert all((v.numer, v.denom) == (ratqt(terms[k]).numer, ratqt(terms[k]).denom)
                for k, v in got.items())
-
-
-def test_cleared_equals_examples():
-    q, one = RING.gens[0], RING.one
-    want = {"a": 1 / (1 - Q)}
-    assert cleared_equals((1 - q, {"a": one}), want)
-    assert cleared_equals((q - 1, {"a": -one}), want)  # negative leading coefficient
-    assert cleared_equals((2 - 2 * q, {"a": 2 * one}), want)  # an unreduced pair
-    assert not cleared_equals((1 - q, {"a": one}), {"a": -want["a"]})
-    # a key missing on one side reads as 0, so only a zero numerator may lack a partner
-    assert cleared_equals((1 - q, {"a": one, "z": RING.zero}), want)
-    assert not cleared_equals((1 - q, {"a": one, "b": one}), want)
-    assert not cleared_equals((1 - q, {}), want)
-    assert cleared_equals((1 - q, {}), {"z": ZERO}) and cleared_equals((one, {}), {})
-    with pytest.raises(InternalInconsistency):
-        cleared_equals((RING.zero, {"a": one}), want)
-
-
-@given(cleared_maps, pvec_maps, st.data())
-def test_cleared_equals_agrees_with_reducing(cleared, other, data):
-    den, nums = cleared
-    reduced = reduce_ratqt(nums, den)
-    target = data.draw(st.sampled_from([
-        reduced, other, {**reduced, **other}, {**other, **reduced},
-        dict(list(reduced.items())[1:])]))
-    want = reduced == {key: ratqt(c) for key, c in target.items() if c}
-    assert cleared_equals(cleared, target) is want
 
 
 # Z[q,t] factors with large coefficients of both signs; the zero polynomial included

@@ -5,7 +5,8 @@ import pytest
 import macsym
 from macsym import fock, macdonald, pairing, symfunc
 from macsym.coeff import Q, RING, T, ratqt
-from macsym.fock import skew_via_diffop, skew_via_fock, symmetrizer_check, vertex_product_check
+from macsym.fock import (skew_via_diffop, skew_via_fock, skew_via_fock_cleared, symmetrizer_check,
+                         vertex_product_check)
 from macsym.macdonald import macdonald_pair, skew_q
 from macsym.partitions import partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, multiply, sym_gen
@@ -57,7 +58,8 @@ def test_fock_route_uses_no_scalar_product(monkeypatch):
     monkeypatch.setattr(symfunc, "multiply", forbidden)  # fock does not import it
     for mod in (macdonald, symfunc):
         monkeypatch.setattr(mod, "p_product_cleared", forbidden)
-    monkeypatch.setattr(macdonald, "skew_q", forbidden)
+    for name in ("skew_q", "skew_q_cleared", "_structure_peel"):  # nor the structure peel
+        monkeypatch.setattr(macdonald, name, forbidden)
     for pair in pairs:
         assert skew_via_fock(*pair) == want[pair]
 
@@ -72,6 +74,7 @@ def test_fock_route_weight_five(lam, mu):
 def test_fock_route_above_lambda_is_zero():
     macsym.clear_caches()
     assert skew_via_fock((2,), (2, 1)) == SymFunc("p")
+    assert skew_via_fock_cleared((2,), (1, 1)) == (RING.one, {})  # (1,1) lies outside (2)
     assert not [lam for lam in macdonald._PAIRS if weight(lam) == 3]
 
 

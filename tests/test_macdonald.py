@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from sympy.polys.rings import PolyElement
 
 import macsym.macdonald as mac
-from macsym import pairing
+from macsym import pairing, symfunc
 from macsym.coeff import (MAX_COEFF_BITS, MAX_EXPONENT, Q, RING, T, _packing_layout,
                           parse_ratqt, ratqt, reduce_ratqt, swap_qt)
 from macsym.errors import InternalInconsistency
@@ -208,6 +208,19 @@ def test_structure_f_returns_a_fresh_dict():
     assert mac._structure_peel.cache_info().currsize == 1  # one peel for both orders
 
 
+def test_peel_skips_cancelled_rows_and_keeps_the_rows_above_below():
+    lam, one = (2, 1), RING.one
+    J = macdonald_pair(lam).J
+    # J_lam = c_lam P_lam: every row below lam cancels, so P_lam alone comes off,
+    # and a mu below lam carries no term (the zero map of the translation route)
+    assert list(mac._peel_p({rho: {"x": v} for rho, v in J.items()}, one)) == [
+        (lam, {"x": J[lam]}, one)]
+    # m_lam = P_lam - J_lam[(1,1,1)] / c_lam P_(1,1,1), unless `below` drops that row
+    assert list(mac._peel_p({lam: {"x": one}}, one)) == [
+        (lam, {"x": one}, one), ((1, 1, 1), {"x": -J[(1, 1, 1)]}, J[lam])]
+    assert list(mac._peel_p({lam: {"x": one}}, one, below=lam)) == [(lam, {"x": one}, one)]
+
+
 def test_skew_q_uses_no_scalar_product(monkeypatch):
     cases = [((3, 1), (1,)), ((2, 2), (1, 1)), ((2, 1, 1), (2,)), ((2, 1), ())]
     want = {case: skew_q(*case) for case in cases}
@@ -284,14 +297,16 @@ def test_hall_littlewood_matches_the_division_route():
 
 
 def _count_reductions(monkeypatch):
-    """Record the denominator of every reduce_ratqt call the pairs make."""
+    """Record the denominator of every reduce_ratqt call the pairs make: P's in
+    macdonald, P_p's and Qf's through symfunc._reduced_p."""
     calls = []
 
     def counted(nums, den):
         calls.append(den)
         return reduce_ratqt(nums, den)
 
-    monkeypatch.setattr(mac, "reduce_ratqt", counted)
+    for mod in (mac, symfunc):
+        monkeypatch.setattr(mod, "reduce_ratqt", counted)
     return calls
 
 
