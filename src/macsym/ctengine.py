@@ -396,14 +396,18 @@ def ct_norm_check(lam, n, order):
     return lhs == rhs
 
 
-def self_adjoint_sides(f, g, n, order):
-    """(<D_1 f, g>'_n, <f, D_1 g>'_n) as series, for symmetric f and g."""
+def self_adjoint_operand(f, n):
+    """(f, D_1 f) for symmetric f in n variables: f's operand of `self_adjoint_sides`."""
     if isinstance(f, SymFunc):
         f = evaluate_n(f, n)
-    if isinstance(g, SymFunc):
-        g = evaluate_n(g, n)
-    return (scalar_prime(dr_apply(1, f, n), g, n, order),
-            scalar_prime(f, dr_apply(1, g, n), n, order))
+    return f, dr_apply(1, f, n)
+
+
+def self_adjoint_sides(f, g, n, order):
+    """(<D_1 f, g>'_n, <f, D_1 g>'_n) as series, for operands f and g of
+    `self_adjoint_operand`: each D_1 image is formed once and paired many times."""
+    (f, d1_f), (g, d1_g) = f, g
+    return scalar_prime(d1_f, g, n, order), scalar_prime(f, d1_g, n, order)
 
 
 # ---------------------------------------------------------------------------

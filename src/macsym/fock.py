@@ -10,8 +10,10 @@ finite-product collapse of the kernels at t = q^beta and the symmetrizer sum
 formula.
 """
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
+from types import MappingProxyType
 
 from .coeff import RING, Q, add_into, clear_ratqt, ratqt, substitute
 from .macdonald import _arm_leg_products, _peel_p, hall_littlewood_symmetrizer, macdonald_pair
@@ -156,37 +158,51 @@ def _vertex_pair_series(beta):
             for dd in range(-beta, beta + 1)}
 
 
-def vertex_product_check(beta, n, d):
-    """Finite-product collapse of both kernels at t = q^beta, exact in q.
+@lru_cache(maxsize=None)
+def _vertex_factors(beta, d):
+    """The per-factor half of `vertex_product_check(beta, n, d)`, shared by every n.
 
-    Checks the per-factor identities coefficientwise up to u^d, then
-    assembles the full interchange kernel over n variables as an exact
-    Laurent polynomial and compares against the finite product, one factor
-    in z = x_i / x_j per pair i < j.
+    None when a per-factor identity fails up to u^d.  Else (den, pair,
+    finite_pair), read-only {degree of z = x_i / x_j: Z[q]} maps of one pair:
+    its interchange kernel cleared to the denominator den, and its finite
+    product a(z) a(1/z), a(z) = prod_{k<beta} (1 - q^k z).
     """
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
     # per-factor interchange kernel
     finite = _finite_delta_poly(beta, max(d, beta))
     for m in range(max(d, beta) + 1):
         lhs = _delta_factor_rational(m, beta)
         rhs = finite[m] if m < len(finite) else ratqt(0)
         if lhs != rhs:
-            return False
+            return None
     # per-factor positive kernel: kappa_m(q, q^beta) against the geometric side
     pi_side = _finite_pi_series(beta, d)
     for m in range(d + 1):
         lhs = substitute(qbinom_coeff(m), Q, Q ** beta)
         if lhs != pi_side[m]:
-            return False
-    # assembled interchange kernel over n variables (Laurent polynomials in x),
-    # compared over Z[q]: the pair series cleared to one denominator D, the
-    # finite product times D^(number of pairs)
+            return None
     den, pair = clear_ratqt(_vertex_pair_series(beta))
     a = [c.numer for c in finite[:beta + 1]]  # prod_{k<beta} (1 - q^k z), over Z[q]
-    finite_pair = {}  # one pair's finite product a(z) a(1/z), {d: coefficient of z^d}
+    finite_pair = {}
     for i, j in product(range(beta + 1), repeat=2):
         add_into(finite_pair, {i - j: a[i] * a[j]})
+    return den, MappingProxyType(pair), MappingProxyType(finite_pair)
+
+
+def vertex_product_check(beta, n, d):
+    """Finite-product collapse of both kernels at t = q^beta, exact in q.
+
+    Checks the per-factor identities coefficientwise up to u^d, then
+    assembles the full interchange kernel over n variables as an exact
+    Laurent polynomial and compares against the finite product, one factor
+    in z = x_i / x_j per pair i < j.  The assembly is compared over Z[q]:
+    the pair series cleared to one denominator D, the finite product times
+    D^(number of pairs).  The per-factor half is read from `_vertex_factors`.
+    """
+    if beta < 1:
+        raise ValueError(f"beta must be >= 1, got {beta}")
+    if (factors := _vertex_factors(beta, d)) is None:
+        return False
+    den, pair, finite_pair = factors
     lhs = NPoly.constant(n, RING.one)
     rhs = NPoly.constant(n, den ** comb(n, 2))
     for i, j in combinations(range(n), 2):

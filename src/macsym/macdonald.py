@@ -472,9 +472,9 @@ def save_cache(path):
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "w")
     try:
-        with fh:
-            json.dump({"format": CACHE_FORMAT, "version": CACHE_VERSION,
-                       "records": records}, fh, separators=(",", ":"))
+        with fh:  # json.dumps encodes in C; json.dump always takes the Python encoder
+            fh.write(json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION,
+                                 "records": records}, separators=(",", ":")))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -487,7 +487,7 @@ def _cached_element(terms):
     monomial, or ValueError."""
     monomials = {}
     for term in terms:
-        if len(term) != 3 or any(type(x) is not int for x in term):
+        if len(term) != 3 or not type(term[0]) is type(term[1]) is type(term[2]) is int:
             raise ValueError(f"cache term {term!r} is not three ints [a, b, c]")
         a, b, c = term
         if not (0 <= a <= MAX_EXPONENT and 0 <= b <= MAX_EXPONENT):

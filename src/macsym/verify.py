@@ -188,14 +188,15 @@ def suite_ct_conjecture(maxweight=3, order=6, **_):
 
 @_timed
 def suite_self_adjoint(maxweight=3, order=4, **_):
+    """<D_1 m_mu, m_nu>'_n = <m_mu, D_1 m_nu>'_n, each m_mu and its D_1 image formed
+    once per n and paired with every m_nu."""
     for n in (2, 3):
-        fams = list(_all_partitions(maxweight, max_length=n))
-        for mu in fams:
-            for nu in fams:
+        operands = {mu: ctengine.self_adjoint_operand(sym_gen("m", mu), n)
+                    for mu in _all_partitions(maxweight, max_length=n)}
+        for mu, f in operands.items():
+            for nu, g in operands.items():
                 yield _compared("self-adjointness", {"f": mu, "g": nu, "n": n},
-                                *ctengine.self_adjoint_sides(
-                                    sym_gen("m", mu), sym_gen("m", nu), n, order),
-                                order)
+                                *ctengine.self_adjoint_sides(f, g, n, order), order)
 
 
 @_timed

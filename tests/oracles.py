@@ -25,14 +25,17 @@ skew routes) add and multiply one reduced Q(q,t) element at a time where the
 package clears each linear combination to Z[q,t] once and reduces each output
 once.  The structure constants pair Q_lam with P_mu P_nu over Z[q,t], one
 scalar product per lam, where the package peels P_mu P_nu into the P basis
-down the dominance order.  `from_poly` and `completeness_check` are helpers
-only the tests read.
+down the dominance order.  The kernel collapse at t = q^beta checks its
+per-factor identities afresh for every n and assembles the n-variable kernel
+with its Q(q) pair coefficients, where the package shares the factor half
+across n and compares the assembly cleared over Z[q].  `from_poly` and
+`completeness_check` are helpers only the tests read.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 from sympy.polys.domains import ZZ
@@ -43,8 +46,11 @@ from macsym.coeff import (_OPS, FIELD, Q, RING, QTSeries, T, _Parser, add_into, 
 from macsym.ctengine import (_as_npoly, _windowed_integrand, delta_expand, integral_constants,
                              map_G, series_of)
 from macsym.errors import MacsymError
+from macsym.fock import (_delta_factor_rational, _finite_delta_poly, _finite_pi_series,
+                         _monomial_shift, _vertex_pair_series)
 from macsym.macdonald import macdonald_pair
-from macsym.pairing import inner_cleared, inner_pvec, inner_qt, kernel_product, z_factor
+from macsym.pairing import (inner_cleared, inner_pvec, inner_qt, kernel_product, qbinom_coeff,
+                            z_factor)
 from macsym.partitions import (as_partition, compositions, conjugate, dominates, partitions_of,
                                rectangles, weight)
 from macsym.symfunc import (NPoly, SymFunc, basis_to_m, convert, evaluate_n, m_to_basis,
@@ -686,3 +692,25 @@ def f_plus_terms_field(lam, order):
     wterms, r_n = _outer_integrand_field(lam, order)
     scale = integral_constants(lam).c_plus.to_series(order)
     return {e: c * scale for e, c in wterms.items()}, r_n
+
+
+def vertex_product_check_field(beta, n, d):
+    """The kernel collapse at t = q^beta for one n, nothing shared or cleared:
+    the per-factor identities up to u^d, then the n-variable product of the
+    pair series against the finite product, both over Q(q)."""
+    finite = _finite_delta_poly(beta, max(d, beta))
+    if any(_delta_factor_rational(m, beta) != (finite[m] if m < len(finite) else 0)
+           for m in range(max(d, beta) + 1)):
+        return False
+    pi_side = _finite_pi_series(beta, d)
+    if any(substitute(qbinom_coeff(m), Q, Q ** beta) != pi_side[m] for m in range(d + 1)):
+        return False
+    pair = _vertex_pair_series(beta)
+    lhs = rhs = NPoly.constant(n, ratqt(1))
+    for i, j in combinations(range(n), 2):
+        finite_pair = {}
+        for k, l in product(range(beta + 1), repeat=2):
+            add_into(finite_pair, {_monomial_shift(n, i, j, k - l): finite[k] * finite[l]})
+        lhs = lhs * NPoly(n, {_monomial_shift(n, i, j, dd): s for dd, s in pair.items()})
+        rhs = rhs * NPoly(n, finite_pair)
+    return lhs == rhs

@@ -12,8 +12,8 @@ from macsym.coeff import QPochProduct, ratqt, swap_qt
 from macsym.ctengine import (ct_norm_check, expected_p_series,
                              integral_rep_check, integral_rep_dual_check,
                              map_G, map_N, norm_prime_product,
-                             schur_ct, schur_ct_dual, self_adjoint_sides,
-                             skew_integral_check)
+                             schur_ct, schur_ct_dual, self_adjoint_operand,
+                             self_adjoint_sides, skew_integral_check)
 from macsym.fock import (skew_via_diffop, skew_via_fock, symmetrizer_check,
                          vertex_product_check)
 from macsym.kostka import kostka_entry, kostka_integral_check, kostka_matrix
@@ -124,10 +124,11 @@ def test_criterion_07_self_adjointness():
     start = time.perf_counter()
     M = 4
     for n in (2, 3):
-        fams = list(_partitions_up_to(3, max_length=n))
-        for mu in fams:
-            for nu in fams:
-                lhs, rhs = self_adjoint_sides(sym_gen("m", mu), sym_gen("m", nu), n, M)
+        operands = {mu: self_adjoint_operand(sym_gen("m", mu), n)
+                    for mu in _partitions_up_to(3, max_length=n)}
+        for mu, f in operands.items():
+            for nu, g in operands.items():
+                lhs, rhs = self_adjoint_sides(f, g, n, M)
                 assert lhs == rhs, (mu, nu, n)
     _report(7, "self-adjointness, degree <= 3, n = 2,3, order 4", start)
 

@@ -13,7 +13,8 @@ from macsym.coeff import (MAX_COEFF_BITS, MAX_EXPONENT, RING, QTSeries, clear_ra
 from macsym.errors import InternalInconsistency, NotSeriesExpandable
 from macsym.macdonald import MacdonaldPair, macdonald_pair
 from macsym.pairing import inner_qt
-from macsym.partitions import MAX_HL_WEIGHT, conjugate
+from macsym.partitions import MAX_HL_WEIGHT, conjugate, partitions_of
+from macsym.symfunc import evaluate_n, sym_gen
 
 from strategies import cleared_maps, pvec_maps
 
@@ -391,28 +392,51 @@ def test_skew_route_with_a_zero_denominator_exits_3(monkeypatch, capsys):
 
 
 def test_self_adjointness_failure_reports_its_first_difference(monkeypatch):
-    # D_1 doubled on the left side of every record only: a same-degree pair
-    # with a nonzero pairing then fails and names its first coefficient
+    # one shared image, D_1 m_(2,1) in 3 variables, doubled: every record that
+    # pairs it on exactly one side with a nonzero pairing fails and names its
+    # first coefficient; f = g = (2,1) doubles both sides and still passes
+    mu0, n0, order = (2, 1), 3, 4
     original = ctengine.dr_apply
-    calls = []
+    m_mu0 = evaluate_n(sym_gen("m", mu0), n0)
 
-    def lopsided(r, f, n):
-        calls.append(f)
+    def doubled(r, f, n):
         out = original(r, f, n)
-        return out.scale(ratqt(2)) if len(calls) % 2 else out
+        return out.scale(ratqt(2)) if (n, f) == (n0, m_mu0) else out
 
     passing = verify.run_suite("self-adjoint")
-    monkeypatch.setattr(ctengine, "dr_apply", lopsided)
+    d1_mu0 = original(1, m_mu0, n0)
+    want = set()
+    for nu in (lam for d in range(4) for lam in partitions_of(d, max_length=n0)):
+        m_nu = evaluate_n(sym_gen("m", nu), n0)
+        if nu != mu0 and ctengine.scalar_prime(d1_mu0, m_nu, n0, order):
+            want |= {(mu0, nu), (nu, mu0)}  # <D_1 m_mu0, m_nu>' = <m_nu, D_1 m_mu0>'
+    assert len(want) == 4
+    monkeypatch.setattr(ctengine, "dr_apply", doubled)
     records = verify.run_suite("self-adjoint")
     assert [r["parameters"] for r in records] == [r["parameters"] for r in passing]
     failed = [r for r in records if r["status"] == "fail"]
-    assert failed and all(sum(r["parameters"]["f"]) == sum(r["parameters"]["g"])
-                          for r in failed)
+    assert {(r["parameters"]["f"], r["parameters"]["g"]) for r in failed} == want
+    assert all(r["parameters"]["n"] == n0 for r in failed) and len(failed) == len(want)
     for rec in failed:
         detail = rec["detail"]
         assert set(detail) == {"key", "got", "want"} and detail["got"] != detail["want"]
     assert all("detail" not in r for r in records if r["status"] == "pass")
     assert all(r["status"] == "pass" and "detail" not in r for r in passing)
+
+
+def test_self_adjoint_suite_forms_each_d1_image_once(monkeypatch):
+    original = ctengine.dr_apply
+    calls = []
+
+    def counted(r, f, n):
+        calls.append((r, n, tuple(sorted(f.terms))))
+        return original(r, f, n)
+
+    monkeypatch.setattr(ctengine, "dr_apply", counted)
+    records = verify.run_suite("self-adjoint", maxweight=3)
+    assert len(records) == 6 * 6 + 7 * 7 and all(r["status"] == "pass" for r in records)
+    assert len(calls) == 13 == len(set(calls))  # one per (mu, n): 6 for n = 2, 7 for n = 3
+    assert {r for r, _, _ in calls} == {1}
 
 
 def test_first_difference_of_scalars_series_and_maps():

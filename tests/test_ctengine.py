@@ -13,8 +13,8 @@ from macsym.ctengine import (_accumulate_delta, _as_npoly, ct_norm_check,
                              integral_rep_P_dual, integral_rep_check,
                              integral_rep_dual_check, integral_rep_sides, map_G, map_N,
                              map_N_tilde, norm_prime_product, scalar_prime,
-                             schur_ct, schur_ct_dual, self_adjoint_sides,
-                             skew_integral_check)
+                             schur_ct, schur_ct_dual, self_adjoint_operand,
+                             self_adjoint_sides, skew_integral_check)
 from macsym.errors import WindowTooSmall
 from macsym.macdonald import b_coeff, dr_apply, macdonald_pair
 from macsym.partitions import conjugate, partitions_of, rectangles
@@ -278,7 +278,8 @@ def test_scalar_prime_orthogonality():
 def test_self_adjoint_examples():
     m2, m11 = sym_gen("m", (2,)), sym_gen("m", (1, 1))
     for f, g in [(m2, m2), (m2, m11), (sym_gen("m", ()), sym_gen("m", (1,)))]:
-        lhs, rhs = self_adjoint_sides(f, g, 2, 4)
+        lhs, rhs = self_adjoint_sides(self_adjoint_operand(f, 2), self_adjoint_operand(g, 2),
+                                      2, 4)
         assert lhs == rhs
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import macsym
-from macsym import fock, macdonald, pairing, symfunc
+from macsym import fock, macdonald, pairing, symfunc, verify
 from macsym.coeff import Q, RING, T, ratqt
 from macsym.fock import (skew_via_diffop, skew_via_fock, skew_via_fock_cleared, symmetrizer_check,
                          vertex_product_check)
@@ -12,7 +12,8 @@ from macsym.partitions import partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, multiply, sym_gen
 
 from oracles import (completeness_check, p_bar_apply_termwise, skew_q_termwise,
-                     skew_via_diffop_termwise, skew_via_fock_termwise)
+                     skew_via_diffop_termwise, skew_via_fock_termwise,
+                     vertex_product_check_field)
 
 
 def test_skew_route_examples():
@@ -117,7 +118,16 @@ def test_vertex_product_beta_one():
     assert _finite_pi_series(1, 3) == [ratqt(1)] * 4  # 1/(1-u) telescoped
 
 
-def test_vertex_product_fails_on_a_perturbed_pair_series(monkeypatch):
+@pytest.fixture
+def vertex_factors_cold():
+    """An empty `_vertex_factors` cache before and after the test, so neither a
+    value built before a monkeypatch nor one built under it outlives the test."""
+    fock._vertex_factors.cache_clear()
+    yield fock._vertex_factors
+    fock._vertex_factors.cache_clear()
+
+
+def test_vertex_product_fails_on_a_perturbed_pair_series(monkeypatch, vertex_factors_cold):
     exact = fock._vertex_pair_series
 
     def perturbed(beta):
@@ -127,8 +137,36 @@ def test_vertex_product_fails_on_a_perturbed_pair_series(monkeypatch):
 
     assert vertex_product_check(2, 3, 3)
     monkeypatch.setattr(fock, "_vertex_pair_series", perturbed)
+    vertex_factors_cold.cache_clear()
     assert not vertex_product_check(2, 3, 3)
     assert not vertex_product_check(1, 2, 3)
+
+
+def test_vertex_suite_checks_the_factors_once_per_beta(vertex_factors_cold):
+    records = verify.run_suite("vertex-identities", maxweight=3)
+    collapse = [r for r in records if r["identity"] == "kernel-product-collapse"]
+    assert len(collapse) == 6 and all(r["status"] == "pass" for r in collapse)
+    info = vertex_factors_cold.cache_info()
+    assert (info.misses, info.hits) == (3, 3)  # one build per beta, read again for n = 3
+
+
+def test_vertex_suite_fails_every_collapse_on_a_perturbed_factor(monkeypatch,
+                                                                 vertex_factors_cold):
+    exact = fock._delta_factor_rational
+    monkeypatch.setattr(fock, "_delta_factor_rational",
+                        lambda m, beta: exact(m, beta) + (Q if m == 1 else 0))
+    records = verify.run_suite("vertex-identities", maxweight=3)
+    collapse = [r for r in records if r["identity"] == "kernel-product-collapse"]
+    assert len(collapse) == 6 and all(r["status"] == "fail" for r in collapse)
+    assert all(r["status"] == "pass" for r in records if r not in collapse)
+
+
+def test_vertex_product_matches_the_unshared_field_check(vertex_factors_cold):
+    for beta in (1, 2, 3):
+        for n in (1, 2, 3):
+            for d in range(6):
+                assert vertex_product_check(beta, n, d) is \
+                    vertex_product_check_field(beta, n, d) is True, (beta, n, d)
 
 
 def test_vertex_product_betas():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -562,15 +563,36 @@ def test_interrupted_cache_save_keeps_previous_file(tmp_path, monkeypatch):
     save_cache(path)
     before = path.read_text()
 
-    def dump_then_fail(obj, fh, **kw):
-        fh.write('{"format": ')
-        raise OSError("no space left on device")
+    def open_failing_midway(file, mode="r", **kw):
+        fh = open(file, mode, **kw)
+        write = fh.write
 
-    monkeypatch.setattr(mac.json, "dump", dump_then_fail)
+        def write_half_then_fail(text):
+            write(text[:len(text) // 2])
+            raise OSError("no space left on device")
+
+        fh.write = write_half_then_fail
+        return fh
+
+    monkeypatch.setattr(mac, "open", open_failing_midway, raising=False)
     with pytest.raises(OSError):
         save_cache(path)
     assert path.read_text() == before
     assert [p.name for p in tmp_path.iterdir()] == ["pairs.json"]
+
+
+def test_cache_file_bytes_are_pinned(tmp_path):
+    # a weight <= 3 cache byte for byte: the file does not drift with the JSON encoder
+    mac._PAIRS.clear()
+    for d in range(4):
+        for lam in partitions_of(d):
+            macdonald_pair(lam)
+    path = tmp_path / "pairs.json"
+    save_cache(path)
+    data = path.read_bytes()
+    assert len(data) == 1228
+    assert hashlib.sha256(data).hexdigest() == \
+        "53ecdf4d967ec799bd8f28663ad2e4fbf6a19e0f1ed9cba3e86cea6029f8a0e4"
 
 
 def test_cache_rejects_unknown_format(tmp_path):
