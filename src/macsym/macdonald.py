@@ -464,17 +464,20 @@ def save_cache(path):
     temporary file beside path is renamed over it, so an interrupted save
     leaves the previous file (or none), never a truncated one.
     """
-    records = [{"lambda": list(lam),
-                "J_in_m": [{"partition": list(mu),
-                            "terms": [[a, b, int(c)] for (a, b), c in n.terms()]}
-                           for mu, n in sorted(_PAIRS[lam].J.items())]}
-               for lam in sorted(_PAIRS, key=lambda l: (weight(l), l))]
+    # json.dumps encodes in C (json.dump always takes the Python encoder), one
+    # record at a time, so no more than one record's chunks are held at once
+    records = (json.dumps({"lambda": list(lam),
+                           "J_in_m": [{"partition": list(mu),
+                                       "terms": [[a, b, int(c)] for (a, b), c in n.terms()]}
+                                      for mu, n in sorted(_PAIRS[lam].J.items())]},
+                          separators=(",", ":"))
+               for lam in sorted(_PAIRS, key=lambda l: (weight(l), l)))
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "w")
     try:
-        with fh:  # json.dumps encodes in C; json.dump always takes the Python encoder
-            fh.write(json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION,
-                                 "records": records}, separators=(",", ":")))
+        with fh:
+            fh.write(f'{{"format":"{CACHE_FORMAT}","version":{CACHE_VERSION},"records":['
+                     f'{",".join(records)}]}}')
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
