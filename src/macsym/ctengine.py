@@ -28,6 +28,12 @@ of the seeds, so no slot overflows (see _accumulate_delta).  Symmetric seeds
 give a symmetric result, so the kernel then computes only the weakly
 decreasing exponents and fills each S_n-orbit from them.
 
+The Delta moments on the box |e_j| <= cap are exact whatever the box, so
+the windows nest: the cap-c window is every wider window restricted to
+|e_j| <= c.  delta_expand keeps one table of windows per (n, order) and
+runs the kernel only for a cap wider than every window it holds; any
+narrower cap is read from the widest.
+
 The positive kernels never need their own variables: the coefficient of
 y^(-a) in Pi(x, 1/y) is the product of single-variable strata g_{a_j}(x)
 (and e_{a_j} for the finite dual kernel), so integral transforms collect
@@ -293,13 +299,34 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
 
 
 @lru_cache(maxsize=None)
+def _delta_windows(n, order):
+    """{cap: window} of every Delta window delta_expand has handed out at (n, order)."""
+    return {}
+
+
 def delta_expand(n, order, cap):
     """Delta(y;q,t) over n variables: {exponent: series} on {|e_j| <= cap, sum e = 0}.
 
-    The cached dict is shared, and the exponents of one S_n-orbit share one
-    series: do not mutate either.
+    Each kept coefficient is exact whatever the box, so the cap-c window is
+    the cap-C window restricted to |e_j| <= c for every C >= c.  One table
+    per (n, order) serves every cap: the kernel runs only for a cap wider
+    than any window held, and a narrower cap is read from the widest one.
+    The result is kept per cap and shared, and the exponents of one
+    S_n-orbit share one series: do not mutate either.
     """
-    return _accumulate_delta({(0,) * n: QTSeries.one(order)}, n, order, -cap, cap, 0)
+    for name, value in (("n", n), ("order", order), ("cap", cap)):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"delta_expand: {name} must be an int >= 0, got {value!r}")
+    windows = _delta_windows(n, order)
+    if cap not in windows:
+        wide = max(windows, default=-1)
+        if wide < cap:
+            windows[cap] = _accumulate_delta({(0,) * n: QTSeries.one(order)},
+                                             n, order, -cap, cap, 0)
+        else:
+            windows[cap] = {e: s for e, s in windows[wide].items()
+                            if max(map(abs, e), default=0) <= cap}
+    return windows[cap]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +374,7 @@ def scalar_prime(f, g, n, order):
     product, plus one per orbit of f to finish.
     """
     fp = _as_npoly(f, n, order)
-    gp = _as_npoly(g, n, order)
+    gp = fp if g is f else _as_npoly(g, n, order)
     require_symmetric(gp, "the second argument of scalar_prime")
     g_orbits = _orbits(gp.terms)
     if not fp or not gp:

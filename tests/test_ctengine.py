@@ -165,6 +165,53 @@ def test_delta_windows_nest():
         assert len(wide) > len(narrow)
 
 
+def _kernel_window(n, order, cap):
+    return _accumulate_delta({(0,) * n: QTSeries.one(order)}, n, order, -cap, cap, 0)
+
+
+def _counted_kernel(monkeypatch):
+    """Count the Delta kernel runs that delta_expand makes from here on."""
+    runs = []
+
+    def kernel(*args):
+        runs.append(args[1:])
+        return _accumulate_delta(*args)
+    monkeypatch.setattr(ctengine, "_accumulate_delta", kernel)
+    return runs
+
+
+@pytest.mark.parametrize("caps, kernel_runs", [
+    ((3, 2, 1, 0), 1), ((0, 1, 2, 3), 4), ((1, 3, 0, 2), 2),
+], ids=["descending", "ascending", "shuffled"])
+def test_delta_window_table_in_any_call_order(monkeypatch, caps, kernel_runs):
+    # the kernel runs only for a cap wider than every window held; a narrower
+    # cap is the widest window restricted to its box, kept and shared
+    cases = ((3, 4), (4, 3), (5, 2))
+    want = {(n, order, cap): _kernel_window(n, order, cap) for n, order in cases for cap in caps}
+    macsym.clear_caches()
+    runs = _counted_kernel(monkeypatch)
+    for n, order in cases:
+        for cap in caps:
+            got = delta_expand(n, order, cap)
+            assert got == want[n, order, cap], (n, order, cap)
+            assert all(max(map(abs, e)) <= cap for e in got), (n, order, cap)
+            assert delta_expand(n, order, cap) is got
+    assert len(runs) == kernel_runs * len(cases)
+    for n, order in cases:
+        for cap in caps:
+            assert delta_expand(n, order, cap) == want[n, order, cap]
+    assert len(runs) == kernel_runs * len(cases)
+
+
+def test_delta_window_table_runs_the_kernel_once_for_descending_caps(monkeypatch):
+    macsym.clear_caches()
+    runs = _counted_kernel(monkeypatch)
+    windows = {cap: delta_expand(4, 8, cap) for cap in (3, 2, 1, 0)}
+    assert runs == [(4, 8, -3, 3, 0)]
+    for cap, window in windows.items():
+        assert window == _kernel_window(4, 8, cap), cap
+
+
 @pytest.mark.parametrize("order", [0, 1])
 def test_integral_reps_at_low_orders(order):
     # a coefficient of P_lam that truncates to zero must not read as a mismatch

@@ -6,7 +6,7 @@ The checks must hold under ``python -O`` too, so none may be an ``assert``.
 import pytest
 
 from macsym.coeff import QTSeries
-from macsym.ctengine import ct_norm_check, map_G, norm_prime_product
+from macsym.ctengine import ct_norm_check, delta_expand, map_G, norm_prime_product
 from macsym.fock import symmetrizer_check, vertex_product_check
 from macsym.macdonald import dr_apply, dr_eigenvalue, macdonald_pair
 from macsym.partitions import as_partition
@@ -43,3 +43,14 @@ from macsym.symfunc import NPoly, evaluate_n, sym_gen
 def test_out_of_range_argument_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("args", [
+    (2.0, 3, 1), (True, 3, 1), (2, 3.0, 1), (2, True, 1), (2, 3, True), (2, 3, "1"),
+    (-1, 3, 1), (2, -1, 1), (2, 3, -1),
+])
+def test_delta_expand_rejects_non_int_or_negative_arguments(args):
+    # a held (2, 3, 1) window must not answer (2.0, 3, 1) or (2, 3, True)
+    delta_expand(2, 3, 1)
+    with pytest.raises(ValueError):
+        delta_expand(*args)
