@@ -735,11 +735,19 @@ class QPochProduct:
         return QPochProduct(self.prefactor / ratqt(other), dict(self.factors))
 
     def to_series(self, order):
-        out = to_series(self.prefactor, order)
+        """The product as a series: one product per factor and unit of its exponent.
+
+        A base of total degree past the order expands to 1 and is skipped, and a
+        prefactor of ONE costs nothing.
+        """
+        out = None if self.prefactor == ONE else to_series(self.prefactor, order)
         for (a, b), e in self.factors.items():
+            if a + b > order:
+                continue
             base = (_poch_series if e > 0 else _poch_series_inverse)(a, b, order)
-            out = out * base ** abs(e)
-        return out
+            for _ in range(abs(e)):  # the cached base is copied, never handed out
+                out = QTSeries(order, base.coeffs) if out is None else out * base
+        return QTSeries.one(order) if out is None else out
 
     def __repr__(self):
         bits = [emit_ratqt(self.prefactor)]

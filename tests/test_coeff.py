@@ -436,6 +436,20 @@ def test_qpoch_product_against_dense_oracle():
     assert dense_from_qtseries(got) == want
 
 
+def test_qpoch_product_powers_prefactor_and_a_base_past_the_order():
+    # (t;q)oo^2 (q^3 t^2;q)oo / (q;q)oo^3 times 2/3 at order 4; q^3 t^2 expands to 1
+    prod = (QPochProduct(Fraction(2, 3)) * QPochProduct.poch(0, 1, 2) * QPochProduct.poch(3, 2)
+            / QPochProduct.poch(1, 0, 3))
+    want = dense_mul(dense_mul(poch_dense(0, 1, 4), poch_dense(0, 1, 4)),
+                     dense_inv(dense_mul(dense_mul(poch_dense(1, 0, 4), poch_dense(1, 0, 4)),
+                                         poch_dense(1, 0, 4))))
+    assert dense_from_qtseries(prod.to_series(4) * Fraction(3, 2)) == want
+    # a single factor comes back as a copy: mutating it leaves the next expansion whole
+    single = QPochProduct.poch(0, 1).to_series(4)
+    single.coeffs.clear()
+    assert dense_from_qtseries(QPochProduct.poch(0, 1).to_series(4)) == poch_dense(0, 1, 4)
+
+
 def test_qpoch_cancellation():
     prod = QPochProduct.poch(0, 1) / QPochProduct.poch(0, 1)
     assert prod.factors == {}

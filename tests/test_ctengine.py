@@ -190,17 +190,15 @@ def test_delta_window_table_in_any_call_order(monkeypatch, caps, kernel_runs):
     want = {(n, order, cap): _kernel_window(n, order, cap) for n, order in cases for cap in caps}
     macsym.clear_caches()
     runs = _counted_kernel(monkeypatch)
+    got = {}
     for n, order in cases:
         for cap in caps:
-            got = delta_expand(n, order, cap)
-            assert got == want[n, order, cap], (n, order, cap)
-            assert all(max(map(abs, e)) <= cap for e in got), (n, order, cap)
-            assert delta_expand(n, order, cap) is got
+            got[n, order, cap] = window = delta_expand(n, order, cap)
+            assert window == want[n, order, cap], (n, order, cap)
+            assert all(max(map(abs, e)) <= cap for e in window), (n, order, cap)
     assert len(runs) == kernel_runs * len(cases)
-    for n, order in cases:
-        for cap in caps:
-            assert delta_expand(n, order, cap) == want[n, order, cap]
-    assert len(runs) == kernel_runs * len(cases)
+    for key, window in got.items():
+        assert delta_expand(*key) is window, key
 
 
 def test_delta_window_table_runs_the_kernel_once_for_descending_caps(monkeypatch):
