@@ -614,19 +614,6 @@ class QTSeries:
         res.coeffs = {e: c for e, c in out.items() if c}
         return res
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers of a series need inverse()")
-        res = QTSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                res = res * base
-            k >>= 1
-            if k:
-                base = base * base
-        return res
-
 
 def _poly_to_series(poly, order):
     out = QTSeries(order)

@@ -307,12 +307,11 @@ def _delta_windows(n, order):
 def delta_expand(n, order, cap):
     """Delta(y;q,t) over n variables: {exponent: series} on {|e_j| <= cap, sum e = 0}.
 
-    Each kept coefficient is exact whatever the box, so the cap-c window is
-    the cap-C window restricted to |e_j| <= c for every C >= c.  One table
-    per (n, order) serves every cap: the kernel runs only for a cap wider
-    than any window held, and a narrower cap is read from the widest one.
-    The result is kept per cap and shared, and the exponents of one
-    S_n-orbit share one series: do not mutate either.
+    The windows nest, so one table per (n, order) serves every cap: the
+    kernel runs only for a cap wider than any window held, and a narrower
+    cap is the widest window restricted to its box.  Each window is kept
+    and shared, and the exponents of one S_n-orbit share one series: do not
+    mutate either.
     """
     for name, value in (("n", n), ("order", order), ("cap", cap)):
         if type(value) is not int or value < 0:

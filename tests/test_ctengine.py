@@ -157,16 +157,14 @@ def test_permutation_closed_nonsymmetric_seeds_take_the_full_path():
 
 
 def test_delta_windows_nest():
-    # a wider window holds the narrower one's terms unchanged
+    # a wider kernel window holds the narrower one's terms unchanged, which
+    # lets delta_expand read every narrower cap from the widest window
+    unit = {(0,) * 4: QTSeries.one(3)}
     for c in range(3):
-        narrow = delta_expand(4, 3, c)
-        wide = delta_expand(4, 3, c + 1)
+        narrow = _accumulate_delta(unit, 4, 3, -c, c, 0)
+        wide = _accumulate_delta(unit, 4, 3, -c - 1, c + 1, 0)
         assert narrow == {e: s for e, s in wide.items() if max(map(abs, e)) <= c}, c
         assert len(wide) > len(narrow)
-
-
-def _kernel_window(n, order, cap):
-    return _accumulate_delta({(0,) * n: QTSeries.one(order)}, n, order, -cap, cap, 0)
 
 
 def _counted_kernel(monkeypatch):
@@ -186,8 +184,10 @@ def _counted_kernel(monkeypatch):
 def test_delta_window_table_in_any_call_order(monkeypatch, caps, kernel_runs):
     # the kernel runs only for a cap wider than every window held; a narrower
     # cap is the widest window restricted to its box, kept and shared
-    cases = ((3, 4), (4, 3), (5, 2))
-    want = {(n, order, cap): _kernel_window(n, order, cap) for n, order in cases for cap in caps}
+    cases = ((3, 4), (4, 3), (5, 2), (4, 8))
+    want = {(n, order, cap): _accumulate_delta({(0,) * n: QTSeries.one(order)},
+                                               n, order, -cap, cap, 0)
+            for n, order in cases for cap in caps}
     macsym.clear_caches()
     runs = _counted_kernel(monkeypatch)
     got = {}
@@ -199,15 +199,6 @@ def test_delta_window_table_in_any_call_order(monkeypatch, caps, kernel_runs):
     assert len(runs) == kernel_runs * len(cases)
     for key, window in got.items():
         assert delta_expand(*key) is window, key
-
-
-def test_delta_window_table_runs_the_kernel_once_for_descending_caps(monkeypatch):
-    macsym.clear_caches()
-    runs = _counted_kernel(monkeypatch)
-    windows = {cap: delta_expand(4, 8, cap) for cap in (3, 2, 1, 0)}
-    assert runs == [(4, 8, -3, 3, 0)]
-    for cap, window in windows.items():
-        assert window == _kernel_window(4, 8, cap), cap
 
 
 @pytest.mark.parametrize("order", [0, 1])
