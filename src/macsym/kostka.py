@@ -12,10 +12,10 @@ independently.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import FIELD, Q, RING, QTSeries, ratqt, reduce_ratqt, substitute
+from .coeff import FIELD, RING, QTSeries, ratqt, reduce_ratqt
 from .errors import InternalInconsistency
 from .macdonald import _arm_leg_products, macdonald_pair
-from .pairing import kernel_coeff, plethysm, qbinom_coeff
+from .pairing import inv_qpoch, kernel_coeff, plethysm
 from .partitions import as_partition, partitions_of, weight
 from .symfunc import SymFunc, convert, sym_gen
 
@@ -80,12 +80,6 @@ def kostka_entry(lam, mu):
     return table.entries.get((lam, mu), ratqt(0))
 
 
-@lru_cache(maxsize=None)
-def _inv_qpoch(v):
-    """1/(q;q)_v: the Cauchy kernel factor qbinom_coeff(v) at t = 0."""
-    return substitute(qbinom_coeff(v), Q, 0)
-
-
 def kostka_integral_sides(lam, mu, order):
     """(constant-term route to K[lam,mu], the `kostka_matrix` entry), as series at the order.
 
@@ -100,7 +94,7 @@ def kostka_integral_sides(lam, mu, order):
     for w, sign in _sign_factor_terms(ell, reverse=True).items():
         rows = tuple(l - x for l, x in zip(lam, w))
         for beta, cb in wm.items():
-            if k := kernel_coeff(rows, beta, _inv_qpoch):
+            if k := kernel_coeff(rows, beta, inv_qpoch):
                 total = total + cb * sign * series_of(k, order)
     return total * series_of(h_mu, order), series_of(kostka_entry(lam, mu), order)
 

@@ -1,17 +1,20 @@
 """The (q,t) scalar product, the plethystic maps p_r -> w(r) p_r, and the Cauchy kernels.
 
 The scalar product is diagonal on power sums with weight z_lam(q,t); both
-Cauchy kernels expand factorwise by the q-binomial theorem, so every
-coefficient stays an exact rational function.
+Cauchy kernels expand factorwise by the q-binomial theorem.  A Cauchy kernel
+coefficient of degree S is held as its numerator over (q;q)_S in Z[q,t]
+(`kernel_numerator`), and the dual kernel's coefficients are integers.
 """
 
 from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 
-from .coeff import RING, ZERO, Q, T, clear_ratqt, ratqt, reduce_ratqt
+from .coeff import FIELD, RING, ZERO, Q, T, clear_ratqt, ratqt, reduce_ratqt
 from .partitions import as_partition, compositions
 from .symfunc import SymFunc, convert, sym_gen
+
+_q, _t = RING.gens
 
 
 @lru_cache(maxsize=None)
@@ -78,12 +81,26 @@ def omega_qt(f):
 
 
 @lru_cache(maxsize=None)
+def omega_cleared(rho):
+    """(num, den) over Z[q,t], num / den the omega_qt weight of p_rho:
+    prod over the parts r of (-1)^(r-1) (1 - q^r) and of (1 - t^r)."""
+    num = den = RING.one
+    for r in rho:
+        num *= (_q ** r - 1) if r % 2 == 0 else (1 - _q ** r)
+        den *= 1 - _t ** r
+    return num, den
+
+
+@lru_cache(maxsize=None)
 def qbinom_coeff(m):
     """(t;q)_m / (q;q)_m: the coefficient of (xy)^m in one Cauchy kernel factor."""
-    val = ratqt(1)
-    for k in range(m):
-        val = val * (1 - T * Q ** k) / (1 - Q ** (k + 1))
-    return val
+    return FIELD.new(_poch(m, _t), qpoch(m))
+
+
+@lru_cache(maxsize=None)
+def inv_qpoch(m):
+    """1/(q;q)_m: qbinom_coeff(m) at t = 0, the factor of the kernel prod 1/(x_i y_j; q)oo."""
+    return FIELD.new(RING.one, qpoch(m))
 
 
 def dual_factor(v):
@@ -91,15 +108,23 @@ def dual_factor(v):
     return 1 if v == 1 else 0
 
 
-def kernel_coeff(rows, cols, factor):
-    """Coefficient of x^rows y^cols in prod_{i,j} sum_v factor(v) (x_i y_j)^v.
+def _poch(m, a):
+    """(a;q)_m = prod_{k<m} (1 - a q^k) in Z[q,t]."""
+    return prod((1 - a * _q ** k for k in range(m)), start=RING.one)
 
-    It sums prod factor(entry) over the nonnegative integer matrices with row
-    sums `rows` and column sums `cols`: 0 for a negative margin or unequal sums.
-    """
-    if min(rows + cols, default=0) < 0 or sum(rows) != sum(cols):
-        return ratqt(0)
-    return ratqt(_margin_coeff(_margins(rows), _margins(cols), factor))
+
+@lru_cache(maxsize=None)
+def qpoch(m):
+    """(q;q)_m in Z[q,t]: the denominator of the degree-m Cauchy kernel coefficients."""
+    return _poch(m, _q)
+
+
+@lru_cache(maxsize=None)
+def _row_weight(free, first):
+    """[S; free, first]_q prod_v (t;q)_v over Z[q,t], S = free + sum(first), first sorted:
+    (q;q)_S / ((q;q)_free prod (q;q)_v) is a q-multinomial, so the division is exact."""
+    multinomial = qpoch(free + sum(first)).exquo(prod(map(qpoch, first), start=qpoch(free)))
+    return prod((_poch(v, _t) for v in first), start=multinomial)
 
 
 def _margins(margins):
@@ -107,17 +132,61 @@ def _margins(margins):
 
 
 @lru_cache(maxsize=None)
-def _margin_coeff(rows, cols, factor):
-    """kernel_coeff at sorted nonzero margins (the kernel is symmetric in x and in y)."""
+def kernel_numerator(rows, cols, dual=False):
+    """(q;q)_S times the Cauchy kernel coefficient of x^rows y^cols, S = sum(rows), over
+    Z[q,t]; with dual, the number of 0/1 matrices with these margins, the coefficient of
+    the dual kernel.  rows and cols are sorted nonzero margins of equal sum.
+
+    The matrix sum of prod qbinom_coeff(v_ij) = prod (t;q)_v / prod (q;q)_v is peeled
+    by its first row r_0: (q;q)_S / prod (q;q)_v factors as [S; S - r_0, first row]_q
+    times (q;q)_(S - r_0) / prod (q;q)_v over the other rows, so
+    N(rows, cols) = sum over the first rows v of [S; S - r_0, v]_q prod (t;q)_v
+    N(rows[1:], cols - v), with ring products and exact divisions only.
+    """
     if not rows:
-        return 1
-    total = 0  # stays an int while the factors are ints
+        return RING.one
+    free, total = sum(rows) - rows[0], RING.zero
     for first in compositions(rows[0], len(cols)):
-        if all(v <= c for v, c in zip(first, cols)):
-            rest = _margins(c - v for c, v in zip(cols, first))
-            coeff = prod(factor(v) for v in first if v)
-            total = total + coeff * _margin_coeff(rows[1:], rest, factor)
+        if all(v <= c for v, c in zip(first, cols)) and not (dual and max(first) > 1):
+            rest = kernel_numerator(rows[1:], _margins(c - v for c, v in zip(cols, first)), dual)
+            total += rest if dual else _row_weight(free, _margins(first)) * rest
     return total
+
+
+def _checked_margins(margins):
+    if not isinstance(margins, (list, tuple)) or not all(type(m) is int for m in margins):
+        raise ValueError(f"kernel_coeff: margins must be a list or tuple of ints, "
+                         f"got {margins!r}")
+    return tuple(margins)
+
+
+def kernel_coeff(rows, cols, factor):
+    """Coefficient of x^rows y^cols in prod_{i,j} sum_v factor(v) (x_i y_j)^v.
+
+    factor is qbinom_coeff (the Cauchy kernel), inv_qpoch (its t = 0 value)
+    or dual_factor (prod (1 + x_i y_j)); the margins are lists or tuples of
+    ints, anything else raises ValueError.  The coefficient is 0 for a
+    negative margin or unequal sums.
+    """
+    rows, cols = _checked_margins(rows), _checked_margins(cols)
+    if factor not in (qbinom_coeff, inv_qpoch, dual_factor):
+        raise ValueError(f"kernel_coeff: no kernel numerator for the factor {factor!r}")
+    if min(rows + cols, default=0) < 0 or sum(rows) != sum(cols):
+        return ratqt(0)
+    return _kernel_coeff(_margins(rows), _margins(cols), factor)
+
+
+@lru_cache(maxsize=None)
+def _kernel_coeff(rows, cols, factor):
+    """kernel_coeff at sorted nonzero margins (the kernel is symmetric in x and in y):
+    kernel_numerator over (q;q)_S, reduced once per margin pair and factor, at t = 0
+    for inv_qpoch; an integer for dual_factor."""
+    num = kernel_numerator(rows, cols, factor is dual_factor)
+    if factor is dual_factor:
+        return FIELD(num)
+    if factor is inv_qpoch:
+        num = RING({(a, b): c for (a, b), c in num.items() if not b})
+    return FIELD.new(num, qpoch(sum(rows)))
 
 
 def _kernel_table(nx, ny, d, factor):
@@ -159,7 +228,7 @@ _KERNEL_WEIGHTS = {
     "hl": lambda r: ratqt(1) - T ** r,
     "qinv": lambda r: 1 / (ratqt(1) - Q ** r),
     "tinv": lambda r: 1 / (ratqt(1) - T ** r),
-    "omega": lambda r: ratqt(-1) ** (r - 1) * (1 - Q ** r) / (1 - T ** r),
+    "omega": lambda r: FIELD.new(*omega_cleared((r,))),
 }
 
 

@@ -5,7 +5,8 @@ max_order_checked, wall_time}, run into a list by `_timed`; wall_time is the
 time spent producing the record.  `order`/`max_order_checked` are null for
 exact (non-truncated) checks.  A failing record of a check that compares two
 sides also carries `detail`: the first key at which they differ, with both
-values, or no detail when a side could not be computed.
+values, or no detail when a side could not be computed or when the sides
+agree and only the check's own table failed (`suite_cauchy`).
 Reports are deterministic apart from the timing field: cases are generated in
 reverse-lex partition order.
 """
@@ -14,12 +15,13 @@ import time
 from functools import wraps
 from itertools import combinations
 
-from . import ctengine, fock, kostka, macdonald
-from .coeff import FIELD, QTSeries, add_into, emit_ratqt, sums_of_products_equal, swap_qt
+from . import ctengine, fock, kostka, macdonald, pairing
+from .coeff import (FIELD, QTSeries, add_into, clear_ratqt, emit_ratqt, invert, reduce_ratqt,
+                    sums_of_products_equal, swap_poly, swap_qt)
 from .errors import InternalInconsistency
 from .macdonald import macdonald_pair
-from .pairing import (dual_factor, inner_cleared, inner_products, kernel_coeff, omega_qt,
-                      qbinom_coeff)
+from .pairing import (dual_factor, inner_cleared, inner_products, kernel_coeff, omega_cleared,
+                      qbinom_coeff, qpoch)
 from .partitions import (MAX_HL_WEIGHT, MAX_INTEGRAL_WEIGHT, MAX_KOSTKA_DEGREE,
                          conjugate, partitions_of, weight)
 from .symfunc import _reduced_p, convert, evaluate_n, sym_gen
@@ -138,15 +140,34 @@ def suite_eigen(maxweight=3, **_):
 
 @_timed
 def suite_duality(maxweight=5, **_):
+    """omega_qt P_lam = Q_lam'(x; t, q) (Macdonald VI (5.1)) on the held numerators.
+
+    With P_lam = nums / den (`cleared_p`), Q_lam' = nums' / den' and the omega
+    weight of p_rho cleared to w_num / w_den (`omega_cleared`), the record
+    holds when w_num nums[rho] swap(den') = swap(nums'[rho]) w_den den at
+    every p-key rho.  One packed evaluation per lam decides it, and nothing
+    is reduced on a pass; a failing record reduces both sides for its detail.
+    """
     for lam in _all_partitions(maxweight):
-        lhs = omega_qt(macdonald_pair(lam).P_p)
-        rhs = macdonald_pair(conjugate(lam)).Qf.map_coeffs(swap_qt)
-        yield _compared("omega-duality", {"lambda": lam}, lhs, rhs)
+        den, nums = macdonald_pair(lam).cleared_p()
+        den_d, nums_d = macdonald_pair(conjugate(lam)).cleared_p(dual=True)
+        den_d, nums_d = swap_poly(den_d), {rho: swap_poly(n) for rho, n in nums_d.items()}
+        weights = {rho: omega_cleared(rho) for rho in nums.keys() | nums_d.keys()}
+        equations = [([(weights[rho][0], nums[rho], den_d)] if rho in nums else [],
+                      [(nums_d[rho], weights[rho][1], den)] if rho in nums_d else [])
+                     for rho in weights]
+        rec = _record("omega-duality", {"lambda": lam}, all(sums_of_products_equal(equations)))
+        if rec["status"] == "fail":
+            lhs = {rho: FIELD.new(weights[rho][0] * n, weights[rho][1] * den)
+                   for rho, n in nums.items() if n}
+            rec["detail"] = first_difference(lhs, reduce_ratqt(nums_d, den_d))
+        yield rec
 
 
 def _cauchy_products(d, dual):
     """{(lam, mu): coefficient of x^lam y^mu} in sum_nu P_nu(x) Q_nu(y), |nu| = d,
-    or in the dual sum_nu P_nu(x) P_nu'(y; t, q), both read from P in the m basis."""
+    or in the dual sum_nu P_nu(x) P_nu'(y; t, q), both read from P in the m basis:
+    the side of a failing Cauchy record's detail."""
     out = {}
     for nu in partitions_of(d):
         pair = macdonald_pair(nu)
@@ -157,16 +178,69 @@ def _cauchy_products(d, dual):
     return out
 
 
+def cauchy_equations(d):
+    """{(name, nu, mu): (lhs, rhs)}: the degree-d Cauchy identities over Z[q,t].
+
+    A[nu][mu] = J_nu[mu] / c_nu are P's m-rows, inverted by `invert` and each
+    column nu cleared to N[rho][nu] / E_nu.  With the kernel numerators K
+    over (q;q)_d and the dual kernel's integers K~ (`kernel_numerator`):
+    - "cauchy-kernel": c'_nu sum_rho N[rho][nu] K[rho][mu] = J_nu[mu] E_nu (q;q)_d;
+    - "dual-cauchy-kernel": c'_nu sum_rho N[rho][nu] K~[rho][mu] = swap(J_nu')[mu] E_nu;
+    - "table" (nu2 in place of nu): sum_rho J_nu2[rho] N[rho][nu] = delta c_nu2 E_nu.
+    """
+    plist = list(partitions_of(d))
+    inverse = invert({nu: macdonald_pair(nu).P.terms for nu in plist}, plist)
+    qq = qpoch(d)
+    out = {}
+    for nu in plist:
+        E, N = clear_ratqt({rho: row[nu] for rho, row in inverse.items() if nu in row})
+        c, c_prime = macdonald._arm_leg_products(nu)
+        J, J_dual = macdonald_pair(nu).J, macdonald_pair(conjugate(nu)).J
+        for mu in plist:
+            out["cauchy-kernel", nu, mu] = (
+                [(c_prime, n, pairing.kernel_numerator(rho, mu)) for rho, n in N.items()],
+                [(J[mu], E, qq)] if mu in J else [])
+            out["dual-cauchy-kernel", nu, mu] = (
+                [(c_prime, n, k) for rho, n in N.items()
+                 if (k := pairing.kernel_numerator(rho, mu, True))],
+                [(swap_poly(J_dual[mu]), E)] if mu in J_dual else [])
+            J2 = macdonald_pair(mu).J
+            out["table", mu, nu] = (
+                [(J2[rho], n) for rho, n in N.items() if rho in J2],
+                [(c, E)] if mu == nu else [])
+    return out
+
+
 @_timed
 def suite_cauchy(maxweight=4, **_):
-    """Both Cauchy identities at partition keys: each side is symmetric in x and in y."""
+    """Both Cauchy identities at partition keys, decided over Z[q,t] per degree.
+
+    sum_nu P_nu(x) Q_nu(y) = K reads K = A^T B A at degree d, with A P's
+    m-rows and B = diag(b_nu).  A is unitriangular in reverse lex, so this
+    is K's unique LDL^T factorization, and it holds exactly when
+    A^-T K = B A.  `cauchy_equations` states that over Z[q,t] on the
+    table N / E of A^-1, and the table equations check A N / E = 1, so the
+    inverse is checked, not trusted; the dual identity is the same with
+    B A replaced by the q <-> t swapped rows of P_nu'.  One packed
+    evaluation per degree decides both records, each of which needs the
+    table equations too.  A failing record forms both sides of the identity
+    (the kernel coefficients and `_cauchy_products`) for its detail.
+    """
     for d in range(maxweight + 1):
-        plist = list(partitions_of(d))
+        equations = cauchy_equations(d)
+        failed = {key[0] for key, holds in zip(equations,
+                                                sums_of_products_equal(list(equations.values())))
+                  if not holds}
         for identity, factor, dual in (("cauchy-kernel", qbinom_coeff, False),
                                        ("dual-cauchy-kernel", dual_factor, True)):
-            kernel = {(lam, mu): c for lam in plist for mu in plist
-                      if (c := kernel_coeff(lam, mu, factor))}
-            yield _compared(identity, {"degree": d}, kernel, _cauchy_products(d, dual))
+            rec = _record(identity, {"degree": d}, not failed & {identity, "table"})
+            if rec["status"] == "fail":
+                plist = list(partitions_of(d))
+                kernel = {(lam, mu): c for lam in plist for mu in plist
+                          if (c := kernel_coeff(lam, mu, factor))}
+                if detail := first_difference(kernel, _cauchy_products(d, dual)):
+                    rec["detail"] = detail
+            yield rec
 
 
 @_timed

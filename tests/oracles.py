@@ -36,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
@@ -197,6 +197,29 @@ def delta_unpruned(seeds, nvars, pair_series, order, lo, hi):
                     out[key] = dense_add(out[key], piece) if key in out else piece
             terms = {e: arr for e, arr in out.items() if arr != zero}
     return {e: arr for e, arr in terms.items() if all(lo <= x <= hi for x in e)}
+
+
+def margin_matrices(rows, cols):
+    """Every matrix of nonnegative integers with row sums `rows` and column sums `cols`,
+    as the tuple of its entries row by row."""
+    if not rows:
+        if not any(cols):
+            yield ()
+        return
+    for first in compositions(rows[0], len(cols)):
+        if all(v <= c for v, c in zip(first, cols)):
+            for rest in margin_matrices(rows[1:], tuple(c - v for c, v in zip(cols, first))):
+                yield first + rest
+
+
+def kernel_at_margins(rows, cols, factor):
+    """kernel_matrices' coefficient at one pair of margins, as a RatQT: the sum of
+    prod factor(entry) over the matrices with these margins, enumerated one by one
+    (those with the same multiset of entries share one product of factors), so that
+    margins of degree 5 need not enumerate every matrix of total at most 5.
+    """
+    entries = Counter(tuple(sorted(v for v in m if v)) for m in margin_matrices(rows, cols))
+    return ratqt(sum((n * prod(map(factor, e)) for e, n in entries.items()), 0))
 
 
 def kernel_matrices(nx, ny, d, factor):

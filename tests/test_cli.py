@@ -6,13 +6,13 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from macsym import cli, ctengine, fock, macdonald, verify
+from macsym import cli, ctengine, fock, macdonald, pairing, verify
 from macsym.cli import build_parser, main
-from macsym.coeff import (MAX_COEFF_BITS, MAX_EXPONENT, RING, QTSeries, clear_ratqt, emit_ratqt,
-                          ratqt, reduce_ratqt, swap_qt)
+from macsym.coeff import (FIELD, MAX_COEFF_BITS, MAX_EXPONENT, RING, QTSeries, RatQT, clear_ratqt,
+                          emit_ratqt, ratqt, reduce_ratqt, swap_qt)
 from macsym.errors import InternalInconsistency, NotSeriesExpandable
 from macsym.macdonald import MacdonaldPair, macdonald_pair
-from macsym.pairing import inner_qt
+from macsym.pairing import dual_factor, inner_qt, kernel_coeff, omega_qt, qbinom_coeff
 from macsym.partitions import MAX_HL_WEIGHT, conjugate, partitions_of
 from macsym.symfunc import evaluate_n, sym_gen
 
@@ -161,42 +161,48 @@ def test_verify_cauchy_default_degree(capsys):
     assert all(r["status"] == "pass" for r in checks)
 
 
-def test_verify_cauchy_detects_a_wrong_coefficient(monkeypatch):
-    products = verify._cauchy_products
+def test_verify_cauchy_detects_a_wrong_coefficient(monkeypatch, cold_kernel_memos):
+    # the degree-3 kernel numerator at x^(2,1) y^(2,1) off by (q;q)_3: the kernel
+    # coefficient there + 1, read by the packed equations and by the detail alike
+    numerator = pairing.kernel_numerator
 
-    def perturbed(d, dual):
-        out = dict(products(d, dual))
-        if d == 3 and not dual:
-            key = ((2, 1), (2, 1))
-            out[key] = out[key] + 1
+    def perturbed(rows, cols, dual=False):
+        out = numerator(rows, cols, dual)
+        if (rows, cols, dual) == ((2, 1), (2, 1), False):
+            out = out + pairing.qpoch(3)
         return out
 
-    monkeypatch.setattr(verify, "_cauchy_products", perturbed)
-    status = {(r["identity"], r["parameters"]["degree"]): r["status"]
-              for r in verify.suite_cauchy(maxweight=3)}
-    assert status.pop(("cauchy-kernel", 3)) == "fail"
-    assert set(status.values()) == {"pass"}
+    monkeypatch.setattr(pairing, "kernel_numerator", perturbed)
+    records = {(r["identity"], r["parameters"]["degree"]): r
+               for r in verify.suite_cauchy(maxweight=3)}
+    failed = records.pop(("cauchy-kernel", 3))
+    assert failed["status"] == "fail"
+    assert failed["detail"]["key"] == repr(((2, 1), (2, 1)))
+    assert {r["status"] for r in records.values()} == {"pass"}
 
 
 def test_failing_record_reports_its_first_difference(monkeypatch, capsys):
-    omega = verify.omega_qt
+    # P_lam held as its cleared p-numerators plus den at p_2, i.e. P_lam + p_2, for every
+    # lam with a p_2 coefficient: omega_qt adds the weight of p_2 to the left side there
+    cleared_p = MacdonaldPair.cleared_p
 
-    def perturbed(f):
-        out = omega(f)
-        if (2,) in out.terms:
-            out.terms[(2,)] = out.terms[(2,)] + 1
-        return out
+    def perturbed(self, dual=False):
+        den, nums = cleared_p(self, dual)
+        if not dual and (2,) in nums:
+            nums = {**nums, (2,): nums[(2,)] + den}
+        return den, nums
 
-    monkeypatch.setattr(verify, "omega_qt", perturbed)
+    monkeypatch.setattr(MacdonaldPair, "cleared_p", perturbed)
     assert main(["verify", "--suite", "duality", "--maxweight", "2", "--format", "json"]) == 1
     captured = capsys.readouterr()
     checks = json.loads(captured.out)["checks"]
     failed = [r for r in checks if r["status"] == "fail"]
     assert [r["parameters"]["lambda"] for r in failed] == [[2], [1, 1]]
+    weight = omega_qt(sym_gen("p", (2,))).terms[(2,)]
     for rec in failed:
         lam = tuple(rec["parameters"]["lambda"])
         want = macdonald_pair(conjugate(lam)).Qf.map_coeffs(swap_qt).terms[(2,)]
-        assert rec["detail"] == {"key": "(2,)", "got": emit_ratqt(want + 1),
+        assert rec["detail"] == {"key": "(2,)", "got": emit_ratqt(want + weight),
                                  "want": emit_ratqt(want)}
     # passing records keep exactly the v1 fields
     assert all(set(r) == {"identity", "parameters", "order", "status",
@@ -205,6 +211,48 @@ def test_failing_record_reports_its_first_difference(monkeypatch, capsys):
     detail = failed[0]["detail"]
     assert captured.err == (f"counterexample: omega-duality {{'lambda': (2,)}}; first difference "
                             f"at (2,): got {detail['got']}, want {detail['want']}\n")
+
+
+def test_passing_duality_suite_forms_no_field_value(monkeypatch):
+    for d in range(5):
+        for lam in partitions_of(d):
+            macdonald_pair(lam).J_p
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a passing duality record formed a Q(q,t) value")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+        monkeypatch.setattr(RatQT, name, forbidden)
+    monkeypatch.setattr(FIELD, "new", forbidden)
+    with pytest.raises(AssertionError):
+        FIELD.one + FIELD.one
+    records = verify.suite_duality(maxweight=4)
+    assert len(records) == 12 and {r["status"] for r in records} == {"pass"}
+
+
+def test_perturbed_integral_form_fails_the_cauchy_and_duality_records(monkeypatch):
+    # J_(2,1) + q at m_(1,1,1): each failing record carries the first difference of
+    # the two sides as formed in Q(q,t), the kernel against the products of the P_nu,
+    # and omega_qt P_lam against Q_lam'(x; t, q)
+    J = dict(macdonald_pair((2, 1)).J)
+    J[(1, 1, 1)] = J[(1, 1, 1)] + RING.gens[0]
+    monkeypatch.setitem(macdonald._PAIRS, (2, 1), MacdonaldPair((2, 1), J))
+    records = verify.suite_cauchy(maxweight=3) + verify.suite_duality(maxweight=3)
+    failed = {(r["identity"], str(r["parameters"])): r["detail"] for r in records
+              if r["status"] == "fail"}
+    plist = list(partitions_of(3))
+    want = {}
+    for identity, factor, dual in (("cauchy-kernel", qbinom_coeff, False),
+                                   ("dual-cauchy-kernel", dual_factor, True)):
+        kernel = {(lam, mu): c for lam in plist for mu in plist
+                  if (c := kernel_coeff(lam, mu, factor))}
+        want[identity, "{'degree': 3}"] = verify.first_difference(
+            kernel, verify._cauchy_products(3, dual))
+    want["omega-duality", "{'lambda': (2, 1)}"] = verify.first_difference(
+        omega_qt(macdonald_pair((2, 1)).P_p),
+        macdonald_pair((2, 1)).Qf.map_coeffs(swap_qt))
+    assert failed == want and all(want.values())
 
 
 @pytest.mark.parametrize("added, failing", [

@@ -1,16 +1,16 @@
 import random
 
-from macsym.coeff import Q, T, parse_ratqt, ratqt, swap_qt
-from macsym.kostka import _inv_qpoch
+from macsym import pairing, verify
+from macsym.coeff import FIELD, Q, RING, T, parse_ratqt, ratqt, sums_of_products_equal, swap_qt
 from macsym.pairing import (cauchy_pi, cauchy_pi_tilde, dual_factor, inner_pvec, inner_qt,
-                            kernel_coeff, kernel_product, omega_qt,
-                            qbinom_coeff, z_factor, z_plain)
+                            inv_qpoch, kernel_coeff, kernel_numerator, kernel_product, omega_qt,
+                            qbinom_coeff, qpoch, z_factor, z_plain)
 from macsym.partitions import compositions, partitions_of
 from macsym.symfunc import SymFunc, convert, multiply, sym_gen
 
 from hypothesis import given
 
-from oracles import inner_pvec_termwise, kernel_matrices, p_product_termwise
+from oracles import inner_pvec_termwise, kernel_at_margins, kernel_matrices, p_product_termwise
 from strategies import pvec_maps
 
 
@@ -81,12 +81,22 @@ def test_kernel_coefficients_against_matrix_enumeration():
             for d in range(4):
                 assert cauchy_pi(nx, ny, d) == kernel_matrices(nx, ny, d, qbinom_coeff)
                 assert cauchy_pi_tilde(nx, ny, d) == kernel_matrices(nx, ny, d, dual_factor)
-                want = kernel_matrices(nx, ny, d, _inv_qpoch)
+                want = kernel_matrices(nx, ny, d, inv_qpoch)
                 for total in range(d + 1):
                     for rows in compositions(total, nx):
                         for cols in compositions(total, ny):
-                            got = kernel_coeff(rows, cols, _inv_qpoch)
+                            got = kernel_coeff(rows, cols, inv_qpoch)
                             assert got == want.get((rows, cols), 0), (rows, cols)
+    # every margin pair up to degree 5: the numerator over (q;q)_d, at t = 0, and the dual
+    for d in range(6):
+        for rows in partitions_of(d):
+            for cols in partitions_of(d):
+                num = kernel_numerator(rows, cols)
+                at_t0 = RING({(a, b): c for (a, b), c in num.items() if not b})
+                assert FIELD.new(num, qpoch(d)) == kernel_at_margins(rows, cols, qbinom_coeff)
+                assert FIELD.new(at_t0, qpoch(d)) == kernel_at_margins(rows, cols, inv_qpoch)
+                assert (FIELD(kernel_numerator(rows, cols, True))
+                        == kernel_at_margins(rows, cols, dual_factor)), (rows, cols)
 
 
 def test_kernel_coeff_vanishes_off_the_margins():
@@ -94,6 +104,47 @@ def test_kernel_coeff_vanishes_off_the_margins():
     assert kernel_coeff((1,), (2, -1), dual_factor) == 0
     assert kernel_coeff((2, 1), (2,), qbinom_coeff) == 0
     assert kernel_coeff((1, 1), (1, 1, 1), dual_factor) == 0
+
+
+def test_cauchy_fails_at_every_degree_a_wrong_q_multinomial_reaches(monkeypatch,
+                                                                    cold_kernel_memos):
+    # [2; 1, 1]_q = 1 + q off by one power of q: every margin pair peeled down to
+    # the rows (1, 1) reads it, and (1^d) is one for each d >= 2
+    row_weight = pairing._row_weight
+    monkeypatch.setattr(pairing, "_row_weight", lambda free, first: row_weight(free, first)
+                        * (Q.numer if (free, first) == (1, (1,)) else 1))
+    records = verify.suite_cauchy(maxweight=4)
+    failed = [(r["identity"], r["parameters"]["degree"]) for r in records
+              if r["status"] == "fail"]
+    assert failed == [("cauchy-kernel", d) for d in (2, 3, 4)]
+    assert all("key" in r["detail"] for r in records if r["status"] == "fail")
+
+
+def test_cauchy_table_with_a_perturbed_entry_fails_the_table_equations(monkeypatch):
+    # J is intact and the inverse of A off at one entry, rho = (2, 1) in the column
+    # nu = (1, 1, 1): that column's table equations fail for each nu2 whose J has an
+    # m_(2,1) coefficient
+    invert = verify.invert
+
+    def perturbed(rows, plist):
+        out = invert(rows, plist)
+        if (1, 1, 1) in plist:
+            row = out[(2, 1)] = dict(out[(2, 1)])
+            row[(1, 1, 1)] = row[(1, 1, 1)] + Q
+        return out
+
+    monkeypatch.setattr(verify, "invert", perturbed)
+    equations = verify.cauchy_equations(3)
+    failed = {key for key, holds in zip(equations,
+                                         sums_of_products_equal(list(equations.values())))
+              if not holds}
+    assert {key for key in failed if key[0] == "table"} == {
+        ("table", (3,), (1, 1, 1)), ("table", (2, 1), (1, 1, 1))}
+    records = verify.suite_cauchy(maxweight=3)
+    assert [(r["identity"], r["parameters"]["degree"]) for r in records
+            if r["status"] == "fail"] == [("cauchy-kernel", 3), ("dual-cauchy-kernel", 3)]
+    # both sides of the identity agree, so a failing record has no first difference
+    assert all("detail" not in r for r in records)
 
 
 def test_qbinom_telescopes_at_beta_one():

@@ -9,6 +9,7 @@ from macsym.coeff import QTSeries
 from macsym.ctengine import ct_norm_check, delta_expand, map_G, norm_prime_product
 from macsym.fock import symmetrizer_check, vertex_product_check
 from macsym.macdonald import dr_apply, dr_eigenvalue, macdonald_pair
+from macsym.pairing import dual_factor, inv_qpoch, kernel_coeff, qbinom_coeff
 from macsym.partitions import as_partition
 from macsym.symfunc import NPoly, evaluate_n, sym_gen
 
@@ -33,13 +34,19 @@ from macsym.symfunc import NPoly, evaluate_n, sym_gen
     lambda: as_partition(["2", "1"]),
     lambda: as_partition([float("inf")]),
     lambda: macdonald_pair([2.5]),
+    lambda: kernel_coeff((2.0, 1), (2, 1), qbinom_coeff),
+    lambda: kernel_coeff((1,), [1.0], inv_qpoch),
+    lambda: kernel_coeff((True,), (1,), dual_factor),
+    lambda: kernel_coeff("21", (2, 1), qbinom_coeff),
+    lambda: kernel_coeff((1,), (1,), lambda v: 1),
 ], ids=["dr_apply-r", "dr_eigenvalue-length", "dr_eigenvalue-r-zero",
         "dr_eigenvalue-r-above-n", "map_G-s", "vertex_product_check-beta",
         "symmetrizer_check-n", "evaluate_n-n", "ct_norm_check-length",
         "norm_prime_product-n", "QTSeries-order", "QTSeries-q-exponent",
         "QTSeries-t-exponent", "as_partition-float", "as_partition-integral-float",
         "as_partition-bool", "as_partition-str", "as_partition-inf",
-        "macdonald_pair-float"])
+        "macdonald_pair-float", "kernel_coeff-float", "kernel_coeff-list-float",
+        "kernel_coeff-bool", "kernel_coeff-str", "kernel_coeff-factor"])
 def test_out_of_range_argument_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
@@ -54,3 +61,9 @@ def test_delta_expand_rejects_non_int_or_negative_arguments(args):
     delta_expand(2, 3, 1)
     with pytest.raises(ValueError):
         delta_expand(*args)
+
+
+def test_kernel_coeff_takes_list_or_tuple_margins_and_reads_negative_ones_as_zero():
+    assert kernel_coeff([2, 1], (2, 1), qbinom_coeff) == kernel_coeff((2, 1), [2, 1], qbinom_coeff)
+    assert kernel_coeff([1, 1], [1, 1], dual_factor) == 2
+    assert kernel_coeff((2, -1), [1, 0], inv_qpoch) == 0
