@@ -130,9 +130,9 @@ def invert(rows, plist):
 
     The entries are field elements, Fraction or RatQT, and are used as they
     are; the identity starts as plain 0/1.  Gauss-Jordan elimination with the
-    first nonzero pivot of each column.  The inverse comes back in the same
-    sparse row form, zeros dropped; a singular matrix raises
-    InternalInconsistency.
+    first nonzero pivot of each column; a pivot of 1 divides nothing.  The
+    inverse comes back in the same sparse row form, zeros dropped; a singular
+    matrix raises InternalInconsistency.
     """
     k = len(plist)
     idx = {lam: i for i, lam in enumerate(plist)}
@@ -147,9 +147,9 @@ def invert(rows, plist):
             raise InternalInconsistency("singular matrix")
         mat[col], mat[piv] = mat[piv], mat[col]
         inv[col], inv[piv] = inv[piv], inv[col]
-        c = mat[col][col]
-        mat[col] = [v / c for v in mat[col]]
-        inv[col] = [v / c for v in inv[col]]
+        if (c := mat[col][col]) != 1:
+            mat[col] = [v / c for v in mat[col]]
+            inv[col] = [v / c for v in inv[col]]
         for r in range(k):
             if r != col and mat[r][col]:
                 f = mat[r][col]

@@ -53,7 +53,7 @@ from math import factorial
 
 from .coeff import (RING, QPochProduct, QTSeries, add_into, clear_denominators,
                     cleared_series, divide_back, ratqt, reduce_ratqt, swap_poly, to_series)
-from .errors import InternalInconsistency, WindowTooSmall
+from .errors import InternalInconsistency, WindowTooSmall, check_counts
 from .macdonald import _arm_leg_products, dr_apply, macdonald_pair, skew_q_cleared
 from .pairing import _weight, kernel_coeff, kernel_product, qbinom_coeff
 from .partitions import (as_partition, compositions, conjugate, partial_stacks,
@@ -313,9 +313,7 @@ def delta_expand(n, order, cap):
     and shared, and the exponents of one S_n-orbit share one series: do not
     mutate either.
     """
-    for name, value in (("n", n), ("order", order), ("cap", cap)):
-        if type(value) is not int or value < 0:
-            raise ValueError(f"delta_expand: {name} must be an int >= 0, got {value!r}")
+    check_counts("delta_expand", n=(n, 0), order=(order, 0), cap=(cap, 0))
     windows = _delta_windows(n, order)
     if cap not in windows:
         wide = max(windows, default=-1)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and argument checks shared across the package."""
 
 
 class MacsymError(Exception):
@@ -27,3 +27,10 @@ class InternalInconsistency(MacsymError):
 
 class WindowTooSmall(MacsymError):
     """Declared exponent window cannot hold every term affecting the requested result."""
+
+
+def check_counts(fn, **floors):
+    """ValueError unless each argument, passed as name=(value, floor), is an int >= floor."""
+    for name, (value, floor) in floors.items():
+        if type(value) is not int or value < floor:
+            raise ValueError(f"{fn}: {name} must be an int >= {floor}, got {value!r}")

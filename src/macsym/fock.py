@@ -5,9 +5,9 @@ is materialized.  Two skew routes share nothing with `macdonald.skew_q`'s peel
 of P_mu P_nu: the translation coproduct p_r -> p_r(x) + p_r(y) of the half
 vertex operator, and P_mu acting in the lowered power sums.  Each `_cleared`
 form returns (den, numerators over Z[q,t]); the public form reduces them.  Two
-scalar identities come from the vertex-operator construction: the
-finite-product collapse of the kernels at t = q^beta and the symmetrizer sum
-formula.
+scalar identities come from the vertex-operator construction: the symmetrizer
+sum formula, and the finite-product collapse of the kernels at t = q^beta, over
+Z[q] with its n-variable products compared as ints at q = 2^bits.
 """
 
 from functools import lru_cache
@@ -15,9 +15,10 @@ from itertools import combinations, product
 from math import comb, prod
 from types import MappingProxyType
 
-from .coeff import RING, Q, add_into, clear_ratqt, ratqt, substitute
+from .coeff import FIELD, RING, add_into
+from .errors import check_counts
 from .macdonald import _arm_leg_products, _peel_p, hall_littlewood_symmetrizer, macdonald_pair
-from .pairing import qbinom_coeff
+from .pairing import _poch, qpoch
 from .partitions import as_partition, dominates, weight
 from .symfunc import NPoly, _reduced_p, basis_to_m
 
@@ -107,108 +108,98 @@ def skew_via_diffop_cleared(lam, mu):
 # scalar reductions of the vertex-operator construction
 # ---------------------------------------------------------------------------
 
-def _delta_factor_rational(m, beta):
-    """c_m with t = q^beta: prod_{k<m} (q^beta - q^k) / (q;q)_m, exact in q."""
-    num = ratqt(1)
-    for k in range(m):
-        num = num * (Q ** beta - Q ** k)
-    den = ratqt(1)
-    for k in range(1, m + 1):
-        den = den * (1 - Q ** k)
-    return num / den
-
-
-def _finite_delta_poly(beta, deg):
-    """Coefficients of prod_{k<beta} (1 - q^k u) in u, up to u^deg."""
-    coeffs = [ratqt(1)]
-    for k in range(beta):
-        nxt = [ratqt(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] = nxt[i] + c
-            nxt[i + 1] = nxt[i + 1] - c * Q ** k
-        coeffs = nxt
-    coeffs += [ratqt(0)] * max(0, deg + 1 - len(coeffs))
-    return coeffs[: deg + 1]
-
-
-def _finite_pi_series(beta, deg):
-    """Coefficients of 1 / prod_{k<beta} (1 - q^k u) in u, up to u^deg."""
-    den = _finite_delta_poly(beta, deg)
-    out = [ratqt(1)]
-    for j in range(1, deg + 1):
-        s = ratqt(0)
-        for i in range(1, min(j, len(den) - 1) + 1):
-            s = s + den[i] * out[j - i]
-        out.append(-s)
-    return out
-
-
 def _monomial_shift(n, i, j, k=1):
     """Exponent vector of (x_i / x_j)^k in n variables."""
-    e = [0] * n
-    e[i] += k
-    e[j] -= k
-    return tuple(e)
+    return tuple(k * ((x == i) - (x == j)) for x in range(n))
 
 
-def _vertex_pair_series(beta):
-    """{d: coefficient of (x_i/x_j)^d} in the interchange kernel of one pair at t = q^beta."""
-    cm = [_delta_factor_rational(m, beta) for m in range(beta + 1)]
-    return {dd: sum((cm[k + abs(dd)] * cm[k] for k in range(beta - abs(dd) + 1)), ratqt(0))
-            for dd in range(-beta, beta + 1)}
+def _collapse_numerator(m, beta):
+    """prod_{k<m} (q^beta - q^k) = c_m (q;q)_m, c_m of one interchange factor at t = q^beta."""
+    return prod((_q ** beta - _q ** k for k in range(m)), start=RING.one)
 
 
 @lru_cache(maxsize=None)
 def _vertex_factors(beta, d):
-    """The per-factor half of `vertex_product_check(beta, n, d)`, shared by every n.
+    """The per-factor half of `vertex_product_check(beta, n, d)` over Z[q], shared by every n.
 
-    None when a per-factor identity fails up to u^d.  Else (den, pair,
-    finite_pair), read-only {degree of z = x_i / x_j: Z[q]} maps of one pair:
-    its interchange kernel cleared to the denominator den, and its finite
-    product a(z) a(1/z), a(z) = prod_{k<beta} (1 - q^k z).
+    (mismatch, den, pair, finite_pair) with a(u) = (u;q)_beta = sum a_m u^m, c(u) = sum c_m u^m.
+    mismatch is None, or the first identity up to u^d that fails as (key, got, want) in Q(q):
+    ("interchange", m), c_m against a_m for m <= max(d, beta), or ("positive", m),
+    `qbinom_coeff(m)` at t = q^beta against h_m, h = 1/a by h_j = -sum_{i>=1} a_i h_{j-i}
+    (a_0 = 1); each is compared as its numerator over (q;q)_m.  pair and finite_pair are
+    read-only {degree of z = x_i / x_j: Z[q]} maps of one pair: its interchange kernel
+    c(z) c(1/z) over den = (q;q)_beta^2, and a(z) a(1/z).
     """
-    # per-factor interchange kernel
-    finite = _finite_delta_poly(beta, max(d, beta))
-    for m in range(max(d, beta) + 1):
-        lhs = _delta_factor_rational(m, beta)
-        rhs = finite[m] if m < len(finite) else ratqt(0)
-        if lhs != rhs:
-            return None
-    # per-factor positive kernel: kappa_m(q, q^beta) against the geometric side
-    pi_side = _finite_pi_series(beta, d)
-    for m in range(d + 1):
-        lhs = substitute(qbinom_coeff(m), Q, Q ** beta)
-        if lhs != pi_side[m]:
-            return None
-    den, pair = clear_ratqt(_vertex_pair_series(beta))
-    a = [c.numer for c in finite[:beta + 1]]  # prod_{k<beta} (1 - q^k z), over Z[q]
-    finite_pair = {}
+    top = max(d, beta)
+    a = [_poch(beta, _t).coeff_wrt(_t, m) for m in range(top + 1)]
+    h = [RING.one]
+    for j in range(1, d + 1):
+        h.append(-sum((a[i] * h[j - i] for i in range(1, j + 1)), RING.zero))
+    sides = [(("interchange", m), _collapse_numerator(m, beta), a[m]) for m in range(top + 1)]
+    sides += [(("positive", m), _poch(m, _t).compose(_t, _q ** beta), h[m]) for m in range(d + 1)]
+    for key, got, want in sides:
+        if got != want * qpoch(key[1]):
+            return (key, FIELD.new(got, qpoch(key[1])), FIELD(want)), None, None, None
+    den = qpoch(beta)
+    c = [sides[m][1] * den.exquo(qpoch(m)) for m in range(beta + 1)]
+    pair, finite_pair = {}, {}
     for i, j in product(range(beta + 1), repeat=2):
+        add_into(pair, {i - j: c[i] * c[j]})
         add_into(finite_pair, {i - j: a[i] * a[j]})
-    return den, MappingProxyType(pair), MappingProxyType(finite_pair)
+    return None, den ** 2, MappingProxyType(pair), MappingProxyType(finite_pair)
+
+
+def _pack(p, bits):
+    """The int p(2^bits) of a Z[q] polynomial p."""
+    return sum(v << bits * e[0] for e, v in p.terms())
+
+
+def _unpack(v, bits):
+    """The Z[q] polynomial whose balanced base-2^bits digits, q^0 first, make the int v."""
+    digit = ((v + (1 << bits - 1)) & ((1 << bits) - 1)) - (1 << bits - 1)
+    return RING.zero if not v else digit + _q * _unpack((v - digit) >> bits, bits)
+
+
+def vertex_product_difference(beta, n, d):
+    """None when `vertex_product_check(beta, n, d)` holds, else its first failing piece
+    as (key, got, want) in Q(q): a per-factor identity of `_vertex_factors`, or
+    ("assembly", e) at the first x-monomial e where the n-variable products differ.
+
+    One factor in z = x_i / x_j per pair i < j: the pair series on the left, the finite
+    product on the right, times den^(number of pairs).  Each Z[q] coefficient is packed to
+    its int at q = 2^bits, bits one more than the bit length of the larger side's bound:
+    the product over the pairs of the sum of a factor's coefficients' L1 norms, den's norm
+    included on the right.  Each q-coefficient of either product is then below 2^(bits-1)
+    in absolute value and balanced base-2^bits digits are unique, so equal ints at an
+    x-monomial mean equal polynomials in Z[q] there.
+    """
+    check_counts("vertex_product_check", beta=(beta, 1), n=(n, 1), d=(d, 0))
+    mismatch, den, pair, finite_pair = _vertex_factors(beta, d)
+    if mismatch:
+        return mismatch
+    pairs = comb(n, 2)
+    l1 = [sum(abs(v) for p in side for v in p.coeffs())
+          for side in (pair.values(), finite_pair.values(), [den])]
+    bits = (max(l1[0], l1[1] * l1[2]) ** pairs).bit_length() + 1
+    lhs, rhs = NPoly.constant(n, 1), NPoly.constant(n, _pack(den, bits) ** pairs)
+    for i, j in combinations(range(n), 2):
+        lhs = lhs * NPoly(n, {_monomial_shift(n, i, j, e): _pack(s, bits)
+                              for e, s in pair.items()})
+        rhs = rhs * NPoly(n, {_monomial_shift(n, i, j, e): _pack(c, bits)
+                              for e, c in finite_pair.items()})
+    if lhs == rhs:
+        return None
+    e = min((lhs - rhs).terms)
+    return (("assembly", e),
+            *(FIELD.new(_unpack(side.terms.get(e, 0), bits), den ** pairs) for side in (lhs, rhs)))
 
 
 def vertex_product_check(beta, n, d):
-    """Finite-product collapse of both kernels at t = q^beta, exact in q.
-
-    Checks the per-factor identities coefficientwise up to u^d, then
-    assembles the full interchange kernel over n variables as an exact
-    Laurent polynomial and compares against the finite product, one factor
-    in z = x_i / x_j per pair i < j.  The assembly is compared over Z[q]:
-    the pair series cleared to one denominator D, the finite product times
-    D^(number of pairs).  The per-factor half is read from `_vertex_factors`.
-    """
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    if (factors := _vertex_factors(beta, d)) is None:
-        return False
-    den, pair, finite_pair = factors
-    lhs = NPoly.constant(n, RING.one)
-    rhs = NPoly.constant(n, den ** comb(n, 2))
-    for i, j in combinations(range(n), 2):
-        lhs = lhs * NPoly(n, {_monomial_shift(n, i, j, dd): s for dd, s in pair.items()})
-        rhs = rhs * NPoly(n, {_monomial_shift(n, i, j, dd): c for dd, c in finite_pair.items()})
-    return lhs == rhs
+    """Finite-product collapse of both kernels at t = q^beta in n variables, exact in q:
+    the per-factor identities up to u^d over Z[q], then the n-variable interchange kernel
+    against the finite product on ints packed at q = 2^bits, under the L1 bound of
+    `vertex_product_difference`.  ValueError unless beta, n >= 1 and d >= 0 are ints."""
+    return vertex_product_difference(beta, n, d) is None
 
 
 def symmetrizer_check(n):
@@ -216,7 +207,6 @@ def symmetrizer_check(n):
 
     That is A = {(): v_n} for the symmetrizer that builds Hall-Littlewood P_() = 1.
     """
-    if n < 1:
-        raise ValueError(f"variable count must be >= 1, got {n}")
+    check_counts("symmetrizer_check", n=(n, 1))
     A, v = hall_littlewood_symmetrizer((), n)
     return A == {(): v}

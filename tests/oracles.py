@@ -26,10 +26,10 @@ package clears each linear combination to Z[q,t] once and reduces each output
 once.  The structure constants pair Q_lam with P_mu P_nu over Z[q,t], one
 scalar product per lam, where the package peels P_mu P_nu into the P basis
 down the dominance order.  The kernel collapse at t = q^beta checks its
-per-factor identities afresh for every n and assembles the n-variable kernel
-with its Q(q) pair coefficients, where the package shares the factor half
-across n and compares the assembly cleared over Z[q].  `from_poly` and
-`completeness_check` are helpers only the tests read.
+per-factor identities afresh for every n in Q(q) and assembles the n-variable
+kernel with its Q(q) pair coefficients, where the package shares the factor
+half across n, stays in Z[q] and compares the assembly on packed ints.
+`from_poly` and `completeness_check` are helpers only the tests read.
 """
 
 from collections import Counter
@@ -46,8 +46,6 @@ from macsym.coeff import (_OPS, FIELD, Q, RING, QTSeries, T, _Parser, add_into, 
 from macsym.ctengine import (_as_npoly, _windowed_integrand, delta_expand, integral_constants,
                              map_G, series_of)
 from macsym.errors import MacsymError
-from macsym.fock import (_delta_factor_rational, _finite_delta_poly, _finite_pi_series,
-                         _monomial_shift, _vertex_pair_series)
 from macsym.macdonald import macdonald_pair
 from macsym.pairing import (inner_cleared, inner_pvec, inner_qt, kernel_product, qbinom_coeff,
                             z_factor)
@@ -717,6 +715,74 @@ def f_plus_terms_field(lam, order):
     return {e: c * scale for e, c in wterms.items()}, r_n
 
 
+def _delta_factor_rational(m, beta):
+    """c_m with t = q^beta: prod_{k<m} (q^beta - q^k) / (q;q)_m, exact in q."""
+    num = ratqt(1)
+    for k in range(m):
+        num = num * (Q ** beta - Q ** k)
+    den = ratqt(1)
+    for k in range(1, m + 1):
+        den = den * (1 - Q ** k)
+    return num / den
+
+
+def _finite_delta_poly(beta, deg):
+    """Coefficients of prod_{k<beta} (1 - q^k u) in u, up to u^deg."""
+    coeffs = [ratqt(1)]
+    for k in range(beta):
+        nxt = [ratqt(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] = nxt[i] + c
+            nxt[i + 1] = nxt[i + 1] - c * Q ** k
+        coeffs = nxt
+    coeffs += [ratqt(0)] * max(0, deg + 1 - len(coeffs))
+    return coeffs[: deg + 1]
+
+
+def _finite_pi_series(beta, deg):
+    """Coefficients of 1 / prod_{k<beta} (1 - q^k u) in u, up to u^deg."""
+    den = _finite_delta_poly(beta, deg)
+    out = [ratqt(1)]
+    for j in range(1, deg + 1):
+        s = ratqt(0)
+        for i in range(1, min(j, len(den) - 1) + 1):
+            s = s + den[i] * out[j - i]
+        out.append(-s)
+    return out
+
+
+def _vertex_pair_series(beta):
+    """{d: coefficient of (x_i/x_j)^d} in the interchange kernel of one pair at t = q^beta."""
+    cm = [_delta_factor_rational(m, beta) for m in range(beta + 1)]
+    return {dd: sum((cm[k + abs(dd)] * cm[k] for k in range(beta - abs(dd) + 1)), ratqt(0))
+            for dd in range(-beta, beta + 1)}
+
+
+def invert_dividing(rows, plist):
+    """`coeff.invert` with every pivot row divided by its pivot, 1 included: the
+    elimination that the package's skip of a pivot of 1 must agree with."""
+    k = len(plist)
+    idx = {lam: i for i, lam in enumerate(plist)}
+    mat = [[0] * k for _ in range(k)]
+    for lam, row in rows.items():
+        for mu, c in row.items():
+            mat[idx[lam]][idx[mu]] = c
+    inv = [[int(i == j) for j in range(k)] for i in range(k)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if mat[r][col])
+        mat[col], mat[piv] = mat[piv], mat[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        c = mat[col][col]
+        mat[col] = [v / c for v in mat[col]]
+        inv[col] = [v / c for v in inv[col]]
+        for r in range(k):
+            if r != col and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
+    return {lam: {mu: c for mu, c in zip(plist, inv[i]) if c} for i, lam in enumerate(plist)}
+
+
 def vertex_product_check_field(beta, n, d):
     """The kernel collapse at t = q^beta for one n, nothing shared or cleared:
     the per-factor identities up to u^d, then the n-variable product of the
@@ -730,10 +796,14 @@ def vertex_product_check_field(beta, n, d):
         return False
     pair = _vertex_pair_series(beta)
     lhs = rhs = NPoly.constant(n, ratqt(1))
+
+    def shift(i, j, k):  # the exponent vector of (x_i / x_j)^k
+        return tuple(k if v == i else -k if v == j else 0 for v in range(n))
+
     for i, j in combinations(range(n), 2):
         finite_pair = {}
         for k, l in product(range(beta + 1), repeat=2):
-            add_into(finite_pair, {_monomial_shift(n, i, j, k - l): finite[k] * finite[l]})
-        lhs = lhs * NPoly(n, {_monomial_shift(n, i, j, dd): s for dd, s in pair.items()})
+            add_into(finite_pair, {shift(i, j, k - l): finite[k] * finite[l]})
+        lhs = lhs * NPoly(n, {shift(i, j, dd): s for dd, s in pair.items()})
         rhs = rhs * NPoly(n, finite_pair)
     return lhs == rhs

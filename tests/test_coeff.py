@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from sympy.polys.rings import PolyElement
 
+import macsym
+from macsym import symfunc, verify
 from macsym.coeff import (FIELD, MAX_EXPONENT, MAX_NESTING, ONE, Q, QPochProduct,
                           QTSeries, RatQT, RING, T, _packing_layout, add_into, clear_denominators,
                           clear_ratqt, cleared_series, divide_back, emit_ratqt,
@@ -14,9 +16,10 @@ from macsym.coeff import (FIELD, MAX_EXPONENT, MAX_NESTING, ONE, Q, QPochProduct
 from macsym.errors import InternalInconsistency, NotSeriesExpandable, SpecializationPole
 from macsym.macdonald import macdonald_pair
 from macsym.partitions import partitions_of
+from macsym.symfunc import basis_to_m, m_to_basis
 
-from oracles import (dense_from_qtseries, dense_inv, dense_mul, parse_ratqt_field,
-                     poch_dense, series_mul_fraction)
+from oracles import (dense_from_qtseries, dense_inv, dense_mul, invert_dividing,
+                     parse_ratqt_field, poch_dense, series_mul_fraction)
 from strategies import ratqt_values
 
 
@@ -499,3 +502,22 @@ def test_invert_a_ratqt_matrix():
 def test_invert_a_singular_matrix_raises(mat):
     with pytest.raises(InternalInconsistency, match="singular"):
         invert(mat, [0, 1])
+
+
+def test_invert_callers_read_what_dividing_by_every_pivot_gives(monkeypatch):
+    """A pivot of 1 divides nothing: the s rows, every m_to_basis table and the
+    degree-d Cauchy equations equal (==) what the elimination that divides every
+    pivot row gives, for d <= 5."""
+    def tables():
+        return [(basis_to_m("s", d), {b: m_to_basis(b, d) for b in "mpehs"},
+                 verify.cauchy_equations(d)) for d in range(6)]
+
+    macsym.clear_caches()
+    got = tables()
+    with monkeypatch.context() as patch:
+        for module in (symfunc, verify):
+            patch.setattr(module, "invert", invert_dividing)
+        macsym.clear_caches()
+        want = tables()
+    macsym.clear_caches()
+    assert got == want

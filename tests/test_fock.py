@@ -1,19 +1,23 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
 import macsym
 from macsym import fock, macdonald, pairing, symfunc, verify
-from macsym.coeff import Q, RING, T, ratqt
+from macsym.coeff import FIELD, Q, RING, T, emit_ratqt, ratqt
 from macsym.fock import (skew_via_diffop, skew_via_fock, skew_via_fock_cleared, symmetrizer_check,
                          vertex_product_check)
 from macsym.macdonald import macdonald_pair, skew_q
 from macsym.partitions import partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, multiply, sym_gen
 
-from oracles import (completeness_check, p_bar_apply_termwise, skew_q_termwise,
-                     skew_via_diffop_termwise, skew_via_fock_termwise,
-                     vertex_product_check_field)
+from oracles import (_delta_factor_rational, _finite_pi_series, completeness_check,
+                     p_bar_apply_termwise, skew_q_termwise, skew_via_diffop_termwise,
+                     skew_via_fock_termwise, vertex_product_check_field)
+
+_q = RING.gens[0]
 
 
 def test_skew_route_examples():
@@ -112,7 +116,6 @@ def test_completeness():
 def test_vertex_product_beta_one():
     # t = q collapses each kernel factor to a single linear term
     assert vertex_product_check(1, 2, 3)
-    from macsym.fock import _delta_factor_rational, _finite_pi_series
     assert _delta_factor_rational(1, 1) == -1  # coefficient of u in (1 - u)
     assert _delta_factor_rational(2, 1) == 0
     assert _finite_pi_series(1, 3) == [ratqt(1)] * 4  # 1/(1-u) telescoped
@@ -122,24 +125,35 @@ def test_vertex_product_beta_one():
 def vertex_factors_cold():
     """An empty `_vertex_factors` cache before and after the test, so neither a
     value built before a monkeypatch nor one built under it outlives the test."""
-    fock._vertex_factors.cache_clear()
-    yield fock._vertex_factors
-    fock._vertex_factors.cache_clear()
+    memo = fock._vertex_factors  # taken before a test rebinds the name
+    memo.cache_clear()
+    yield memo
+    memo.cache_clear()
+
+
+def _perturb_factors(monkeypatch, side, change):
+    """Rebind `fock._vertex_factors` so that the Z[q] map `side` ("pair" or
+    "finite_pair") of every beta reads change(map, den) in place of the map."""
+    exact = fock._vertex_factors
+
+    def perturbed(beta, d):
+        mismatch, den, pair, finite_pair = exact(beta, d)
+        maps = {"pair": dict(pair), "finite_pair": dict(finite_pair)}
+        maps[side] = change(maps[side], den)
+        return mismatch, den, maps["pair"], maps["finite_pair"]
+
+    monkeypatch.setattr(fock, "_vertex_factors", perturbed)
 
 
 def test_vertex_product_fails_on_a_perturbed_pair_series(monkeypatch, vertex_factors_cold):
-    exact = fock._vertex_pair_series
-
-    def perturbed(beta):
-        pair = dict(exact(beta))
-        pair[1] = pair[1] + Q ** 2 / (1 - Q)
-        return pair
-
     assert vertex_product_check(2, 3, 3)
-    monkeypatch.setattr(fock, "_vertex_pair_series", perturbed)
-    vertex_factors_cold.cache_clear()
+    # the pair series' coefficient of x_i / x_j plus q^2 / (1 - q), cleared to den
+    _perturb_factors(monkeypatch, "pair",
+                     lambda pair, den: {**pair, 1: pair[1] + _q ** 2 * den.exquo(1 - _q)})
     assert not vertex_product_check(2, 3, 3)
     assert not vertex_product_check(1, 2, 3)
+    key, got, want = fock.vertex_product_difference(2, 3, 3)
+    assert key[0] == "assembly" and got != want
 
 
 def test_vertex_suite_checks_the_factors_once_per_beta(vertex_factors_cold):
@@ -152,21 +166,82 @@ def test_vertex_suite_checks_the_factors_once_per_beta(vertex_factors_cold):
 
 def test_vertex_suite_fails_every_collapse_on_a_perturbed_factor(monkeypatch,
                                                                  vertex_factors_cold):
-    exact = fock._delta_factor_rational
-    monkeypatch.setattr(fock, "_delta_factor_rational",
-                        lambda m, beta: exact(m, beta) + (Q if m == 1 else 0))
+    # c_1 + q: its numerator over (q;q)_1 = 1 - q plus q (1 - q)
+    exact = fock._collapse_numerator
+    monkeypatch.setattr(fock, "_collapse_numerator",
+                        lambda m, beta: exact(m, beta) + (_q * (1 - _q) if m == 1 else 0))
     records = verify.run_suite("vertex-identities", maxweight=3)
     collapse = [r for r in records if r["identity"] == "kernel-product-collapse"]
     assert len(collapse) == 6 and all(r["status"] == "fail" for r in collapse)
-    assert all(r["status"] == "pass" for r in records if r not in collapse)
+    assert all(r["status"] == "pass" and "detail" not in r for r in records if r not in collapse)
+    for r in collapse:  # the first failing piece: the interchange identity at u^1
+        a_1 = -sum(Q ** k for k in range(r["parameters"]["beta"]))
+        assert r["detail"] == {"key": "('interchange', 1)", "got": emit_ratqt(a_1 + Q),
+                               "want": emit_ratqt(a_1)}
+
+
+def test_vertex_suite_reports_the_first_differing_monomial(monkeypatch, vertex_factors_cold):
+    exact = {beta: fock._vertex_factors(beta, 3)[3] for beta in (1, 2, 3)}
+    _perturb_factors(monkeypatch, "finite_pair", lambda fp, den: {**fp, 0: fp[0] + _q})
+    records = verify.run_suite("vertex-identities", maxweight=3)
+    assert all(r["status"] == "pass" for r in records
+               if r["identity"] != "kernel-product-collapse")
+    for r in (r for r in records if r["identity"] == "kernel-product-collapse"):
+        beta, n = r["parameters"]["beta"], r["parameters"]["n"]
+        # the finite product over Z[q] with and without q added at z^0 in every pair:
+        # the kernel equals the unperturbed one, so they first differ where the record does
+        sides = []
+        for fp in (exact[beta], {**exact[beta], 0: exact[beta][0] + _q}):
+            side = NPoly.constant(n, RING.one)
+            for i, j in combinations(range(n), 2):
+                side = side * NPoly(n, {tuple(e * ((x == i) - (x == j)) for x in range(n)): c
+                                        for e, c in fp.items()})
+            sides.append(side)
+        e = min((sides[0] - sides[1]).terms)
+        assert r["status"] == "fail"
+        assert r["detail"] == {"key": repr(("assembly", e)),
+                               "got": emit_ratqt(FIELD(sides[0].terms.get(e, 0))),
+                               "want": emit_ratqt(FIELD(sides[1].terms.get(e, 0)))}
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3])
+def test_vertex_packing_sees_a_change_at_the_top_q_degree(monkeypatch, vertex_factors_cold,
+                                                           beta):
+    # q^top added to a coefficient of the highest q-degree in one factor: the digit
+    # a carry out of the packed top digit would lose
+    exact = fock._vertex_factors(beta, 3)
+    for side, factor in (("pair", exact[2]), ("finite_pair", exact[3])):
+        top, e = max((c.degree(), e) for e, c in factor.items())
+        with monkeypatch.context() as patch:
+            _perturb_factors(patch, side, lambda m, den: {**m, e: m[e] + _q ** top})
+            for n in (2, 3):
+                assert not vertex_product_check(beta, n, 3), (side, n)
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3])
+def test_vertex_packing_widens_with_the_coefficients(monkeypatch, vertex_factors_cold, beta):
+    _, den, pair, finite_pair = fock._vertex_factors(beta, 3)
+    for n in (2, 3):
+        l1 = [sum(abs(v) for c in m for v in c.coeffs())
+              for m in (pair.values(), finite_pair.values(), [den])]
+        bound = max(l1[0], l1[1] * l1[2]) ** comb(n, 2)
+        bits = bound.bit_length() + 1
+        for change in (
+                lambda m, den: {**m, 0: m[0] + bound},  # an integer the size of the bound
+                # 2^bits - q packs to 0 at the unperturbed width: only a width taken
+                # from the perturbed coefficients sees it
+                lambda m, den: {**m, 0: m[0] + (1 << bits) - _q}):
+            with monkeypatch.context() as patch:
+                _perturb_factors(patch, "pair", change)
+                assert not vertex_product_check(beta, n, 3), n
 
 
 def test_vertex_product_matches_the_unshared_field_check(vertex_factors_cold):
-    for beta in (1, 2, 3):
-        for n in (1, 2, 3):
-            for d in range(6):
-                assert vertex_product_check(beta, n, d) is \
-                    vertex_product_check_field(beta, n, d) is True, (beta, n, d)
+    cases = [(beta, n) for beta in (1, 2, 3) for n in (1, 2, 3)] + [(1, 4), (2, 4)]
+    for beta, n in cases:
+        for d in range(6):
+            assert vertex_product_check(beta, n, d) is \
+                vertex_product_check_field(beta, n, d) is True, (beta, n, d)
 
 
 def test_vertex_product_betas():

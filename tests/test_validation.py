@@ -63,6 +63,23 @@ def test_delta_expand_rejects_non_int_or_negative_arguments(args):
         delta_expand(*args)
 
 
+@pytest.mark.parametrize("args", [
+    (2, 0, 3), (2, 2, -1), (0, 2, 3), (2.0, 2, 3), (True, 2, 3), (2, True, 3), (2, 2, 3.0),
+    (2, 2.0, 3), (2, 2, True), ("2", 2, 3),
+])
+def test_vertex_product_check_rejects_non_int_or_out_of_range_arguments(args):
+    # the held factors of (2, 3) must not answer (2.0, 3) or (True, 3)
+    assert vertex_product_check(2, 2, 3)
+    with pytest.raises(ValueError):
+        vertex_product_check(*args)
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.0, "2"])
+def test_symmetrizer_check_rejects_non_int_or_out_of_range_counts(n):
+    with pytest.raises(ValueError):
+        symmetrizer_check(n)
+
+
 def test_kernel_coeff_takes_list_or_tuple_margins_and_reads_negative_ones_as_zero():
     assert kernel_coeff([2, 1], (2, 1), qbinom_coeff) == kernel_coeff((2, 1), [2, 1], qbinom_coeff)
     assert kernel_coeff([1, 1], [1, 1], dual_factor) == 2
