@@ -7,8 +7,7 @@ the theory at desk scale.
 """
 
 from .coeff import (FIELD, ONE, Q, QPochProduct, QTSeries, RatQT, T,
-                    emit_ratqt, parse_ratqt, ratqt, substitute, swap_qt,
-                    to_series)
+                    emit_ratqt, parse_ratqt, ratqt, swap_qt, to_series)
 from .ctengine import (ct_norm_check, delta_expand, integral_constants,
                        integral_rep_P, integral_rep_P_dual, map_G, map_N,
                        map_N_tilde, norm_prime_product, scalar_prime,
@@ -18,9 +17,8 @@ from .fock import (skew_via_diffop, skew_via_fock, symmetrizer_check,
 from .kostka import (dual_schur_qt, dual_schur_t, h_factors,
                      kostka_integral_check, kostka_matrix, m_function)
 from .macdonald import (MacdonaldPair, b_coeff, dr_apply, dr_commute_check,
-                        dr_eigencheck, dr_eigenvalue, hall_littlewood_p,
-                        load_cache, macdonald_pair, save_cache, skew_p, skew_q,
-                        specialize_check, structure_f)
+                        dr_eigencheck, dr_eigenvalue, load_cache, macdonald_pair,
+                        save_cache, skew_p, skew_q, specialize_check, structure_f)
 from .pairing import (cauchy_pi, cauchy_pi_tilde, inner_qt, kernel_coeff,
                       omega_qt, z_factor)
 from .partitions import (arm_leg, as_partition, conjugate, dominates,

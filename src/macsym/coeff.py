@@ -26,7 +26,7 @@ from math import lcm, prod
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import field as _field
 
-from .errors import InternalInconsistency, NotSeriesExpandable, SpecializationPole
+from .errors import InternalInconsistency, NotSeriesExpandable
 
 FIELD, Q, T = _field("q,t", ZZ)
 RING = FIELD.ring
@@ -48,37 +48,6 @@ def ratqt(value):
     if isinstance(value, str):
         return parse_ratqt(value)
     raise TypeError(f"cannot coerce {value!r} into Q(q,t)")
-
-
-def _eval_poly(poly, q_img, t_img):
-    """Evaluate a Z[q,t] polynomial at RatQT images of q and t."""
-    qpow, tpow = {0: ONE}, {0: ONE}
-
-    def power(cache, base, k):
-        if k not in cache:
-            cache[k] = base ** k
-        return cache[k]
-
-    total = ZERO
-    for (a, b), c in poly.terms():
-        total += int(c) * power(qpow, q_img, a) * power(tpow, t_img, b)
-    return total
-
-
-def substitute(r, q_image, t_image):
-    """Compose a rational function with images of q and t.
-
-    Images may be rational numbers or elements of Q(q,t); substitutions such
-    as q -> 1/q, t -> 1/t are cleared back to ordinary fractions by the field
-    arithmetic.  Raises SpecializationPole when the denominator vanishes.
-    """
-    r = ratqt(r)
-    qi, ti = ratqt(q_image), ratqt(t_image)
-    num = _eval_poly(r.numer, qi, ti)
-    den = _eval_poly(r.denom, qi, ti)
-    if not den:
-        raise SpecializationPole(f"denominator of {r} vanishes under the substitution")
-    return num / den
 
 
 def swap_poly(poly, sign=1):

@@ -29,8 +29,9 @@ class WindowTooSmall(MacsymError):
     """Declared exponent window cannot hold every term affecting the requested result."""
 
 
-def check_counts(fn, **floors):
-    """ValueError unless each argument, passed as name=(value, floor), is an int >= floor."""
-    for name, (value, floor) in floors.items():
-        if type(value) is not int or value < floor:
-            raise ValueError(f"{fn}: {name} must be an int >= {floor}, got {value!r}")
+def check_counts(fn, **bounds):
+    """ValueError unless each argument, name=(value, floor[, ceiling]), is an int in range."""
+    for name, (value, floor, *ceiling) in bounds.items():
+        if type(value) is not int or value < floor or any(value > c for c in ceiling):
+            raise ValueError(f"{fn}: {name} must be an int >= {floor}"
+                             f"{''.join(f' and <= {c}' for c in ceiling)}, got {value!r}")

@@ -11,8 +11,8 @@ P_lam and Q_lam are reduced into Q(q,t) on first read, each coefficient
 once.  A cache file holds J as integer triples, checked against the same
 equation when loaded: every coefficient of t^d E J - eps_lam J is decided
 by one packed big-integer evaluation (`coeff.sums_of_products_equal`).
-Hall-Littlewood P is built independently, by symmetrization (Macdonald III
-(2.2)).
+The Hall-Littlewood side of the specializations is built independently, by
+symmetrization (Macdonald III (2.2)).
 """
 
 import json
@@ -27,15 +27,15 @@ from types import MappingProxyType
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
 
-from .coeff import (FIELD, MAX_COEFF_BITS, MAX_EXPONENT, Q, RING, T, add_into, clear_ratqt,
-                    ratqt, reduce_ratqt, substitute, sums_of_products_equal)
-from .errors import InternalInconsistency
+from .coeff import (FIELD, MAX_COEFF_BITS, MAX_EXPONENT, RING, add_into, clear_ratqt,
+                    reduce_ratqt, sums_of_products_equal)
+from .errors import InternalInconsistency, SpecializationPole
 from .pairing import z_plain
 from .partitions import (MAX_WEIGHT, as_partition, arm_leg, cells, conjugate,
                          dominates, partitions_of, weight)
-from .symfunc import (NPoly, SymFunc, _collect_m, _reduced_p, _straighten, basis_to_m, convert,
+from .symfunc import (NPoly, SymFunc, _collect_m, _reduced_p, _straighten, basis_to_m,
                       convert_cleared, evaluate_n, orbit_exponents, p_product_cleared,
-                      require_symmetric, sym_gen)
+                      require_symmetric)
 
 _q, _t = RING.gens
 
@@ -219,6 +219,13 @@ def macdonald_pair(lam):
     return pair
 
 
+@lru_cache(maxsize=1)
+def _symmetrizer_product(n):
+    """prod_{i<j} (x_i - t x_j) in Z[x_0..x_(n-1), t], shared by every lam of one n."""
+    R, *x = ring([f"x{i}" for i in range(n)] + ["t"], ZZ)
+    return prod((x[i] - x[n] * x[j] for i, j in combinations(range(n), 2)), start=R.one)
+
+
 def hall_littlewood_symmetrizer(lam, n):
     """(A, v_lam) with P_lam(x_1..x_n; t) = sum_nu A[nu] s_nu / v_lam (Macdonald III (2.2)).
 
@@ -227,26 +234,15 @@ def hall_littlewood_symmetrizer(lam, n):
     a_(nu+delta) / a_delta = s_nu.  v_lam(t) = prod_i prod_{j<=m_i} (1-t^j)/(1-t)
     over the multiplicities m_i of lam padded with zeros to length n.
     """
-    R, *x = ring([f"x{i}" for i in range(n)] + ["t"], ZZ)
-    seed = prod((x[i] - x[n] * x[j] for i, j in combinations(range(n), 2)), start=R.one)
     shift = tuple(lam) + (0,) * (n - len(lam))  # x^lam, as a shift of exponents
     A = {}
-    for mono, c in seed.items():
+    for mono, c in _symmetrizer_product(n).items():
         if straight := _straighten([e + part for e, part in zip(mono, shift)]):
             sign, nu = straight
-            row = A.setdefault(nu, {})
-            row[0, mono[n]] = row.get((0, mono[n]), 0) + sign * c
+            A.setdefault(nu, Counter())[0, mono[n]] += sign * c
     v = prod((sum((_t ** s for s in range(k)), RING.zero)
               for m in Counter(shift).values() for k in range(1, m + 1)), start=RING.one)
     return {nu: c for nu, row in A.items() if (c := RING.from_dict(row))}, v
-
-
-def hall_littlewood_p(lam):
-    """Hall-Littlewood P_lam(t) in m: the symmetrizer in |lam| variables over v_lam, reduced once."""
-    lam = as_partition(lam)
-    n = weight(lam)
-    A, v = hall_littlewood_symmetrizer(lam, n)
-    return SymFunc("m", reduce_ratqt(_schur_to_m(A, n), v))
 
 
 # ---------------------------------------------------------------------------
@@ -424,28 +420,54 @@ def skew_p(lam, mu):
 
 
 SPECIALIZE_CASES = ("schur", "hall-littlewood", "monomial", "dual-e", "inverse-qt")
+# the exponents (a, b) of a term under t -> q, q -> 0 (None: dropped), t -> 1, q -> 1, (1/q, 1/t)
+_EXPONENT_MAPS = dict(zip(SPECIALIZE_CASES, (
+    lambda a, b, A, B: (a + b, 0), lambda a, b, A, B: None if a else (0, b),
+    lambda a, b, A, B: (a, 0), lambda a, b, A, B: (0, b), lambda a, b, A, B: (A - a, B - b))))
+
+
+def specialize_difference(lam, which):
+    """None when P_lam, degenerated as in Macdonald VI (4.14), equals what it must, else
+    (mu, got, want) in Q(q,t) at the first m_mu where they differ.  Each coefficient of the
+    held reduced P goes by one exponent map of its numerator and denominator, (A, B) their
+    largest exponents of q and t; a denominator image 0 raises SpecializationPole.  Each m_mu
+    is one equation num want_den = want_num den over Z[q,t] (a missing key an empty side),
+    all decided by one packed evaluation; only a failing key's values are reduced."""
+    lam, exponents = as_partition(lam), _EXPONENT_MAPS.get(which)
+    if exponents is None:
+        raise ValueError(f"unknown specialization {which!r}")
+    P, got, d = macdonald_pair(lam).P.terms, {}, weight(lam)
+    for mu, c in P.items():
+        shift = tuple(map(max, zip(*c.numer, *c.denom))) if which == "inverse-qt" else (0, 0)
+        images = (Counter(), Counter())
+        for image, poly in zip(images, (c.numer, c.denom)):
+            for (a, b), v in poly.items():
+                if (e := exponents(a, b, *shift)) is not None:
+                    image[e] += v
+        got[mu] = RING.from_dict(images[0]), RING.from_dict(images[1])
+        if not got[mu][1]:
+            raise SpecializationPole(f"the denominator of {c} vanishes under {which}")
+    if which == "inverse-qt":
+        want = {mu: (c.numer, c.denom) for mu, c in P.items()}
+    elif which == "hall-littlewood":
+        A, v = hall_littlewood_symmetrizer(lam, d)
+        want = {mu: (c, v) for mu, c in _schur_to_m(A, d).items()}
+    else:
+        row = ({lam: 1} if which == "monomial" else basis_to_m("s", d)[lam] if which == "schur"
+               else basis_to_m("e", d)[conjugate(lam)])
+        want = {mu: (RING(c), RING.one) for mu, c in row.items()}
+    keys, none = sorted(got.keys() | want.keys()), (RING.zero, RING.one)
+    equations = [([(n, wd)] if n else [], [(wn, dn)] if wn else [])
+                 for (n, dn), (wn, wd) in ((got.get(mu, none), want.get(mu, none)) for mu in keys)]
+    for mu, holds in zip(keys, sums_of_products_equal(equations)):
+        if not holds:
+            return mu, *(FIELD.new(*side.get(mu, none)) for side in (got, want))
+    return None
 
 
 def specialize_check(lam, which):
-    """Check one classical degeneration of P_lam; exact in every coefficient."""
-    lam = as_partition(lam)
-    P = macdonald_pair(lam).P
-    if which == "schur":
-        spec = P.map_coeffs(lambda c: substitute(c, Q, Q))  # t -> q
-        return spec == convert(sym_gen("s", lam), "m")
-    if which == "hall-littlewood":
-        spec = P.map_coeffs(lambda c: substitute(c, 0, T))
-        return spec == hall_littlewood_p(lam)
-    if which == "monomial":
-        spec = P.map_coeffs(lambda c: substitute(c, Q, 1))
-        return spec == SymFunc("m", {lam: ratqt(1)})
-    if which == "dual-e":
-        spec = P.map_coeffs(lambda c: substitute(c, 1, T))
-        return spec == convert(sym_gen("e", conjugate(lam)), "m")
-    if which == "inverse-qt":
-        spec = P.map_coeffs(lambda c: substitute(c, 1 / Q, 1 / T))
-        return spec == P
-    raise ValueError(f"unknown specialization {which!r}")
+    """Check one classical degeneration of P_lam, exactly, with no Q(q,t) arithmetic."""
+    return specialize_difference(lam, which) is None
 
 
 # ---------------------------------------------------------------------------

@@ -248,13 +248,18 @@ def suite_specializations(maxweight=4, **_):
     for lam in _all_partitions(maxweight):
         for case in macdonald.SPECIALIZE_CASES:
             if case != "hall-littlewood" or weight(lam) <= MAX_HL_WEIGHT:
-                yield _record(f"specialization-{case}", {"lambda": lam},
+                rec = _record(f"specialization-{case}", {"lambda": lam},
                               macdonald.specialize_check(lam, case))
+                if rec["status"] == "fail":
+                    key, got, want = macdonald.specialize_difference(lam, case)
+                    rec["detail"] = first_difference({key: got}, {key: want})
+                yield rec
 
 
 @_timed
 def suite_ct_conjecture(maxweight=3, order=6, **_):
     for n in range(1, 4):
+        ctengine.delta_expand(n, order, maxweight)  # the widest cap: one kernel run per n
         for lam in _all_partitions(maxweight, max_length=n):
             yield _compared("constant-term-norm", {"lambda": lam, "n": n},
                             *ctengine.ct_norm_sides(lam, n, order), order)
@@ -265,6 +270,7 @@ def suite_self_adjoint(maxweight=3, order=4, **_):
     """<D_1 m_mu, m_nu>'_n = <m_mu, D_1 m_nu>'_n, each m_mu and its D_1 image formed
     once per n and paired with every m_nu."""
     for n in (2, 3):
+        ctengine.delta_expand(n, order, maxweight)  # the widest cap: one kernel run per n
         operands = {mu: ctengine.self_adjoint_operand(sym_gen("m", mu), n)
                     for mu in _all_partitions(maxweight, max_length=n)}
         for mu, f in operands.items():

@@ -29,6 +29,10 @@ down the dominance order.  The kernel collapse at t = q^beta checks its
 per-factor identities afresh for every n in Q(q) and assembles the n-variable
 kernel with its Q(q) pair coefficients, where the package shares the factor
 half across n, stays in Z[q] and compares the assembly on packed ints.
+The specializations substitute into each reduced coefficient of P with
+Q(q,t) arithmetic (`substitute`) and compare reduced symmetric functions,
+where the package maps the exponents of numerator and denominator over
+Z[q,t] and compares cleared sides on packed ints.
 `from_poly` and `completeness_check` are helpers only the tests read.
 """
 
@@ -41,12 +45,12 @@ from math import factorial, prod
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
 
-from macsym.coeff import (_OPS, FIELD, Q, RING, QTSeries, T, _Parser, add_into, invert, ratqt,
-                          substitute, swap_qt)
+from macsym.coeff import (_OPS, FIELD, ONE, Q, RING, QTSeries, T, _Parser, add_into, invert,
+                          ratqt, reduce_ratqt, swap_qt)
 from macsym.ctengine import (_as_npoly, _windowed_integrand, delta_expand, integral_constants,
                              map_G, series_of)
-from macsym.errors import MacsymError
-from macsym.macdonald import macdonald_pair
+from macsym.errors import MacsymError, SpecializationPole
+from macsym.macdonald import _schur_to_m, hall_littlewood_symmetrizer, macdonald_pair
 from macsym.pairing import (inner_cleared, inner_pvec, inner_qt, kernel_product, qbinom_coeff,
                             z_factor)
 from macsym.partitions import (as_partition, compositions, conjugate, dominates, partitions_of,
@@ -285,6 +289,14 @@ def schur_bialternant(lam, n):
     return quo
 
 
+def hall_littlewood_p(lam):
+    """Hall-Littlewood P_lam(t) in m: the symmetrizer in |lam| variables over v_lam, reduced once."""
+    lam = as_partition(lam)
+    n = weight(lam)
+    A, v = hall_littlewood_symmetrizer(lam, n)
+    return SymFunc("m", reduce_ratqt(_schur_to_m(A, n), v))
+
+
 def hall_littlewood_p_division(lam):
     """Hall-Littlewood P_lam(t) in the m basis: every permutation, then one division.
 
@@ -321,6 +333,63 @@ def hall_littlewood_p_division(lam):
         if all(mono[i] >= mono[i + 1] for i in range(n - 1)):
             coeffs.setdefault(as_partition(mono[:n]), {})[(0, mono[n])] = c
     return SymFunc("m", {mu: FIELD(RING.from_dict(c)) for mu, c in coeffs.items()})
+
+
+def _eval_poly(poly, q_img, t_img):
+    """Evaluate a Z[q,t] polynomial at RatQT images of q and t."""
+    qpow, tpow = {0: ONE}, {0: ONE}
+
+    def power(cache, base, k):
+        if k not in cache:
+            cache[k] = base ** k
+        return cache[k]
+
+    total = FIELD.zero
+    for (a, b), c in poly.terms():
+        total += int(c) * power(qpow, q_img, a) * power(tpow, t_img, b)
+    return total
+
+
+def substitute(r, q_image, t_image):
+    """Compose a rational function with images of q and t.
+
+    Images may be rational numbers or elements of Q(q,t); substitutions such
+    as q -> 1/q, t -> 1/t are cleared back to ordinary fractions by the field
+    arithmetic.  Raises SpecializationPole when the denominator vanishes.
+    """
+    r = ratqt(r)
+    qi, ti = ratqt(q_image), ratqt(t_image)
+    num = _eval_poly(r.numer, qi, ti)
+    den = _eval_poly(r.denom, qi, ti)
+    if not den:
+        raise SpecializationPole(f"denominator of {r} vanishes under the substitution")
+    return num / den
+
+
+def specialize_sides_field(lam, which):
+    """(P_lam degenerated, what it must equal), reduced m-basis SymFuncs: each coefficient
+    of P substituted into in Q(q,t), against the Schur, Hall-Littlewood, monomial and e
+    functions and P itself."""
+    lam = as_partition(lam)
+    P = macdonald_pair(lam).P
+    if which == "schur":
+        return P.map_coeffs(lambda c: substitute(c, Q, Q)), convert(sym_gen("s", lam), "m")
+    if which == "hall-littlewood":
+        return P.map_coeffs(lambda c: substitute(c, 0, T)), hall_littlewood_p(lam)
+    if which == "monomial":
+        return P.map_coeffs(lambda c: substitute(c, Q, 1)), SymFunc("m", {lam: ratqt(1)})
+    if which == "dual-e":
+        return (P.map_coeffs(lambda c: substitute(c, 1, T)),
+                convert(sym_gen("e", conjugate(lam)), "m"))
+    if which == "inverse-qt":
+        return P.map_coeffs(lambda c: substitute(c, 1 / Q, 1 / T)), P
+    raise ValueError(f"unknown specialization {which!r}")
+
+
+def specialize_check_field(lam, which):
+    """`macdonald.specialize_check` in Q(q,t) (`specialize_sides_field`)."""
+    spec, want = specialize_sides_field(lam, which)
+    return spec == want
 
 
 def gen_expansion_by_product(kind, lam):

@@ -11,7 +11,7 @@ from macsym import symfunc, verify
 from macsym.coeff import (FIELD, MAX_EXPONENT, MAX_NESTING, ONE, Q, QPochProduct,
                           QTSeries, RatQT, RING, T, _packing_layout, add_into, clear_denominators,
                           clear_ratqt, cleared_series, divide_back, emit_ratqt,
-                          invert, parse_ratqt, ratqt, reduce_ratqt, substitute,
+                          invert, parse_ratqt, ratqt, reduce_ratqt,
                           sums_of_products_equal, swap_qt, to_series)
 from macsym.errors import InternalInconsistency, NotSeriesExpandable, SpecializationPole
 from macsym.macdonald import macdonald_pair
@@ -19,7 +19,7 @@ from macsym.partitions import partitions_of
 from macsym.symfunc import basis_to_m, m_to_basis
 
 from oracles import (dense_from_qtseries, dense_inv, dense_mul, invert_dividing,
-                     parse_ratqt_field, poch_dense, series_mul_fraction)
+                     parse_ratqt_field, poch_dense, series_mul_fraction, substitute)
 from strategies import ratqt_values
 
 

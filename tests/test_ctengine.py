@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 import macsym
-from macsym import ctengine, macdonald, pairing
+from macsym import ctengine, macdonald, pairing, verify
 from macsym.coeff import QPochProduct, QTSeries, parse_ratqt, ratqt, to_series
 from macsym.ctengine import (_accumulate_delta, _as_npoly, ct_norm_check,
                              delta_expand, delta_factor_coeffs, delta_pair_series,
@@ -199,6 +199,19 @@ def test_delta_window_table_in_any_call_order(monkeypatch, caps, kernel_runs):
     assert len(runs) == kernel_runs * len(cases)
     for key, window in got.items():
         assert delta_expand(*key) is window, key
+
+
+@pytest.mark.parametrize("suite, order, ns", [
+    (verify.suite_ct_conjecture, 6, (1, 2, 3)), (verify.suite_self_adjoint, 4, (2, 3)),
+], ids=["ct-conjecture", "self-adjoint"])
+def test_verify_suites_run_the_delta_kernel_once_per_n(monkeypatch, suite, order, ns):
+    # each suite asks for its caps in ascending order; the widest window, formed
+    # first, answers every narrower cap
+    macsym.clear_caches()
+    runs = _counted_kernel(monkeypatch)
+    records = suite(maxweight=3)
+    assert {r["status"] for r in records} == {"pass"}
+    assert runs == [(n, order, -3, 3, 0) for n in ns]
 
 
 @pytest.mark.parametrize("order", [0, 1])

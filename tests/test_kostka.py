@@ -5,7 +5,7 @@ import pytest
 
 import macsym
 from macsym import cli, kostka, pairing
-from macsym.coeff import Q, T, parse_ratqt, ratqt, substitute
+from macsym.coeff import Q, T, parse_ratqt, ratqt
 from macsym.errors import InternalInconsistency
 from macsym.kostka import (KostkaTable, dual_schur_qt, dual_schur_t,
                            h_factors, kostka_entry, kostka_integral_check,
@@ -15,7 +15,7 @@ from macsym.pairing import inner_qt
 from macsym.partitions import arm_leg, cells, conjugate, partitions_of
 from macsym.symfunc import convert, sym_gen
 
-from oracles import dual_schur_by_gram, inner_qt_termwise
+from oracles import dual_schur_by_gram, inner_qt_termwise, substitute
 
 
 def test_h_factor_examples():

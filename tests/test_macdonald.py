@@ -10,22 +10,25 @@ import pytest
 from hypothesis import given, strategies as st
 from sympy.polys.rings import PolyElement
 
+import macsym
 import macsym.macdonald as mac
-from macsym import pairing, symfunc
+from macsym import pairing, symfunc, verify
 from macsym.coeff import (MAX_COEFF_BITS, MAX_EXPONENT, Q, RING, T, _packing_layout,
                           parse_ratqt, ratqt, reduce_ratqt, swap_qt)
-from macsym.errors import InternalInconsistency
+from macsym.coeff import FIELD, RatQT, emit_ratqt
+from macsym.errors import InternalInconsistency, SpecializationPole
 from macsym.macdonald import (SPECIALIZE_CASES, MacdonaldPair, b_coeff, dr_apply,
                               dr_commute_check, dr_eigencheck, dr_eigenvalue,
-                              hall_littlewood_p, load_cache, macdonald_pair,
+                              load_cache, macdonald_pair,
                               save_cache, skew_p, skew_q, specialize_check,
                               structure_f)
 from macsym.pairing import inner_qt, omega_qt
 from macsym.partitions import MAX_WEIGHT, conjugate, dominates, partitions_of, weight
 from macsym.symfunc import NPoly, SymFunc, convert, evaluate_n, multiply, sym_gen
 
-from oracles import (dr_apply_field, gram_schmidt, hall_littlewood_p_division,
-                     structure_constant_pairing)
+from oracles import (dr_apply_field, gram_schmidt, hall_littlewood_p, hall_littlewood_p_division,
+                     specialize_check_field, specialize_sides_field, structure_constant_pairing,
+                     substitute)
 
 
 def test_p_examples():
@@ -276,9 +279,92 @@ def test_specializations():
             assert specialize_check(lam, case), (lam, case)
 
 
+@pytest.mark.parametrize("case", SPECIALIZE_CASES)
+def test_specialize_check_matches_the_field_oracle(case):
+    # the exponent maps over Z[q,t] against substituting into each reduced coefficient
+    for d in range(6):
+        for lam in partitions_of(d):
+            assert specialize_check(lam, case) is specialize_check_field(lam, case) is True, lam
+
+
+def _perturb_j21(monkeypatch, extra):
+    """Install J_(2,1) + extra at m_(1,1,1), so that P_(2,1) is reduced afresh from it."""
+    J = dict(macdonald_pair((2, 1)).J)
+    J[(1, 1, 1)] += extra
+    monkeypatch.setitem(mac._PAIRS, (2, 1), MacdonaldPair((2, 1), J))
+
+
+def test_every_specialization_fails_on_a_perturbed_integral_form(monkeypatch):
+    # (1-t)^2 / c_(2,1) = 1 / (1 - q t^2) joins P_(2,1) at m_(1,1,1): no case has a pole
+    # there, and none of t = q, q = 0, t = 1, q = 1, (1/q, 1/t) takes it to 0 or to itself
+    _perturb_j21(monkeypatch, (1 - RING.gens[1]) ** 2)
+    for case in SPECIALIZE_CASES:
+        assert not specialize_check((2, 1), case)
+        assert not specialize_check_field((2, 1), case)
+        spec, want = specialize_sides_field((2, 1), case)
+        zero = FIELD.zero
+        assert mac.specialize_difference((2, 1), case) == (
+            (1, 1, 1), spec.terms.get((1, 1, 1), zero), want.terms.get((1, 1, 1), zero)), case
+        assert spec.terms.get((2, 1)) == want.terms.get((2, 1)), case
+
+
+def test_a_specialization_pole_raises(monkeypatch):
+    # J_(2,1) + q at m_(1,1,1): the reduced coefficient keeps 1 - t in its denominator,
+    # so t -> 1 is a pole; q -> 0 does not see the perturbation, t -> q does
+    _perturb_j21(monkeypatch, RING.gens[0])
+    for check in (specialize_check, specialize_check_field):
+        with pytest.raises(SpecializationPole):
+            check((2, 1), "monomial")
+        assert check((2, 1), "hall-littlewood")
+        assert not check((2, 1), "schur")
+    with pytest.raises(ValueError):
+        specialize_check((2, 1), "jack")
+
+
+def test_failing_specialization_records_report_the_first_difference(monkeypatch):
+    _perturb_j21(monkeypatch, (1 - RING.gens[1]) ** 2)
+    records = verify.suite_specializations(maxweight=3)
+    failed = [r for r in records if r["status"] == "fail"]
+    assert [(r["identity"], r["parameters"]) for r in failed] == [
+        (f"specialization-{case}", {"lambda": (2, 1)}) for case in SPECIALIZE_CASES]
+    for rec, case in zip(failed, SPECIALIZE_CASES):
+        spec, want = specialize_sides_field((2, 1), case)
+        assert rec["detail"] == {"key": "(1, 1, 1)",
+                                 "got": emit_ratqt(spec.terms.get((1, 1, 1), 0)),
+                                 "want": emit_ratqt(want.terms.get((1, 1, 1), 0))}
+    assert all("detail" not in r for r in records if r["status"] == "pass")
+
+
+def test_passing_specializations_form_no_field_value(monkeypatch):
+    assert {r["status"] for r in verify.suite_specializations(maxweight=5)} == {"pass"}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a passing specialization record formed a Q(q,t) value")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+        monkeypatch.setattr(RatQT, name, forbidden)
+    monkeypatch.setattr(FIELD, "new", forbidden)
+    with pytest.raises(AssertionError):
+        FIELD.one + FIELD.one
+    records = verify.suite_specializations(maxweight=5)
+    assert len(records) == 5 * 19 and {r["status"] for r in records} == {"pass"}
+
+
+def test_the_symmetrizer_product_is_formed_once_per_n():
+    memo = mac._symmetrizer_product
+    memo.cache_clear()
+    for lam in partitions_of(4):
+        mac.hall_littlewood_symmetrizer(lam, 4)
+    assert memo.cache_info()[:2] == (4, 1)  # hits, misses
+    mac.hall_littlewood_symmetrizer((3,), 3)
+    assert memo.cache_info().currsize == macsym.cache_sizes()["macdonald._symmetrizer_product"] == 1
+    macsym.clear_caches()
+    assert memo.cache_info().currsize == 0
+
+
 def test_hall_littlewood_reference():
     # t -> q degeneration of the Hall-Littlewood family gives Schur too
-    from macsym.coeff import substitute
     P = hall_littlewood_p((2, 1))
     spec = P.map_coeffs(lambda c: substitute(c, T, T))  # identity; stays exact
     assert spec.terms[(2, 1)] == 1

@@ -10,7 +10,8 @@ from macsym.symfunc import SymFunc, convert, multiply, sym_gen
 
 from hypothesis import given
 
-from oracles import inner_pvec_termwise, kernel_at_margins, kernel_matrices, p_product_termwise
+from oracles import (inner_pvec_termwise, kernel_at_margins, kernel_matrices, p_product_termwise,
+                     substitute)
 from strategies import pvec_maps
 
 
@@ -25,7 +26,6 @@ def test_z_factor_specializes_to_classical():
         for lam in partitions_of(d):
             assert swap_qt(z_factor(lam)) * z_factor(lam) / z_factor(lam) is not None
             # z at t = q is the plain permutation count
-            from macsym.coeff import substitute
             assert substitute(z_factor(lam), Q, Q) == z_plain(lam)
 
 
@@ -148,7 +148,6 @@ def test_cauchy_table_with_a_perturbed_entry_fails_the_table_equations(monkeypat
 
 
 def test_qbinom_telescopes_at_beta_one():
-    from macsym.coeff import substitute
     for m in range(5):
         assert substitute(qbinom_coeff(m), Q, Q) == 1
 

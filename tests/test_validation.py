@@ -5,6 +5,7 @@ The checks must hold under ``python -O`` too, so none may be an ``assert``.
 
 import pytest
 
+from macsym import fock
 from macsym.coeff import QTSeries
 from macsym.ctengine import ct_norm_check, delta_expand, map_G, norm_prime_product
 from macsym.fock import symmetrizer_check, vertex_product_check
@@ -72,6 +73,19 @@ def test_vertex_product_check_rejects_non_int_or_out_of_range_arguments(args):
     assert vertex_product_check(2, 2, 3)
     with pytest.raises(ValueError):
         vertex_product_check(*args)
+
+
+@pytest.mark.parametrize("call", [fock.vertex_product_check, fock.vertex_product_difference])
+def test_vertex_product_check_rejects_n_above_its_ceiling_before_any_product(monkeypatch, call):
+    # n = 5 took 61 s and 1.26 GB: the ceiling must reject it before the factors are formed
+    def forbidden(*args):
+        raise AssertionError("the kernel factors were formed for n above the ceiling")
+
+    monkeypatch.setattr(fock, "_vertex_factors", forbidden)
+    assert fock.MAX_VERTEX_N == 4
+    for n in (5, 6, 100):
+        with pytest.raises(ValueError, match="n must be an int >= 1 and <= 4"):
+            call(1, n, 0)
 
 
 @pytest.mark.parametrize("n", [0, -1, True, 2.0, "2"])
