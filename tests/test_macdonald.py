@@ -13,9 +13,8 @@ from sympy.polys.rings import PolyElement
 import macsym
 import macsym.macdonald as mac
 from macsym import pairing, symfunc, verify
-from macsym.coeff import (MAX_COEFF_BITS, MAX_EXPONENT, Q, RING, T, _packing_layout,
-                          parse_ratqt, ratqt, reduce_ratqt, swap_qt)
-from macsym.coeff import FIELD, RatQT, emit_ratqt
+from macsym.coeff import (FIELD, MAX_COEFF_BITS, MAX_EXPONENT, Q, RING, T, RatQT,
+                          _packing_layout, emit_ratqt, parse_ratqt, ratqt, reduce_ratqt, swap_qt)
 from macsym.errors import InternalInconsistency, SpecializationPole
 from macsym.macdonald import (SPECIALIZE_CASES, MacdonaldPair, b_coeff, dr_apply,
                               dr_commute_check, dr_eigencheck, dr_eigenvalue,
@@ -298,11 +297,11 @@ def test_every_specialization_fails_on_a_perturbed_integral_form(monkeypatch):
     # (1-t)^2 / c_(2,1) = 1 / (1 - q t^2) joins P_(2,1) at m_(1,1,1): no case has a pole
     # there, and none of t = q, q = 0, t = 1, q = 1, (1/q, 1/t) takes it to 0 or to itself
     _perturb_j21(monkeypatch, (1 - RING.gens[1]) ** 2)
+    zero = FIELD.zero
     for case in SPECIALIZE_CASES:
         assert not specialize_check((2, 1), case)
         assert not specialize_check_field((2, 1), case)
         spec, want = specialize_sides_field((2, 1), case)
-        zero = FIELD.zero
         assert mac.specialize_difference((2, 1), case) == (
             (1, 1, 1), spec.terms.get((1, 1, 1), zero), want.terms.get((1, 1, 1), zero)), case
         assert spec.terms.get((2, 1)) == want.terms.get((2, 1)), case
