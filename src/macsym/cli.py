@@ -183,7 +183,7 @@ def cmd_norm(args):
 
 def cmd_skew(args):
     lam, mu = args.lam, args.mu
-    got, want = verify.skew_route_sides(lam, mu)
+    got, want, _ = verify.skew_route_sides(lam, mu)
     agree, a = got is None, _reduced_p(want)
     payload = dict(_header(args))
     payload.update({

@@ -10,9 +10,10 @@ sum formula, and the finite-product collapse of the kernels at t = q^beta, over
 Z[q] with its n-variable products compared as ints at q = 2^bits.
 """
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, prod
+from math import comb, perm, prod
 from types import MappingProxyType
 
 from .coeff import FIELD, RING, add_into
@@ -64,16 +65,33 @@ def skew_via_fock_cleared(lam, mu):
     return RING.one, {}
 
 
-def _lower(r, nums):
-    """r (1-q^r) d/dp_r on p-basis numerators over Z[q,t]: p_bar_r times 1 - t^r."""
-    factor = r * (1 - _q ** r)
-    out = {}
-    for nu, c in nums.items():
-        if m := nu.count(r):
-            rest = list(nu)
-            rest.remove(r)
-            out[as_partition(rest)] = c * (m * factor)
-    return out
+@lru_cache(maxsize=None)
+def _lowering_weights(mu):
+    """(den_mu den_w, {kappa: (m(kappa), uw_kappa)}), P_mu = sum u_kappa p_kappa / den_mu: p_kappa
+    lowers by r (1-q^r) d/dp_r / (1-t^r) per part r, so uw_kappa = u_kappa (den_w / prod (1-t^r))
+    prod r (1-q^r), den_w = (t;t)_|mu|, which each prod (1-t^r) divides; m counts the parts."""
+    den_mu, P_mu = macdonald_pair(mu).cleared_p()
+    den_w = prod((1 - _t ** r for r in range(1, weight(mu) + 1)), start=RING.one)
+    return den_mu * den_w, {
+        kappa: (Counter(kappa), u * den_w.exquo(prod((1 - _t ** r for r in kappa), start=RING.one))
+                * prod(r * (1 - _q ** r) for r in kappa))
+        for kappa, u in P_mu.items()}
+
+
+def _lowered_terms(lam, mu):
+    """(den, den_mu den_w, [(k, uw_kappa, nums[K], f)]), Q_lam = nums / den lowered by P_mu:
+    p_kappa takes p_K, K = k + kappa, to f = prod_r m_r(K)! / m_r(k)! times p_k and kappa's
+    factors in uw_kappa, so p_k has the sum of its terms' products over den den_mu den_w."""
+    den, target = macdonald_pair(lam).cleared_p(dual=True)
+    den_w, weights = _lowering_weights(as_partition(mu))
+    terms = []
+    for K, c in target.items():
+        have = Counter(K)
+        for m, w in weights.values():
+            if have >= m:
+                k = tuple(sorted((have - m).elements(), reverse=True))
+                terms.append((k, w, c, prod(perm(have[r], m[r]) for r in m)))
+    return den, den_w, terms
 
 
 def skew_via_diffop(lam, mu):
@@ -82,26 +100,13 @@ def skew_via_diffop(lam, mu):
 
 
 def skew_via_diffop_cleared(lam, mu):
-    """Q_{lam/mu} in p as (den, {kappa: Z[q,t]}), P_mu acting in the lowered power sums.
-
-    p_kappa of P_mu acts as the lowering operators of the parts of kappa: their
-    factors r (1-q^r) act on J_lam, and prod (1-t^r) joins the denominator of
-    the J_mu coefficient of p_kappa.  Each such product divides (t;t)_|mu|, so
-    the sum over kappa runs over that one denominator; nothing is reduced.
-    """
-    lam, mu = as_partition(lam), as_partition(mu)
-    den, target = macdonald_pair(lam).cleared_p(dual=True)
-    den_mu, P_mu = macdonald_pair(mu).cleared_p()
-    den_w = prod((1 - _t ** r for r in range(1, weight(mu) + 1)), start=RING.one)
+    """Q_{lam/mu} in p as (den, {kappa: Z[q,t]}), P_mu acting in the lowered power sums:
+    the sum of `_lowered_terms` at each key; nothing is reduced."""
+    den, den_w, terms = _lowered_terms(lam, mu)
     total = {}
-    for kappa, u in P_mu.items():
-        piece, lowering = target, RING.one
-        for part in kappa:
-            piece = _lower(part, piece)
-            lowering *= 1 - _t ** part
-        if piece:
-            add_into(total, piece, u * den_w.exquo(lowering))
-    return den * den_mu * den_w, total
+    for k, w, c, f in terms:
+        add_into(total, {k: w * c}, f)
+    return den * den_w, total
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,9 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 from math import comb, factorial, prod
 from types import MappingProxyType
-
-from sympy.polys.domains import ZZ
-from sympy.polys.rings import ring
 
 from .coeff import (FIELD, MAX_COEFF_BITS, MAX_EXPONENT, RING, add_into, clear_ratqt,
                     reduce_ratqt, sums_of_products_equal)
@@ -221,9 +218,18 @@ def macdonald_pair(lam):
 
 @lru_cache(maxsize=1)
 def _symmetrizer_product(n):
-    """prod_{i<j} (x_i - t x_j) in Z[x_0..x_(n-1), t], shared by every lam of one n."""
-    R, *x = ring([f"x{i}" for i in range(n)] + ["t"], ZZ)
-    return prod((x[i] - x[n] * x[j] for i, j in combinations(range(n), 2)), start=R.one)
+    """prod_{i<j} (x_i - t x_j) as {x-exponent: (c_0, c_1, ...)}, sum_b c_b t^b the Z[t]
+    coefficient of that x-monomial, shared by every lam of one n; each factor multiplies
+    the rows, so no monomial in x and t is held."""
+    rows = {(0,) * n: (1,)}
+    for i, j in combinations(range(n), 2):
+        nxt = {}
+        for e, row in rows.items():
+            for k, part in ((i, row), (j, (0, *(-c for c in row)))):  # x_i, then -t x_j
+                key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                nxt[key] = tuple(map(sum, zip_longest(nxt.get(key, ()), part, fillvalue=0)))
+        rows = nxt
+    return rows
 
 
 def hall_littlewood_symmetrizer(lam, n):
@@ -231,18 +237,20 @@ def hall_littlewood_symmetrizer(lam, n):
 
     Summed over S_n, each monomial x^beta of x^lam prod_{i<j} (x_i - t x_j)
     gives the alternant a_beta, +-a_(nu+delta) or 0 (`_straighten`), and
-    a_(nu+delta) / a_delta = s_nu.  v_lam(t) = prod_i prod_{j<=m_i} (1-t^j)/(1-t)
-    over the multiplicities m_i of lam padded with zeros to length n.
+    a_(nu+delta) / a_delta = s_nu; each x-exponent is straightened once, for its
+    whole Z[t] row.  v_lam(t) = prod_i prod_{j<=m_i} (1-t^j)/(1-t) over the
+    multiplicities m_i of lam padded with zeros to length n.
     """
     shift = tuple(lam) + (0,) * (n - len(lam))  # x^lam, as a shift of exponents
     A = {}
-    for mono, c in _symmetrizer_product(n).items():
-        if straight := _straighten([e + part for e, part in zip(mono, shift)]):
+    for e, row in _symmetrizer_product(n).items():
+        if straight := _straighten([a + part for a, part in zip(e, shift)]):
             sign, nu = straight
-            A.setdefault(nu, Counter())[0, mono[n]] += sign * c
+            A.setdefault(nu, []).append([sign * c for c in row])
     v = prod((sum((_t ** s for s in range(k)), RING.zero)
               for m in Counter(shift).values() for k in range(1, m + 1)), start=RING.one)
-    return {nu: c for nu, row in A.items() if (c := RING.from_dict(row))}, v
+    return {nu: c for nu, rows in A.items() if (c := RING.from_dict(
+        {(0, b): a for b, a in enumerate(map(sum, zip_longest(*rows, fillvalue=0))) if a}))}, v
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from functools import wraps
 from itertools import combinations
 
 from . import ctengine, fock, kostka, macdonald, pairing
-from .coeff import (FIELD, QTSeries, add_into, clear_ratqt, emit_ratqt, invert, reduce_ratqt,
-                    sums_of_products_equal, swap_poly, swap_qt)
+from .coeff import (FIELD, RING, QTSeries, add_into, clear_ratqt, emit_ratqt, invert,
+                    reduce_ratqt, sums_of_products_equal, swap_poly, swap_qt)
 from .errors import InternalInconsistency
 from .macdonald import macdonald_pair
 from .pairing import (dual_factor, inner_cleared, inner_products, kernel_coeff, omega_cleared,
@@ -288,21 +288,31 @@ def suite_integral_reps(maxweight=4, order=6, **_):
 
 
 def skew_route_sides(lam, mu):
-    """(got, want), cleared pairs (den, nums) of Q_{lam/mu}: want is `skew_q_cleared`'s,
-    got the first other route, fock first, that differs from it, or None.  One
-    packed evaluation decides a route, key k by nums[k] den_want = want_nums[k] den
-    (a missing key an empty side); a zero den raises InternalInconsistency."""
+    """(got, want, route) for Q_{lam/mu}: want is `skew_q_cleared`'s (den_q, nums_q), got the
+    cleared pair of the first other route, fock first, that differs from it and route its
+    name, or both None.  One packed evaluation decides a route, key k by
+    den_q nums[k] = nums_q[k] den; the diffop route's nums[k] is the sum of its lowering
+    terms uw_kappa Q_lam[K] f (`fock._lowered_terms`), so that route is formed only when it
+    fails.  A missing key is an empty side; a zero den raises InternalInconsistency."""
     want = den_q, nums_q = macdonald.skew_q_cleared(lam, mu)
-    for route in (fock.skew_via_fock_cleared, fock.skew_via_diffop_cleared):
-        den, nums = got = route(lam, mu)
-        if not (den and den_q):
+
+    def holds(lhs, *den):
+        if not (den_q and all(den)):
             raise InternalInconsistency("a cleared skew function has denominator 0")
-        equations = [([(nums[k], den_q)] if k in nums else [],
-                      [(nums_q[k], den)] if k in nums_q else [])
-                     for k in nums.keys() | nums_q.keys()]
-        if not all(sums_of_products_equal(equations)):
-            return got, want
-    return None, want
+        return all(sums_of_products_equal([(lhs.get(k, []),
+                                            [(nums_q[k], *den)] if k in nums_q else [])
+                                           for k in lhs.keys() | nums_q.keys()]))
+
+    den, nums = got = fock.skew_via_fock_cleared(lam, mu)
+    if not holds({k: [(n, den_q)] for k, n in nums.items()}, den):
+        return got, want, "fock"
+    den, den_w, terms = fock._lowered_terms(lam, mu)
+    lhs = {}
+    for k, w, c, f in terms:
+        lhs.setdefault(k, []).append((w, c, den_q, RING(f)))
+    if not holds(lhs, den, den_w):
+        return fock.skew_via_diffop_cleared(lam, mu), want, "diffop"
+    return None, want, None
 
 
 @_timed
@@ -310,10 +320,11 @@ def suite_skew_routes(maxweight=4, **_):
     for lam in _all_partitions(maxweight):
         for dm in range(weight(lam) + 1):
             for mu in partitions_of(dm):
-                got, want = skew_route_sides(lam, mu)
+                got, want, route = skew_route_sides(lam, mu)
                 rec = _record("skew-three-routes", {"lambda": lam, "mu": mu}, got is None)
                 if got is not None:
-                    rec["detail"] = first_difference(_reduced_p(got), _reduced_p(want))
+                    rec["detail"] = {**first_difference(_reduced_p(got), _reduced_p(want)),
+                                     "route": route}
                 yield rec
 
 

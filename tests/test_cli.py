@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,14 +59,23 @@ def test_skew_command(capsys):
 
 @pytest.mark.parametrize("route", ["skew_via_fock", "skew_via_diffop"])
 def test_skew_counterexample_reports_its_first_difference(monkeypatch, capsys, route):
-    # a wrong route fails the command, and stderr names the first differing coefficient
-    original = getattr(fock, f"{route}_cleared")
+    # a wrong route fails the command, and stderr names the first differing coefficient:
+    # the fock route's numerators doubled, or every lowering weight that the diffop
+    # route's equations read (that route is formed only when it fails)
+    original, weights = fock.skew_via_fock_cleared, fock._lowering_weights
 
     def doubled(lam, mu):
         den, nums = original(lam, mu)
         return den, {kappa: 2 * n for kappa, n in nums.items()}
 
-    monkeypatch.setattr(fock, f"{route}_cleared", doubled)
+    def doubled_weights(mu):
+        den, held = weights(mu)
+        return den, {kappa: (m, 2 * w) for kappa, (m, w) in held.items()}
+
+    if route == "skew_via_fock":
+        monkeypatch.setattr(fock, "skew_via_fock_cleared", doubled)
+    else:
+        monkeypatch.setattr(fock, "_lowering_weights", doubled_weights)
     assert main(["skew", "--lam", "2", "--mu", "1", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["routes_agree"] is False
@@ -359,15 +369,23 @@ def test_integral_checks_report_their_first_difference(monkeypatch, suite, modul
 def test_skew_routes_report_the_perturbed_key(monkeypatch, route):
     # one route's cleared numerator at p_1 off by one: every record whose skew
     # function has a p_1 term fails and names it, and every other record passes
+    # (the diffop route through the lowering terms its equations read: one more term
+    # worth den den_w, where the terms at p_1 sum to a nonzero numerator)
     key = (1,)
-    original = getattr(fock, f"{route}_cleared")
+    name = "skew_via_fock_cleared" if route == "skew_via_fock" else "_lowered_terms"
+    original = getattr(fock, name)
 
     def perturbed(lam, mu):
-        den, nums = original(lam, mu)
-        return den, ({**nums, key: nums[key] + den} if key in nums else nums)
+        if route == "skew_via_fock":
+            den, nums = original(lam, mu)
+            return den, ({**nums, key: nums[key] + den} if key in nums else nums)
+        den, den_w, terms = original(lam, mu)
+        if sum((w * c * f for k, w, c, f in terms if k == key), RING.zero):
+            terms = [*terms, (key, den, den_w, 1)]
+        return den, den_w, terms
 
     passing = verify.run_suite("skew-routes", maxweight=3)
-    monkeypatch.setattr(fock, f"{route}_cleared", perturbed)
+    monkeypatch.setattr(fock, name, perturbed)
     records = verify.run_suite("skew-routes", maxweight=3)
     assert [r["parameters"] for r in records] == [r["parameters"] for r in passing]
     failed = 0
@@ -377,7 +395,8 @@ def test_skew_routes_report_the_perturbed_key(monkeypatch, route):
             failed += 1
             assert rec["status"] == "fail"
             assert rec["detail"] == {"key": repr(key), "got": emit_ratqt(want[key] + 1),
-                                     "want": emit_ratqt(want[key])}
+                                     "want": emit_ratqt(want[key]),
+                                     "route": route.removeprefix("skew_via_")}
         else:
             assert rec["status"] == "pass" and "detail" not in rec
     assert 0 < failed < len(records)
@@ -385,11 +404,17 @@ def test_skew_routes_report_the_perturbed_key(monkeypatch, route):
 
 
 def _routes_against(monkeypatch, want, via_fock, via_diffop):
-    """skew_route_sides with skew_q_cleared and the two routes replaced by fixed pairs."""
+    """skew_route_sides((1,), ()) with skew_q_cleared and the fock route replaced by fixed
+    pairs, and Q_(1)'s numerators by via_diffop: P_() lowers nothing, so they are the diffop
+    route."""
     monkeypatch.setattr(macdonald, "skew_q_cleared", lambda lam, mu: want)
     monkeypatch.setattr(fock, "skew_via_fock_cleared", lambda lam, mu: via_fock)
-    monkeypatch.setattr(fock, "skew_via_diffop_cleared", lambda lam, mu: via_diffop)
-    return verify.skew_route_sides((1,), ())
+    monkeypatch.setattr(fock, "macdonald_pair", lambda lam: (
+        SimpleNamespace(cleared_p=lambda dual=False: via_diffop) if lam == (1,)
+        else macdonald_pair(lam)))
+    got, same, route = verify.skew_route_sides((1,), ())
+    assert route == (None if got is None else "fock" if got is via_fock else "diffop")
+    return got, same
 
 
 def test_skew_route_sides_examples(monkeypatch):
@@ -412,7 +437,7 @@ def test_skew_route_sides_examples(monkeypatch):
     # the fock route is reported first, and the diffop route when only it differs
     wrong = (1 - q, {(1,): 2 * one})
     assert _routes_against(monkeypatch, want, wrong, (one, {}))[0] is wrong
-    assert _routes_against(monkeypatch, want, want, wrong)[0] is wrong
+    assert _routes_against(monkeypatch, want, want, wrong)[0] == wrong  # formed only now
     for zero_den in [(RING.zero, {(1,): one}), (RING.zero, {})]:
         with pytest.raises(InternalInconsistency):
             _routes_against(monkeypatch, want, zero_den, want)
@@ -430,11 +455,15 @@ def test_skew_route_sides_agree_with_reducing(cleared, other, route, data):
     with pytest.MonkeyPatch.context() as mp:
         routes = (cleared, want) if route == "fock" else (want, cleared)
         got, _ = _routes_against(mp, want, *routes)
-    assert got is (None if agree else cleared)
+    if agree or route == "fock":
+        assert got is (None if agree else cleared)
+    else:  # the diffop route is formed from the same numerators, zeros dropped
+        assert got == (den, {key: n for key, n in nums.items() if n})
 
 
 def test_skew_route_with_a_zero_denominator_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(fock, "skew_via_diffop_cleared", lambda lam, mu: (RING.zero, {}))
+    weights = fock._lowering_weights
+    monkeypatch.setattr(fock, "_lowering_weights", lambda mu: (RING.zero, weights(mu)[1]))
     assert main(["skew", "--lam", "2", "--mu", "1", "--format", "json"]) == 3
     assert "internal inconsistency" in capsys.readouterr().err
 

@@ -1,17 +1,18 @@
 import random
+from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 
 import macsym
 from macsym import fock, macdonald, pairing, symfunc, verify
-from macsym.coeff import FIELD, Q, RING, T, emit_ratqt, ratqt
+from macsym.coeff import FIELD, Q, RING, T, clear_ratqt, emit_ratqt, ratqt
 from macsym.fock import (skew_via_diffop, skew_via_fock, skew_via_fock_cleared, symmetrizer_check,
                          vertex_product_check)
 from macsym.macdonald import macdonald_pair, skew_q
 from macsym.partitions import partitions_of, weight
-from macsym.symfunc import NPoly, SymFunc, multiply, sym_gen
+from macsym.symfunc import NPoly, SymFunc, _reduced_p, multiply, sym_gen
 
 from oracles import (_delta_factor_rational, _finite_pi_series, completeness_check,
                      p_bar_apply_termwise, skew_q_termwise, skew_via_diffop_termwise,
@@ -84,10 +85,86 @@ def test_fock_route_above_lambda_is_zero():
 
 
 def test_p_bar_is_scaled_derivative():
-    # the lowering numerators: p_bar_r times 1 - t^r, here on p_(2,2,1)
-    q = RING.gens[0]
-    assert fock._lower(2, {(2, 2, 1): RING.one}) == {(2, 1): 2 * 2 * (1 - q ** 2)}
-    assert not fock._lower(3, {(2, 2, 1): RING.one})
+    # P_(1) = p_1 lowers by p_bar_1 = (1-q)/(1-t) d/dp_1: the weight (1-q)(1-t) over
+    # (1-t)^2; on Q_(2,1) it takes p_(2,1) to p_2 and p_(1,1,1) to 3 p_(1,1), and misses p_3
+    q, t = RING.gens
+    assert fock._lowering_weights((1,)) == ((1 - t) ** 2,
+                                             {(1,): (Counter({1: 1}), (1 - q) * (1 - t))})
+    den, nums = macdonald_pair((2, 1)).cleared_p(dual=True)
+    den_l, den_w, terms = fock._lowered_terms((2, 1), (1,))
+    assert (den_l, den_w) == (den, (1 - t) ** 2)
+    assert {k: (w, c, f) for k, w, c, f in terms} == {
+        (2,): ((1 - q) * (1 - t), nums[2, 1], 1), (1, 1): ((1 - q) * (1 - t), nums[1, 1, 1], 3)}
+
+
+def test_skew_diffop_decision_matches_the_termwise_body(monkeypatch):
+    # every pair with |lam| <= 5: the diffop route, decided unformed, against its termwise
+    # body as the wanted side (the fock route held at that side), and against that body
+    # plus p_(1^d), which it must fail
+    for d in range(6):
+        for lam in partitions_of(d):
+            for dm in range(d + 1):
+                for mu in partitions_of(dm):
+                    body = skew_via_diffop_termwise(lam, mu).terms
+                    key = (1,) * (d - dm)
+                    for want, holds in ((body, True),
+                                        ({**body, key: body.get(key, FIELD.zero) + 1}, False)):
+                        cleared = clear_ratqt(want)
+                        monkeypatch.setattr(macdonald, "skew_q_cleared", lambda *_: cleared)
+                        monkeypatch.setattr(fock, "skew_via_fock_cleared", lambda *_: cleared)
+                        got, _, route = verify.skew_route_sides(lam, mu)
+                        assert (got is None, route) == (holds, None if holds else "diffop")
+
+
+@pytest.mark.parametrize("key", [(3, 2, 1), (2, 2, 1, 1), (1,) * 6])
+def test_skew_diffop_decision_fails_on_a_perturbed_q_numerator(monkeypatch, key):
+    # +1 on one numerator of Q_(3,2,1), read through cleared_p(dual=True), with the fock
+    # route held at its true value: the diffop equations fail (3,2,1)/(2,1)
+    lam, mu = (3, 2, 1), (2, 1)
+    assert verify.skew_route_sides(lam, mu)[0] is None
+    held, original = skew_via_fock_cleared(lam, mu), macdonald.MacdonaldPair.cleared_p
+
+    def perturbed(pair, dual=False):
+        den, nums = original(pair, dual)
+        if (pair.lam, dual) == (lam, True):
+            nums = {**nums, key: nums[key] + 1}
+        return den, nums
+
+    monkeypatch.setattr(macdonald.MacdonaldPair, "cleared_p", perturbed)
+    monkeypatch.setattr(fock, "skew_via_fock_cleared", lambda *_: held)
+    got, want, route = verify.skew_route_sides(lam, mu)
+    assert route == "diffop" and got == fock.skew_via_diffop_cleared(lam, mu)
+    assert _reduced_p(got) != _reduced_p(want)
+
+
+def test_skew_records_fail_on_a_shifted_lowering_factor(monkeypatch):
+    # r (1-q^r) off by one power of q, r (1-q^(r+1)), in every lowering weight: each record
+    # with mu != () fails, naming the diffop route; P_() lowers nothing, so mu = () passes
+    original = fock._lowering_weights
+
+    def shifted(mu):
+        den, held = original(mu)
+        return den, {kappa: (m, w.exquo(prod((1 - _q ** r for r in kappa), start=RING.one))
+                             * prod((1 - _q ** (r + 1) for r in kappa), start=RING.one))
+                     for kappa, (m, w) in held.items()}
+
+    monkeypatch.setattr(fock, "_lowering_weights", shifted)
+    records = verify.suite_skew_routes(maxweight=4)
+    for rec in records:
+        if rec["parameters"]["mu"]:
+            assert rec["status"] == "fail" and rec["detail"]["route"] == "diffop", rec
+            assert rec["detail"]["got"] != rec["detail"]["want"]
+        else:
+            assert rec["status"] == "pass" and "detail" not in rec
+
+
+def test_a_passing_skew_suite_forms_no_diffop_route(monkeypatch):
+    def forbidden(lam, mu):
+        raise AssertionError("a passing record formed the diffop route")
+
+    monkeypatch.setattr(fock, "skew_via_diffop_cleared", forbidden)
+    records = verify.suite_skew_routes(maxweight=4)
+    assert len(records) == 92 and {r["status"] for r in records} == {"pass"}
 
 
 def test_commutator_contract():
