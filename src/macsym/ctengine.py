@@ -28,11 +28,13 @@ of the seeds, so no slot overflows (see _accumulate_delta).  Symmetric seeds
 give a symmetric result, so the kernel then computes only the weakly
 decreasing exponents and fills each S_n-orbit from them.
 
-The Delta moments on the box |e_j| <= cap are exact whatever the box, so
-the windows nest: the cap-c window is every wider window restricted to
-|e_j| <= c.  delta_expand keeps one table of windows per (n, order) and
-runs the kernel only for a cap wider than every window it holds; any
-narrower cap is read from the widest.
+The Delta moments M(delta) = [y^delta] Delta are exact whatever the box,
+so the windows nest: a window on a box is every wider window restricted to
+it.  One window per (n, order) is held (_delta_window), and the kernel runs
+only on the unit seed, when a box is not covered by the held one.
+delta_expand reads each cap from it, and every other product with Delta
+is read from it by linearity: [y^e'] Delta f = sum_e f_e M(e' - e), one
+series product per target e' and S_n-orbit of a symmetric f (_delta_times).
 
 The positive kernels never need their own variables: the coefficient of
 y^(-a) in Pi(x, 1/y) is the product of single-variable strata g_{a_j}(x)
@@ -56,7 +58,7 @@ from .coeff import (RING, QPochProduct, QTSeries, add_into, clear_denominators,
 from .errors import InternalInconsistency, WindowTooSmall, check_counts
 from .macdonald import _arm_leg_products, dr_apply, macdonald_pair, skew_q_cleared
 from .pairing import _weight, kernel_coeff, kernel_product, qbinom_coeff
-from .partitions import (as_partition, compositions, conjugate, partial_stacks,
+from .partitions import (as_partition, compositions, conjugate, partial_stacks, partitions_of,
                          rectangles, weight)
 from .symfunc import (NPoly, SymFunc, convert_cleared, evaluate_n, is_symmetric,
                       require_symmetric)
@@ -300,29 +302,36 @@ def _accumulate_delta(seeds, nvars, order, lo, hi, total):
 
 @lru_cache(maxsize=None)
 def _delta_windows(n, order):
-    """{cap: window} of every Delta window delta_expand has handed out at (n, order)."""
+    """{None: (lo, hi, the held Delta window on lo <= e_j <= hi), cap: its delta_expand view}."""
     return {}
+
+
+def _delta_window(n, order, lo, hi):
+    """The held Delta window at (n, order), covering lo <= e_j <= hi: the first is the box
+    asked for, a later miss runs the kernel on the smallest [-c, c] covering both boxes."""
+    windows = _delta_windows(n, order)
+    held = windows.get(None)
+    if held is None or lo < held[0] or hi > held[1]:
+        if held is not None:
+            c = max(-lo, hi, -held[0], held[1])
+            lo, hi = -c, c
+        held = windows[None] = lo, hi, _accumulate_delta({(0,) * n: QTSeries.one(order)},
+                                                         n, order, lo, hi, 0)
+    return held[2]
 
 
 def delta_expand(n, order, cap):
     """Delta(y;q,t) over n variables: {exponent: series} on {|e_j| <= cap, sum e = 0}.
 
-    The windows nest, so one table per (n, order) serves every cap: the
-    kernel runs only for a cap wider than any window held, and a narrower
-    cap is the widest window restricted to its box.  Each window is kept
-    and shared, and the exponents of one S_n-orbit share one series: do not
-    mutate either.
+    The held window's view on the cap's box, kept and shared; the exponents
+    of one S_n-orbit share one series: do not mutate either.
     """
     check_counts("delta_expand", n=(n, 0), order=(order, 0), cap=(cap, 0))
     windows = _delta_windows(n, order)
     if cap not in windows:
-        wide = max(windows, default=-1)
-        if wide < cap:
-            windows[cap] = _accumulate_delta({(0,) * n: QTSeries.one(order)},
-                                             n, order, -cap, cap, 0)
-        else:
-            windows[cap] = {e: s for e, s in windows[wide].items()
-                            if max(map(abs, e), default=0) <= cap}
+        window = _delta_window(n, order, -cap, cap)
+        windows[cap] = window if windows[None][:2] == (-cap, cap) else {
+            e: s for e, s in window.items() if max(map(abs, e), default=0) <= cap}
     return windows[cap]
 
 
@@ -359,36 +368,51 @@ def _series_sum(order, terms):
     return out
 
 
+def _delta_times(seeds, moments, targets, order, symmetric=True):
+    """{e': [y^e'](Delta f) = sum_e f_e M(e' - e)} over the targets, zeros left out, f = seeds.
+
+    A delta missing from the `moments` is a zero moment.  A symmetric f is
+    constant on each S_n-orbit: one series product per (target, orbit).
+    """
+    groups = _orbits(seeds) if symmetric else {e: [e] for e in seeds}
+    out = {}
+    for target in targets:
+        acc = QTSeries(order)
+        for rep, members in groups.items():
+            diffs = (tuple(a - b for a, b in zip(target, e)) for e in members)
+            msum = _series_sum(order, (moments[d] for d in diffs if d in moments))
+            if msum:
+                add_into(acc.coeffs, (seeds[rep] * msum).coeffs)
+        if acc:
+            out[target] = acc
+    return out
+
+
+def _scalar_prime(fp, gp, n, order):
+    """scalar_prime of series NPolys fp and symmetric gp, unchecked."""
+    if not fp or not gp:
+        return QTSeries.zero(order)
+    moments = delta_expand(n, order, max(fp.degree(), gp.degree()))
+    f_orbits = _orbits(fp.terms)
+    total = QTSeries.zero(order)
+    for rep, inner in _delta_times(gp.terms, moments, f_orbits, order).items():
+        total = total + _series_sum(order, (fp.terms[a] for a in f_orbits[rep])) * inner
+    return total * Fraction(1, factorial(n))
+
+
 def scalar_prime(f, g, n, order):
     """(1/n!) * constant term of f(1/x) g(x) Delta(x), truncated at the order.
 
     `g` must be symmetric (ValueError otherwise); `f` may be any polynomial.
     Zero when the degrees differ (the integrand then has no constant term).
-    Delta and g are symmetric, so every alpha in one S_n-orbit pairs with g
-    as the orbit's sorted representative does.  So f's coefficients are
-    summed per orbit, the Delta moments M(rep - beta) are summed per orbit
-    of beta (g is constant there), and each pair of orbits costs one
-    product, plus one per orbit of f to finish.
+    It is sum_alpha f_alpha [x^alpha](g Delta), and g Delta is symmetric, so
+    f's coefficients are summed per orbit and each orbit reads its sorted
+    representative (`_delta_times`).
     """
     fp = _as_npoly(f, n, order)
     gp = fp if g is f else _as_npoly(g, n, order)
     require_symmetric(gp, "the second argument of scalar_prime")
-    g_orbits = _orbits(gp.terms)
-    if not fp or not gp:
-        return QTSeries.zero(order)
-    cap = max(fp.degree(), gp.degree())
-    moments = delta_expand(n, order, cap)
-    total = QTSeries.zero(order)
-    for rep, alphas in _orbits(fp.terms).items():
-        inner = QTSeries.zero(order)
-        for brep, betas in g_orbits.items():
-            diffs = (tuple(a - b for a, b in zip(rep, beta)) for beta in betas)
-            msum = _series_sum(order, (moments[d] for d in diffs if d in moments))
-            if msum:
-                inner = inner + gp.terms[brep] * msum
-        if inner:
-            total = total + _series_sum(order, (fp.terms[a] for a in alphas)) * inner
-    return total * Fraction(1, factorial(n))
+    return _scalar_prime(fp, gp, n, order)
 
 
 def norm_prime_product(lam, n):
@@ -420,18 +444,22 @@ def ct_norm_check(lam, n, order):
     return lhs == rhs
 
 
-def self_adjoint_operand(f, n):
-    """(f, D_1 f) for symmetric f in n variables: f's operand of `self_adjoint_sides`."""
+def self_adjoint_operand(f, n, order):
+    """(f, D_1 f) for symmetric f in n variables, as series NPolys checked symmetric:
+    f's operand of `self_adjoint_sides` at the order."""
     if isinstance(f, SymFunc):
         f = evaluate_n(f, n)
-    return f, dr_apply(1, f, n)
+    out = _as_npoly(f, n, order), _as_npoly(dr_apply(1, f, n), n, order)
+    for p in out:
+        require_symmetric(p, "a self-adjointness operand")
+    return out
 
 
 def self_adjoint_sides(f, g, n, order):
     """(<D_1 f, g>'_n, <f, D_1 g>'_n) as series, for operands f and g of
-    `self_adjoint_operand`: each D_1 image is formed once and paired many times."""
+    `self_adjoint_operand`: each is formed and checked once and paired many times."""
     (f, d1_f), (g, d1_g) = f, g
-    return scalar_prime(d1_f, g, n, order), scalar_prime(f, d1_g, n, order)
+    return _scalar_prime(d1_f, g, n, order), _scalar_prime(f, d1_g, n, order)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +476,11 @@ def map_G(s, f):
 
 
 def _windowed_integrand(f, m, order):
-    """Terms of Delta(y) f(y) that can meet positive-kernel strata: e >= 0, sum = deg f."""
+    """Terms of Delta(y) f(y) that can meet positive-kernel strata: e >= 0, sum = deg f.
+
+    Read from the held window on [-max e, d - min e], which holds every e' - e;
+    a symmetric f computes the weakly decreasing e' and shares each orbit's series.
+    """
     fp = _as_npoly(f, m, order)
     if not fp:
         return {}
@@ -456,7 +488,13 @@ def _windowed_integrand(f, m, order):
     if len(degs) != 1:
         raise WindowTooSmall("integrand must be homogeneous")
     d = degs.pop()
-    return _accumulate_delta(fp.terms, m, order, 0, d, d)
+    exps = [x for e in fp.terms for x in e]
+    moments = _delta_window(m, order, -max(exps, default=0), d - min(exps, default=0))
+    if not is_symmetric(fp.terms, m):
+        return _delta_times(fp.terms, moments, compositions(d, m), order, symmetric=False)
+    reps = (lam + (0,) * (m - len(lam)) for lam in partitions_of(d, max_length=m))
+    return {e: s for rep, s in _delta_times(fp.terms, moments, reps, order).items()
+            for e in sorted(set(permutations(rep)))}
 
 
 @lru_cache(maxsize=None)

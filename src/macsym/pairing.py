@@ -19,11 +19,11 @@ _q, _t = RING.gens
 
 @lru_cache(maxsize=None)
 def z_factor(lam):
-    """z_lam(q,t): the squared norm of p_lam under the (q,t) scalar product."""
-    val = ratqt(z_plain(lam))
-    for part in as_partition(lam):
-        val = val * (1 - Q ** part) / (1 - T ** part)
-    return val
+    """z_lam(q,t) = z_lam prod_r (1-q^r)/(1-t^r): the squared norm of p_lam under the
+    (q,t) scalar product, in one reduction."""
+    lam = as_partition(lam)
+    return FIELD.new(prod((1 - _q ** r for r in lam), start=RING(z_plain(lam))),
+                     prod((1 - _t ** r for r in lam), start=RING.one))
 
 
 @lru_cache(maxsize=None)

@@ -271,7 +271,7 @@ def suite_self_adjoint(maxweight=3, order=4, **_):
     once per n and paired with every m_nu."""
     for n in (2, 3):
         ctengine.delta_expand(n, order, maxweight)  # the widest cap: one kernel run per n
-        operands = {mu: ctengine.self_adjoint_operand(sym_gen("m", mu), n)
+        operands = {mu: ctengine.self_adjoint_operand(sym_gen("m", mu), n, order)
                     for mu in _all_partitions(maxweight, max_length=n)}
         for mu, f in operands.items():
             for nu, g in operands.items():

@@ -124,7 +124,7 @@ def test_criterion_07_self_adjointness():
     start = time.perf_counter()
     M = 4
     for n in (2, 3):
-        operands = {mu: self_adjoint_operand(sym_gen("m", mu), n)
+        operands = {mu: self_adjoint_operand(sym_gen("m", mu), n, M)
                     for mu in _partitions_up_to(3, max_length=n)}
         for mu, f in operands.items():
             for nu, g in operands.items():

@@ -6,7 +6,7 @@ import pytest
 import macsym
 from macsym import ctengine, macdonald, pairing, verify
 from macsym.coeff import QPochProduct, QTSeries, parse_ratqt, ratqt, to_series
-from macsym.ctengine import (_accumulate_delta, _as_npoly, ct_norm_check,
+from macsym.ctengine import (_accumulate_delta, _as_npoly, _windowed_integrand, ct_norm_check,
                              delta_expand, delta_factor_coeffs, delta_pair_series,
                              expected_p_series, f_plus_terms,
                              integral_constants, integral_rep_P,
@@ -214,6 +214,62 @@ def test_verify_suites_run_the_delta_kernel_once_per_n(monkeypatch, suite, order
     assert runs == [(n, order, -3, 3, 0) for n in ns]
 
 
+def _seeded_kernel(seeds, n, order):
+    """The Delta kernel run on the seeds themselves, as the integrands once were."""
+    d = sum(next(iter(seeds)))
+    return _accumulate_delta(seeds, n, order, 0, d, d)
+
+
+def test_windowed_integrand_equals_the_seeded_kernel():
+    # every outer seed with |lam| <= 5 at orders 0-6, read from the held window
+    for order in range(7):
+        for lam in (lam for d in range(1, 6) for lam in partitions_of(d)):
+            seeds, n = _outer_seed(lam, order)
+            got = _windowed_integrand(NPoly(n, seeds), n, order)
+            assert got == _seeded_kernel(seeds, n, order), (lam, order)
+    two = QTSeries(3, {(0, 0): 2, (1, 0): -1})
+    for pos in (0, 2):
+        seeds = _orbit_seed(lambda e: two if e[pos] == 2 else QTSeries.one(3))
+        assert _windowed_integrand(NPoly(3, seeds), 3, 3) == _seeded_kernel(seeds, 3, 3), pos
+
+
+def test_outer_integrands_run_one_delta_kernel_per_window(monkeypatch):
+    # the (1^4) integrand reads its box [-1, 3] from the window the norm left
+    macsym.clear_caches()
+    runs = _counted_kernel(monkeypatch)
+    assert ct_norm_check((2, 1), 4, 8)
+    assert integral_rep_check((1, 1, 1, 1), 8)
+    assert runs == [(4, 8, -3, 3, 0)]
+    # a first window is the box asked for; a later miss widens to the symmetric hull
+    macsym.clear_caches()
+    runs.clear()
+    got, want = integral_rep_sides((1,) * 5, 3)
+    assert got == want
+    assert runs == [(5, 3, -1, 4, 0)]
+    narrow = delta_expand(5, 3, 1)
+    assert len(runs) == 1
+    wide = delta_expand(5, 3, 2)
+    assert runs[1:] == [(5, 3, -4, 4, 0)]
+    assert delta_expand(5, 3, 1) is narrow
+    assert delta_expand(5, 3, 2) is wide
+    unit = {(0,) * 5: QTSeries.one(3)}
+    assert narrow == _accumulate_delta(unit, 5, 3, -1, 1, 0)
+    assert wide == _accumulate_delta(unit, 5, 3, -2, 2, 0)
+
+
+def test_a_perturbed_held_window_fails_the_integral_rep(monkeypatch):
+    # the integrand reads its moments from the held window, not from a kernel of its own
+    macsym.clear_caches()
+    try:
+        delta_expand(4, 8, 3)
+        window = ctengine._delta_windows(4, 8)[None][2]
+        for e in set(permutations((1, 0, 0, -1))):
+            monkeypatch.setitem(window, e, window[e] + QTSeries.one(8))
+        assert not integral_rep_check((1, 1, 1, 1), 8)
+    finally:
+        macsym.clear_caches()
+
+
 @pytest.mark.parametrize("order", [0, 1])
 def test_integral_reps_at_low_orders(order):
     # a coefficient of P_lam that truncates to zero must not read as a mismatch
@@ -306,6 +362,8 @@ def test_scalar_prime_rejects_a_nonsymmetric_g(terms):
         scalar_prime(NPoly(n), g, n, 4)  # checked even when f is zero
     with pytest.raises(ValueError):
         dr_apply(1, g, n)
+    with pytest.raises(ValueError):
+        self_adjoint_operand(g, n, 4)
 
 
 def test_ct_norm_examples():
@@ -324,11 +382,22 @@ def test_scalar_prime_orthogonality():
                                                 n, 4)
 
 
+def test_self_adjoint_pairings_reuse_their_operands(monkeypatch):
+    # operands are formed and checked once; a pairing neither converts nor re-checks them
+    f, g = (self_adjoint_operand(sym_gen("m", mu), 3, 4) for mu in ((2, 1), (1, 1, 1)))
+    calls = []
+    for name in ("_as_npoly", "require_symmetric"):
+        monkeypatch.setattr(ctengine, name, lambda *args, name=name: calls.append(name))
+    lhs, rhs = self_adjoint_sides(f, g, 3, 4)
+    assert lhs == rhs
+    assert calls == []
+
+
 def test_self_adjoint_examples():
     m2, m11 = sym_gen("m", (2,)), sym_gen("m", (1, 1))
     for f, g in [(m2, m2), (m2, m11), (sym_gen("m", ()), sym_gen("m", (1,)))]:
-        lhs, rhs = self_adjoint_sides(self_adjoint_operand(f, 2), self_adjoint_operand(g, 2),
-                                      2, 4)
+        lhs, rhs = self_adjoint_sides(self_adjoint_operand(f, 2, 4),
+                                      self_adjoint_operand(g, 2, 4), 2, 4)
         assert lhs == rhs
 
 

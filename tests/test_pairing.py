@@ -21,6 +21,17 @@ def test_z_factor_examples():
     assert z_factor((1, 1)) == 2 * ((1 - Q) / (1 - T)) ** 2
 
 
+def test_z_factor_is_the_reduced_stepwise_product():
+    # one reduction gives the canonical pair that one field operation per part gives
+    for d in range(7):
+        for lam in partitions_of(d):
+            want = ratqt(z_plain(lam))
+            for r in lam:
+                want = want * (1 - Q ** r) / (1 - T ** r)
+            got = z_factor(lam)
+            assert (got.numer, got.denom) == (want.numer, want.denom), lam
+
+
 def test_z_factor_specializes_to_classical():
     for d in range(6):
         for lam in partitions_of(d):
